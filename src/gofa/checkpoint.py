@@ -9,6 +9,7 @@ All integers little-endian.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -60,7 +61,16 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config: dict | None = 
         body.append(_encode_tensor(name, np.asarray(arr)))
     blob = b"".join(body)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
+    # write beside the target, then rename: the final name only ever holds a whole file
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:

@@ -168,7 +168,9 @@ def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, use_gnn: b
     if kind == "structural":
         report = evaluate_structural(model, samples, use_gnn=use_gnn, max_new_tokens=ecfg["max_new_tokens"])
     elif kind == "accuracy":
-        report = evaluate_accuracy(model, samples, candidates=LOOKUP_VALUES, use_gnn=use_gnn)
+        report = evaluate_accuracy(
+            model, samples, candidates=LOOKUP_VALUES, use_gnn=use_gnn, max_new_tokens=ecfg["max_new_tokens"]
+        )
     else:
         report = EvalReport()
     report.metrics["perplexity"] = perplexity(model, samples, use_gnn=use_gnn, batch_size=ecfg["batch_size"])
@@ -211,7 +213,9 @@ def cmd_ablate_edges(args) -> int:
     ]:
         model = _load_model(ckpt_path)
         samples = read_samples(corpus_path)
-        report = evaluate_accuracy(model, samples, candidates=LOOKUP_VALUES)
+        report = evaluate_accuracy(
+            model, samples, candidates=LOOKUP_VALUES, max_new_tokens=cfg["eval"]["max_new_tokens"]
+        )
         _emit_report(out, f"ablation_{mode}", report)
         rows.append((mode, report.metrics["accuracy"], report.metrics["n"]))
     table = ["edge_mode  accuracy  n", "-" * 26]

@@ -16,12 +16,13 @@ single-sequence call is arithmetically identical however it is routed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, concat, gather_rows, rms_norm, softmax
+from .autodiff import Tensor, concat, gather_rows, no_grad, rms_norm, softmax
 
 log = logging.getLogger("gofa")
 
@@ -155,8 +156,48 @@ def _apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return concat([a * cos_t - b * sin_t, b * cos_t + a * sin_t], axis=-1)
 
 
-def layer_forward(x: Tensor, p: dict, cfg: ModelConfig, mask: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """One pre-norm transformer block over [S, L, d]."""
+class LayerKV:
+    """Keys and values [S, H, n, dh] that one layer computed in earlier calls.
+
+    The buffers hold ``capacity`` positions and are allocated on the first
+    ``extend``. The arrays are written in place, so a tape cannot flow through
+    them: the cache serves inference only.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.keys: np.ndarray | None = None
+        self.values: np.ndarray | None = None
+        self.n = 0
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions; return the keys and values of all of them."""
+        if k.requires_grad or v.requires_grad:
+            raise ValueError("K/V caching runs without a tape; use no_grad()")
+        if self.keys is None:
+            s, h, _, dh = k.shape
+            self.keys = np.empty((s, h, self.capacity, dh), dtype=k.dtype)
+            self.values = np.empty((s, h, self.capacity, dh), dtype=v.dtype)
+        end = self.n + k.shape[2]
+        self.keys[:, :, self.n : end] = k.data
+        self.values[:, :, self.n : end] = v.data
+        self.n = end
+        return (
+            Tensor(self.keys[:, :, :end], dtype=self.keys.dtype),
+            Tensor(self.values[:, :, :end], dtype=self.values.dtype),
+        )
+
+
+def layer_forward(
+    x: Tensor, p: dict, cfg: ModelConfig, mask: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
+    kv: LayerKV | None = None,
+) -> Tensor:
+    """One pre-norm transformer block over [S, L, d].
+
+    ``mask`` is an additive attention mask; None lets every query see every
+    key. With ``kv``, the keys and values of ``x`` are appended to the cached
+    ones and the queries attend over all of them.
+    """
     s, seq_len, d = x.shape
     h, dh = cfg.n_heads, cfg.head_dim
 
@@ -167,7 +208,11 @@ def layer_forward(x: Tensor, p: dict, cfg: ModelConfig, mask: np.ndarray, cos: n
     q = _apply_rope(heads(xn @ p["wq"]), cos, sin)
     k = _apply_rope(heads(xn @ p["wk"]), cos, sin)
     v = heads(xn @ p["wv"])
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh)) + Tensor(mask, dtype=mask.dtype)
+    if kv is not None:
+        k, v = kv.extend(k, v)
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = scores + Tensor(mask, dtype=mask.dtype)
     att = softmax(scores, axis=-1)
     ctx = (att @ v).transpose(0, 2, 1, 3).reshape(s, seq_len, d)
     x = x + ctx @ p["wo"]
@@ -196,7 +241,8 @@ class _Bucket:
 
 def _truncate_left(seq: list[int], limit: int, what: str) -> list[int]:
     if len(seq) > limit:
-        log.warning("%s length %d exceeds %d tokens; truncating from the left", what, len(seq), limit)
+        # the kind leads the message template, so log handlers can tell targets from texts
+        log.warning(f"{what} length %d exceeds %d tokens; truncating from the left", len(seq), limit)
         return seq[-limit:]
     return seq
 
@@ -237,13 +283,7 @@ def make_decode_buckets(targets: list[list[int]], cfg: ModelConfig, dtype) -> li
     k = cfg.memory_tokens
     limit = cfg.max_seq_len - k
     groups: dict[int, list[int]] = {}
-    seqs = []
-    for s in targets:
-        s = list(s)
-        if len(s) > limit:
-            log.warning("target length %d exceeds %d tokens; truncating from the left", len(s), limit)
-            s = s[-limit:]
-        seqs.append(s)
+    seqs = [_truncate_left(list(s), limit, "target") for s in targets]
     for i, s in enumerate(seqs):
         groups.setdefault(_bucket_len(max(len(s), 1)), []).append(i)
     buckets = []
@@ -326,6 +366,30 @@ class Compressor:
         return gather_in_order([x[:, -k:, :] for x in xs], buckets)
 
 
+class _DecodeState:
+    """Per-layer K/V of one memory block followed by the prefix tokens
+    decoded after it, with RoPE tables for every position a window can use."""
+
+    def __init__(self, cfg: ModelConfig, n_layers: int):
+        cos, sin = _rope_tables(cfg.max_seq_len, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        self.cos, self.sin = cos[None, None], sin[None, None]
+        self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
+        self.memory: Tensor | None = None
+        self.prefix: list[int] = []
+
+    def extends(self, memory: Tensor, prefix: list[int]) -> bool:
+        """True when ``prefix`` is the cached prefix plus one token for the
+        cached memory block."""
+        n = len(self.prefix)
+        return memory is self.memory and len(prefix) == n + 1 and list(prefix[:n]) == self.prefix
+
+    def reset(self, memory: Tensor, prefix: list[int]) -> None:
+        self.memory = memory
+        self.prefix = list(prefix)
+        for kv in self.layers:
+            kv.n = 0
+
+
 class Decoder:
     """Generates target text conditioned on a K-slot memory prefix."""
 
@@ -333,6 +397,7 @@ class Decoder:
         self.stack = stack
         if stack.final_norm is None:
             raise ValueError("decoder stack requires a final norm")
+        self._state: _DecodeState | None = None
 
     def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig):
         d = cfg.d_model
@@ -346,10 +411,47 @@ class Decoder:
         xn = rms_norm(x, self.stack.final_norm)
         return xn @ self.stack.embed.swapaxes(0, 1)
 
+    @contextmanager
+    def kv_cache(self):
+        """Let ``next_logits`` keep per-layer K/V between calls until the
+        block exits; ``GofaModel.generate`` holds one per answer."""
+        outer = self._state
+        self._state = _DecodeState(self.stack.cfg, len(self.stack.layers))
+        try:
+            yield
+        finally:
+            self._state = outer
+
     def next_logits(self, memory: Tensor, prefix: list[int]) -> np.ndarray:
-        """Logits for the next token given one memory block and generated ids."""
+        """Logits for the next token given one memory block and generated ids.
+
+        Inside ``kv_cache()``, a prefix that extends the previous call's by
+        one token, for the same memory block, runs only that token's
+        position against the cached K/V. Every other call prefills memory
+        plus prefix (its last ``max_seq_len - K`` tokens) from scratch.
+        """
         cfg = self.stack.cfg
-        bucket = make_decode_buckets([prefix], cfg, cfg.dtype)[0]
-        logits = self._forward_bucket(memory.reshape(1, cfg.memory_tokens, cfg.d_model), bucket, cfg)
-        pos = cfg.memory_tokens + min(len(prefix), cfg.max_seq_len - cfg.memory_tokens) - 1
-        return logits.data[0, pos]
+        k, d = cfg.memory_tokens, cfg.d_model
+        state = self._state
+        with no_grad():
+            if state is not None and k + len(prefix) <= cfg.max_seq_len and state.extends(memory, prefix):
+                state.prefix.append(prefix[-1])
+                pos = k + len(prefix) - 1
+                x = gather_rows(self.stack.embed, prefix[-1:]).reshape(1, 1, d)
+                mask = None
+                cos, sin = state.cos[:, :, pos : pos + 1], state.sin[:, :, pos : pos + 1]
+            else:
+                if state is None:
+                    state = _DecodeState(cfg, len(self.stack.layers))
+                state.reset(memory, prefix)
+                window = _truncate_left(list(prefix), cfg.max_seq_len - k, "target")
+                x = memory.reshape(1, k, d)
+                if window:
+                    x = concat([x, gather_rows(self.stack.embed, window).reshape(1, len(window), d)], axis=1)
+                total = k + len(window)
+                mask = np.triu(np.full((total, total), MASK_VALUE, dtype=cfg.dtype), 1)[None, None]
+                cos, sin = state.cos[:, :, :total], state.sin[:, :, :total]
+            for layer, kv in zip(self.stack.layers, state.layers):
+                x = layer_forward(x, layer, cfg, mask, cos, sin, kv)
+            xn = rms_norm(x[:, -1:, :], self.stack.final_norm)
+            return (xn @ self.stack.embed.swapaxes(0, 1)).data[0, 0]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .model import GofaModel
-from .structure import PathSet, UNREACHABLE
+from .structure import UNREACHABLE, PathSet, all_shortest_paths, common_neighbors
 from .tag import TAG, TaskSample
 from .taskgen import CN_EMPTY_ANSWER, SPD_UNREACHABLE_ANSWER, render_cn_answer, render_spd_answer
 
@@ -156,16 +156,7 @@ def eval_token_nll(model: GofaModel, samples: list[TaskSample], use_gnn: bool = 
     total, tokens = 0.0, 0
     with no_grad():
         for i in range(0, len(samples), batch_size):
-            batch = samples[i : i + batch_size]
-            node_mems, offsets = model.encode_graphs([s.graph for s in batch], use_gnn=use_gnn)
-            rows, target_ids = [], []
-            for s, base in zip(batch, offsets):
-                for t in s.targets:
-                    rows.append(base + t.nog)
-                    target_ids.append(model.target_ids(t.target_text))
-            from .autodiff import gather_rows
-
-            mems = gather_rows(node_mems, np.asarray(rows, dtype=np.int64))
+            mems, target_ids = model.encode_targets(samples[i : i + batch_size], use_gnn=use_gnn)
             for part, count in model.decoder_nll_per_target(mems, target_ids):
                 total += part.item()
                 tokens += count
@@ -192,11 +183,10 @@ def generate_answers(
     with no_grad():
         for i in range(0, len(samples), batch_size):
             batch = samples[i : i + batch_size]
-            node_mems, offsets = model.encode_graphs([s.graph for s in batch], use_gnn=use_gnn)
-            for s, base in zip(batch, offsets):
-                for ti, t in enumerate(s.targets):
-                    text = model.generate(node_mems[base + t.nog], max_new_tokens=max_new_tokens)
-                    out.append((s, ti, text))
+            mems, _ = model.encode_targets(batch, use_gnn=use_gnn)
+            refs = [(s, ti) for s in batch for ti in range(len(s.targets))]
+            for row, (s, ti) in enumerate(refs):
+                out.append((s, ti, model.generate(mems[row], max_new_tokens=max_new_tokens)))
     return out
 
 
@@ -274,8 +264,6 @@ def evaluate_structural(
     Oracle values are recomputed from each sample graph; the oracle ignores
     prompt nodes, so the wiring added by task construction cannot shift
     distances or neighbor sets."""
-    from .structure import all_shortest_paths, common_neighbors
-
     spd_errors: list[float | None] = []
     spd_labels: list[float] = []
     spd_exact = []

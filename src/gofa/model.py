@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, concat, gather_rows, no_grad
+from .autodiff import Tensor, concat, cross_entropy_sum, gather_rows, no_grad
 from .checkpoint import load_checkpoint, save_checkpoint
-from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack
+from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, make_decode_buckets
 from .gnn import gnn_layer, init_gnn_layer, representation_change_ratio
 from .tag import TAG, GraphError, TaskSample
 
@@ -147,9 +147,6 @@ class GofaModel:
 
     def decoder_nll_per_target(self, memories: Tensor, targets: list[list[int]]):
         """Per-target (summed NLL tensor, token count) pairs."""
-        from .autodiff import cross_entropy_sum
-        from .compressor import make_decode_buckets
-
         cfg = self.cfg
         k = cfg.memory_tokens
         buckets = make_decode_buckets(targets, cfg, cfg.dtype)
@@ -165,21 +162,23 @@ class GofaModel:
                 results[i] = cross_entropy_sum(logits[row], labels)
         return results
 
+    def encode_targets(self, samples: list[TaskSample], use_gnn: bool = True) -> tuple[Tensor, list[list[int]]]:
+        """Encode the samples' graphs as one batch; return the NOG memory
+        block of every generation target ([T, K, d], samples in order, then
+        their targets in order) and each target's token ids."""
+        node_mems, offsets = self.encode_graphs([s.graph for s in samples], use_gnn=use_gnn)
+        rows = [base + t.nog for s, base in zip(samples, offsets) for t in s.targets]
+        target_ids = [self.target_ids(t.target_text) for s in samples for t in s.targets]
+        return gather_rows(node_mems, np.asarray(rows, dtype=np.int64)), target_ids
+
     def forward_batch(self, samples: list[TaskSample], use_gnn: bool = True):
         """Mean loss over every generation target of every sample.
 
         Returns (loss tensor, target count, total token count).
         """
-        node_mems, offsets = self.encode_graphs([s.graph for s in samples], use_gnn=use_gnn)
-        nog_rows: list[int] = []
-        target_ids: list[list[int]] = []
-        for s, base in zip(samples, offsets):
-            for t in s.targets:
-                nog_rows.append(base + t.nog)
-                target_ids.append(self.target_ids(t.target_text))
-        if not nog_rows:
+        mems, target_ids = self.encode_targets(samples, use_gnn=use_gnn)
+        if not target_ids:
             raise GraphError("forward_batch requires at least one generation target")
-        mems = gather_rows(node_mems, np.asarray(nog_rows, dtype=np.int64))
         per_target = self.decoder_nll_per_target(mems, target_ids)
         loss = None
         tokens = 0
@@ -197,14 +196,17 @@ class GofaModel:
         temperature: float = 1.0,
         seed: int = 0,
     ) -> str:
-        """Autoregressive decoding from a memory block until EOS or budget."""
+        """Autoregressive decoding from a memory block until EOS or budget.
+
+        The decoder keeps per-layer K/V for this call only, so each token
+        after the first computes one decoder position."""
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if mode not in ("greedy", "sample"):
             raise ValueError(f"unknown generation mode {mode!r}")
         rng = np.random.default_rng(seed)
         ids: list[int] = []
-        with no_grad():
+        with no_grad(), self.decoder.kv_cache():
             for _ in range(max_new_tokens):
                 logits = self.decoder.next_logits(nog_memory, ids)
                 if mode == "greedy":

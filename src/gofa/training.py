@@ -289,6 +289,7 @@ def train_config_dict(cfg: TrainConfig) -> dict:
         "max_steps": cfg.max_steps,
         "checkpoint_every": cfg.checkpoint_every,
         "log_every": cfg.log_every,
+        "debug_nan_checks": cfg.debug_nan_checks,
     }
 
 

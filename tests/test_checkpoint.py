@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gofa import checkpoint
 from gofa.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -53,3 +54,37 @@ class TestCheckpoint:
         save_checkpoint(path, {"weird.name.0": np.ones((2, 2))})
         loaded, _ = load_checkpoint(path)
         assert "weird.name.0" in loaded
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.gofa"
+        save_checkpoint(path, {"x": np.arange(4.0)}, config={"step": 1})
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, file, mode):
+                self.fh = open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"x": np.arange(1000.0)}, config={"step": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.gofa"]
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "new.gofa", {"x": np.zeros(3)})
+        assert [p.name for p in tmp_path.iterdir()] == ["m.gofa"]
+        monkeypatch.undo()
+        _, config = load_checkpoint(path)
+        assert config == {"step": 1}

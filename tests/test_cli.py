@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gofa.checkpoint import load_checkpoint
 from gofa.cli import main
+from gofa.compressor import ModelConfig
 from gofa.config import ConfigError, build_id, default_config, load_config
+from gofa.model import GofaModel
 from gofa.taskgen import read_samples
 
 
@@ -125,6 +128,51 @@ class TestTrainEval:
         )
         report = json.loads((eval_dir / "eval_report.json").read_text())
         assert all(v == 0.0 for v in report["metrics"]["delta_profile"].values())
+
+
+    def test_debug_nan_checks_override_reaches_checkpoint(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        train_dir = tmp_path / "train"
+        code = run(
+            ["train", "--out", str(train_dir), "--corpus", str(corpus_dir / "qa_train.jsonl")]
+            + SMALL_MODEL
+            + ["--set", "train.max_steps=1", "--set", "train.batch_size=2", "--set", "train.checkpoint_every=1",
+               "--set", "train.debug_nan_checks=true"]
+        )
+        assert code == 0
+        _, config = load_checkpoint(next(train_dir.glob("checkpoint_*.gofa")))
+        assert config["train"]["debug_nan_checks"] is True
+
+    def test_accuracy_eval_honours_max_new_tokens(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        ckpt = tmp_path / "m.gofa"
+        GofaModel(ModelConfig(d_model=16, n_heads=2, n_layers=2, memory_tokens=2, gnn_layers=(1,)), seed=0).save(ckpt)
+        longest = {}
+        for budget in (3, 8):
+            eval_dir = tmp_path / f"eval{budget}"
+            code = run(
+                ["eval", "--out", str(eval_dir), "--checkpoint", str(ckpt),
+                 "--corpus", str(corpus_dir / "lookup_single_test.jsonl"),
+                 "--set", "eval.delta_profile_n=1", "--set", f"eval.max_new_tokens={budget}"]
+            )
+            assert code == 0
+            lines = (eval_dir / "eval_report_transcripts.jsonl").read_text().splitlines()
+            rows = [json.loads(line) for line in lines]
+            assert rows and all("correct" in r for r in rows)
+            # one byte token decodes to at most one character
+            longest[budget] = max(len(r["generated"]) for r in rows)
+        assert longest[3] <= 3 < longest[8]
+        out = tmp_path / "ablation"
+        test_corpus = str(corpus_dir / "lookup_single_test.jsonl")
+        code = run(
+            ["ablate-edges", "--out", str(out), "--checkpoint-single", str(ckpt), "--checkpoint-double", str(ckpt),
+             "--corpus-single", test_corpus, "--corpus-double", test_corpus, "--set", "eval.max_new_tokens=3"]
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in (out / "ablation_single_transcripts.jsonl").read_text().splitlines()]
+        assert rows and max(len(r["generated"]) for r in rows) <= 3
 
 
 class TestExitCodes:

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gofa import tokenizer
-from gofa.autodiff import Tensor
+from gofa.autodiff import Tensor, no_grad
 from gofa.compressor import (
+    MASK_VALUE,
+    LayerKV,
     ModelConfig,
+    _rope_tables,
     layer_forward,
     make_compress_buckets,
     make_decode_buckets,
@@ -73,8 +76,6 @@ class TestEmbedding:
 class TestTransformerLayer:
     def _run_layer(self, cfg, x_data, model):
         # Plain causal constants matching x exactly: no padding, positions 0..L-1.
-        from gofa.compressor import MASK_VALUE, _rope_tables
-
         total = x_data.shape[1]
         mask = np.where(np.tril(np.ones((total, total), dtype=bool)), 0.0, MASK_VALUE)[None, None]
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
@@ -119,6 +120,35 @@ class TestTransformerLayer:
         model = GofaModel(cfg, seed=0)
         mems = model.encode_texts(["short", "a much longer sequence of text here"])
         assert mems.shape[1] == cfg.memory_tokens
+
+    def test_kv_steps_match_full_causal_pass(self, rng):
+        # Prefill 5 positions, then feed the rest one at a time against the
+        # cached K/V with no mask: every output row matches one causal pass.
+        cfg = tiny_cfg()
+        model = GofaModel(cfg, seed=4)
+        layer = model.compressor_stack.layers[0]
+        total = 9
+        x = rng.normal(size=(1, total, cfg.d_model))
+        full = self._run_layer(cfg, x, model).data
+        cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        cos, sin = cos_tab[None, None], sin_tab[None, None]
+        mask = np.where(np.tril(np.ones((5, 5), dtype=bool)), 0.0, MASK_VALUE)[None, None]
+        kv = LayerKV(capacity=total)
+        with no_grad():
+            rows = [layer_forward(Tensor(x[:, :5]), layer, cfg, mask, cos[:, :, :5], sin[:, :, :5], kv).data]
+            for i in range(5, total):
+                step = slice(i, i + 1)
+                rows.append(layer_forward(Tensor(x[:, step]), layer, cfg, None, cos[:, :, step], sin[:, :, step], kv).data)
+        assert kv.n == total
+        np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
+
+    def test_kv_cache_refuses_a_tape(self, rng):
+        cfg = tiny_cfg()
+        model = GofaModel(cfg, seed=4)
+        x = rng.normal(size=(1, 3, cfg.d_model))
+        cos_tab, sin_tab = _rope_tables(3, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        with pytest.raises(ValueError, match="without a tape"):
+            layer_forward(Tensor(x), model.decoder_stack.layers[0], cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
 
     def test_left_truncation_warns_and_keeps_memory(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
-from gofa import tokenizer
+from gofa import compressor, tokenizer
 from gofa.autodiff import Tensor, no_grad
-from gofa.compressor import MASK_VALUE, ModelConfig, _rope_tables, layer_forward
+from gofa.compressor import MASK_VALUE, ModelConfig, _rope_tables, layer_forward, make_decode_buckets
 from gofa.gnn import gnn_layer
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, GraphError, TaskSample, attach_prompt_node
@@ -270,6 +272,144 @@ class TestGenerate:
         mems, _ = model.encode_graphs([s.graph])
         out = model.generate(mems[s.targets[0].nog], max_new_tokens=16)
         assert out == "ok good"
+
+
+def reference_next_logits(model: GofaModel, mem, prefix):
+    """Teacher-forcing forward over memory plus the whole prefix (its last
+    max_seq_len - K tokens), read at the last position."""
+    cfg = model.cfg
+    k = cfg.memory_tokens
+    bucket = make_decode_buckets([prefix], cfg, cfg.dtype)[0]
+    with no_grad():
+        logits = model.decoder._forward_bucket(mem.reshape(1, k, cfg.d_model), bucket, cfg)
+    return logits.data[0, k + min(len(prefix), cfg.max_seq_len - k) - 1]
+
+
+def reference_generate(model: GofaModel, mem, max_new_tokens, mode="greedy", temperature=1.0, seed=0):
+    """The decoding loop of ``generate`` with every token recomputed from scratch."""
+    rng = np.random.default_rng(seed)
+    ids = []
+    for _ in range(max_new_tokens):
+        logits = reference_next_logits(model, mem, ids)
+        if mode == "greedy":
+            nxt = int(np.argmax(logits))
+        else:
+            z = logits / max(temperature, 1e-8)
+            z = z - z.max()
+            p = np.exp(z)
+            p /= p.sum()
+            nxt = int(rng.choice(len(p), p=p))
+        if nxt == tokenizer.EOS_ID:
+            break
+        ids.append(nxt)
+    return tokenizer.decode(ids)
+
+
+def recorded_generate(model: GofaModel, mem, **kw):
+    """``generate`` plus the (prefix, logits) of every next_logits call."""
+    calls = []
+    inner = model.decoder.next_logits
+
+    def next_logits(memory, prefix):
+        logits = inner(memory, prefix)
+        calls.append((list(prefix), logits.copy()))
+        return logits
+
+    model.decoder.next_logits = next_logits
+    try:
+        return model.generate(mem, **kw), calls
+    finally:
+        del model.decoder.next_logits
+
+
+class TestKVCache:
+    def test_greedy_text_equals_full_recompute(self):
+        model = GofaModel(tiny_cfg(), seed=21)
+        mems = model.encode_texts(["prompt text", "another prompt", ""])
+        for i in range(mems.shape[0]):
+            assert model.generate(mems[i], max_new_tokens=20) == reference_generate(model, mems[i], 20)
+
+    def test_logits_match_teacher_forcing_over_generated_sequence(self):
+        model = GofaModel(tiny_cfg(), seed=22)
+        mem = model.encode_texts(["prompt text"])[0]
+        text, calls = recorded_generate(model, mem, max_new_tokens=30)
+        ids = calls[-1][0] + [int(np.argmax(calls[-1][1]))]
+        assert len(calls) == 30 and tokenizer.decode(ids) == text
+        k = model.cfg.memory_tokens
+        bucket = make_decode_buckets([ids], model.cfg, model.cfg.dtype)[0]
+        with no_grad():
+            full = model.decoder._forward_bucket(mem.reshape(1, k, model.cfg.d_model), bucket, model.cfg).data[0]
+        for i, (prefix, logits) in enumerate(calls):
+            assert prefix == ids[:i]
+            np.testing.assert_allclose(logits, full[k - 1 + i], rtol=0, atol=1e-12)
+
+    def test_seeded_sampling_equals_full_recompute(self):
+        model = GofaModel(tiny_cfg(), seed=14)
+        mem = model.encode_texts(["prompt text"])[0]
+        kw = dict(mode="sample", temperature=1.3, seed=42)
+        assert model.generate(mem, max_new_tokens=20, **kw) == reference_generate(model, mem, 20, **kw)
+
+    def test_sliding_window_past_max_seq_len(self, caplog):
+        model = GofaModel(tiny_cfg(max_seq_len=16), seed=23)
+        mem = model.encode_texts(["window"])[0]
+        limit = model.cfg.max_seq_len - model.cfg.memory_tokens
+        with caplog.at_level(logging.WARNING, logger="gofa"):
+            text, calls = recorded_generate(model, mem, max_new_tokens=2 * limit)
+        warned = [r for r in caplog.records if r.getMessage().startswith("target length")]
+        assert len(warned) == 2 * limit - (limit + 1)
+        assert len(calls) == 2 * limit
+        assert text == reference_generate(model, mem, 2 * limit)
+        for prefix, logits in calls:
+            np.testing.assert_allclose(logits, reference_next_logits(model, mem, prefix), rtol=0, atol=1e-12)
+
+    def test_next_logits_outside_generate_or_off_prefix_is_fresh(self):
+        model = GofaModel(tiny_cfg(), seed=24)
+        mems = model.encode_texts(["first", "second"])
+        a, b = mems[0], mems[1]
+        dec = model.decoder
+        cases = [(a, [72]), (a, [72, 105]), (a, [72, 106, 1]), (a, [9]), (b, [9, 10]), (a, [])]
+        fresh = [dec.next_logits(memory, prefix) for memory, prefix in cases]
+        for (memory, prefix), logits in zip(cases, fresh):
+            np.testing.assert_allclose(logits, reference_next_logits(model, memory, prefix), rtol=0, atol=1e-12)
+        # after [72], only (a, [72, 105]) extends the cached prefix; the rest start over
+        with dec.kv_cache():
+            for (memory, prefix), logits in zip(cases, fresh):
+                if prefix == [72, 105]:
+                    np.testing.assert_allclose(dec.next_logits(memory, prefix), logits, rtol=0, atol=1e-12)
+                else:
+                    assert np.array_equal(dec.next_logits(memory, prefix), logits)
+        assert dec._state is None
+
+    def test_one_decoder_position_per_token(self, monkeypatch):
+        model = GofaModel(tiny_cfg(), seed=26)
+        mem = model.encode_texts(["prompt text"])[0]
+        first = model.decoder_stack.layers[0]
+        positions = []
+        inner = compressor.layer_forward
+
+        def counting_layer_forward(x, p, *rest):
+            if p is first:
+                positions.append(x.shape[1])
+            return inner(x, p, *rest)
+
+        monkeypatch.setattr(compressor, "layer_forward", counting_layer_forward)
+        _, calls = recorded_generate(model, mem, max_new_tokens=20)
+        assert len(calls) == 20
+        assert positions == [model.cfg.memory_tokens] + [1] * 19
+
+    def test_weight_change_between_generates(self):
+        cfg = tiny_cfg()
+        model = GofaModel(cfg, seed=25)
+        mem = model.encode_texts(["prompt text"])[0]
+        model.generate(mem, max_new_tokens=12)
+        for name, t in model.parameters().items():
+            if name.startswith("decoder."):
+                t.data *= 1.5
+        fresh = GofaModel(cfg, seed=99)
+        for name, t in fresh.parameters().items():
+            t.data = model.parameters()[name].data.copy()
+        assert model.generate(mem, max_new_tokens=12) == fresh.generate(mem, max_new_tokens=12)
+        assert model.generate(mem, max_new_tokens=12) == reference_generate(model, mem, 12)
 
 
 class TestPersistence:

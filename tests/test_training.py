@@ -14,6 +14,8 @@ from gofa.training import (
     cosine_restart_lr,
     resume,
     train,
+    train_config_dict,
+    train_config_from_dict,
 )
 
 
@@ -214,6 +216,20 @@ class TestResume:
         blob_a = (tmp_path / "a" / "checkpoint_000004.gofa").read_bytes()
         blob_b = (tmp_path / "b" / "checkpoint_000004.gofa").read_bytes()
         assert blob_a == blob_b
+
+
+class TestTrainConfigRoundTrip:
+    def test_checkpoint_keeps_every_setting(self, tmp_path):
+        cfg = TrainConfig(lr=1e-3, max_steps=1, batch_size=2, checkpoint_every=1, debug_nan_checks=True)
+        train(GofaModel(tiny_cfg(), seed=23), make_corpus(2), cfg, out_dir=tmp_path)
+        _, _, config = GofaModel.load(tmp_path / "checkpoint_000001.gofa")
+        assert config["train"]["debug_nan_checks"] is True
+        assert train_config_from_dict(config["train"]) == cfg
+
+    def test_older_checkpoint_without_key_defaults_off(self):
+        obj = train_config_dict(TrainConfig())
+        del obj["debug_nan_checks"]
+        assert train_config_from_dict(obj).debug_nan_checks is False
 
 
 class TestAutoencodePretrain:
