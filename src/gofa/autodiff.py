@@ -13,7 +13,6 @@ for inference paths.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -368,15 +367,6 @@ class Tensor:
             self._accum(g * sig * (1.0 + self.data * (1.0 - sig)), owned=True)
 
         return self._make(out_data, (self,), bw)
-
-
-@dataclass
-class Parameter:
-    """Named trainable tensor; names partition the model into subsystems."""
-
-    name: str
-    tensor: Tensor
-    trainable: bool = True
 
 
 # -- free functions -------------------------------------------------------

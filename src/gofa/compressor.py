@@ -159,19 +159,28 @@ def _apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 class LayerKV:
     """Keys and values [S, H, n, dh] that one layer computed in earlier calls.
 
-    The buffers hold ``capacity`` positions and are allocated on the first
-    ``extend``. The arrays are written in place, so a tape cannot flow through
-    them: the cache serves inference only.
+    ``extend`` appends one call's keys and values and returns all of them.
+    With a ``capacity``, they are written into buffers of that many
+    positions, allocated on the first ``extend``; the buffers are written in
+    place, so no tape can flow through them and that form serves inference
+    only. Without one, ``extend`` concatenates tensors, so gradients flow
+    back into every call that contributed keys and values.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int | None = None):
         self.capacity = capacity
-        self.keys: np.ndarray | None = None
-        self.values: np.ndarray | None = None
+        self.keys: np.ndarray | Tensor | None = None
+        self.values: np.ndarray | Tensor | None = None
         self.n = 0
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Append new positions; return the keys and values of all of them."""
+        if self.capacity is None:
+            if self.n:
+                k = concat([self.keys, k], axis=2)
+                v = concat([self.values, v], axis=2)
+            self.keys, self.values, self.n = k, v, k.shape[2]
+            return k, v
         if k.requires_grad or v.requires_grad:
             raise ValueError("K/V caching runs without a tape; use no_grad()")
         if self.keys is None:
@@ -188,6 +197,16 @@ class LayerKV:
         )
 
 
+def _heads(t: Tensor, cfg: ModelConfig) -> Tensor:
+    s, seq_len, _ = t.shape
+    return t.reshape(s, seq_len, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
+
+
+def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, cos: np.ndarray, sin: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Rotated keys and values [S, H, L, dh] of the normalised rows ``xn``."""
+    return _apply_rope(_heads(xn @ p["wk"], cfg), cos, sin), _heads(xn @ p["wv"], cfg)
+
+
 def layer_forward(
     x: Tensor, p: dict, cfg: ModelConfig, mask: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
     kv: LayerKV | None = None,
@@ -199,18 +218,12 @@ def layer_forward(
     ones and the queries attend over all of them.
     """
     s, seq_len, d = x.shape
-    h, dh = cfg.n_heads, cfg.head_dim
-
-    def heads(t: Tensor) -> Tensor:
-        return t.reshape(s, seq_len, h, dh).transpose(0, 2, 1, 3)
-
     xn = rms_norm(x, p["attn_norm"])
-    q = _apply_rope(heads(xn @ p["wq"]), cos, sin)
-    k = _apply_rope(heads(xn @ p["wk"]), cos, sin)
-    v = heads(xn @ p["wv"])
+    q = _apply_rope(_heads(xn @ p["wq"], cfg), cos, sin)
+    k, v = _keys_values(xn, p, cfg, cos, sin)
     if kv is not None:
         k, v = kv.extend(k, v)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.head_dim))
     if mask is not None:
         scores = scores + Tensor(mask, dtype=mask.dtype)
     att = softmax(scores, axis=-1)
@@ -336,34 +349,50 @@ class Compressor:
     def run(self, sequences: list[list[int]], memory_hook=None) -> Tensor:
         """Compress token sequences to a [S, K, d] memory tensor.
 
+        Each bucket runs as two tensors: the text rows [S, Lb, d] under their
+        own causal mask, and the memory rows [S, K, d] as a K-position
+        extension that attends to the layer's text keys and values plus its
+        own. Causal attention keeps text rows independent of memory rows, so
+        the split computes what one [text; memory] tensor per bucket would,
+        up to the order in which a softmax row's terms are summed. Text rows
+        carry a tape only when the compressor itself is trained, and the last
+        layer computes only their keys and values.
+
         ``memory_hook(mems, layer_idx)`` may return a replacement [S, K, d]
         tensor after each layer listed in ``cfg.gnn_layers``.
         """
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
-        dtype = cfg.dtype
-        buckets = make_compress_buckets(sequences, cfg, dtype)
-        consts = [_bucket_consts(b, cfg, dtype) for b in buckets]
-        xs = []
+        buckets = make_compress_buckets(sequences, cfg, cfg.dtype)
+        texts, mems, consts = [], [], []
         for b in buckets:
             sb, lb = b.ids.shape
-            emb = gather_rows(self.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d)
-            mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
-            xs.append(concat([emb, mem], axis=1) if lb else mem)
+            mask, cos, sin = _bucket_consts(b, cfg, cfg.dtype)
+            texts.append(gather_rows(self.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d) if lb else None)
+            mems.append(self.memory.reshape(1, k, d).broadcast_to((sb, k, d)))
+            consts.append(
+                (
+                    (mask[:, :, :lb, :lb], cos[:, :, :lb], sin[:, :, :lb]),
+                    (mask[:, :, lb:], cos[:, :, lb:], sin[:, :, lb:]),
+                )
+            )
         for t in range(1, cfg.n_layers + 1):
             layer = self.stack.layers[t - 1]
-            xs = [layer_forward(x, layer, cfg, *c) for x, c in zip(xs, consts)]
+            for i, (text_consts, mem_consts) in enumerate(consts):
+                kv = LayerKV()
+                if texts[i] is not None and t < cfg.n_layers:
+                    texts[i] = layer_forward(texts[i], layer, cfg, *text_consts, kv)
+                elif texts[i] is not None:
+                    # nothing reads the last layer's text rows but the memory rows' attention
+                    _, cos, sin = text_consts
+                    kv.extend(*_keys_values(rms_norm(texts[i], layer["attn_norm"]), layer, cfg, cos, sin))
+                mems[i] = layer_forward(mems[i], layer, cfg, *mem_consts, kv)
             if memory_hook is not None and t in cfg.gnn_layers:
-                mems = gather_in_order([x[:, -k:, :] for x in xs], buckets)
-                new_mems = memory_hook(mems, t)
-                if new_mems is not mems:
-                    xs = [
-                        concat([x[:, : b.text_len, :], gather_rows(new_mems, b.indices)], axis=1)
-                        if b.text_len
-                        else gather_rows(new_mems, b.indices)
-                        for x, b in zip(xs, buckets)
-                    ]
-        return gather_in_order([x[:, -k:, :] for x in xs], buckets)
+                ordered = gather_in_order(mems, buckets)
+                new_mems = memory_hook(ordered, t)
+                if new_mems is not ordered:
+                    mems = [gather_rows(new_mems, b.indices) for b in buckets]
+        return gather_in_order(mems, buckets)
 
 
 class _DecodeState:
@@ -376,6 +405,7 @@ class _DecodeState:
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
         self.memory: Tensor | None = None
         self.prefix: list[int] = []
+        self.truncated = False  # a window was cut; warn only once per cache
 
     def extends(self, memory: Tensor, prefix: list[int]) -> bool:
         """True when ``prefix`` is the cached prefix plus one token for the
@@ -428,7 +458,8 @@ class Decoder:
         Inside ``kv_cache()``, a prefix that extends the previous call's by
         one token, for the same memory block, runs only that token's
         position against the cached K/V. Every other call prefills memory
-        plus prefix (its last ``max_seq_len - K`` tokens) from scratch.
+        plus prefix (its last ``max_seq_len - K`` tokens) from scratch; the
+        left truncation is logged once per ``kv_cache()`` block.
         """
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
@@ -444,7 +475,12 @@ class Decoder:
                 if state is None:
                     state = _DecodeState(cfg, len(self.stack.layers))
                 state.reset(memory, prefix)
-                window = _truncate_left(list(prefix), cfg.max_seq_len - k, "target")
+                limit = cfg.max_seq_len - k
+                if state.truncated:
+                    window = list(prefix[-limit:])
+                else:
+                    window = _truncate_left(list(prefix), limit, "target")
+                    state.truncated = len(window) < len(prefix)
                 x = memory.reshape(1, k, d)
                 if window:
                     x = concat([x, gather_rows(self.stack.embed, window).reshape(1, len(window), d)], axis=1)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,6 +146,43 @@ class AdamW:
             self.step_count = int(tensors["opt.step"][0])
 
 
+@contextmanager
+def _frozen(opt: AdamW):
+    """Switch off ``requires_grad`` on every parameter the optimizer never
+    updates, so backward builds no gradient for it; every parameter's flag
+    is restored on exit, also when an error leaves the block."""
+    flags = {name: t.requires_grad for name, t in opt.named.items()}
+    for name, t in opt.named.items():
+        if name not in opt.trainable:
+            t.requires_grad = False
+    try:
+        yield
+    finally:
+        for name, t in opt.named.items():
+            t.requires_grad = flags[name]
+
+
+@contextmanager
+def _loss_log(path, start_step: int):
+    """The CSV loss log, open for the rows of steps ``start_step`` on, or
+    None without a path. The rows an earlier run wrote for those steps are
+    dropped, so a resumed run leaves the same file as an uninterrupted one."""
+    if path is None:
+        yield None
+        return
+    kept = []
+    if start_step > 0 and Path(path).exists():
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                step = line.split(",", 1)[0]
+                if step.isdigit() and int(step) < start_step:
+                    kept.append(line)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,lr,loss,grad_norm,tokens_seen\n")
+        fh.writelines(kept)
+        yield fh
+
+
 @dataclass
 class TrainReport:
     steps: int
@@ -183,11 +221,6 @@ def train(
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    log_file = None
-    if loss_log_path is not None:
-        log_file = open(loss_log_path, "a", encoding="utf-8")
-        if start_step == 0:
-            log_file.write("step,lr,loss,grad_norm,tokens_seen\n")
     tokens_seen = 0
 
     def batch_for_step(step: int) -> list:
@@ -206,69 +239,68 @@ def train(
             for t in s.targets:
                 tokens_seen += len(model.target_ids(t.target_text))
 
-    for step in range(start_step, cfg.max_steps):
-        batch = batch_for_step(step)
-        total_targets = sum(len(s.targets) for s in batch)
-        opt.zero_grad()
-        loss_value = 0.0
-        for micro in _micro_batches(batch, cfg.grad_accum):
-            loss, n_targets, n_tokens = model.forward_batch(micro, use_gnn=use_gnn)
-            # Weight by target share so accumulation matches the full batch.
-            scaled = loss * (n_targets / total_targets)
-            scaled.backward()
-            loss_value += scaled.item()
-            tokens_seen += n_tokens
-        if not np.isfinite(loss_value):
-            dump = None
-            if out_dir is not None:
-                dump = str(out_dir / f"diverged_step_{step}.json")
-                with open(dump, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        {
-                            "step": step,
-                            "loss": loss_value,
-                            "batch_targets": [
-                                {"nog": t.nog, "y": t.target_text}
-                                for s in batch
-                                for t in s.targets
-                            ],
-                        },
-                        fh,
-                        indent=2,
-                    )
-            raise TrainingDivergedError(f"non-finite loss {loss_value} at step {step}", dump)
-        grad_norm = clip_gradients(list(opt.trainable.values()), cfg.grad_clip)
-        lr = cosine_restart_lr(step, cfg.max_steps, cfg)
-        opt.step(lr)
-        if cfg.debug_nan_checks:
-            model.check_finite()
-        report.losses.append(loss_value)
-        if step % cfg.log_every == 0 or step == cfg.max_steps - 1:
-            row = {
-                "step": step,
-                "lr": lr,
-                "loss": loss_value,
-                "grad_norm": grad_norm,
-                "tokens_seen": tokens_seen,
-            }
-            report.log_rows.append(row)
-            if log_file is not None:
-                log_file.write(f"{step},{lr:.8g},{loss_value:.8g},{grad_norm:.8g},{tokens_seen}\n")
-                log_file.flush()
-            log.info("step %d lr %.3g loss %.4f grad_norm %.3f", step, lr, loss_value, grad_norm)
-        if out_dir is not None and (
-            (step + 1) % cfg.checkpoint_every == 0 or step == cfg.max_steps - 1
-        ):
-            path = out_dir / f"checkpoint_{step + 1:06d}.gofa"
-            model.save(
-                path,
-                extra_tensors=opt.state_tensors(),
-                extra_config={"train_step": step + 1, "train": train_config_dict(cfg)},
-            )
-            report.checkpoints.append(str(path))
+    with _frozen(opt), _loss_log(loss_log_path, start_step) as log_file:
+        for step in range(start_step, cfg.max_steps):
+            batch = batch_for_step(step)
+            total_targets = sum(len(s.targets) for s in batch)
+            opt.zero_grad()
+            loss_value = 0.0
+            for micro in _micro_batches(batch, cfg.grad_accum):
+                loss, n_targets, n_tokens = model.forward_batch(micro, use_gnn=use_gnn)
+                # Weight by target share so accumulation matches the full batch.
+                scaled = loss * (n_targets / total_targets)
+                scaled.backward()
+                loss_value += scaled.item()
+                tokens_seen += n_tokens
+            if not np.isfinite(loss_value):
+                dump = None
+                if out_dir is not None:
+                    dump = str(out_dir / f"diverged_step_{step}.json")
+                    with open(dump, "w", encoding="utf-8") as fh:
+                        json.dump(
+                            {
+                                "step": step,
+                                "loss": loss_value,
+                                "batch_targets": [
+                                    {"nog": t.nog, "y": t.target_text}
+                                    for s in batch
+                                    for t in s.targets
+                                ],
+                            },
+                            fh,
+                            indent=2,
+                        )
+                raise TrainingDivergedError(f"non-finite loss {loss_value} at step {step}", dump)
+            grad_norm = clip_gradients(list(opt.trainable.values()), cfg.grad_clip)
+            lr = cosine_restart_lr(step, cfg.max_steps, cfg)
+            opt.step(lr)
+            if cfg.debug_nan_checks:
+                model.check_finite()
+            report.losses.append(loss_value)
+            if step % cfg.log_every == 0 or step == cfg.max_steps - 1:
+                row = {
+                    "step": step,
+                    "lr": lr,
+                    "loss": loss_value,
+                    "grad_norm": grad_norm,
+                    "tokens_seen": tokens_seen,
+                }
+                report.log_rows.append(row)
+                if log_file is not None:
+                    log_file.write(f"{step},{lr:.8g},{loss_value:.8g},{grad_norm:.8g},{tokens_seen}\n")
+                    log_file.flush()
+                log.info("step %d lr %.3g loss %.4f grad_norm %.3f", step, lr, loss_value, grad_norm)
+            if out_dir is not None and (
+                (step + 1) % cfg.checkpoint_every == 0 or step == cfg.max_steps - 1
+            ):
+                path = out_dir / f"checkpoint_{step + 1:06d}.gofa"
+                model.save(
+                    path,
+                    extra_tensors=opt.state_tensors(),
+                    extra_config={"train_step": step + 1, "train": train_config_dict(cfg)},
+                )
+                report.checkpoints.append(str(path))
     report.final_loss = report.losses[-1] if report.losses else float("nan")
-    if log_file is not None:
-        log_file.close()
     return report
 
 
@@ -307,15 +339,16 @@ def autoencode_pretrain(model: GofaModel, texts: list[str], cfg: TrainConfig) ->
     opt = AdamW(model.parameters(), cfg)
     report = TrainReport(steps=cfg.max_steps)
     rng = np.random.default_rng(cfg.seed)
-    for step in range(cfg.max_steps):
-        idx = rng.integers(0, len(texts), size=min(cfg.batch_size, len(texts)))
-        batch = [texts[i] for i in idx]
-        opt.zero_grad()
-        loss = model.autoencode_loss(batch)
-        loss.backward()
-        clip_gradients(list(opt.trainable.values()), cfg.grad_clip)
-        opt.step(cosine_restart_lr(step, cfg.max_steps, cfg))
-        report.losses.append(loss.item())
+    with _frozen(opt):
+        for step in range(cfg.max_steps):
+            idx = rng.integers(0, len(texts), size=min(cfg.batch_size, len(texts)))
+            batch = [texts[i] for i in idx]
+            opt.zero_grad()
+            loss = model.autoencode_loss(batch)
+            loss.backward()
+            clip_gradients(list(opt.trainable.values()), cfg.grad_clip)
+            opt.step(cosine_restart_lr(step, cfg.max_steps, cfg))
+            report.losses.append(loss.item())
     report.final_loss = report.losses[-1]
     return report
 

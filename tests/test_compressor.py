@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gofa import tokenizer
-from gofa.autodiff import Tensor, no_grad
+from gofa.autodiff import Tensor, concat, gather_rows, no_grad
 from gofa.compressor import (
     MASK_VALUE,
     LayerKV,
     ModelConfig,
     _rope_tables,
+    gather_in_order,
     layer_forward,
     make_compress_buckets,
     make_decode_buckets,
@@ -23,6 +24,34 @@ def tiny_cfg(**kw):
     base = dict(d_model=16, n_heads=2, n_layers=2, memory_tokens=4, gnn_layers=(1,), max_seq_len=64)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def concatenated_run(comp, sequences, memory_hook=None):
+    """Reference compressor: one [text; memory] tensor per bucket under the
+    full causal mask, memory rows sliced out for the hook and put back."""
+    cfg = comp.stack.cfg
+    k, d = cfg.memory_tokens, cfg.d_model
+    buckets = make_compress_buckets(sequences, cfg, cfg.dtype)
+    xs = []
+    for b in buckets:
+        sb, lb = b.ids.shape
+        mem = comp.memory.reshape(1, k, d).broadcast_to((sb, k, d))
+        emb = gather_rows(comp.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d)
+        xs.append(concat([emb, mem], axis=1) if lb else mem)
+    consts = [_bucket_consts(b, cfg, cfg.dtype) for b in buckets]
+    for t, layer in enumerate(comp.stack.layers, start=1):
+        xs = [layer_forward(x, layer, cfg, *c) for x, c in zip(xs, consts)]
+        if memory_hook is not None and t in cfg.gnn_layers:
+            new = memory_hook(gather_in_order([x[:, -k:] for x in xs], buckets), t)
+            xs = [
+                concat([x[:, : b.text_len], gather_rows(new, b.indices)], axis=1) if b.text_len else gather_rows(new, b.indices)
+                for x, b in zip(xs, buckets)
+            ]
+    return gather_in_order([x[:, -k:] for x in xs], buckets)
+
+
+# texts in buckets of length 0, 4, 8, 16, 24 and 48, several sharing one
+SPLIT_TEXTS = ["", "ab", "abc", "abcdef", "abcdefgh", "nine char", "", "a text of twenty-one.", "x" * 40, "link"]
 
 
 class TestTokenizer:
@@ -159,6 +188,76 @@ class TestTransformerLayer:
             mems = model.encode_texts(["x" * 50])
         assert mems.shape == (1, cfg.memory_tokens, cfg.d_model)
         assert any("truncating from the left" in r.message for r in caplog.records)
+
+
+class TestSplitRun:
+    """``Compressor.run`` runs text rows and memory rows apart; the reference
+    runs them as one tensor."""
+
+    @staticmethod
+    def _hook_and_weight(cfg, rng):
+        w = Tensor(rng.normal(0.0, 0.3, (cfg.d_model, cfg.d_model)), requires_grad=True)
+        return (lambda mems, t: mems + (mems @ w).tanh()), w
+
+    # Both paths sum a softmax row with numpy. A row of Lb text keys and the
+    # same row followed by K zero-probability memory keys can be summed in a
+    # different order, so with 4 memory tokens the 4-token bucket differs in
+    # the last bits; with 3, every memory of these texts is bit-equal.
+    @pytest.mark.parametrize("k, exact", [(3, True), (4, False)])
+    def test_memories_match_concatenated_reference(self, rng, k, exact):
+        cfg = tiny_cfg(memory_tokens=k, n_layers=3, gnn_layers=(1, 2))
+        model = GofaModel(cfg, seed=8)
+        hook, _ = self._hook_and_weight(cfg, rng)
+        seqs = [tokenizer.encode(t) for t in SPLIT_TEXTS]
+        with no_grad():
+            for h in (None, hook):
+                split = model.compressor.run(seqs, memory_hook=h).data
+                ref = concatenated_run(model.compressor, seqs, memory_hook=h).data
+                if exact:
+                    assert np.array_equal(split, ref)
+                else:
+                    np.testing.assert_allclose(split, ref, rtol=1e-13, atol=1e-15)
+
+    def test_gradients_match_concatenated_reference(self, rng):
+        cfg = tiny_cfg(memory_tokens=4, n_layers=3, gnn_layers=(1, 2))
+        model = GofaModel(cfg, seed=9)
+        hook, w = self._hook_and_weight(cfg, rng)
+        seqs = [tokenizer.encode(t) for t in SPLIT_TEXTS]
+        upstream = Tensor(rng.normal(size=(len(seqs), cfg.memory_tokens, cfg.d_model)))
+        checked = {**model.parameters(), "hook.w": w}
+        grads = []
+        for run in (model.compressor.run, lambda s, memory_hook: concatenated_run(model.compressor, s, memory_hook)):
+            for t in checked.values():
+                t.zero_grad()
+            (run(seqs, memory_hook=hook) * upstream).sum().backward()
+            grads.append({n: t.grad for n, t in checked.items()})
+        split, ref = grads
+        assert {n for n, g in ref.items() if g is not None} == {n for n, g in split.items() if g is not None}
+        assert split["hook.w"] is not None and split["compressor.layers.0.wq"] is not None
+        for name, g in ref.items():
+            if g is not None:
+                np.testing.assert_allclose(split[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+    def test_frozen_compressor_leaves_text_rows_untaped(self, rng, monkeypatch):
+        cfg = tiny_cfg(memory_tokens=4, n_layers=3, gnn_layers=(2,))
+        model = GofaModel(cfg, seed=10)
+        for name, t in model.parameters().items():
+            t.requires_grad = not name.startswith(("compressor.", "memory_tokens"))
+        hook, _ = self._hook_and_weight(cfg, rng)
+        taped = []
+        inner = layer_forward
+
+        def recording_layer_forward(x, p, cfg, *rest):
+            out = inner(x, p, cfg, *rest)
+            taped.append((x.shape[1], out.requires_grad))
+            return out
+
+        monkeypatch.setattr("gofa.compressor.layer_forward", recording_layer_forward)
+        model.compressor.run([tokenizer.encode("some text")], memory_hook=hook)
+        k = cfg.memory_tokens
+        # text rows, then memory rows, per layer; the last layer reads text rows only
+        # as keys and values; only memory rows after the layer-2 hook carry a tape
+        assert taped == [(16, False), (k, False), (16, False), (k, False), (k, True)]
 
 
 class TestBuckets:

@@ -1,5 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
+
+from gofa import training
 
 from gofa.autodiff import Tensor
 from gofa.compressor import ModelConfig
@@ -134,6 +138,60 @@ class TestAdamW:
         assert "memory_tokens" not in AdamW(model.parameters(), tcfg).trainable
 
 
+class TestFreezing:
+    FREEZE = ("compressor.", "memory_tokens")
+
+    @staticmethod
+    def _open_gates(model):
+        for params in model.gnn_params.values():
+            params["gate_gnn"].data = np.asarray(0.5)
+            params["gate_ff"].data = np.asarray(-0.3)
+
+    @staticmethod
+    def _flags(model):
+        return {n: t.requires_grad for n, t in model.parameters().items()}
+
+    def test_frozen_parameters_get_no_gradient(self):
+        model = GofaModel(tiny_cfg(), seed=31)
+        self._open_gates(model)
+        train(model, make_corpus(2), TrainConfig(lr=1e-3, max_steps=1, batch_size=2, freeze=self.FREEZE))
+        for name, t in model.parameters().items():
+            if name.startswith(self.FREEZE):
+                assert t.grad is None, name
+        assert model.parameters()["gnn.1.wq"].grad is not None
+        assert model.parameters()["decoder.embed"].grad is not None
+
+    def test_trainable_update_equals_step_with_full_tape(self, monkeypatch):
+        tcfg = TrainConfig(lr=1e-3, max_steps=1, batch_size=2, freeze=self.FREEZE, seed=4)
+        corpus = make_corpus(2, seed=2)
+        after = []
+        for full_tape in (False, True):
+            if full_tape:
+                monkeypatch.setattr(training, "_frozen", contextlib.nullcontext)
+            model = GofaModel(tiny_cfg(), seed=32)
+            self._open_gates(model)
+            train(model, corpus, tcfg)
+            after.append(model.parameters())
+        frozen, reference = after
+        assert reference["compressor.layers.0.wq"].grad is not None
+        for name, t in reference.items():
+            assert np.array_equal(frozen[name].data, t.data), name
+
+    def test_requires_grad_restored_after_return_and_divergence(self, tmp_path):
+        model = GofaModel(tiny_cfg(), seed=33)
+        model.parameters()["decoder.final_norm"].requires_grad = False
+        before = self._flags(model)
+        tcfg = TrainConfig(lr=1e-3, max_steps=1, batch_size=2, freeze=self.FREEZE)
+        train(model, make_corpus(2), tcfg)
+        assert self._flags(model) == before
+        autoencode_pretrain(model, ["abab", "ba"], tcfg)
+        assert self._flags(model) == before
+        model.memory_tokens.data[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            train(model, make_corpus(2), tcfg, out_dir=tmp_path)
+        assert self._flags(model) == before
+
+
 class TestGradAccum:
     def test_accumulation_matches_full_batch(self):
         corpus = make_corpus(4, seed=3)
@@ -206,6 +264,32 @@ class TestResume:
         assert report.steps == 6
         for name, t in model_a.parameters().items():
             assert np.array_equal(t.data, resumed.parameters()[name].data), f"{name} differs after resume"
+
+    def test_resumed_loss_log_equals_uninterrupted(self, tmp_path, monkeypatch):
+        corpus = make_corpus(6, seed=4)
+        cfg = TrainConfig(lr=1e-3, max_steps=6, batch_size=2, checkpoint_every=3, log_every=1, seed=2)
+        train(GofaModel(tiny_cfg(), seed=21), corpus, cfg, loss_log_path=tmp_path / "full.csv")
+
+        class Interrupted(Exception):
+            pass
+
+        inner = GofaModel.forward_batch
+        steps = []
+
+        def forward_batch(m, samples, use_gnn=True):
+            if len(steps) == 5:
+                raise Interrupted
+            steps.append(len(samples))
+            return inner(m, samples, use_gnn=use_gnn)
+
+        monkeypatch.setattr(GofaModel, "forward_batch", forward_batch)
+        with pytest.raises(Interrupted):
+            train(GofaModel(tiny_cfg(), seed=21), corpus, cfg, out_dir=tmp_path / "cut", loss_log_path=tmp_path / "cut.csv")
+        monkeypatch.undo()
+        # steps 0-4 logged, the last checkpoint holds step 3
+        assert len((tmp_path / "cut.csv").read_text().splitlines()) == 6
+        resume(tmp_path / "cut" / "checkpoint_000003.gofa", corpus, loss_log_path=tmp_path / "cut.csv")
+        assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
     def test_resume_writes_matching_final_checkpoint(self, tmp_path):
         corpus = make_corpus(4, seed=5)
