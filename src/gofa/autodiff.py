@@ -175,7 +175,7 @@ class Tensor:
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other, dtype=self.data.dtype)
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -64,6 +64,8 @@ class ModelConfig:
             raise ValueError("memory_tokens must be >= 1")
         if self.max_seq_len <= self.memory_tokens:
             raise ValueError("max_seq_len must exceed memory_tokens")
+        if self.precision not in ("float32", "float64"):
+            raise ValueError(f"precision {self.precision!r} is neither 'float32' nor 'float64'")
 
     @property
     def head_dim(self) -> int:
@@ -106,7 +108,7 @@ class ParamStore:
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
+        t = Tensor(array, requires_grad=True, dtype=self.dtype)
         self.params[name] = t
         return t
 
@@ -246,7 +248,7 @@ def _bucket_len(n: int) -> int:
 @dataclass
 class _Bucket:
     indices: list[int]
-    ids: np.ndarray  # [Sb, Lb] left-padded token ids
+    ids: np.ndarray  # [Sb, Lb] token ids, padded on the side away from the memory rows
     pos: np.ndarray  # [Sb, Lb + K] rotary position ids
     mask: np.ndarray  # [Sb, 1, L, L] additive attention mask
     text_len: int  # Lb
@@ -260,63 +262,47 @@ def _truncate_left(seq: list[int], limit: int, what: str) -> list[int]:
     return seq
 
 
-def make_compress_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype) -> list[_Bucket]:
-    """Group sequences by padded text length; memory slots trail the text."""
+def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype, memory_first: bool) -> list[_Bucket]:
+    """Group sequences by padded text length into [Sb, Lb + K] buckets.
+
+    Compression puts the K memory rows after left-padded text; decoding
+    (``memory_first``) puts them before right-padded text. Either way a
+    row's text and memory rows form one unpadded block starting at column
+    ``start``: positions count from it, and each query sees the keys of
+    that block at or before it.
+    """
     k = cfg.memory_tokens
-    limit = cfg.max_seq_len - k
+    what = "target" if memory_first else "node/edge text"
+    seqs = [_truncate_left(list(s), cfg.max_seq_len - k, what) for s in sequences]
     groups: dict[int, list[int]] = {}
-    seqs = [_truncate_left(list(s), limit, "node/edge text") for s in sequences]
     for i, s in enumerate(seqs):
-        groups.setdefault(_bucket_len(len(s)), []).append(i)
+        # a decode bucket always has target columns, even for an empty target
+        groups.setdefault(_bucket_len(max(len(s), int(memory_first))), []).append(i)
     buckets = []
     for lb in sorted(groups):
         idxs = groups[lb]
-        sb = len(idxs)
         total = lb + k
-        ids = np.full((sb, lb), tokenizer.PAD_ID, dtype=np.int64)
-        pos = np.zeros((sb, total), dtype=np.int64)
-        mask = np.full((sb, total, total), MASK_VALUE, dtype=dtype)
-        causal = np.tril(np.ones((total, total), dtype=bool))
+        n = np.array([len(seqs[i]) for i in idxs], dtype=np.int64)
+        start = np.zeros_like(n) if memory_first else lb - n
+        ids = np.full((len(idxs), lb), tokenizer.PAD_ID, dtype=np.int64)
         for row, i in enumerate(idxs):
-            s = seqs[i]
-            n = len(s)
-            ids[row, lb - n :] = s
-            pos[row, lb - n : lb] = np.arange(n)
-            pos[row, lb:] = np.arange(n, n + k)
-            real = np.zeros(total, dtype=bool)
-            real[lb - n :] = True
-            allowed = causal & real[None, :]
-            mask[row][allowed] = 0.0
-        buckets.append(_Bucket(idxs, ids, pos, mask[:, None, :, :], lb))
+            ids[row, start[row] : start[row] + n[row]] = seqs[i]
+        col = np.arange(total, dtype=np.int64) - start[:, None]  # [Sb, L], 0 at the block's first column
+        real = (col >= 0) & (col < (n + k)[:, None])
+        allowed = np.tril(np.ones((total, total), dtype=bool)) & real[:, None, :]
+        mask = np.where(allowed, 0.0, MASK_VALUE).astype(dtype, copy=False)
+        buckets.append(_Bucket(idxs, ids, np.maximum(col, 0), mask[:, None, :, :], lb))
     return buckets
+
+
+def make_compress_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype) -> list[_Bucket]:
+    """Buckets of [left-padded text ; K memory rows]."""
+    return _make_buckets(sequences, cfg, dtype, memory_first=False)
 
 
 def make_decode_buckets(targets: list[list[int]], cfg: ModelConfig, dtype) -> list[_Bucket]:
-    """Right-padded buckets for [K memory rows ; target tokens]."""
-    k = cfg.memory_tokens
-    limit = cfg.max_seq_len - k
-    groups: dict[int, list[int]] = {}
-    seqs = [_truncate_left(list(s), limit, "target") for s in targets]
-    for i, s in enumerate(seqs):
-        groups.setdefault(_bucket_len(max(len(s), 1)), []).append(i)
-    buckets = []
-    for lb in sorted(groups):
-        idxs = groups[lb]
-        sb = len(idxs)
-        total = k + lb
-        ids = np.full((sb, lb), tokenizer.PAD_ID, dtype=np.int64)
-        pos = np.tile(np.arange(total, dtype=np.int64), (sb, 1))
-        mask = np.full((sb, total, total), MASK_VALUE, dtype=dtype)
-        causal = np.tril(np.ones((total, total), dtype=bool))
-        for row, i in enumerate(idxs):
-            s = seqs[i]
-            ids[row, : len(s)] = s
-            real = np.zeros(total, dtype=bool)
-            real[: k + len(s)] = True
-            allowed = causal & real[None, :]
-            mask[row][allowed] = 0.0
-        buckets.append(_Bucket(idxs, ids, pos, mask[:, None, :, :], lb))
-    return buckets
+    """Buckets of [K memory rows ; right-padded target tokens]."""
+    return _make_buckets(targets, cfg, dtype, memory_first=True)
 
 
 def _bucket_consts(bucket: _Bucket, cfg: ModelConfig, dtype):

@@ -20,27 +20,27 @@ from .gnn import gnn_layer, init_gnn_layer, representation_change_ratio
 from .tag import TAG, GraphError, TaskSample
 
 
+def _mean_of_target_means(per_target) -> Tensor:
+    """Mean over targets of each target's mean token NLL, summed in target
+    order; ``per_target`` holds (summed NLL, token count) pairs."""
+    loss = None
+    for total, count in per_target:
+        part = total * (1.0 / count)
+        loss = part if loss is None else loss + part
+    return loss * (1.0 / len(per_target))
+
+
 class GofaModel:
-    def __init__(self, cfg: ModelConfig, seed: int = 0, tie_weights: bool = False):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         self.seed = seed
-        self.tie_weights = tie_weights
         store = ParamStore(dtype=cfg.dtype)
         rng = np.random.default_rng(seed)
         self.compressor_stack = TransformerStack(store, "compressor", cfg, rng, with_final_norm=False)
         self.memory_tokens = store.add(
             "memory_tokens", rng.normal(0.0, cfg.embed_std, (cfg.memory_tokens, cfg.d_model))
         )
-        if tie_weights:
-            decoder_stack = TransformerStack.__new__(TransformerStack)
-            decoder_stack.cfg = cfg
-            decoder_stack.prefix = "decoder"
-            decoder_stack.embed = self.compressor_stack.embed
-            decoder_stack.layers = self.compressor_stack.layers
-            decoder_stack.final_norm = store.add("decoder.final_norm", np.ones(cfg.d_model))
-            self.decoder_stack = decoder_stack
-        else:
-            self.decoder_stack = TransformerStack(store, "decoder", cfg, rng, with_final_norm=True)
+        self.decoder_stack = TransformerStack(store, "decoder", cfg, rng, with_final_norm=True)
         self.gnn_params = {t: init_gnn_layer(store, f"gnn.{t}", cfg, rng) for t in cfg.gnn_layers}
         self.store = store
         self.compressor = Compressor(self.compressor_stack, self.memory_tokens)
@@ -119,12 +119,6 @@ class GofaModel:
         node_mems = mems[:n_nodes] if edge_seqs else mems
         return node_mems, offsets
 
-    def encode_graph(self, sample: TaskSample | TAG, use_gnn: bool = True) -> dict[int, Tensor]:
-        """Final memory embeddings per node of one graph."""
-        graph = sample.graph if isinstance(sample, TaskSample) else sample
-        mems, _ = self.encode_graphs([graph], use_gnn=use_gnn)
-        return {i: mems[i] for i in range(graph.n_nodes())}
-
     def encode_texts(self, texts: list[str]) -> Tensor:
         """Compressor-only path: memory embeddings of bare texts, no graph."""
         return self.compressor.run([tokenizer.encode(t) for t in texts])
@@ -140,10 +134,8 @@ class GofaModel:
         block [K, d]."""
         if not target_text:
             raise GraphError("decode_loss requires a non-empty target text")
-        k, d = self.cfg.memory_tokens, self.cfg.d_model
-        per_target = self.decoder_nll_per_target(nog_memory.reshape(1, k, d), [self.target_ids(target_text)])
-        total, count = per_target[0]
-        return total * (1.0 / count)
+        memory = nog_memory.reshape(1, self.cfg.memory_tokens, self.cfg.d_model)
+        return _mean_of_target_means(self.decoder_nll_per_target(memory, [self.target_ids(target_text)]))
 
     def decoder_nll_per_target(self, memories: Tensor, targets: list[list[int]]):
         """Per-target (summed NLL tensor, token count) pairs."""
@@ -180,13 +172,7 @@ class GofaModel:
         if not target_ids:
             raise GraphError("forward_batch requires at least one generation target")
         per_target = self.decoder_nll_per_target(mems, target_ids)
-        loss = None
-        tokens = 0
-        for total, count in per_target:
-            part = total * (1.0 / count)
-            loss = part if loss is None else loss + part
-            tokens += count
-        return loss * (1.0 / len(per_target)), len(per_target), tokens
+        return _mean_of_target_means(per_target), len(per_target), sum(count for _, count in per_target)
 
     def generate(
         self,
@@ -230,12 +216,7 @@ class GofaModel:
         if not texts:
             raise GraphError("autoencode_loss requires a non-empty batch")
         mems = self.encode_texts(texts)
-        per_target = self.decoder_nll_per_target(mems, [self.target_ids(t) for t in texts])
-        loss = None
-        for total, count in per_target:
-            part = total * (1.0 / count)
-            loss = part if loss is None else loss + part
-        return loss * (1.0 / len(per_target))
+        return _mean_of_target_means(self.decoder_nll_per_target(mems, [self.target_ids(t) for t in texts]))
 
     # -- persistence ---------------------------------------------------------------
 
@@ -243,7 +224,7 @@ class GofaModel:
         tensors = {name: t.data for name, t in self.store.params.items()}
         if extra_tensors:
             tensors.update(extra_tensors)
-        config = {"model": self.cfg.to_dict(), "seed": self.seed, "tie_weights": self.tie_weights}
+        config = {"model": self.cfg.to_dict(), "seed": self.seed}
         if extra_config:
             config.update(extra_config)
         save_checkpoint(path, tensors, config)
@@ -256,7 +237,10 @@ class GofaModel:
         if config is None or "model" not in config:
             raise ValueError(f"{path}: checkpoint lacks a model config chunk")
         cfg = ModelConfig.from_dict(config["model"])
-        model = cls(cfg, seed=config.get("seed", 0), tie_weights=config.get("tie_weights", False))
+        model = cls(cfg, seed=config.get("seed", 0))
+        missing = sorted(set(model.store.params) - set(tensors))
+        if missing:
+            raise ValueError(f"{path}: checkpoint lacks model parameter(s) {', '.join(missing)}")
         extras = {}
         for name, arr in tensors.items():
             if name in model.store.params:

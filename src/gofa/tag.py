@@ -1,4 +1,4 @@
-"""Text-attributed graph data model, prompt-node wiring and serialization.
+"""Text-attributed graph data model, prompt-node wiring and record format.
 
 A TAG is a directed graph whose nodes and edges carry free text. Undirected
 source data is stored as two directed arcs. Nodes are either ``content``
@@ -8,7 +8,6 @@ starting points).
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ class GraphError(ValueError):
 
 
 class GraphParseError(ValueError):
-    """Malformed serialized graph; carries the offending line number."""
+    """Malformed graph records; carries the offending record's number."""
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
@@ -129,25 +128,6 @@ class TAG:
     def prompt_nodes(self) -> list[int]:
         return [n.id for n in self.nodes if n.kind == "prompt"]
 
-    def in_neighbors(self, idx: int) -> list[int]:
-        self.check_node(idx)
-        return [e.src for e in self.edges if e.dst == idx]
-
-    def out_neighbors(self, idx: int) -> list[int]:
-        self.check_node(idx)
-        return [e.dst for e in self.edges if e.src == idx]
-
-    def undirected_neighbors(self, idx: int) -> set[int]:
-        """Neighbor set ignoring arc direction; self-loops excluded."""
-        self.check_node(idx)
-        out = set()
-        for e in self.edges:
-            if e.src == idx and e.dst != idx:
-                out.add(e.dst)
-            elif e.dst == idx and e.src != idx:
-                out.add(e.src)
-        return out
-
     def validate(self) -> None:
         for i, n in enumerate(self.nodes):
             if n.id != i:
@@ -233,11 +213,11 @@ def assign_node_id_tags(graph: TAG, rng_seed: int) -> TAG:
     return out
 
 
-# -- serialization ---------------------------------------------------------
+# -- record format ---------------------------------------------------------
 #
-# JSON-lines file: line 1 is a header {"version": 1, "directed": true},
-# each following line a tagged record {"n": {...}} or {"e": {...}}.
-# UTF-8, LF-terminated.
+# A graph is a list of JSON-ready records: a header {"version": 1,
+# "directed": true} first, then a tagged record {"n": {...}} per node and
+# {"e": {...}} per edge. Corpus files embed this list in every sample line.
 
 
 def _node_to_obj(n: NodeRecord) -> dict:
@@ -260,39 +240,17 @@ def tag_to_records(graph: TAG) -> list[dict]:
 
 
 def tag_from_records(records: list[dict]) -> TAG:
+    """Rebuild a graph from ``tag_to_records`` output. Errors carry the
+    1-based number of the offending record."""
     if not records:
         raise GraphParseError(1, "empty document, expected a header line")
-    return _parse_records(list(enumerate(records, start=1)))
-
-
-def serialize_tag(graph: TAG) -> bytes:
-    lines = [json.dumps(rec, ensure_ascii=False) for rec in tag_to_records(graph)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_tag(data: bytes) -> TAG:
-    text = data.decode("utf-8")
-    numbered = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            numbered.append((line_no, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-    if not numbered:
-        raise GraphParseError(1, "empty document, expected a header line")
-    return _parse_records(numbered)
-
-
-def _parse_records(numbered: list[tuple[int, dict]]) -> TAG:
-    line_no, header = numbered[0]
+    header = records[0]
     if not isinstance(header, dict) or "version" not in header:
-        raise GraphParseError(line_no, "first record must be a header with a version field")
+        raise GraphParseError(1, "first record must be a header with a version field")
     if header["version"] != FORMAT_VERSION:
-        raise GraphParseError(line_no, f"unsupported format version {header['version']}")
+        raise GraphParseError(1, f"unsupported format version {header['version']}")
     graph = TAG(directed=bool(header.get("directed", True)))
-    for line_no, rec in numbered[1:]:
+    for line_no, rec in enumerate(records[1:], start=2):
         if not isinstance(rec, dict) or len(rec) != 1:
             raise GraphParseError(line_no, "expected a single-key record object")
         key, body = next(iter(rec.items()))
@@ -320,7 +278,7 @@ def _parse_records(numbered: list[tuple[int, dict]]) -> TAG:
     try:
         graph.validate()
     except GraphError as exc:
-        raise GraphParseError(len(numbered), str(exc)) from exc
+        raise GraphParseError(len(records), str(exc)) from exc
     return graph
 
 

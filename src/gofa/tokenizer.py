@@ -8,10 +8,9 @@ from __future__ import annotations
 
 N_BYTES = 256
 PAD_ID = 256
-BOS_ID = 257
 EOS_ID = 258
-UNK_ID = 259
 
+# ids 257 and 259 are reserved; they keep every embedding shape and seeded initialisation
 VOCAB_SIZE = 260
 
 

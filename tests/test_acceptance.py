@@ -282,7 +282,7 @@ def test_criterion_05_degenerate_language_modeling():
         target = " ".join(rng.choice(words, size=rng.integers(1, 4)))
         g = TAG()
         g.add_node(text)
-        graph_mem = model.encode_graph(g)[0]
+        graph_mem = model.encode_graphs([g])[0][0]
         text_mem = model.encode_texts([text])[0]
         graph_loss = model.decode_loss(graph_mem, target).item()
         text_loss = model.decode_loss(text_mem, target).item()

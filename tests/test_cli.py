@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gofa
 from gofa.checkpoint import load_checkpoint
 from gofa.cli import main
 from gofa.compressor import ModelConfig
@@ -25,6 +28,16 @@ SMALL_MODEL = [
     "--set", 'model.gnn_layers=[1]',
     "--set", 'model.max_seq_len=48',
 ]
+
+
+def test_cli_import_loads_every_module():
+    """No module of the package is out of the command line's reach."""
+    package = Path(gofa.__file__).parent
+    code = "import sys, gofa.cli; print(' '.join(m for m in sys.modules if m.startswith('gofa.')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = {f"gofa.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+    assert modules - set(out.stdout.split()) == set()
 
 
 class TestConfig:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gofa import tokenizer
 from gofa.autodiff import Tensor, concat, gather_rows, no_grad
 from gofa.compressor import (
+    _BUCKET_STEPS,
     MASK_VALUE,
     LayerKV,
     ModelConfig,
+    _bucket_len,
     _rope_tables,
     gather_in_order,
     layer_forward,
@@ -85,6 +87,10 @@ class TestConfigValidation:
     def test_memory_token_count(self):
         with pytest.raises(ValueError):
             ModelConfig(memory_tokens=0)
+
+    def test_unknown_precision_rejected(self):
+        with pytest.raises(ValueError, match="float16"):
+            ModelConfig(precision="float16")
 
 
 class TestEmbedding:
@@ -260,6 +266,44 @@ class TestSplitRun:
         assert taped == [(16, False), (k, False), (16, False), (k, False), (k, True)]
 
 
+def reference_buckets(sequences, cfg, dtype, memory_first):
+    """Per-row bucket builder: text left-padded before the K memory rows, or
+    (``memory_first``) right-padded after them; one row at a time."""
+    k = cfg.memory_tokens
+    seqs = [list(s)[-(cfg.max_seq_len - k) :] for s in sequences]
+    groups = {}
+    for i, s in enumerate(seqs):
+        groups.setdefault(_bucket_len(max(len(s), 1) if memory_first else len(s)), []).append(i)
+    out = []
+    for lb in sorted(groups):
+        idxs = groups[lb]
+        total = lb + k
+        ids = np.full((len(idxs), lb), tokenizer.PAD_ID, dtype=np.int64)
+        pos = np.zeros((len(idxs), total), dtype=np.int64)
+        mask = np.full((len(idxs), total, total), MASK_VALUE, dtype=dtype)
+        causal = np.tril(np.ones((total, total), dtype=bool))
+        for row, i in enumerate(idxs):
+            s = seqs[i]
+            n = len(s)
+            real = np.zeros(total, dtype=bool)
+            if memory_first:
+                ids[row, :n] = s
+                pos[row] = np.arange(total)
+                real[: k + n] = True
+            else:
+                ids[row, lb - n :] = s
+                pos[row, lb - n : lb] = np.arange(n)
+                pos[row, lb:] = np.arange(n, n + k)
+                real[lb - n :] = True
+            mask[row][causal & real[None, :]] = 0.0
+        out.append((idxs, ids, pos, mask[:, None], lb))
+    return out
+
+
+# every bucket boundary, one below and one above it
+BOUNDARY_LENGTHS = sorted({n for step in _BUCKET_STEPS for n in (step - 1, step, step + 1) if n >= 0})
+
+
 class TestBuckets:
     def test_compress_bucket_layout(self):
         cfg = tiny_cfg()
@@ -279,6 +323,30 @@ class TestBuckets:
         cfg = tiny_cfg()
         b = make_decode_buckets([[9, 8, 7]], cfg, np.float64)[0]
         assert list(b.ids[0][:3]) == [9, 8, 7]
+
+    @settings(max_examples=60, deadline=None)
+    @example(BOUNDARY_LENGTHS + [600], 520, 4, np.float32, 0)
+    @example(BOUNDARY_LENGTHS + [600], 520, 4, np.float64, 1)
+    @given(
+        st.lists(st.one_of(st.sampled_from(BOUNDARY_LENGTHS), st.integers(0, 40)), min_size=1, max_size=6),
+        st.sampled_from([24, 100, 520]),
+        st.integers(1, 4),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_builders_match_per_row_reference(self, lengths, max_seq_len, k, dtype, seed):
+        cfg = tiny_cfg(memory_tokens=k, max_seq_len=max_seq_len)
+        rng = np.random.default_rng(seed)
+        seqs = [list(rng.integers(0, 256, n)) for n in lengths]
+        for build, memory_first in ((make_compress_buckets, False), (make_decode_buckets, True)):
+            got = build(seqs, cfg, dtype)
+            want = reference_buckets(seqs, cfg, dtype, memory_first)
+            assert len(got) == len(want)
+            for b, (idxs, ids, pos, mask, lb) in zip(got, want):
+                assert b.indices == idxs and b.text_len == lb
+                for have, ref in ((b.ids, ids), (b.pos, pos), (b.mask, mask)):
+                    assert have.dtype == ref.dtype and have.shape == ref.shape
+                    assert have.tobytes() == ref.tobytes()
 
 
 class TestAutoencoder:

@@ -6,6 +6,7 @@ import pytest
 from conftest import assert_grad_close, finite_difference
 from gofa import compressor, tokenizer
 from gofa.autodiff import Tensor, no_grad
+from gofa.checkpoint import load_checkpoint, save_checkpoint
 from gofa.compressor import MASK_VALUE, ModelConfig, _rope_tables, layer_forward, make_decode_buckets
 from gofa.gnn import gnn_layer
 from gofa.model import GofaModel
@@ -83,7 +84,7 @@ class TestEncodeGraph:
         text = "lonely node text"
         g = TAG()
         g.add_node(text)
-        graph_mems = model.encode_graph(g)[0].data
+        graph_mems = model.encode_graphs([g])[0][0].data
         text_mems = model.encode_texts([text]).data[0]
         assert np.array_equal(graph_mems, text_mems)
 
@@ -162,6 +163,28 @@ class TestFrozenCompressor:
         grads = [t.grad.copy() for t in checked]
         for ti, c, fd in finite_difference(lambda: build().item(), checked, max_coords=4, rng=rng):
             assert_grad_close(grads[ti].reshape(-1)[c], fd, rel_tol=1e-4)
+
+
+class TestPrecision:
+    def test_float32_loss_matches_float64_and_stays_float32(self):
+        samples = [
+            path_sample(["first node text", "second"], y="a target"),
+            path_sample(["x y z", "w", "v u"], target_node=1, y="other target text"),
+        ]
+        losses = {}
+        for precision in ("float64", "float32"):
+            model = GofaModel(tiny_cfg(precision=precision), seed=21)
+            for params in model.gnn_params.values():
+                params["gate_gnn"].data[...] = 0.6
+                params["gate_ff"].data[...] = -0.4
+            loss, _, _ = model.forward_batch(samples)
+            loss.backward()
+            assert loss.dtype == model.cfg.dtype
+            for name, t in model.parameters().items():
+                assert t.dtype == model.cfg.dtype, name
+                assert t.grad.dtype == model.cfg.dtype, name
+            losses[precision] = loss.item()
+        assert abs(losses["float32"] - losses["float64"]) <= 1e-5 * abs(losses["float64"])
 
 
 class TestDecode:
@@ -449,14 +472,12 @@ class TestPersistence:
         after, _ = loaded.encode_graphs([s.graph])
         assert np.array_equal(before.data, after.data)
 
-    def test_tied_weights_flag(self, tmp_path):
-        cfg = tiny_cfg()
-        model = GofaModel(cfg, seed=17, tie_weights=True)
-        assert model.decoder_stack.embed is model.compressor_stack.embed
-        names = model.parameters()
-        assert "decoder.final_norm" in names
-        assert not any(n.startswith("decoder.layers") for n in names)
-        path = tmp_path / "tied.gofa"
+    def test_load_rejects_missing_parameter(self, tmp_path):
+        model = GofaModel(tiny_cfg(), seed=17)
+        path = tmp_path / "model.gofa"
         model.save(path)
-        loaded, _, _ = GofaModel.load(path)
-        assert loaded.tie_weights
+        tensors, config = load_checkpoint(path)
+        del tensors["decoder.layers.0.wq"]
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(ValueError, match="decoder.layers.0.wq"):
+            GofaModel.load(path)

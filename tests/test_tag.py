@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from gofa.tag import (
     assign_node_id_tags,
     attach_prompt_node,
     node_id_labels,
-    parse_tag,
-    serialize_tag,
+    tag_from_records,
+    tag_to_records,
     tags_equal,
 )
 
@@ -119,41 +121,44 @@ class TestNodeIdTags:
         assert node_id_labels(28)[25:28] == ["Z", "AA", "AB"]
 
 
+def round_trip(g):
+    """Records through JSON text and back, as a corpus line carries them."""
+    return tag_from_records(json.loads(json.dumps(tag_to_records(g), ensure_ascii=False)))
+
+
 class TestSerialization:
     def test_empty_graph_round_trip(self):
         g = TAG()
-        data = serialize_tag(g)
-        assert data.decode("utf-8").count("\n") == 1  # header only
-        assert tags_equal(parse_tag(data), g)
+        assert len(tag_to_records(g)) == 1  # header only
+        assert tags_equal(round_trip(g), g)
 
     def test_small_graph_round_trip_bit_exact(self):
         g = two_node_graph()
         g.add_edge(0, 1, "cites")
-        once = serialize_tag(g)
-        again = serialize_tag(parse_tag(once))
-        assert once == again
+        once = tag_to_records(g)
+        again = tag_to_records(round_trip(g))
+        assert json.dumps(once) == json.dumps(again)
 
     def test_large_random_graph_round_trip(self, rng):
         g = random_tag(rng, 1000, edge_prob=0.004)
-        parsed = parse_tag(serialize_tag(g))
+        parsed = round_trip(g)
         assert tags_equal(parsed, g)
         assert [n.text for n in parsed.nodes] == [n.text for n in g.nodes]
 
-    def test_parse_error_carries_line_number(self):
-        g = two_node_graph()
-        lines = serialize_tag(g).decode("utf-8").split("\n")
-        lines[2] = "{broken json"
-        with pytest.raises(GraphParseError, match="line 3"):
-            parse_tag("\n".join(lines).encode("utf-8"))
-
     def test_missing_header_rejected(self):
         with pytest.raises(GraphParseError):
-            parse_tag(b'{"n": {"id": 0, "text": "x"}}\n')
+            tag_from_records([{"n": {"id": 0, "text": "x"}}])
+
+    def test_malformed_record_carries_record_number(self):
+        records = tag_to_records(two_node_graph())
+        del records[2]["n"]["text"]
+        with pytest.raises(GraphParseError, match="line 3"):
+            tag_from_records(records)
 
     def test_empty_text_survives(self):
         g = TAG()
         g.add_node("")
-        parsed = parse_tag(serialize_tag(g))
+        parsed = round_trip(g)
         assert parsed.nodes[0].text == ""
 
     @settings(max_examples=50, deadline=None)
@@ -171,7 +176,7 @@ class TestSerialization:
                     g.add_edge(u, v, f"e{i}")
                 except GraphError:
                     pass
-        assert tags_equal(parse_tag(serialize_tag(g)), g)
+        assert tags_equal(round_trip(g), g)
 
 
 class TestInvariants:
@@ -186,7 +191,7 @@ class TestInvariants:
         g = TAG()
         g.add_node("a")
         g.add_edge(0, 0, "loop")
-        parsed = parse_tag(serialize_tag(g))
+        parsed = round_trip(g)
         assert (parsed.edges[0].src, parsed.edges[0].dst) == (0, 0)
 
     def test_edge_endpoint_validation(self):
