@@ -15,12 +15,13 @@ import os
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint
 from .compressor import ModelConfig
-from .config import ConfigError, load_config, write_run_meta
+from .config import ConfigError, load_config, pretrain_train_section, write_run_meta
 from .corpus import (
     CorpusConfig,
     gen_completion_corpus,
@@ -32,6 +33,7 @@ from .corpus import (
 from .evaluation import (
     REPORT_SCHEMA,
     EvalReport,
+    _prompt_endpoints,
     evaluate_accuracy,
     evaluate_structural,
     layer_delta_profile,
@@ -43,7 +45,7 @@ from .model import GofaModel
 from .structure import all_shortest_paths, common_neighbors
 from .tag import TaskSample
 from .taskgen import read_samples, render_cn_answer, render_spd_answer, write_samples
-from .training import TrainConfig, autoencode_pretrain, resume, train, train_config_from_dict
+from .training import TrainConfig, autoencode_pretrain, resume, train
 
 log = logging.getLogger("gofa")
 
@@ -55,8 +57,6 @@ def _setup_logging() -> None:
 
 def _verify_structural_labels(spd: list[TaskSample], cn: list[TaskSample]) -> None:
     """Re-derive every emitted structural label from the oracle."""
-    from .evaluation import _prompt_endpoints
-
     for sample in spd:
         for t in sample.targets:
             a, b = _prompt_endpoints(sample.graph, t.nog)
@@ -75,7 +75,7 @@ def cmd_gen_corpus(args) -> int:
     cfg = load_config(args.config, args.set)
     out = Path(args.out)
     write_run_meta(out, cfg)
-    ccfg = CorpusConfig.from_dict(cfg["corpus"])
+    ccfg = CorpusConfig(**cfg["corpus"])
     frac = cfg["gen"]["test_fraction"]
     seed = cfg["seed"]
 
@@ -106,7 +106,7 @@ def cmd_autoencode_pretrain(args) -> int:
     cfg = load_config(args.config, args.set)
     out = Path(args.out)
     write_run_meta(out, cfg)
-    mcfg = ModelConfig.from_dict(cfg["model"])
+    mcfg = ModelConfig(**cfg["model"])
     model = GofaModel(mcfg, seed=cfg["seed"])
     pre = cfg["pretrain"]
     rng = np.random.default_rng(cfg["seed"])
@@ -115,7 +115,7 @@ def cmd_autoencode_pretrain(args) -> int:
         "".join(rng.choice(list(alphabet), size=rng.integers(pre["text_low"], pre["text_high"] + 1)))
         for _ in range(256)
     ]
-    tcfg = train_config_from_dict({**cfg["train"], "max_steps": pre["steps"], "batch_size": pre["batch_size"]})
+    tcfg = TrainConfig(**pretrain_train_section(cfg))
     report = autoencode_pretrain(model, texts, tcfg)
     model.save(out / "autoencoder.gofa")
     print(f"final reconstruction loss {report.final_loss:.4f}; checkpoint in {out}")
@@ -135,9 +135,9 @@ def cmd_train(args) -> int:
             loss_log_path=out / "loss_log.csv",
         )
     else:
-        mcfg = ModelConfig.from_dict(cfg["model"])
+        mcfg = ModelConfig(**cfg["model"])
         model = GofaModel(mcfg, seed=cfg["seed"])
-        tcfg = train_config_from_dict(cfg["train"])
+        tcfg = TrainConfig(**cfg["train"])
         report = train(
             model, samples, tcfg, out_dir=out, use_gnn=not args.text_only,
             loss_log_path=out / "loss_log.csv",
@@ -181,8 +181,6 @@ def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, use_gnn: b
 
 
 def _emit_report(out: Path, name: str, report: EvalReport) -> None:
-    import jsonschema
-
     payload = json.loads(report.to_json())
     jsonschema.validate(payload, REPORT_SCHEMA)
     (out / f"{name}.json").write_text(report.to_json(), encoding="utf-8")

@@ -75,28 +75,6 @@ class ModelConfig:
     def dtype(self):
         return np.float32 if self.precision == "float32" else np.float64
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "memory_tokens": self.memory_tokens,
-            "gnn_layers": list(self.gnn_layers),
-            "max_seq_len": self.max_seq_len,
-            "ff_mult": self.ff_mult,
-            "rope_base": self.rope_base,
-            "init_std": self.init_std,
-            "embed_std": self.embed_std,
-            "precision": self.precision,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        obj["gnn_layers"] = tuple(obj.get("gnn_layers", ()))
-        return cls(**obj)
-
 
 class ParamStore:
     """Flat name -> Tensor registry; names must be unique."""
@@ -254,11 +232,14 @@ class _Bucket:
     text_len: int  # Lb
 
 
-def _truncate_left(seq: list[int], limit: int, what: str) -> list[int]:
+def _truncate(seq: list[int], limit: int, what: str, keep_head: bool = False) -> list[int]:
+    """At most ``limit`` tokens of ``seq``: its last ones, or its first ones
+    with ``keep_head``."""
     if len(seq) > limit:
+        how = "dropping the tail" if keep_head else "truncating from the left"
         # the kind leads the message template, so log handlers can tell targets from texts
-        log.warning(f"{what} length %d exceeds %d tokens; truncating from the left", len(seq), limit)
-        return seq[-limit:]
+        log.warning(f"{what} length %d exceeds %d tokens; {how}", len(seq), limit)
+        return seq[:limit] if keep_head else seq[-limit:]
     return seq
 
 
@@ -270,10 +251,13 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype, memory_fi
     row's text and memory rows form one unpadded block starting at column
     ``start``: positions count from it, and each query sees the keys of
     that block at or before it.
+
+    A text too long for ``max_seq_len`` keeps its last tokens; a target
+    keeps its first, so the memory rows always learn the answer's start.
     """
     k = cfg.memory_tokens
     what = "target" if memory_first else "node/edge text"
-    seqs = [_truncate_left(list(s), cfg.max_seq_len - k, what) for s in sequences]
+    seqs = [_truncate(list(s), cfg.max_seq_len - k, what, keep_head=memory_first) for s in sequences]
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
         # a decode bucket always has target columns, even for an empty target
@@ -465,7 +449,7 @@ class Decoder:
                 if state.truncated:
                     window = list(prefix[-limit:])
                 else:
-                    window = _truncate_left(list(prefix), limit, "target")
+                    window = _truncate(list(prefix), limit, "target")
                     state.truncated = len(window) < len(prefix)
                 x = memory.reshape(1, k, d)
                 if window:

@@ -1,6 +1,9 @@
 """Run configuration: one structured JSON file plus command-line overrides.
 
-Unknown keys are rejected so typos fail loudly; the effective config is
+The model, corpus and train sections are the fields of ``ModelConfig``,
+``CorpusConfig`` and ``TrainConfig``. Unknown keys are rejected so typos
+fail loudly, and every section is built once at load, so a bad value is a
+``ConfigError`` before any command writes output. The effective config is
 echoed into every output directory together with seed, version and a
 content-derived build id.
 """
@@ -9,12 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .compressor import ModelConfig
 from .corpus import CorpusConfig
-from .training import TrainConfig, train_config_dict
+from .training import TrainConfig
+
+EVAL_KINDS = ("auto", "structural", "accuracy", "perplexity")
 
 
 class ConfigError(ValueError):
@@ -22,15 +28,39 @@ class ConfigError(ValueError):
 
 
 def default_config() -> dict:
-    return {
+    cfg = {
         "seed": 0,
-        "model": ModelConfig().to_dict(),
-        "corpus": CorpusConfig().to_dict(),
-        "train": train_config_dict(TrainConfig()),
+        "model": asdict(ModelConfig()),
+        "corpus": asdict(CorpusConfig()),
+        "train": asdict(TrainConfig()),
         "pretrain": {"steps": 200, "batch_size": 16, "text_low": 2, "text_high": 8, "alphabet": "ab"},
         "eval": {"kind": "auto", "batch_size": 8, "max_new_tokens": 96, "delta_profile_n": 100},
         "gen": {"test_fraction": 0.2},
     }
+    return json.loads(json.dumps(cfg))  # the shape a config file has: tuples become lists
+
+
+def pretrain_train_section(cfg: dict) -> dict:
+    """The ``TrainConfig`` fields ``autoencode-pretrain`` runs with: the
+    train section with the pretrain section's step count and batch size."""
+    pre = cfg["pretrain"]
+    return {**cfg["train"], "max_steps": pre["steps"], "batch_size": pre["batch_size"]}
+
+
+def _validate(cfg: dict) -> None:
+    sections = [
+        ("model", ModelConfig, cfg["model"]),
+        ("corpus", CorpusConfig, cfg["corpus"]),
+        ("train", TrainConfig, cfg["train"]),
+        ("pretrain (steps as max_steps)", TrainConfig, pretrain_train_section(cfg)),
+    ]
+    for name, cls, fields in sections:
+        try:
+            cls(**fields)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    if cfg["eval"]["kind"] not in EVAL_KINDS:
+        raise ConfigError(f"eval.kind {cfg['eval']['kind']!r} is not one of {', '.join(EVAL_KINDS)}")
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -68,15 +98,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node: dict = cfg
-        parts = key_path.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config key: {key_path}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key: {key_path}")
-        node[parts[-1]] = value
+        for part in reversed(key_path.split(".")):
+            value = {part: value}
+        cfg = _merge(cfg, value)
+    _validate(cfg)
     return cfg
 
 

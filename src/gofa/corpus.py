@@ -17,7 +17,7 @@ Synthetic conversations feed the QA-chain builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,27 +59,12 @@ class CorpusConfig:
     conversation_rounds: tuple[int, int] = (2, 4)
     rng_seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_graphs": self.n_graphs,
-            "nodes_low": self.nodes_low,
-            "nodes_high": self.nodes_high,
-            "extra_edge_factor": self.extra_edge_factor,
-            "n_selected": self.n_selected,
-            "split_fraction": self.split_fraction,
-            "question_style": self.question_style,
-            "n_markers": self.n_markers,
-            "lookup_facts": self.lookup_facts,
-            "conversation_rounds": list(self.conversation_rounds),
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CorpusConfig":
-        obj = dict(obj)
-        if "conversation_rounds" in obj:
-            obj["conversation_rounds"] = tuple(obj["conversation_rounds"])
-        return cls(**obj)
+    def __post_init__(self):
+        self.conversation_rounds = tuple(self.conversation_rounds)
+        # the task makers' checks, so a bad value fails here, not partway through a corpus
+        PretrainConfig(
+            n_selected=self.n_selected, split_fraction=self.split_fraction, question_style=self.question_style
+        )
 
 
 def random_connected_graph(rng, n_nodes: int, extra_edges: int, min_degree: int = 1) -> list[tuple[int, int]]:

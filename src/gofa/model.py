@@ -10,6 +10,8 @@ equivalent to per-graph encoding because no arcs cross samples.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from . import tokenizer
@@ -224,7 +226,7 @@ class GofaModel:
         tensors = {name: t.data for name, t in self.store.params.items()}
         if extra_tensors:
             tensors.update(extra_tensors)
-        config = {"model": self.cfg.to_dict(), "seed": self.seed}
+        config = {"model": asdict(self.cfg), "seed": self.seed}
         if extra_config:
             config.update(extra_config)
         save_checkpoint(path, tensors, config)
@@ -236,7 +238,7 @@ class GofaModel:
         tensors, config = load_checkpoint(path)
         if config is None or "model" not in config:
             raise ValueError(f"{path}: checkpoint lacks a model config chunk")
-        cfg = ModelConfig.from_dict(config["model"])
+        cfg = ModelConfig(**config["model"])
         model = cls(cfg, seed=config.get("seed", 0))
         missing = sorted(set(model.store.params) - set(tensors))
         if missing:

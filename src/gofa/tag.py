@@ -8,13 +8,10 @@ starting points).
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
-
-NODE_TAG_RE = re.compile(r"\[NODEID\.([A-Z]+)\]")
 
 FORMAT_VERSION = 1
 
@@ -124,9 +121,6 @@ class TAG:
 
     def content_nodes(self) -> list[int]:
         return [n.id for n in self.nodes if n.kind == "content"]
-
-    def prompt_nodes(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind == "prompt"]
 
     def validate(self) -> None:
         for i, n in enumerate(self.nodes):
@@ -280,16 +274,3 @@ def tag_from_records(records: list[dict]) -> TAG:
     except GraphError as exc:
         raise GraphParseError(len(records), str(exc)) from exc
     return graph
-
-
-def tags_equal(a: TAG, b: TAG) -> bool:
-    """Structural equality: node order, texts, tags, kinds and arcs."""
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges) or a.directed != b.directed:
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if (na.id, na.text, na.node_id_tag, na.kind) != (nb.id, nb.text, nb.node_id_tag, nb.kind):
-            return False
-    for ea, eb in zip(a.edges, b.edges):
-        if (ea.src, ea.dst, ea.text) != (eb.src, eb.dst, eb.text):
-            return False
-    return True

@@ -9,12 +9,22 @@ same grammar.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .structure import PathSet, all_shortest_paths, common_neighbors
-from .tag import TAG, GenerationTarget, GraphError, TaskSample, assign_node_id_tags, attach_prompt_node
+from .tag import (
+    TAG,
+    GenerationTarget,
+    GraphError,
+    TaskSample,
+    assign_node_id_tags,
+    attach_prompt_node,
+    tag_from_records,
+    tag_to_records,
+)
 
 ROOT = 0  # by convention the rooted graph's target node
 
@@ -240,10 +250,6 @@ def make_downstream_task(
 
 
 # -- corpus serialization ---------------------------------------------------------
-
-import json
-
-from .tag import tag_from_records, tag_to_records
 
 
 def sample_to_obj(sample: TaskSample) -> dict:

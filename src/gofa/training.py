@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,13 @@ class TrainConfig:
     debug_nan_checks: bool = False
 
     def __post_init__(self):
+        if isinstance(self.freeze, str):
+            raise TypeError("freeze must be a list of parameter name prefixes")
+        self.betas = tuple(self.betas)
+        self.freeze = tuple(self.freeze)
+        for name in ("batch_size", "grad_accum", "max_steps", "checkpoint_every", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not 0 < self.min_lr_fraction <= 1:
@@ -297,39 +304,11 @@ def train(
                 model.save(
                     path,
                     extra_tensors=opt.state_tensors(),
-                    extra_config={"train_step": step + 1, "train": train_config_dict(cfg)},
+                    extra_config={"train_step": step + 1, "train": asdict(cfg)},
                 )
                 report.checkpoints.append(str(path))
     report.final_loss = report.losses[-1] if report.losses else float("nan")
     return report
-
-
-def train_config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "lr": cfg.lr,
-        "weight_decay": cfg.weight_decay,
-        "betas": list(cfg.betas),
-        "eps": cfg.eps,
-        "grad_clip": cfg.grad_clip,
-        "batch_size": cfg.batch_size,
-        "grad_accum": cfg.grad_accum,
-        "gate_lr_mult": cfg.gate_lr_mult,
-        "restarts": cfg.restarts,
-        "min_lr_fraction": cfg.min_lr_fraction,
-        "freeze": list(cfg.freeze),
-        "seed": cfg.seed,
-        "max_steps": cfg.max_steps,
-        "checkpoint_every": cfg.checkpoint_every,
-        "log_every": cfg.log_every,
-        "debug_nan_checks": cfg.debug_nan_checks,
-    }
-
-
-def train_config_from_dict(obj: dict) -> TrainConfig:
-    obj = dict(obj)
-    obj["betas"] = tuple(obj.get("betas", (0.9, 0.95)))
-    obj["freeze"] = tuple(obj.get("freeze", ()))
-    return TrainConfig(**obj)
 
 
 def autoencode_pretrain(model: GofaModel, texts: list[str], cfg: TrainConfig) -> TrainReport:
@@ -356,7 +335,7 @@ def autoencode_pretrain(model: GofaModel, texts: list[str], cfg: TrainConfig) ->
 def resume(model_path, corpus, out_dir=None, use_gnn: bool = True, loss_log_path=None) -> tuple[GofaModel, TrainReport]:
     """Continue a checkpointed run to its configured max_steps."""
     model, extras, config = GofaModel.load(model_path)
-    cfg = train_config_from_dict(config["train"])
+    cfg = TrainConfig(**config["train"])
     opt = AdamW(model.parameters(), cfg)
     opt.load_state_tensors(extras)
     start_step = int(config.get("train_step", 0))

@@ -6,10 +6,14 @@ dense loops) kept separate from the library code paths they check.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from gofa.tag import TAG
+
+NODE_TAG_RE = re.compile(r"\[NODEID\.([A-Z]+)\]")
 
 
 def random_tag(rng, n_nodes: int, edge_prob: float = 0.25, with_text: bool = True) -> TAG:
@@ -21,6 +25,19 @@ def random_tag(rng, n_nodes: int, edge_prob: float = 0.25, with_text: bool = Tru
             if rng.random() < edge_prob:
                 g.add_undirected_edge(u, v, "")
     return g
+
+
+def tags_equal(a: TAG, b: TAG) -> bool:
+    """Structural equality: node order, texts, tags, kinds and arcs."""
+    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges) or a.directed != b.directed:
+        return False
+    for na, nb in zip(a.nodes, b.nodes):
+        if (na.id, na.text, na.node_id_tag, na.kind) != (nb.id, nb.text, nb.node_id_tag, nb.kind):
+            return False
+    for ea, eb in zip(a.edges, b.edges):
+        if (ea.src, ea.dst, ea.text) != (eb.src, eb.dst, eb.text):
+            return False
+    return True
 
 
 def undirected_adj(graph: TAG) -> dict[int, set[int]]:

@@ -192,6 +192,26 @@ class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         assert run(["gen-corpus", "--out", str(tmp_path / "x"), "--set", "bogus.key=1"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("train", "model.n_heads=3"),
+            ("train", "model.d_model=abc"),
+            ("train", "train.lr=-1"),
+            ("train", "train.grad_accum=0"),
+            ("autoencode-pretrain", "pretrain.steps=0"),
+            ("gen-corpus", "corpus.question_style=verbose"),
+            ("eval", "eval.kind=bogus"),
+        ],
+    )
+    def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):
+        out = tmp_path / "out"
+        missing = str(tmp_path / "missing")  # inputs are never read
+        inputs = {"train": ["--corpus", missing], "eval": ["--checkpoint", missing, "--corpus", missing]}
+        assert run([command, "--out", str(out), "--set", override] + inputs.get(command, [])) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_runtime_error_is_3(self, tmp_path):
         assert run(["eval", "--out", str(tmp_path / "x"), "--checkpoint", "/nonexistent.gofa",
                     "--corpus", "/nonexistent.jsonl"]) == 3

@@ -267,10 +267,12 @@ class TestSplitRun:
 
 
 def reference_buckets(sequences, cfg, dtype, memory_first):
-    """Per-row bucket builder: text left-padded before the K memory rows, or
-    (``memory_first``) right-padded after them; one row at a time."""
+    """Per-row bucket builder: text left-padded before the K memory rows and
+    cut to its last tokens, or (``memory_first``) right-padded after them and
+    cut to its first tokens; one row at a time."""
+    limit = cfg.max_seq_len - cfg.memory_tokens
     k = cfg.memory_tokens
-    seqs = [list(s)[-(cfg.max_seq_len - k) :] for s in sequences]
+    seqs = [list(s)[:limit] if memory_first else list(s)[-limit:] for s in sequences]
     groups = {}
     for i, s in enumerate(seqs):
         groups.setdefault(_bucket_len(max(len(s), 1) if memory_first else len(s)), []).append(i)

@@ -15,10 +15,9 @@ from gofa.corpus import (
 )
 from gofa.evaluation import _prompt_endpoints
 from gofa.structure import all_shortest_paths, common_neighbors
-from gofa.tag import tags_equal
 from gofa.taskgen import render_cn_answer, render_spd_answer
 
-from conftest import brute_force_distance
+from conftest import brute_force_distance, tags_equal
 
 
 class TestRandomGraph:

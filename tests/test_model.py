@@ -241,6 +241,21 @@ class TestDecode:
         assert n == 2
         assert tokens == len("alpha") + 1 + len("beta") + 1
 
+    def test_long_target_keeps_its_head(self, caplog):
+        cfg = tiny_cfg(max_seq_len=16)
+        model = GofaModel(cfg, seed=11)
+        mem = model.encode_texts(["prompt"])
+        limit = cfg.max_seq_len - cfg.memory_tokens
+        ids = model.target_ids("The shortest path distance is 3. Shortest paths: A -> B -> C -> D.")
+        assert len(ids) > limit
+        with caplog.at_level(logging.WARNING, logger="gofa"):
+            [(long_nll, long_n)] = model.decoder_nll_per_target(mem, [ids])
+        [(head_nll, head_n)] = model.decoder_nll_per_target(mem, [ids[:limit]])
+        assert long_n == head_n == limit
+        assert long_nll.data.tobytes() == head_nll.data.tobytes()
+        assert any(r.getMessage().startswith("target length") and "dropping the tail" in r.getMessage()
+                   for r in caplog.records)
+
 
 class TestPromptIsolation:
     def _two_prompt_graph(self, question_a):
@@ -326,10 +341,11 @@ def reference_next_logits(model: GofaModel, mem, prefix):
     max_seq_len - K tokens), read at the last position."""
     cfg = model.cfg
     k = cfg.memory_tokens
-    bucket = make_decode_buckets([prefix], cfg, cfg.dtype)[0]
+    window = list(prefix)[-(cfg.max_seq_len - k) :]
+    bucket = make_decode_buckets([window], cfg, cfg.dtype)[0]
     with no_grad():
         logits = model.decoder._forward_bucket(mem.reshape(1, k, cfg.d_model), bucket, cfg)
-    return logits.data[0, k + min(len(prefix), cfg.max_seq_len - k) - 1]
+    return logits.data[0, k + len(window) - 1]
 
 
 def reference_generate(model: GofaModel, mem, max_new_tokens, mode="greedy", temperature=1.0, seed=0):

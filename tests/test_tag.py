@@ -9,16 +9,14 @@ from gofa.tag import (
     TAG,
     GraphError,
     GraphParseError,
-    NODE_TAG_RE,
     assign_node_id_tags,
     attach_prompt_node,
     node_id_labels,
     tag_from_records,
     tag_to_records,
-    tags_equal,
 )
 
-from conftest import random_tag
+from conftest import NODE_TAG_RE, random_tag, tags_equal
 
 
 def two_node_graph():

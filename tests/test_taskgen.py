@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gofa.structure import all_shortest_paths, common_neighbors
-from gofa.tag import TAG, GraphError, NODE_TAG_RE, tags_equal
+from gofa.tag import TAG, GraphError
 from gofa.taskgen import (
     CN_EMPTY_ANSWER,
     COMPLETION_QUESTION,
@@ -22,7 +22,7 @@ from gofa.taskgen import (
     write_samples,
 )
 
-from conftest import random_tag
+from conftest import NODE_TAG_RE, random_tag, tags_equal
 
 
 def rooted_graph(n=10, seed=0):

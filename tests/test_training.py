@@ -1,4 +1,6 @@
 import contextlib
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from gofa import training
 
 from gofa.autodiff import Tensor
 from gofa.compressor import ModelConfig
+from gofa.corpus import CorpusConfig
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, TaskSample, attach_prompt_node
 from gofa.training import (
@@ -18,8 +21,6 @@ from gofa.training import (
     cosine_restart_lr,
     resume,
     train,
-    train_config_dict,
-    train_config_from_dict,
 )
 
 
@@ -308,12 +309,24 @@ class TestTrainConfigRoundTrip:
         train(GofaModel(tiny_cfg(), seed=23), make_corpus(2), cfg, out_dir=tmp_path)
         _, _, config = GofaModel.load(tmp_path / "checkpoint_000001.gofa")
         assert config["train"]["debug_nan_checks"] is True
-        assert train_config_from_dict(config["train"]) == cfg
+        assert TrainConfig(**config["train"]) == cfg
 
     def test_older_checkpoint_without_key_defaults_off(self):
-        obj = train_config_dict(TrainConfig())
+        obj = asdict(TrainConfig())
         del obj["debug_nan_checks"]
-        assert train_config_from_dict(obj).debug_nan_checks is False
+        assert TrainConfig(**obj).debug_nan_checks is False
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(d_model=32, gnn_layers=(2, 1), precision="float32"),
+            CorpusConfig(n_graphs=7, conversation_rounds=(1, 3), question_style="full"),
+            TrainConfig(betas=(0.8, 0.9), freeze=("compressor.", "memory_tokens"), grad_accum=2),
+        ],
+        ids=lambda cfg: type(cfg).__name__,
+    )
+    def test_config_round_trips_through_json(self, cfg):
+        assert type(cfg)(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestAutoencodePretrain:
