@@ -11,13 +11,21 @@ Sequences are grouped into length buckets; text tokens are left-padded so
 memory slots always occupy the trailing K columns of a bucket. Padding
 columns are masked out of attention and contribute exact zeros, so a
 single-sequence call is arithmetically identical however it is routed.
+
+Compression runs in two phases split at the cache point ``min(gnn_layers)``
+(the last layer without GNN layers). Up to it no hook has touched the
+memory rows, so a text's rows are a function of the text alone: phase 1
+computes them once per distinct token sequence of a call, or reads them
+from a ``Compressor.text_cache()`` that keeps them across calls. Phase 2
+runs the hooks and the remaining layers with memory rows per sequence and
+text rows still per distinct text.
 """
 
 from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -298,12 +306,34 @@ def _bucket_consts(bucket: _Bucket, cfg: ModelConfig, dtype):
     return bucket.mask, cos, sin
 
 
-def gather_in_order(per_bucket: list[Tensor], buckets: list[_Bucket]) -> Tensor:
-    """Stack per-bucket rows back into original sequence order."""
+def _split_consts(bucket: _Bucket, cfg: ModelConfig):
+    """Mask, cos and sin of a compression bucket's text rows and of its
+    memory rows, each indexed by bucket row on axis 0."""
+    mask, cos, sin = _bucket_consts(bucket, cfg, cfg.dtype)
+    lb = bucket.text_len
+    return (mask[:, :, :lb, :lb], cos[:, :, :lb], sin[:, :, :lb]), (mask[:, :, lb:], cos[:, :, lb:], sin[:, :, lb:])
+
+
+def gather_in_order(per_bucket: list[Tensor], indices: list[list[int]]) -> Tensor:
+    """Stack per-bucket rows back into original sequence order; bucket i
+    holds the rows of sequences ``indices[i]``."""
     stacked = concat(per_bucket, axis=0) if len(per_bucket) > 1 else per_bucket[0]
-    order = [i for b in buckets for i in b.indices]
+    order = [i for idx in indices for i in idx]
     inverse = np.argsort(np.asarray(order, dtype=np.int64))
     return gather_rows(stacked, inverse)
+
+
+@dataclass
+class TextCache:
+    """Each text's compressor state at the cache point, keyed by its token
+    tuple: its real text rows [n, d] and its memory rows [K, d], before any
+    hook. ``hits`` and ``misses`` count the distinct texts of each call
+    found and not found; ``bytes`` is the size of every entry stored."""
+
+    entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+    bytes: int = 0
 
 
 class Compressor:
@@ -315,6 +345,31 @@ class Compressor:
     def __init__(self, stack: TransformerStack, memory_embedding: Tensor):
         self.stack = stack
         self.memory = memory_embedding
+        self._cache: TextCache | None = None
+
+    @property
+    def frozen(self) -> bool:
+        """True when no compressor parameter or memory token takes a gradient."""
+        params = [self.memory, self.stack.embed] + [p for layer in self.stack.layers for p in layer.values()]
+        return not any(p.requires_grad for p in params)
+
+    @contextmanager
+    def text_cache(self):
+        """Keep every text's state at the cache point across ``run`` calls
+        until the block exits, and read it back instead of recomputing it;
+        yields the ``TextCache``, which is emptied on exit. An entry is a
+        function of the text only while the compressor does not change, so
+        the block opens only on a ``frozen`` compressor, and no parameter
+        of it may be changed while it is open."""
+        if not self.frozen:
+            raise ValueError("the text cache needs a frozen compressor; switch off requires_grad first")
+        outer = self._cache
+        self._cache = cache = TextCache()
+        try:
+            yield cache
+        finally:
+            self._cache = outer
+            cache.entries.clear()
 
     def run(self, sequences: list[list[int]], memory_hook=None) -> Tensor:
         """Compress token sequences to a [S, K, d] memory tensor.
@@ -328,41 +383,107 @@ class Compressor:
         carry a tape only when the compressor itself is trained, and the last
         layer computes only their keys and values.
 
+        Phase 1 runs layers 1..t0, ``t0 = min(cfg.gnn_layers)`` (all layers
+        without GNN layers), once per distinct sequence, skipping the ones
+        an open ``text_cache()`` holds. Phase 2 gives every sequence its own
+        memory rows, reading its text's keys and values, and runs the hook
+        at t0 and layers t0+1..n. A text's rows do not depend on the other
+        texts of its bucket, so either phase gives each sequence the bits it
+        would get alone.
+
         ``memory_hook(mems, layer_idx)`` may return a replacement [S, K, d]
         tensor after each layer listed in ``cfg.gnn_layers``.
         """
         cfg = self.stack.cfg
-        k, d = cfg.memory_tokens, cfg.d_model
-        buckets = make_compress_buckets(sequences, cfg, cfg.dtype)
+        t0 = min(cfg.gnn_layers, default=cfg.n_layers)
+        keys = [tuple(s) for s in sequences]
+        distinct = list(dict.fromkeys(keys))
+        buckets = make_compress_buckets(distinct, cfg, cfg.dtype)
+        slot = {distinct[u]: (i, row) for i, b in enumerate(buckets) for row, u in enumerate(b.indices)}
+        members: list[list[int]] = [[] for _ in buckets]  # the sequences of each bucket
+        owners: list[list[int]] = [[] for _ in buckets]  # the bucket row of each one's text
+        for s, key in enumerate(keys):
+            i, row = slot[key]
+            members[i].append(s)
+            owners[i].append(row)
         texts, mems, consts = [], [], []
-        for b in buckets:
-            sb, lb = b.ids.shape
-            mask, cos, sin = _bucket_consts(b, cfg, cfg.dtype)
-            texts.append(gather_rows(self.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d) if lb else None)
-            mems.append(self.memory.reshape(1, k, d).broadcast_to((sb, k, d)))
-            consts.append(
-                (
-                    (mask[:, :, :lb, :lb], cos[:, :, :lb], sin[:, :, :lb]),
-                    (mask[:, :, lb:], cos[:, :, lb:], sin[:, :, lb:]),
-                )
-            )
-        for t in range(1, cfg.n_layers + 1):
-            layer = self.stack.layers[t - 1]
-            for i, (text_consts, mem_consts) in enumerate(consts):
-                kv = LayerKV()
-                if texts[i] is not None and t < cfg.n_layers:
-                    texts[i] = layer_forward(texts[i], layer, cfg, *text_consts, kv)
-                elif texts[i] is not None:
-                    # nothing reads the last layer's text rows but the memory rows' attention
-                    _, cos, sin = text_consts
-                    kv.extend(*_keys_values(rms_norm(texts[i], layer["attn_norm"]), layer, cfg, cos, sin))
-                mems[i] = layer_forward(mems[i], layer, cfg, *mem_consts, kv)
+        for b, owner in zip(buckets, owners):
+            text_consts, mem_consts = _split_consts(b, cfg)
+            text, mem = self._state_at(t0, b, [distinct[u] for u in b.indices], text_consts, mem_consts)
+            rows = None if owner == list(range(len(b.indices))) else np.asarray(owner, dtype=np.int64)
+            if rows is not None:
+                mem = gather_rows(mem, rows)
+                mem_consts = tuple(c[rows] for c in mem_consts)
+            texts.append(text)
+            mems.append(mem)
+            consts.append((text_consts, mem_consts, rows))
+        for t in range(t0, cfg.n_layers + 1):
+            if t > t0:
+                for i, c in enumerate(consts):
+                    texts[i], mems[i] = self._layer(t, texts[i], mems[i], *c)
             if memory_hook is not None and t in cfg.gnn_layers:
-                ordered = gather_in_order(mems, buckets)
+                ordered = gather_in_order(mems, members)
                 new_mems = memory_hook(ordered, t)
                 if new_mems is not ordered:
-                    mems = [gather_rows(new_mems, b.indices) for b in buckets]
-        return gather_in_order(mems, buckets)
+                    mems = [gather_rows(new_mems, m) for m in members]
+        return gather_in_order(mems, members)
+
+    def _state_at(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts):
+        """Phase 1 for one bucket of distinct texts: their text rows (None
+        without text columns) and memory rows at the output of layer ``t0``,
+        read from the open cache or computed and stored there."""
+        cfg = self.stack.cfg
+        k, d = cfg.memory_tokens, cfg.d_model
+        cache = self._cache
+        table = cache.entries if cache is not None else {}
+        lb = bucket.text_len
+        miss = [row for row, key in enumerate(keys) if key not in table]
+        text = mem = None
+        if miss:
+            sb = len(miss)
+            if lb:
+                text = gather_rows(self.stack.embed, bucket.ids[miss].reshape(-1)).reshape(sb, lb, d)
+            mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
+            sub_text = tuple(c[miss] for c in text_consts)
+            sub_mem = tuple(c[miss] for c in mem_consts)
+            for t in range(1, t0 + 1):
+                text, mem = self._layer(t, text, mem, sub_text, sub_mem)
+        if cache is not None:
+            cache.hits += len(keys) - len(miss)
+            cache.misses += len(miss)
+            for j, row in enumerate(miss):
+                n = min(len(keys[row]), cfg.max_seq_len - k)
+                entry = (text.data[j, lb - n :].copy() if lb else np.zeros((0, d), cfg.dtype), mem.data[j].copy())
+                table[keys[row]] = entry
+                cache.bytes += entry[0].nbytes + entry[1].nbytes
+        if len(miss) == len(keys):
+            return text, mem
+        # some rows come from the cache, so nothing here carries a tape; pad rows
+        # are zeros, which masked attention never reads
+        text_rows = np.zeros((len(keys), lb, d), dtype=cfg.dtype)
+        mem_rows = np.empty((len(keys), k, d), dtype=cfg.dtype)
+        for row, key in enumerate(keys):
+            real, mem_rows[row] = table[key]
+            text_rows[row, lb - len(real) :] = real
+        return (Tensor(text_rows, dtype=cfg.dtype) if lb else None), Tensor(mem_rows, dtype=cfg.dtype)
+
+    def _layer(self, t: int, text, mem: Tensor, text_consts, mem_consts, rows=None):
+        """Layer ``t`` over one bucket's text rows [m, Lb, d] (None without
+        text columns) and memory rows [S, K, d]; memory row j reads the keys
+        and values of text row ``rows[j]``, or of row j without ``rows``."""
+        cfg = self.stack.cfg
+        layer = self.stack.layers[t - 1]
+        kv = LayerKV()
+        if text is not None:
+            if t < cfg.n_layers:
+                text = layer_forward(text, layer, cfg, *text_consts, kv)
+            else:
+                # nothing reads the last layer's text rows but the memory rows' attention
+                _, cos, sin = text_consts
+                kv.extend(*_keys_values(rms_norm(text, layer["attn_norm"]), layer, cfg, cos, sin))
+            if rows is not None:
+                kv.keys, kv.values = gather_rows(kv.keys, rows), gather_rows(kv.values, rows)
+        return text, layer_forward(mem, layer, cfg, *mem_consts, kv)
 
 
 class _DecodeState:

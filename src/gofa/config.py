@@ -30,7 +30,8 @@ class ConfigError(ValueError):
 def default_config() -> dict:
     cfg = {
         "seed": 0,
-        "model": asdict(ModelConfig()),
+        # null init_std means 1/sqrt(d_model) of the d_model the run ends up with
+        "model": {**asdict(ModelConfig()), "init_std": None},
         "corpus": asdict(CorpusConfig()),
         "train": asdict(TrainConfig()),
         "pretrain": {"steps": 200, "batch_size": 16, "text_low": 2, "text_high": 8, "alphabet": "ab"},
@@ -61,6 +62,19 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"{name}: {exc}") from exc
     if cfg["eval"]["kind"] not in EVAL_KINDS:
         raise ConfigError(f"eval.kind {cfg['eval']['kind']!r} is not one of {', '.join(EVAL_KINDS)}")
+    for key in ("batch_size", "max_new_tokens", "delta_profile_n"):
+        _require(f"eval.{key}", cfg["eval"][key], int, lambda v: v >= 1, "an integer >= 1")
+    _require("gen.test_fraction", cfg["gen"]["test_fraction"], (int, float), lambda v: 0 < v < 1, "in (0, 1)")
+    pre = cfg["pretrain"]
+    _require("pretrain.text_low", pre["text_low"], int, lambda v: v >= 0, "an integer >= 0")
+    _require("pretrain.text_high", pre["text_high"], int, lambda v: v >= pre["text_low"], "an integer >= text_low")
+    _require("pretrain.alphabet", pre["alphabet"], str, len, "a non-empty string")
+
+
+def _require(name: str, value, kind, ok, what: str) -> None:
+    """Raise a ``ConfigError`` unless ``value`` is a ``kind`` (not a bool) that ``ok`` accepts."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -197,6 +197,10 @@ class TrainReport:
     checkpoints: list[str] = field(default_factory=list)
     log_rows: list[dict] = field(default_factory=list)
     final_loss: float = float("nan")
+    # the compressor text cache (zero when the run trains the compressor)
+    text_cache_hits: int = 0
+    text_cache_misses: int = 0
+    text_cache_bytes: int = 0
 
 
 def _micro_batches(batch: list, k: int) -> list[list]:
@@ -219,6 +223,13 @@ def train(
     ``corpus`` is a sequence of TaskSamples; batches are drawn in a
     deterministic seeded shuffle, re-derivable at resume so a resumed run
     is bit-identical to an uninterrupted one.
+
+    When the optimizer updates no ``compressor.`` parameter and no memory
+    token, so none of them takes a gradient, the compressor keeps each
+    text's state at its cache point for the length of the call
+    (``Compressor.text_cache``): every text runs through the layers up to
+    the first GNN layer once per run. The cached rows are the bits a fresh
+    computation gives, so losses, checkpoints and resume do not change.
     """
     samples = list(corpus)
     if not samples:
@@ -246,7 +257,12 @@ def train(
             for t in s.targets:
                 tokens_seen += len(model.target_ids(t.target_text))
 
-    with _frozen(opt), _loss_log(loss_log_path, start_step) as log_file:
+    # _frozen switches off every parameter the optimizer skips before the cache condition is read
+    with (
+        _frozen(opt),
+        model.compressor.text_cache() if model.compressor.frozen else nullcontext() as cache,
+        _loss_log(loss_log_path, start_step) as log_file,
+    ):
         for step in range(start_step, cfg.max_steps):
             batch = batch_for_step(step)
             total_targets = sum(len(s.targets) for s in batch)
@@ -296,7 +312,8 @@ def train(
                 if log_file is not None:
                     log_file.write(f"{step},{lr:.8g},{loss_value:.8g},{grad_norm:.8g},{tokens_seen}\n")
                     log_file.flush()
-                log.info("step %d lr %.3g loss %.4f grad_norm %.3f", step, lr, loss_value, grad_norm)
+                cached = "" if cache is None else f" text cache hit rate {cache.hits / (cache.hits + cache.misses):.1%}"
+                log.info("step %d lr %.3g loss %.4f grad_norm %.3f%s", step, lr, loss_value, grad_norm, cached)
             if out_dir is not None and (
                 (step + 1) % cfg.checkpoint_every == 0 or step == cfg.max_steps - 1
             ):
@@ -307,6 +324,9 @@ def train(
                     extra_config={"train_step": step + 1, "train": asdict(cfg)},
                 )
                 report.checkpoints.append(str(path))
+        if cache is not None:
+            report.text_cache_hits, report.text_cache_misses = cache.hits, cache.misses
+            report.text_cache_bytes = cache.bytes
     report.final_loss = report.losses[-1] if report.losses else float("nan")
     return report
 

@@ -69,6 +69,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["nope.x=1"])
 
+    def test_cli_config_builds_the_api_model(self):
+        # init_std follows the d_model a config sets, as ModelConfig's default does
+        cfg = load_config(None, ["model.d_model=32"])
+        cli_params = GofaModel(ModelConfig(**cfg["model"]), seed=0).parameters()
+        for name, t in GofaModel(ModelConfig(d_model=32), seed=0).parameters().items():
+            assert np.array_equal(cli_params[name].data, t.data), name
+
     def test_build_id_stable(self):
         cfg = default_config()
         assert build_id(cfg) == build_id(json.loads(json.dumps(cfg)))
@@ -202,6 +209,13 @@ class TestExitCodes:
             ("autoencode-pretrain", "pretrain.steps=0"),
             ("gen-corpus", "corpus.question_style=verbose"),
             ("eval", "eval.kind=bogus"),
+            ("gen-corpus", "gen.test_fraction=1.5"),
+            ("gen-corpus", "gen.test_fraction=0"),
+            ("eval", "eval.batch_size=0"),
+            ("eval", "eval.max_new_tokens=0"),
+            ("eval", "eval.delta_profile_n=0"),
+            ("autoencode-pretrain", "pretrain.text_low=9"),
+            ("autoencode-pretrain", 'pretrain.alphabet=""'),
         ],
     )
     def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):

@@ -44,12 +44,12 @@ def concatenated_run(comp, sequences, memory_hook=None):
     for t, layer in enumerate(comp.stack.layers, start=1):
         xs = [layer_forward(x, layer, cfg, *c) for x, c in zip(xs, consts)]
         if memory_hook is not None and t in cfg.gnn_layers:
-            new = memory_hook(gather_in_order([x[:, -k:] for x in xs], buckets), t)
+            new = memory_hook(gather_in_order([x[:, -k:] for x in xs], [b.indices for b in buckets]), t)
             xs = [
                 concat([x[:, : b.text_len], gather_rows(new, b.indices)], axis=1) if b.text_len else gather_rows(new, b.indices)
                 for x, b in zip(xs, buckets)
             ]
-    return gather_in_order([x[:, -k:] for x in xs], buckets)
+    return gather_in_order([x[:, -k:] for x in xs], [b.indices for b in buckets])
 
 
 # texts in buckets of length 0, 4, 8, 16, 24 and 48, several sharing one
@@ -349,6 +349,108 @@ class TestBuckets:
                 for have, ref in ((b.ids, ids), (b.pos, pos), (b.mask, mask)):
                     assert have.dtype == ref.dtype and have.shape == ref.shape
                     assert have.tobytes() == ref.tobytes()
+
+
+class TestBatchIndependence:
+    """A text's memory rows must not depend on the other texts of a call:
+    the text cache computes them in one batch and serves them to later ones."""
+
+    @settings(max_examples=25, deadline=None)
+    @example(BOUNDARY_LENGTHS + [600], 4, np.float64, 0)
+    @example(BOUNDARY_LENGTHS + [600], 1, np.float32, 1)
+    @given(
+        st.lists(st.one_of(st.sampled_from(BOUNDARY_LENGTHS), st.integers(0, 40)), min_size=2, max_size=6),
+        st.integers(1, 4),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_memory_alone_in_a_subset_and_padded_among_longer_texts(self, lengths, k, dtype, seed):
+        precision = "float32" if dtype is np.float32 else "float64"
+        cfg = tiny_cfg(memory_tokens=k, n_layers=3, gnn_layers=(2,), max_seq_len=520, precision=precision)
+        model = GofaModel(cfg, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        seqs = [list(rng.integers(0, 256, n)) for n in lengths]
+        with no_grad():
+            full = model.compressor.run(seqs).data
+            for i, seq in enumerate(seqs):
+                alone = model.compressor.run([seq]).data[0]
+                subset = [j for j in range(len(seqs)) if j == i or rng.random() < 0.5]
+                among = model.compressor.run([seqs[j] for j in subset]).data[subset.index(i)]
+                assert alone.dtype == dtype
+                assert alone.tobytes() == full[i].tobytes() == among.tobytes(), f"text of length {len(seq)}"
+
+
+class TestTextCache:
+    # three calls that share texts, the last one repeating the first
+    CALLS = [SPLIT_TEXTS[:6], SPLIT_TEXTS[3:] + ["link", "new one"], SPLIT_TEXTS[:6]]
+
+    @staticmethod
+    def _frozen_model(cfg, seed):
+        model = GofaModel(cfg, seed=seed)
+        for name, t in model.parameters().items():
+            t.requires_grad = not name.startswith(("compressor.", "memory_tokens"))
+        return model
+
+    def _calls(self, model, hook, w, upstream):
+        out = []
+        for texts in self.CALLS:
+            w.zero_grad()
+            mems = model.compressor.run([tokenizer.encode(t) for t in texts], memory_hook=hook)
+            if hook is not None:
+                (mems * upstream[: len(texts)]).sum().backward()
+            out.append((mems.data, None if w.grad is None else w.grad.copy()))
+        return out
+
+    @pytest.mark.parametrize("gnn_layers", [(1, 2), ()])
+    def test_cached_calls_match_uncached(self, rng, gnn_layers):
+        cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
+        model = self._frozen_model(cfg, seed=11)
+        hook, w = TestSplitRun._hook_and_weight(cfg, rng)
+        hook = hook if gnn_layers else None
+        upstream = Tensor(rng.normal(size=(len(SPLIT_TEXTS), cfg.memory_tokens, cfg.d_model)))
+        uncached = self._calls(model, hook, w, upstream)
+        with model.compressor.text_cache() as cache:
+            cached = self._calls(model, hook, w, upstream)
+            assert model.compressor._cache is cache
+            stored = set(cache.entries)
+        for (mem_a, grad_a), (mem_b, grad_b) in zip(uncached, cached):
+            assert mem_a.tobytes() == mem_b.tobytes()
+            assert (grad_a is None) == (grad_b is None) == (hook is None)
+            assert grad_a is None or grad_a.tobytes() == grad_b.tobytes()
+        distinct = {tuple(tokenizer.encode(t)) for texts in self.CALLS for t in texts}
+        assert stored == distinct and cache.misses == len(distinct)
+        assert cache.hits == sum(len(set(texts)) for texts in self.CALLS) - len(distinct)
+        k, d = cfg.memory_tokens, cfg.d_model
+        assert cache.bytes == sum(8 * d * (len(key) + k) for key in distinct)
+        assert cache.entries == {} and model.compressor._cache is None
+
+    def test_repeated_call_skips_the_layers_below_the_cache_point(self, monkeypatch):
+        for gnn_layers, ran in (((1,), [2, 3]), ((), [])):
+            cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
+            model = self._frozen_model(cfg, seed=12)
+            names = {id(p): i + 1 for i, p in enumerate(model.compressor_stack.layers)}
+            called = []
+            inner = layer_forward
+
+            def recording(x, p, *rest):
+                called.append(names[id(p)])
+                return inner(x, p, *rest)
+
+            monkeypatch.setattr("gofa.compressor.layer_forward", recording)
+            seqs = [tokenizer.encode(t) for t in SPLIT_TEXTS]
+            with model.compressor.text_cache():
+                model.compressor.run(seqs)
+                called.clear()
+                model.compressor.run(seqs)
+            assert sorted(set(called)) == ran
+            monkeypatch.undo()
+
+    def test_refuses_a_compressor_that_takes_gradients(self):
+        model = GofaModel(tiny_cfg(), seed=13)
+        with pytest.raises(ValueError, match="frozen compressor"):
+            with model.compressor.text_cache():
+                pass
+        assert model.compressor._cache is None
 
 
 class TestAutoencoder:

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import logging
 from dataclasses import asdict
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from gofa import training
 
 from gofa.autodiff import Tensor
-from gofa.compressor import ModelConfig
+from gofa.compressor import Compressor, ModelConfig
 from gofa.corpus import CorpusConfig
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, TaskSample, attach_prompt_node
+from gofa.evaluation import perplexity
 from gofa.training import (
     AdamW,
     TrainConfig,
@@ -301,6 +303,137 @@ class TestResume:
         blob_a = (tmp_path / "a" / "checkpoint_000004.gofa").read_bytes()
         blob_b = (tmp_path / "b" / "checkpoint_000004.gofa").read_bytes()
         assert blob_a == blob_b
+
+
+class TestTextCache:
+    """Under a frozen compressor, ``train`` reads every text's state at the
+    cache point from ``Compressor.text_cache``; nothing it computes changes."""
+
+    FREEZE = ("compressor.", "memory_tokens")
+
+    @staticmethod
+    def _cache_states(monkeypatch) -> list[bool]:
+        """Whether a text cache is open, for every ``Compressor.run`` call."""
+        seen = []
+        inner = Compressor.run
+
+        def run(comp, sequences, memory_hook=None):
+            seen.append(comp._cache is not None)
+            return inner(comp, sequences, memory_hook=memory_hook)
+
+        monkeypatch.setattr(Compressor, "run", run)
+        return seen
+
+    def test_cached_and_uncached_training_are_bit_equal(self, monkeypatch):
+        corpus = make_corpus(6, seed=6)
+        tcfg = TrainConfig(lr=1e-3, max_steps=7, batch_size=2, freeze=self.FREEZE, gate_lr_mult=25.0, seed=4)
+        runs = []
+        for cached in (True, False):
+            if not cached:
+                monkeypatch.setattr(Compressor, "frozen", property(lambda comp: False))
+            grads = []
+            inner = training.clip_gradients
+
+            def recording(params, max_norm):
+                grads.append([None if t.grad is None else t.grad.copy() for t in params])
+                return inner(params, max_norm)
+
+            monkeypatch.setattr(training, "clip_gradients", recording)
+            model = GofaModel(tiny_cfg(n_layers=3, gnn_layers=(1, 2)), seed=34)
+            report = train(model, corpus, tcfg)
+            runs.append((report, grads, {n: t.data.copy() for n, t in model.parameters().items()}))
+            monkeypatch.undo()
+        (cached, cached_grads, cached_params), (plain, plain_grads, plain_params) = runs
+        assert cached.text_cache_hits > 0 and cached.text_cache_misses > 0 and cached.text_cache_bytes > 0
+        assert (plain.text_cache_hits, plain.text_cache_misses, plain.text_cache_bytes) == (0, 0, 0)
+        assert cached.losses == plain.losses
+        assert len(cached_grads) == len(plain_grads) == tcfg.max_steps
+        for step_a, step_b in zip(cached_grads, plain_grads):
+            for a, b in zip(step_a, step_b):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        for name, data in plain_params.items():
+            assert cached_params[name].tobytes() == data.tobytes(), name
+
+    def test_interrupted_cached_run_resumes_to_identical_checkpoint(self, tmp_path, monkeypatch):
+        corpus = make_corpus(6, seed=4)
+        cfg = TrainConfig(lr=1e-3, max_steps=6, batch_size=2, checkpoint_every=3, seed=2, freeze=self.FREEZE, gate_lr_mult=25.0)
+        train(GofaModel(tiny_cfg(), seed=21), corpus, cfg, out_dir=tmp_path / "full")
+
+        class Interrupted(Exception):
+            pass
+
+        inner = GofaModel.forward_batch
+        steps = []
+
+        def forward_batch(m, samples, use_gnn=True):
+            if len(steps) == 5:
+                raise Interrupted
+            steps.append(m.compressor._cache is not None)
+            return inner(m, samples, use_gnn=use_gnn)
+
+        monkeypatch.setattr(GofaModel, "forward_batch", forward_batch)
+        with pytest.raises(Interrupted):
+            train(GofaModel(tiny_cfg(), seed=21), corpus, cfg, out_dir=tmp_path / "cut")
+        monkeypatch.undo()
+        assert steps == [True] * 5
+        resume(tmp_path / "cut" / "checkpoint_000003.gofa", corpus, out_dir=tmp_path / "resumed")
+        final = "checkpoint_000006.gofa"
+        assert (tmp_path / "resumed" / final).read_bytes() == (tmp_path / "full" / final).read_bytes()
+
+    @pytest.mark.parametrize(
+        "freeze, cached",
+        [
+            ((), False),
+            (("compressor.",), False),
+            (("memory_tokens", "compressor.layers.0."), False),
+            (("decoder.", "gnn."), False),
+            (("compressor.", "memory_tokens"), True),
+        ],
+    )
+    def test_cache_open_only_while_no_compressor_parameter_trains(self, freeze, cached, monkeypatch):
+        seen = self._cache_states(monkeypatch)
+        model = GofaModel(tiny_cfg(), seed=35)
+        samples = make_corpus(4)
+        report = train(model, samples, TrainConfig(lr=1e-3, max_steps=2, batch_size=2, freeze=freeze))
+        assert seen == [cached, cached]
+        assert (report.text_cache_misses > 0) == cached
+        # outside train no cache is open, whatever is frozen
+        for name, t in model.parameters().items():
+            t.requires_grad = not name.startswith(self.FREEZE)
+        seen.clear()
+        perplexity(model, samples, batch_size=2)
+        autoencode_pretrain(model, ["abab", "ba"], TrainConfig(lr=1e-3, max_steps=1, batch_size=2, freeze=self.FREEZE))
+        assert seen and not any(seen)
+        assert model.compressor._cache is None
+
+    def test_cache_emptied_after_divergence(self, tmp_path, monkeypatch):
+        caches = []
+        inner = Compressor.text_cache
+
+        @contextlib.contextmanager
+        def text_cache(comp):
+            with inner(comp) as cache:
+                caches.append(cache)
+                yield cache
+
+        monkeypatch.setattr(Compressor, "text_cache", text_cache)
+        model = GofaModel(tiny_cfg(), seed=36)
+        model.parameters()["decoder.final_norm"].data[0] = np.nan
+        tcfg = TrainConfig(lr=1e-3, max_steps=2, batch_size=2, freeze=self.FREEZE)
+        with pytest.raises(TrainingDivergedError):
+            train(model, make_corpus(4), tcfg, out_dir=tmp_path)
+        assert len(caches) == 1 and caches[0].misses > 0 and caches[0].bytes > 0
+        assert caches[0].entries == {}
+        assert model.compressor._cache is None
+
+    def test_log_line_reports_the_hit_rate(self, caplog):
+        tcfg = TrainConfig(lr=1e-3, max_steps=4, batch_size=2, log_every=1, freeze=self.FREEZE)
+        with caplog.at_level(logging.INFO, logger="gofa"):
+            report = train(GofaModel(tiny_cfg(), seed=37), make_corpus(4), tcfg)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
+        assert len(lines) == 4 and all("text cache hit rate" in line for line in lines)
+        rate = report.text_cache_hits / (report.text_cache_hits + report.text_cache_misses)
+        assert lines[-1].endswith(f"text cache hit rate {rate:.1%}")
 
 
 class TestTrainConfigRoundTrip:
