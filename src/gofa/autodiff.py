@@ -13,6 +13,7 @@ for inference paths.
 from __future__ import annotations
 
 import contextlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -384,10 +385,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return tensors[0]._make(out_data, tuple(tensors), bw)
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis=axis)
-
-
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Rows of ``x`` selected along axis 0; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -415,27 +412,120 @@ def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
     return x._make(out_data, (x,), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; rows sum to 1 along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """View [S, L, H*dh] as H heads [S, H, L, dh]."""
+    s, seq_len, d = x.shape
+    out_data = x.data.reshape(s, seq_len, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
     def bw(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accum(out_data * (g - dot), owned=True)
+        x._accum(g.transpose(0, 2, 1, 3).reshape(s, seq_len, d))
 
     return x._make(out_data, (x,), bw)
+
+
+@lru_cache(maxsize=8)
+def _half_swap(n: int) -> np.ndarray:
+    """Read-only indices that swap the two halves of an axis of length ``n``."""
+    swap = np.concatenate([np.arange(n // 2, n), np.arange(n // 2)])
+    swap.flags.writeable = False
+    return swap
+
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary positions: the halves [a, b] of the last axis become
+    [a cos - b sin, b cos + a sin]. ``cos`` holds each angle's cosine in
+    both halves and ``sin`` its sine, negated in the first half, so the
+    result is ``x * cos + swap(x) * sin``; both broadcast against ``x``."""
+    swap = _half_swap(x.shape[-1])
+    out_data = x.data * cos  # in x's memory order, which the matmuls that read it see
+    out_data += x.data.take(swap, axis=-1) * sin
+
+    def bw(g):
+        grad = g * cos
+        grad += (g * sin).take(swap, axis=-1)
+        x._accum(grad, owned=True)
+
+    return x._make(out_data, (x,), bw)
+
+
+# Score of a key a query may not see. It is finite, so a query that sees no
+# key at all gets a uniform row instead of NaN.
+_BLOCKED_SCORE = -1e30
+
+
+def blocked_keys(lq: int, lk: int, window: np.ndarray | None = None) -> np.ndarray | None:
+    """True where a query may not see a key; None when every query sees
+    every key.
+
+    The Lq queries are the last Lq of the Lk key columns, and each sees the
+    keys at or before its own column. ``window`` [S, 2] further limits row s
+    to the key columns ``window[s, 0] <= j < window[s, 1]``; the result is
+    then [S, Lq, Lk], else [Lq, Lk].
+    """
+    if window is None and lq == 1:
+        return None
+    cols = np.arange(lk)
+    last = np.arange(lk - lq, lk)  # each query's own column
+    if window is None:
+        return cols > last[:, None]
+    limit = np.minimum(last, window[:, 1:] - 1)  # [S, Lq]: the last key each query sees
+    return (cols < window[:, :1, None]) | (cols > limit[:, :, None])
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None) -> Tensor:
+    """Causal scaled dot-product attention with merged heads.
+
+    ``q`` is [S, H, Lq, dh] and ``k``, ``v`` are [S, H, Lk, dh]; the output
+    is [S, Lq, H*dh]. Which keys a query sees is set by ``blocked_keys``
+    from ``window``. A query that sees no key (a pad row) outputs the mean
+    of the values, a finite stand-in that passes no gradient.
+
+    Only the probabilities [S, H, Lq, Lk] are kept for the backward pass.
+    """
+    s, h, lq, dh = q.shape
+    lk = k.shape[2]
+    p = q.data @ k.data.swapaxes(-1, -2)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=p.dtype)
+    p *= scale
+    blocked = blocked_keys(lq, lk, window)
+    dead = None
+    if blocked is not None:
+        np.copyto(p, _BLOCKED_SCORE, where=blocked[:, None] if window is not None else blocked)
+        if window is not None:
+            dead = blocked.all(axis=-1)
+            dead = dead if dead.any() else None
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = (p @ v.data).transpose(0, 2, 1, 3).reshape(s, lq, h * dh)
+
+    def bw(g):
+        if dead is not None:
+            g = np.where(dead[:, :, None], 0, g)
+        gc = g.reshape(s, lq, h, dh).transpose(0, 2, 1, 3)
+        if q.requires_grad or k.requires_grad:
+            ds = gc @ v.data.swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if q.requires_grad:
+                q._accum(ds @ k.data, owned=True)
+            if k.requires_grad:
+                k._accum((q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+        if v.requires_grad:
+            v._accum(p.swapaxes(-1, -2) @ gc, owned=True)
+
+    return q._make(out_data, (q, k, v), bw)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """Scale by the reciprocal root-mean-square over the last axis."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / n
     r = 1.0 / np.sqrt(ms + eps)
     out_data = x.data * r * gain.data
-    n = x.shape[-1]
 
     def bw(g):
         if x.requires_grad:
@@ -448,6 +538,42 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return x._make(out_data, (x, gain), bw)
 
 
+def cross_entropy_rows(logits: Tensor, targets, ignore_index: int = -100) -> tuple[Tensor, np.ndarray]:
+    """Summed token NLL of each row and the count of its scored positions.
+
+    ``logits`` is [S, L, V]; ``targets`` an int array [S, L] whose entries
+    are class ids or ``ignore_index``. Returns an [S] tensor and an [S]
+    count array. Only scored positions are normalised, and the backward
+    pass writes only their gradient rows.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.ndim != 3 or targets.shape != logits.shape[:2]:
+        raise ShapeError(f"cross_entropy_rows expects [S, L, V] logits and [S, L] targets, got {logits.shape} / {targets.shape}")
+    v = logits.shape[-1]
+    row, col = np.nonzero(targets != ignore_index)
+    tgt = targets[row, col]
+    if np.any((tgt < 0) | (tgt >= v)):
+        raise ShapeError(f"target ids out of vocabulary range [0, {v})")
+    counts = np.bincount(row, minlength=targets.shape[0])
+    z = logits.data[row, col]
+    z -= z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    picked = z[np.arange(len(tgt)), tgt] - lse[:, 0]
+    ends = np.cumsum(counts)
+    # each row sums its own slice, as a lone [L, V] row would
+    totals = np.array([-picked[e - c : e].sum() if c else 0.0 for c, e in zip(counts, ends)], dtype=logits.dtype)
+
+    def bw(g):
+        grad = np.zeros_like(logits.data)
+        if len(tgt):
+            sm = np.exp(z - lse)
+            sm[np.arange(len(tgt)), tgt] -= 1.0
+            grad[row, col] = sm * g[row][:, None]
+        logits._accum(grad, owned=True)
+
+    return logits._make(totals, (logits,), bw), counts
+
+
 def cross_entropy_sum(logits: Tensor, targets, ignore_index: int = -100) -> tuple[Tensor, int]:
     """Summed token NLL and the count of scored positions.
 
@@ -457,28 +583,8 @@ def cross_entropy_sum(logits: Tensor, targets, ignore_index: int = -100) -> tupl
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy expects [N, V] logits and [N] targets, got {logits.shape} / {targets.shape}")
-    valid = targets != ignore_index
-    count = int(valid.sum())
-    v = logits.shape[1]
-    if np.any((targets[valid] < 0) | (targets[valid] >= v)):
-        raise ShapeError(f"target ids out of vocabulary range [0, {v})")
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    rows = np.nonzero(valid)[0]
-    nll = -logp[rows, targets[rows]].sum() if count else 0.0
-
-    def bw(g):
-        grad = np.zeros_like(logits.data)
-        if count:
-            sm = np.exp(logp[rows])
-            sm[np.arange(len(rows)), targets[rows]] -= 1.0
-            grad[rows] = sm * g
-        logits._accum(grad, owned=True)
-
-    out = logits._make(np.asarray(nll), (logits,), bw)
-    return out, count
+    totals, counts = cross_entropy_rows(logits.reshape(1, *logits.shape), targets[None], ignore_index)
+    return totals.reshape(()), int(counts[0])
 
 
 def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:

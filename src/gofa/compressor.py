@@ -8,9 +8,10 @@ same layer machinery also powers the separate decoder stack that generates
 target text from a memory prefix.
 
 Sequences are grouped into length buckets; text tokens are left-padded so
-memory slots always occupy the trailing K columns of a bucket. Padding
-columns are masked out of attention and contribute exact zeros, so a
-single-sequence call is arithmetically identical however it is routed.
+memory slots always occupy the trailing K columns of a bucket. Each row's
+real columns form one window that its attention keys are limited to, so
+padding columns contribute exact zeros and a single-sequence call is
+arithmetically identical however it is routed.
 
 Compression runs in two phases split at the cache point ``min(gnn_layers)``
 (the last layer without GNN layers). Up to it no hook has touched the
@@ -26,15 +27,14 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, concat, gather_rows, no_grad, rms_norm, softmax
+from .autodiff import Tensor, attention, concat, gather_rows, no_grad, rms_norm, rope, split_heads
 
 log = logging.getLogger("gofa")
-
-MASK_VALUE = -1e30
 
 _BUCKET_STEPS = (0, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 
@@ -56,6 +56,10 @@ class ModelConfig:
 
     def __post_init__(self):
         self.gnn_layers = tuple(sorted(self.gnn_layers))
+        if self.init_std is not None and self.init_std <= 0:
+            raise ValueError("init_std must be positive")
+        if self.embed_std <= 0:
+            raise ValueError("embed_std must be positive")
         if self.init_std is None:
             self.init_std = float(self.d_model) ** -0.5
         if self.d_model % self.n_heads != 0:
@@ -128,20 +132,25 @@ class TransformerStack:
         self.final_norm = store.add(f"{prefix}.final_norm", np.ones(d)) if with_final_norm else None
 
 
+@lru_cache(maxsize=16)  # a few configurations per process; tables are read-only
 def _rope_tables(n_pos: int, half: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rotations [n_pos, 2*half] of positions 0..n_pos-1 in the
+    form ``autodiff.rope`` takes: cosines in both halves, sines negated in
+    the first half."""
     inv = base ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
     angles = np.arange(n_pos, dtype=np.float64)[:, None] * inv[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    tables = np.concatenate([cos, cos], axis=1), np.concatenate([-sin, sin], axis=1)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    # x: [S, H, L, dh]; cos/sin: [S, 1, L, dh/2] constants
-    half = x.shape[-1] // 2
-    a = x[..., :half]
-    b = x[..., half:]
-    cos_t = Tensor(cos, dtype=cos.dtype)
-    sin_t = Tensor(sin, dtype=sin.dtype)
-    return concat([a * cos_t - b * sin_t, b * cos_t + a * sin_t], axis=-1)
+def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every position a bucket of ``cfg`` can hold, pad
+    columns of the longest decode bucket included."""
+    k = cfg.memory_tokens
+    return _rope_tables(_bucket_len(cfg.max_seq_len - k) + k, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
 
 
 class LayerKV:
@@ -185,38 +194,30 @@ class LayerKV:
         )
 
 
-def _heads(t: Tensor, cfg: ModelConfig) -> Tensor:
-    s, seq_len, _ = t.shape
-    return t.reshape(s, seq_len, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
-
-
 def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, cos: np.ndarray, sin: np.ndarray) -> tuple[Tensor, Tensor]:
     """Rotated keys and values [S, H, L, dh] of the normalised rows ``xn``."""
-    return _apply_rope(_heads(xn @ p["wk"], cfg), cos, sin), _heads(xn @ p["wv"], cfg)
+    return rope(split_heads(xn @ p["wk"], cfg.n_heads), cos, sin), split_heads(xn @ p["wv"], cfg.n_heads)
 
 
 def layer_forward(
-    x: Tensor, p: dict, cfg: ModelConfig, mask: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
+    x: Tensor, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
     kv: LayerKV | None = None,
 ) -> Tensor:
     """One pre-norm transformer block over [S, L, d].
 
-    ``mask`` is an additive attention mask; None lets every query see every
-    key. With ``kv``, the keys and values of ``x`` are appended to the cached
-    ones and the queries attend over all of them.
+    The rows of ``x`` are the last L key columns, and each attends causally;
+    ``window`` [S, 2] further limits row s to the key columns
+    ``window[s, 0] <= j < window[s, 1]`` (see ``autodiff.blocked_keys``).
+    ``cos`` and ``sin`` rotate the rows of ``x``. With ``kv``, the keys and
+    values of ``x`` are appended to the cached ones and the queries attend
+    over all of them.
     """
-    s, seq_len, d = x.shape
     xn = rms_norm(x, p["attn_norm"])
-    q = _apply_rope(_heads(xn @ p["wq"], cfg), cos, sin)
+    q = rope(split_heads(xn @ p["wq"], cfg.n_heads), cos, sin)
     k, v = _keys_values(xn, p, cfg, cos, sin)
     if kv is not None:
         k, v = kv.extend(k, v)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.head_dim))
-    if mask is not None:
-        scores = scores + Tensor(mask, dtype=mask.dtype)
-    att = softmax(scores, axis=-1)
-    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(s, seq_len, d)
-    x = x + ctx @ p["wo"]
+    x = x + attention(q, k, v, window) @ p["wo"]
     xn2 = rms_norm(x, p["ff_norm"])
     return x + (xn2 @ p["ff1"]).silu() @ p["ff2"]
 
@@ -236,7 +237,7 @@ class _Bucket:
     indices: list[int]
     ids: np.ndarray  # [Sb, Lb] token ids, padded on the side away from the memory rows
     pos: np.ndarray  # [Sb, Lb + K] rotary position ids
-    mask: np.ndarray  # [Sb, 1, L, L] additive attention mask
+    window: np.ndarray  # [Sb, 2] each row's real columns: first, one past the last
     text_len: int  # Lb
 
 
@@ -251,13 +252,13 @@ def _truncate(seq: list[int], limit: int, what: str, keep_head: bool = False) ->
     return seq
 
 
-def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype, memory_first: bool) -> list[_Bucket]:
+def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bool) -> list[_Bucket]:
     """Group sequences by padded text length into [Sb, Lb + K] buckets.
 
     Compression puts the K memory rows after left-padded text; decoding
     (``memory_first``) puts them before right-padded text. Either way a
-    row's text and memory rows form one unpadded block starting at column
-    ``start``: positions count from it, and each query sees the keys of
+    row's text and memory rows form one unpadded block, its ``window``:
+    positions count from its first column, and each query sees the keys of
     that block at or before it.
 
     A text too long for ``max_seq_len`` keeps its last tokens; a target
@@ -280,38 +281,32 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype, memory_fi
         for row, i in enumerate(idxs):
             ids[row, start[row] : start[row] + n[row]] = seqs[i]
         col = np.arange(total, dtype=np.int64) - start[:, None]  # [Sb, L], 0 at the block's first column
-        real = (col >= 0) & (col < (n + k)[:, None])
-        allowed = np.tril(np.ones((total, total), dtype=bool)) & real[:, None, :]
-        mask = np.where(allowed, 0.0, MASK_VALUE).astype(dtype, copy=False)
-        buckets.append(_Bucket(idxs, ids, np.maximum(col, 0), mask[:, None, :, :], lb))
+        window = np.stack([start, start + n + k], axis=1)
+        buckets.append(_Bucket(idxs, ids, np.maximum(col, 0), window, lb))
     return buckets
 
 
 def make_compress_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype) -> list[_Bucket]:
-    """Buckets of [left-padded text ; K memory rows]."""
-    return _make_buckets(sequences, cfg, dtype, memory_first=False)
+    """Buckets of [left-padded text ; K memory rows]. A bucket holds integer
+    arrays only, whatever the model's ``dtype``."""
+    return _make_buckets(sequences, cfg, memory_first=False)
 
 
 def make_decode_buckets(targets: list[list[int]], cfg: ModelConfig, dtype) -> list[_Bucket]:
-    """Buckets of [K memory rows ; right-padded target tokens]."""
-    return _make_buckets(targets, cfg, dtype, memory_first=True)
-
-
-def _bucket_consts(bucket: _Bucket, cfg: ModelConfig, dtype):
-    half = cfg.head_dim // 2
-    n_pos = int(bucket.pos.max()) + 1
-    cos_tab, sin_tab = _rope_tables(n_pos, half, cfg.rope_base, dtype)
-    cos = cos_tab[bucket.pos][:, None, :, :]
-    sin = sin_tab[bucket.pos][:, None, :, :]
-    return bucket.mask, cos, sin
+    """Buckets of [K memory rows ; right-padded target tokens]. A bucket
+    holds integer arrays only, whatever the model's ``dtype``."""
+    return _make_buckets(targets, cfg, memory_first=True)
 
 
 def _split_consts(bucket: _Bucket, cfg: ModelConfig):
-    """Mask, cos and sin of a compression bucket's text rows and of its
-    memory rows, each indexed by bucket row on axis 0."""
-    mask, cos, sin = _bucket_consts(bucket, cfg, cfg.dtype)
+    """Window, cos and sin of a compression bucket's text rows and of its
+    memory rows, each indexed by bucket row on axis 0. Rows start at
+    different columns, so each row reads its own positions' rotations."""
+    cos_tab, sin_tab = _rotation_tables(cfg)
+    cos, sin = cos_tab[bucket.pos][:, None], sin_tab[bucket.pos][:, None]
     lb = bucket.text_len
-    return (mask[:, :, :lb, :lb], cos[:, :, :lb], sin[:, :, :lb]), (mask[:, :, lb:], cos[:, :, lb:], sin[:, :, lb:])
+    w = bucket.window
+    return (w, cos[:, :, :lb], sin[:, :, :lb]), (w, cos[:, :, lb:], sin[:, :, lb:])
 
 
 def gather_in_order(per_bucket: list[Tensor], indices: list[list[int]]) -> Tensor:
@@ -374,8 +369,8 @@ class Compressor:
     def run(self, sequences: list[list[int]], memory_hook=None) -> Tensor:
         """Compress token sequences to a [S, K, d] memory tensor.
 
-        Each bucket runs as two tensors: the text rows [S, Lb, d] under their
-        own causal mask, and the memory rows [S, K, d] as a K-position
+        Each bucket runs as two tensors: the text rows [S, Lb, d] attending
+        causally within their windows, and the memory rows [S, K, d] as a K-position
         extension that attends to the layer's text keys and values plus its
         own. Causal attention keeps text rows independent of memory rows, so
         the split computes what one [text; memory] tensor per bucket would,
@@ -491,7 +486,7 @@ class _DecodeState:
     decoded after it, with RoPE tables for every position a window can use."""
 
     def __init__(self, cfg: ModelConfig, n_layers: int):
-        cos, sin = _rope_tables(cfg.max_seq_len, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        cos, sin = _rotation_tables(cfg)
         self.cos, self.sin = cos[None, None], sin[None, None]
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
         self.memory: Tensor | None = None
@@ -522,13 +517,15 @@ class Decoder:
 
     def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig):
         d = cfg.d_model
-        dtype = cfg.dtype
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
         x = concat([mem_rows, emb], axis=1) if lb else mem_rows
-        mask, cos, sin = _bucket_consts(bucket, cfg, dtype)
+        # every decode row starts at column 0, so positions are columns
+        cos_tab, sin_tab = _rotation_tables(cfg)
+        total = lb + cfg.memory_tokens
+        cos, sin = cos_tab[None, None, :total], sin_tab[None, None, :total]
         for layer in self.stack.layers:
-            x = layer_forward(x, layer, cfg, mask, cos, sin)
+            x = layer_forward(x, layer, cfg, bucket.window, cos, sin)
         xn = rms_norm(x, self.stack.final_norm)
         return xn @ self.stack.embed.swapaxes(0, 1)
 
@@ -560,7 +557,6 @@ class Decoder:
                 state.prefix.append(prefix[-1])
                 pos = k + len(prefix) - 1
                 x = gather_rows(self.stack.embed, prefix[-1:]).reshape(1, 1, d)
-                mask = None
                 cos, sin = state.cos[:, :, pos : pos + 1], state.sin[:, :, pos : pos + 1]
             else:
                 if state is None:
@@ -576,9 +572,8 @@ class Decoder:
                 if window:
                     x = concat([x, gather_rows(self.stack.embed, window).reshape(1, len(window), d)], axis=1)
                 total = k + len(window)
-                mask = np.triu(np.full((total, total), MASK_VALUE, dtype=cfg.dtype), 1)[None, None]
                 cos, sin = state.cos[:, :, :total], state.sin[:, :, :total]
             for layer, kv in zip(self.stack.layers, state.layers):
-                x = layer_forward(x, layer, cfg, mask, cos, sin, kv)
+                x = layer_forward(x, layer, cfg, None, cos, sin, kv)
             xn = rms_norm(x[:, -1:, :], self.stack.final_norm)
             return (xn @ self.stack.embed.swapaxes(0, 1)).data[0, 0]

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .compressor import ModelConfig
@@ -21,6 +24,9 @@ from .corpus import CorpusConfig
 from .training import TrainConfig
 
 EVAL_KINDS = ("auto", "structural", "accuracy", "perplexity")
+
+# Bit-exact results hold for a fixed BLAS thread count, which these set.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -131,5 +137,8 @@ def write_run_meta(out_dir: Path, cfg: dict) -> None:
         "seed": cfg.get("seed", 0),
         "version": __version__,
         "build_id": build_id(cfg),
+        # what the bits of a run depend on besides the config
+        "numpy": np.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")

@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, concat, cross_entropy_sum, gather_rows, no_grad
+from .autodiff import Tensor, concat, cross_entropy_rows, gather_rows, no_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, make_decode_buckets
 from .gnn import gnn_layer, init_gnn_layer, representation_change_ratio
@@ -149,11 +149,13 @@ class GofaModel:
             mem_rows = gather_rows(memories, b.indices)
             logits = self.decoder._forward_bucket(mem_rows, b, cfg)
             sb, lb = b.ids.shape
+            # the position before each target token predicts it; pad columns score nothing
+            n = b.window[:, 1:] - k
+            labels = np.full((sb, k + lb), -100, dtype=np.int64)
+            labels[:, k - 1 : k - 1 + lb] = np.where(np.arange(lb) < n, b.ids, -100)
+            totals, counts = cross_entropy_rows(logits, labels)
             for row, i in enumerate(b.indices):
-                n = min(len(targets[i]), cfg.max_seq_len - k)
-                labels = np.full(k + lb, -100, dtype=np.int64)
-                labels[k - 1 : k - 1 + n] = b.ids[row, :n]
-                results[i] = cross_entropy_sum(logits[row], labels)
+                results[i] = (totals[row], int(counts[row]))
         return results
 
     def encode_targets(self, samples: list[TaskSample], use_gnn: bool = True) -> tuple[Tensor, list[list[int]]]:

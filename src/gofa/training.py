@@ -60,6 +60,14 @@ class TrainConfig:
             raise ValueError("min_lr_fraction must lie in (0, 1]")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
+        # beta = 1 divides the first step's moments by 1 - beta**1 = 0
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {list(self.betas)}")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
+        for name in ("weight_decay", "restarts", "gate_lr_mult"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def cosine_restart_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:

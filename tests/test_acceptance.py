@@ -13,7 +13,7 @@ import pytest
 
 from gofa import tokenizer
 from gofa.autodiff import Tensor, no_grad
-from gofa.compressor import MASK_VALUE, ModelConfig, _rope_tables, layer_forward
+from gofa.compressor import ModelConfig, _rope_tables, layer_forward
 from gofa.corpus import (
     CorpusConfig,
     LOOKUP_VALUES,
@@ -108,12 +108,11 @@ def test_criterion_02_gradient_integrity():
     total = 9
     x = Tensor(rng.normal(size=(1, total, cfg.d_model)), requires_grad=True)
     up = Tensor(rng.normal(size=(1, total, cfg.d_model)))
-    mask = np.where(np.tril(np.ones((total, total), dtype=bool)), 0.0, MASK_VALUE)[None, None]
     cos_t, sin_t = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
     pos = np.arange(total)[None]
     layer = model.compressor_stack.layers[0]
-    _fd_check(
-        lambda: (layer_forward(x, layer, cfg, mask, cos_t[pos][:, None], sin_t[pos][:, None]) * up).sum(),
+    _fd_check(  # plain causal attention: no window
+        lambda: (layer_forward(x, layer, cfg, None, cos_t[pos][:, None], sin_t[pos][:, None]) * up).sum(),
         [x, layer["wq"], layer["ff1"], layer["attn_norm"]],
         rng,
     )

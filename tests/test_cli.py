@@ -11,7 +11,7 @@ import gofa
 from gofa.checkpoint import load_checkpoint
 from gofa.cli import main
 from gofa.compressor import ModelConfig
-from gofa.config import ConfigError, build_id, default_config, load_config
+from gofa.config import BLAS_THREAD_VARS, ConfigError, build_id, default_config, load_config
 from gofa.model import GofaModel
 from gofa.taskgen import read_samples
 
@@ -87,12 +87,22 @@ class TestGenCorpus:
         code = run(["gen-corpus", "--out", str(out), "--set", "corpus.n_graphs=6"])
         assert code == 0
         meta = json.loads((out / "run_meta.json").read_text())
-        assert {"config", "seed", "version", "build_id"} <= set(meta)
+        assert {"config", "seed", "version", "build_id", "numpy", "blas_threads"} <= set(meta)
+        assert meta["numpy"] == np.__version__
         for name in ("completion", "spd", "cn", "qa", "lookup_single", "lookup_double"):
             assert (out / f"{name}_train.jsonl").exists()
             assert (out / f"{name}_test.jsonl").exists()
         samples = read_samples(out / "spd_train.jsonl")
         assert samples and samples[0].task_kind == "spd"
+
+    def test_run_meta_records_the_blas_thread_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert run(["gen-corpus", "--out", str(tmp_path), "--set", "corpus.n_graphs=2"]) == 0
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        assert set(meta["blas_threads"]) == set(BLAS_THREAD_VARS)
 
     def test_idempotent(self, tmp_path):
         args = ["gen-corpus", "--set", "corpus.n_graphs=4"]
@@ -216,6 +226,17 @@ class TestExitCodes:
             ("eval", "eval.delta_profile_n=0"),
             ("autoencode-pretrain", "pretrain.text_low=9"),
             ("autoencode-pretrain", 'pretrain.alphabet=""'),
+            ("train", "train.betas=[1.0,0.95]"),
+            ("train", "train.betas=[0.9,-0.1]"),
+            ("train", "train.betas=[0.9]"),
+            ("train", "train.eps=0"),
+            ("train", "train.weight_decay=-1"),
+            ("train", "train.restarts=-3"),
+            ("train", "train.gate_lr_mult=-1"),
+            ("autoencode-pretrain", "train.betas=[0.9,1.0]"),
+            ("train", "model.embed_std=-1"),
+            ("train", "model.embed_std=0"),
+            ("train", "model.init_std=0"),
         ],
     )
     def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):

@@ -4,10 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gofa import tokenizer
-from gofa.autodiff import Tensor, concat, gather_rows, no_grad
+from gofa.autodiff import Tensor, blocked_keys, concat, gather_rows, no_grad
 from gofa.compressor import (
     _BUCKET_STEPS,
-    MASK_VALUE,
     LayerKV,
     ModelConfig,
     _bucket_len,
@@ -16,7 +15,6 @@ from gofa.compressor import (
     layer_forward,
     make_compress_buckets,
     make_decode_buckets,
-    _bucket_consts,
 )
 from gofa.model import GofaModel
 from gofa.training import TrainConfig, autoencode_pretrain
@@ -29,8 +27,8 @@ def tiny_cfg(**kw):
 
 
 def concatenated_run(comp, sequences, memory_hook=None):
-    """Reference compressor: one [text; memory] tensor per bucket under the
-    full causal mask, memory rows sliced out for the hook and put back."""
+    """Reference compressor: one [text; memory] tensor per bucket under its
+    rows' windows, memory rows sliced out for the hook and put back."""
     cfg = comp.stack.cfg
     k, d = cfg.memory_tokens, cfg.d_model
     buckets = make_compress_buckets(sequences, cfg, cfg.dtype)
@@ -40,7 +38,10 @@ def concatenated_run(comp, sequences, memory_hook=None):
         mem = comp.memory.reshape(1, k, d).broadcast_to((sb, k, d))
         emb = gather_rows(comp.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d)
         xs.append(concat([emb, mem], axis=1) if lb else mem)
-    consts = [_bucket_consts(b, cfg, cfg.dtype) for b in buckets]
+    consts = []
+    for b in buckets:
+        cos_tab, sin_tab = _rope_tables(int(b.pos.max()) + 1, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        consts.append((b.window, cos_tab[b.pos][:, None], sin_tab[b.pos][:, None]))
     for t, layer in enumerate(comp.stack.layers, start=1):
         xs = [layer_forward(x, layer, cfg, *c) for x, c in zip(xs, consts)]
         if memory_hook is not None and t in cfg.gnn_layers:
@@ -110,13 +111,12 @@ class TestEmbedding:
 
 class TestTransformerLayer:
     def _run_layer(self, cfg, x_data, model):
-        # Plain causal constants matching x exactly: no padding, positions 0..L-1.
+        # Plain causal attention over x exactly: no padding, positions 0..L-1.
         total = x_data.shape[1]
-        mask = np.where(np.tril(np.ones((total, total), dtype=bool)), 0.0, MASK_VALUE)[None, None]
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         pos = np.arange(total)[None, :]
         cos, sin = cos_tab[pos][:, None], sin_tab[pos][:, None]
-        return layer_forward(Tensor(x_data), model.compressor_stack.layers[0], cfg, mask, cos, sin)
+        return layer_forward(Tensor(x_data), model.compressor_stack.layers[0], cfg, None, cos, sin)
 
     def test_causality_text_positions(self, rng):
         # Perturbing text token j leaves every output before j unchanged.
@@ -158,7 +158,7 @@ class TestTransformerLayer:
 
     def test_kv_steps_match_full_causal_pass(self, rng):
         # Prefill 5 positions, then feed the rest one at a time against the
-        # cached K/V with no mask: every output row matches one causal pass.
+        # cached K/V: every output row matches one causal pass.
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=4)
         layer = model.compressor_stack.layers[0]
@@ -167,10 +167,9 @@ class TestTransformerLayer:
         full = self._run_layer(cfg, x, model).data
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         cos, sin = cos_tab[None, None], sin_tab[None, None]
-        mask = np.where(np.tril(np.ones((5, 5), dtype=bool)), 0.0, MASK_VALUE)[None, None]
         kv = LayerKV(capacity=total)
         with no_grad():
-            rows = [layer_forward(Tensor(x[:, :5]), layer, cfg, mask, cos[:, :, :5], sin[:, :, :5], kv).data]
+            rows = [layer_forward(Tensor(x[:, :5]), layer, cfg, None, cos[:, :, :5], sin[:, :, :5], kv).data]
             for i in range(5, total):
                 step = slice(i, i + 1)
                 rows.append(layer_forward(Tensor(x[:, step]), layer, cfg, None, cos[:, :, step], sin[:, :, step], kv).data)
@@ -266,10 +265,11 @@ class TestSplitRun:
         assert taped == [(16, False), (k, False), (16, False), (k, False), (k, True)]
 
 
-def reference_buckets(sequences, cfg, dtype, memory_first):
+def reference_buckets(sequences, cfg, memory_first):
     """Per-row bucket builder: text left-padded before the K memory rows and
     cut to its last tokens, or (``memory_first``) right-padded after them and
-    cut to its first tokens; one row at a time."""
+    cut to its first tokens; one row at a time. Each row's dense [L, L]
+    mask of the keys its queries see and its window of real columns."""
     limit = cfg.max_seq_len - cfg.memory_tokens
     k = cfg.memory_tokens
     seqs = [list(s)[:limit] if memory_first else list(s)[-limit:] for s in sequences]
@@ -282,7 +282,8 @@ def reference_buckets(sequences, cfg, dtype, memory_first):
         total = lb + k
         ids = np.full((len(idxs), lb), tokenizer.PAD_ID, dtype=np.int64)
         pos = np.zeros((len(idxs), total), dtype=np.int64)
-        mask = np.full((len(idxs), total, total), MASK_VALUE, dtype=dtype)
+        window = np.zeros((len(idxs), 2), dtype=np.int64)
+        seen = np.zeros((len(idxs), total, total), dtype=bool)
         causal = np.tril(np.ones((total, total), dtype=bool))
         for row, i in enumerate(idxs):
             s = seqs[i]
@@ -297,8 +298,9 @@ def reference_buckets(sequences, cfg, dtype, memory_first):
                 pos[row, lb - n : lb] = np.arange(n)
                 pos[row, lb:] = np.arange(n, n + k)
                 real[lb - n :] = True
-            mask[row][causal & real[None, :]] = 0.0
-        out.append((idxs, ids, pos, mask[:, None], lb))
+            seen[row] = causal & real[None, :]
+            window[row] = np.flatnonzero(real)[[0, -1]] + [0, 1]
+        out.append((idxs, ids, pos, window, seen, lb))
     return out
 
 
@@ -342,13 +344,20 @@ class TestBuckets:
         seqs = [list(rng.integers(0, 256, n)) for n in lengths]
         for build, memory_first in ((make_compress_buckets, False), (make_decode_buckets, True)):
             got = build(seqs, cfg, dtype)
-            want = reference_buckets(seqs, cfg, dtype, memory_first)
+            want = reference_buckets(seqs, cfg, memory_first)
             assert len(got) == len(want)
-            for b, (idxs, ids, pos, mask, lb) in zip(got, want):
+            for b, (idxs, ids, pos, window, seen, lb) in zip(got, want):
                 assert b.indices == idxs and b.text_len == lb
-                for have, ref in ((b.ids, ids), (b.pos, pos), (b.mask, mask)):
+                for have, ref in ((b.ids, ids), (b.pos, pos), (b.window, window)):
                     assert have.dtype == ref.dtype and have.shape == ref.shape
                     assert have.tobytes() == ref.tobytes()
+                # the keys attention masks from the window: whole bucket, and the
+                # text rows and memory rows the split compressor runs apart
+                total = lb + k
+                assert np.array_equal(blocked_keys(total, total, b.window), ~seen)
+                if not memory_first:
+                    assert np.array_equal(blocked_keys(lb, lb, b.window), ~seen[:, :lb, :lb])
+                    assert np.array_equal(blocked_keys(k, total, b.window), ~seen[:, lb:])
 
 
 class TestBatchIndependence:

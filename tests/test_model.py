@@ -7,7 +7,7 @@ from conftest import assert_grad_close, finite_difference
 from gofa import compressor, tokenizer
 from gofa.autodiff import Tensor, no_grad
 from gofa.checkpoint import load_checkpoint, save_checkpoint
-from gofa.compressor import MASK_VALUE, ModelConfig, _rope_tables, layer_forward, make_decode_buckets
+from gofa.compressor import ModelConfig, _rope_tables, layer_forward, make_decode_buckets
 from gofa.gnn import gnn_layer
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, GraphError, TaskSample, attach_prompt_node
@@ -54,10 +54,9 @@ def unrolled_encode(model: GofaModel, graph: TAG):
         ids = np.asarray(s, dtype=np.int64)
         emb = model.compressor_stack.embed.data[ids] if len(s) else np.zeros((0, d))
         x = np.concatenate([emb, model.memory_tokens.data], axis=0)[None]
-        mask = np.where(np.tril(np.ones((total, total), dtype=bool)), 0.0, MASK_VALUE)[None, None]
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         pos = np.arange(total)[None]
-        consts.append((mask, cos_tab[pos][:, None], sin_tab[pos][:, None]))
+        consts.append((None, cos_tab[pos][:, None], sin_tab[pos][:, None]))  # plain causal attention
         states.append(Tensor(x))
 
     n_nodes = graph.n_nodes()
