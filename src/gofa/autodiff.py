@@ -55,7 +55,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned")
+    # __weakref__ lets tests see when the tape lets go of a tensor
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -110,7 +111,9 @@ class Tensor:
         out._backward = None
         out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         if out.requires_grad:
-            out._parents = parents
+            # backward walks only parents that take a gradient; keeping the
+            # others would hold frozen inputs alive until backward runs
+            out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
         return out
 
@@ -241,20 +244,23 @@ class Tensor:
         other = self._coerce(other)
         if self.data.shape[-1] != other.data.shape[-2]:
             raise ShapeError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
-        out_data = self.data @ other.data
+        a, b = self.data, other.data
+        out_data = a @ b
+        # a frozen operand is kept by its data only
+        x = self if self.requires_grad else None
+        w = other if other.requires_grad else None
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.shape), owned=True)
-            if other.requires_grad:
-                if other.data.ndim == 2 and g.ndim > 2:
+            if x is not None:
+                x._accum(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape), owned=True)
+            if w is not None:
+                if b.ndim == 2 and g.ndim > 2:
                     # stacked activations against a flat weight: fold the
                     # batch into one GEMM instead of summing a stack
-                    k = self.data.shape[-1]
-                    gb = self.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-                    other._accum(gb, owned=True)
+                    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                    w._accum(gb, owned=True)
                 else:
-                    other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape), owned=True)
+                    w._accum(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape), owned=True)
 
         return self._make(out_data, (self, other), bw)
 
@@ -270,16 +276,6 @@ class Tensor:
             self._accum(g.reshape(src_shape))
 
         return self._make(out_data, (self,), bw)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-
-        def bw(g):
-            self._accum(g.transpose(inv))
-
-        return self._make(self.data.transpose(axes), (self,), bw)
 
     def swapaxes(self, a: int, b: int):
         def bw(g):
@@ -351,17 +347,12 @@ class Tensor:
 
         return self._make(out_data, (self,), bw)
 
-    def log(self):
-        def bw(g):
-            self._accum(g / self.data, owned=True)
-
-        return self._make(np.log(self.data), (self,), bw)
-
     def silu(self):
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * sig
+        out_data = self.data * (1.0 / (1.0 + np.exp(-self.data)))
 
         def bw(g):
+            # recomputed rather than kept: one array less per call until backward
+            sig = 1.0 / (1.0 + np.exp(-self.data))
             self._accum(g * sig * (1.0 + self.data * (1.0 - sig)), owned=True)
 
         return self._make(out_data, (self,), bw)
@@ -371,13 +362,13 @@ class Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    out_data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    # only the parts that take a gradient are kept for backward
+    parts = [(t, start, stop) for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]) if t.requires_grad]
 
     def bw(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, start, stop in parts:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, stop)
             t._accum(g[tuple(idx)])
@@ -572,27 +563,6 @@ def cross_entropy_rows(logits: Tensor, targets, ignore_index: int = -100) -> tup
         logits._accum(grad, owned=True)
 
     return logits._make(totals, (logits,), bw), counts
-
-
-def cross_entropy_sum(logits: Tensor, targets, ignore_index: int = -100) -> tuple[Tensor, int]:
-    """Summed token NLL and the count of scored positions.
-
-    ``logits`` is [N, V]; ``targets`` an int array of length N whose entries
-    are class ids or ``ignore_index``.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise ShapeError(f"cross_entropy expects [N, V] logits and [N] targets, got {logits.shape} / {targets.shape}")
-    totals, counts = cross_entropy_rows(logits.reshape(1, *logits.shape), targets[None], ignore_index)
-    return totals.reshape(()), int(counts[0])
-
-
-def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
-    """Mean NLL over non-ignored positions; errors on an empty batch."""
-    total, count = cross_entropy_sum(logits, targets, ignore_index)
-    if count == 0:
-        raise ShapeError("cross_entropy: no effective targets (all ignored)")
-    return total * (1.0 / count)
 
 
 def global_grad_norm(tensors: list[Tensor]) -> float:

@@ -13,13 +13,18 @@ real columns form one window that its attention keys are limited to, so
 padding columns contribute exact zeros and a single-sequence call is
 arithmetically identical however it is routed.
 
-Compression runs in two phases split at the cache point ``min(gnn_layers)``
-(the last layer without GNN layers). Up to it no hook has touched the
-memory rows, so a text's rows are a function of the text alone: phase 1
-computes them once per distinct token sequence of a call, or reads them
-from a ``Compressor.text_cache()`` that keeps them across calls. Phase 2
-runs the hooks and the remaining layers with memory rows per sequence and
-text rows still per distinct text.
+Compression runs in two phases split at the cache point ``t0 =
+min(gnn_layers)`` (the last layer without GNN layers). Only memory rows
+pass through the hooks, and causal attention keeps text rows from reading
+memory rows, so a text's rows at every layer are a function of the text
+alone. Each distinct token sequence of a call runs once: phase 1 runs
+layers 1..t0, and phase 2 the hooks and the layers after t0, with memory
+rows per sequence that read their text's keys and values. A
+``Compressor.text_cache()`` keeps what the memory rows need of a text: its
+memory rows at t0 and its text rows at the input of each layer after t0.
+A text runs through the layers once, to fill its entry; from then on each
+layer rebuilds the text's keys and values from the cached rows, and only
+memory rows run through layers.
 """
 
 from __future__ import annotations
@@ -320,10 +325,12 @@ def gather_in_order(per_bucket: list[Tensor], indices: list[list[int]]) -> Tenso
 
 @dataclass
 class TextCache:
-    """Each text's compressor state at the cache point, keyed by its token
-    tuple: its real text rows [n, d] and its memory rows [K, d], before any
-    hook. ``hits`` and ``misses`` count the distinct texts of each call
-    found and not found; ``bytes`` is the size of every entry stored."""
+    """What the memory rows of each text read after the cache point t0,
+    keyed by its token tuple: its real text rows at the inputs of layers
+    t0+1..n, one [n_layers - t0, n, d] array, and its memory rows [K, d] at
+    the output of layer t0, before any hook. ``hits`` and ``misses`` count
+    the distinct texts of each call found and not found; ``bytes`` is the
+    size of every entry stored."""
 
     entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     hits: int = 0
@@ -350,8 +357,9 @@ class Compressor:
 
     @contextmanager
     def text_cache(self):
-        """Keep every text's state at the cache point across ``run`` calls
-        until the block exits, and read it back instead of recomputing it;
+        """Keep what each text's memory rows read after the cache point (a
+        ``TextCache`` entry) across ``run`` calls until the block exits, and
+        read it back instead of recomputing it;
         yields the ``TextCache``, which is emptied on exit. An entry is a
         function of the text only while the compressor does not change, so
         the block opens only on a ``frozen`` compressor, and no parameter
@@ -370,21 +378,25 @@ class Compressor:
         """Compress token sequences to a [S, K, d] memory tensor.
 
         Each bucket runs as two tensors: the text rows [S, Lb, d] attending
-        causally within their windows, and the memory rows [S, K, d] as a K-position
-        extension that attends to the layer's text keys and values plus its
-        own. Causal attention keeps text rows independent of memory rows, so
-        the split computes what one [text; memory] tensor per bucket would,
-        up to the order in which a softmax row's terms are summed. Text rows
-        carry a tape only when the compressor itself is trained, and the last
-        layer computes only their keys and values.
+        causally within their windows, and the memory rows [S, K, d] as a
+        K-position extension that attends to the layer's text keys and
+        values plus its own. Causal attention keeps text rows independent
+        of memory rows, so the split computes what one [text; memory] tensor
+        per bucket would, up to the order in which a softmax row's terms are
+        summed. Text rows carry a tape only when the compressor itself is
+        trained, and the last layer computes only their keys and values.
 
         Phase 1 runs layers 1..t0, ``t0 = min(cfg.gnn_layers)`` (all layers
-        without GNN layers), once per distinct sequence, skipping the ones
-        an open ``text_cache()`` holds. Phase 2 gives every sequence its own
-        memory rows, reading its text's keys and values, and runs the hook
-        at t0 and layers t0+1..n. A text's rows do not depend on the other
-        texts of its bucket, so either phase gives each sequence the bits it
-        would get alone.
+        without GNN layers), once per distinct sequence. Phase 2 gives every
+        sequence its own memory rows and runs the hook at t0 and layers
+        t0+1..n, text rows still once per distinct text. With a
+        ``text_cache()`` open, each text it does not hold yet first runs
+        once and is stored: its text rows through layers 1..n-1, its memory
+        rows through layers 1..t0. Then every text is read from the cache:
+        phase 1 computes nothing, and in phase 2 each layer rebuilds the
+        text keys and values from the cached rows and runs only the memory
+        rows. A text's rows do not depend on the other texts of its bucket,
+        so every path gives each sequence the bits it would get alone.
 
         ``memory_hook(mems, layer_idx)`` may return a replacement [S, K, d]
         tensor after each layer listed in ``cfg.gnn_layers``.
@@ -393,6 +405,8 @@ class Compressor:
         t0 = min(cfg.gnn_layers, default=cfg.n_layers)
         keys = [tuple(s) for s in sequences]
         distinct = list(dict.fromkeys(keys))
+        if self._cache is not None:
+            self._fill_cache(t0, distinct)
         buckets = make_compress_buckets(distinct, cfg, cfg.dtype)
         slot = {distinct[u]: (i, row) for i, b in enumerate(buckets) for row, u in enumerate(b.indices)}
         members: list[list[int]] = [[] for _ in buckets]  # the sequences of each bucket
@@ -404,7 +418,10 @@ class Compressor:
         texts, mems, consts = [], [], []
         for b, owner in zip(buckets, owners):
             text_consts, mem_consts = _split_consts(b, cfg)
-            text, mem = self._state_at(t0, b, [distinct[u] for u in b.indices], text_consts, mem_consts)
+            if self._cache is not None:
+                text, mem = self._cached_state(t0, b, [distinct[u] for u in b.indices])
+            else:
+                text, mem = self._state_at(t0, b, text_consts, mem_consts)
             rows = None if owner == list(range(len(b.indices))) else np.asarray(owner, dtype=np.int64)
             if rows is not None:
                 mem = gather_rows(mem, rows)
@@ -423,58 +440,78 @@ class Compressor:
                     mems = [gather_rows(new_mems, m) for m in members]
         return gather_in_order(mems, members)
 
-    def _state_at(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts):
+    def _state_at(self, t0: int, bucket: _Bucket, text_consts, mem_consts):
         """Phase 1 for one bucket of distinct texts: their text rows (None
-        without text columns) and memory rows at the output of layer ``t0``,
-        read from the open cache or computed and stored there."""
+        without text columns) and memory rows at the output of layer
+        ``t0``."""
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
+        sb, lb = bucket.ids.shape
+        text = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d) if lb else None
+        mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
+        for t in range(1, t0 + 1):
+            text, mem = self._layer(t, text, mem, text_consts, mem_consts)
+        return text, mem
+
+    def _fill_cache(self, t0: int, keys: list[tuple[int, ...]]) -> None:
+        """Store each of the distinct texts ``keys`` that the open cache does
+        not hold yet: its real text rows at the inputs of layers t0+1..n
+        and its memory rows at the output of layer ``t0``."""
+        cfg = self.stack.cfg
         cache = self._cache
-        table = cache.entries if cache is not None else {}
-        lb = bucket.text_len
-        miss = [row for row, key in enumerate(keys) if key not in table]
-        text = mem = None
-        if miss:
-            sb = len(miss)
-            if lb:
-                text = gather_rows(self.stack.embed, bucket.ids[miss].reshape(-1)).reshape(sb, lb, d)
-            mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
-            sub_text = tuple(c[miss] for c in text_consts)
-            sub_mem = tuple(c[miss] for c in mem_consts)
-            for t in range(1, t0 + 1):
-                text, mem = self._layer(t, text, mem, sub_text, sub_mem)
-        if cache is not None:
-            cache.hits += len(keys) - len(miss)
-            cache.misses += len(miss)
-            for j, row in enumerate(miss):
-                n = min(len(keys[row]), cfg.max_seq_len - k)
-                entry = (text.data[j, lb - n :].copy() if lb else np.zeros((0, d), cfg.dtype), mem.data[j].copy())
-                table[keys[row]] = entry
-                cache.bytes += entry[0].nbytes + entry[1].nbytes
-        if len(miss) == len(keys):
-            return text, mem
-        # some rows come from the cache, so nothing here carries a tape; pad rows
-        # are zeros, which masked attention never reads
-        text_rows = np.zeros((len(keys), lb, d), dtype=cfg.dtype)
-        mem_rows = np.empty((len(keys), k, d), dtype=cfg.dtype)
+        missing = [key for key in keys if key not in cache.entries]
+        cache.hits += len(keys) - len(missing)
+        cache.misses += len(missing)
+        for b in make_compress_buckets(missing, cfg, cfg.dtype):
+            text_consts, mem_consts = _split_consts(b, cfg)
+            text, mem = self._state_at(t0, b, text_consts, mem_consts)
+            lb = b.text_len
+            real = [min(len(missing[u]), cfg.max_seq_len - cfg.memory_tokens) for u in b.indices]
+            stored = [np.empty((cfg.n_layers - t0, n, cfg.d_model), dtype=cfg.dtype) for n in real]
+            for t in range(t0 + 1, cfg.n_layers + 1) if lb else ():
+                for rows, n, x in zip(stored, real, text.data):
+                    rows[t - t0 - 1] = x[lb - n :]  # the rows at the input of layer t
+                if t < cfg.n_layers:
+                    text = layer_forward(text, self.stack.layers[t - 1], cfg, *text_consts)
+            for u, rows, m in zip(b.indices, stored, mem.data):
+                cache.entries[missing[u]] = rows, m.copy()
+                cache.bytes += rows.nbytes + m.nbytes
+
+    def _cached_state(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]]):
+        """Phase 1 for one bucket of texts the open cache holds: their text
+        rows at the inputs of layers t0+1..n, one [m, Lb, d] tensor per
+        layer (None without text columns), and their memory rows at the
+        output of layer ``t0``. Pad rows are zeros, which masked attention
+        never reads."""
+        cfg = self.stack.cfg
+        m, lb = bucket.ids.shape
+        text = np.zeros((cfg.n_layers - t0, m, lb, cfg.d_model), dtype=cfg.dtype)
+        mem = np.empty((m, cfg.memory_tokens, cfg.d_model), dtype=cfg.dtype)
         for row, key in enumerate(keys):
-            real, mem_rows[row] = table[key]
-            text_rows[row, lb - len(real) :] = real
-        return (Tensor(text_rows, dtype=cfg.dtype) if lb else None), Tensor(mem_rows, dtype=cfg.dtype)
+            real, mem[row] = self._cache.entries[key]
+            text[:, row, lb - real.shape[1] :] = real
+        return ([Tensor(x, dtype=cfg.dtype) for x in text] if lb else None), Tensor(mem, dtype=cfg.dtype)
 
     def _layer(self, t: int, text, mem: Tensor, text_consts, mem_consts, rows=None):
-        """Layer ``t`` over one bucket's text rows [m, Lb, d] (None without
-        text columns) and memory rows [S, K, d]; memory row j reads the keys
-        and values of text row ``rows[j]``, or of row j without ``rows``."""
+        """Layer ``t`` over one bucket's text rows and memory rows [S, K, d];
+        memory row j reads the keys and values of text row ``rows[j]``, or
+        of row j without ``rows``. ``text`` is None without text columns,
+        the text rows [m, Lb, d] at the layer's input, or, for cached texts,
+        a list of those rows at the inputs of layers t..n, whose first
+        gives this layer's keys and values. Returns the text rows for layer
+        t+1 in the same form, and the memory rows."""
         cfg = self.stack.cfg
         layer = self.stack.layers[t - 1]
         kv = LayerKV()
         if text is not None:
-            if t < cfg.n_layers:
+            _, cos, sin = text_consts
+            if isinstance(text, list):
+                kv.extend(*_keys_values(rms_norm(text[0], layer["attn_norm"]), layer, cfg, cos, sin))
+                text = text[1:]
+            elif t < cfg.n_layers:
                 text = layer_forward(text, layer, cfg, *text_consts, kv)
             else:
                 # nothing reads the last layer's text rows but the memory rows' attention
-                _, cos, sin = text_consts
                 kv.extend(*_keys_values(rms_norm(text, layer["attn_norm"]), layer, cfg, cos, sin))
             if rows is not None:
                 kv.keys, kv.values = gather_rows(kv.keys, rows), gather_rows(kv.values, rows)

@@ -233,11 +233,12 @@ def train(
     is bit-identical to an uninterrupted one.
 
     When the optimizer updates no ``compressor.`` parameter and no memory
-    token, so none of them takes a gradient, the compressor keeps each
-    text's state at its cache point for the length of the call
-    (``Compressor.text_cache``): every text runs through the layers up to
-    the first GNN layer once per run. The cached rows are the bits a fresh
-    computation gives, so losses, checkpoints and resume do not change.
+    token, so none of them takes a gradient, the compressor keeps what
+    each text's memory rows read for the length of the call
+    (``Compressor.text_cache``): every text runs through the compressor
+    once per run, and after the first GNN layer each step runs only memory
+    rows. The cached rows are the bits a fresh computation gives, so
+    losses, checkpoints and resume do not change.
     """
     samples = list(corpus)
     if not samples:

@@ -390,8 +390,9 @@ class TestBatchIndependence:
 
 
 class TestTextCache:
-    # three calls that share texts, the last one repeating the first
-    CALLS = [SPLIT_TEXTS[:6], SPLIT_TEXTS[3:] + ["link", "new one"], SPLIT_TEXTS[:6]]
+    # three calls that share texts, the last one repeating the first; one text
+    # is longer than max_seq_len
+    CALLS = [SPLIT_TEXTS[:6], SPLIT_TEXTS[3:] + ["link", "new one", "y" * 60], SPLIT_TEXTS[:6]]
 
     @staticmethod
     def _frozen_model(cfg, seed):
@@ -410,7 +411,7 @@ class TestTextCache:
             out.append((mems.data, None if w.grad is None else w.grad.copy()))
         return out
 
-    @pytest.mark.parametrize("gnn_layers", [(1, 2), ()])
+    @pytest.mark.parametrize("gnn_layers", [(1, 2), (), (2,)])
     def test_cached_calls_match_uncached(self, rng, gnn_layers):
         cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
         model = self._frozen_model(cfg, seed=11)
@@ -429,12 +430,13 @@ class TestTextCache:
         distinct = {tuple(tokenizer.encode(t)) for texts in self.CALLS for t in texts}
         assert stored == distinct and cache.misses == len(distinct)
         assert cache.hits == sum(len(set(texts)) for texts in self.CALLS) - len(distinct)
-        k, d = cfg.memory_tokens, cfg.d_model
-        assert cache.bytes == sum(8 * d * (len(key) + k) for key in distinct)
+        # text rows at the inputs of layers t0+1..n, memory rows at t0
+        k, d, later = cfg.memory_tokens, cfg.d_model, cfg.n_layers - min(gnn_layers, default=cfg.n_layers)
+        assert cache.bytes == sum(8 * d * (later * min(len(key), cfg.max_seq_len - k) + k) for key in distinct)
         assert cache.entries == {} and model.compressor._cache is None
 
     def test_repeated_call_skips_the_layers_below_the_cache_point(self, monkeypatch):
-        for gnn_layers, ran in (((1,), [2, 3]), ((), [])):
+        for gnn_layers, ran in (((1,), [2, 3]), ((2,), [3]), ((), [])):
             cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
             model = self._frozen_model(cfg, seed=12)
             names = {id(p): i + 1 for i, p in enumerate(model.compressor_stack.layers)}
@@ -442,7 +444,7 @@ class TestTextCache:
             inner = layer_forward
 
             def recording(x, p, *rest):
-                called.append(names[id(p)])
+                called.append((names[id(p)], x.shape[1]))
                 return inner(x, p, *rest)
 
             monkeypatch.setattr("gofa.compressor.layer_forward", recording)
@@ -451,7 +453,9 @@ class TestTextCache:
                 model.compressor.run(seqs)
                 called.clear()
                 model.compressor.run(seqs)
-            assert sorted(set(called)) == ran
+            assert sorted({t for t, _ in called}) == ran
+            # no text row runs through a layer: every call holds K memory rows
+            assert {rows for _, rows in called} <= {cfg.memory_tokens}
             monkeypatch.undo()
 
     def test_refuses_a_compressor_that_takes_gradients(self):
