@@ -8,7 +8,8 @@ from gofa.compressor import ModelConfig
 from gofa.corpus import CorpusConfig, gen_completion_corpus, split_corpus
 from gofa.evaluation import perplexity
 from gofa.model import GofaModel
-from gofa.training import TrainConfig, autoencode_pretrain, train
+from gofa.taskgen import make_autoencode_task
+from gofa.training import TrainConfig, train
 
 ae_steps = int(sys.argv[1]) if len(sys.argv) > 1 else 400
 steps = int(sys.argv[2]) if len(sys.argv) > 2 else 600
@@ -31,7 +32,7 @@ mcfg = ModelConfig(d_model=32, n_heads=4, n_layers=layers, memory_tokens=4,
 base = GofaModel(mcfg, seed=7)
 ae_cfg = TrainConfig(lr=2e-3, weight_decay=0.0, grad_clip=1.0, batch_size=16,
                      max_steps=ae_steps, seed=9, freeze=("gnn.",))
-ae_report = autoencode_pretrain(base, texts, ae_cfg)
+ae_report = train(base, [make_autoencode_task(t) for t in texts], ae_cfg)
 print(f"AE pretrain: loss {ae_report.losses[0]:.3f} -> {ae_report.final_loss:.3f} "
       f"({time.time()-t0:.0f}s)", flush=True)
 snapshot = {k: v.data.copy() for k, v in base.parameters().items()}

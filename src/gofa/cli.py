@@ -44,8 +44,8 @@ from .corpus import LOOKUP_VALUES
 from .model import GofaModel
 from .structure import all_shortest_paths, common_neighbors
 from .tag import TaskSample
-from .taskgen import read_samples, render_cn_answer, render_spd_answer, write_samples
-from .training import TrainConfig, autoencode_pretrain, resume, train
+from .taskgen import make_autoencode_task, read_samples, render_cn_answer, render_spd_answer, write_samples
+from .training import TrainConfig, resume, train
 
 log = logging.getLogger("gofa")
 
@@ -116,7 +116,8 @@ def cmd_autoencode_pretrain(args) -> int:
         for _ in range(256)
     ]
     tcfg = TrainConfig(**pretrain_train_section(cfg))
-    report = autoencode_pretrain(model, texts, tcfg)
+    samples = [make_autoencode_task(t) for t in texts]
+    report = train(model, samples, tcfg, out_dir=out, loss_log_path=out / "loss_log.csv")
     model.save(out / "autoencoder.gofa")
     print(f"final reconstruction loss {report.final_loss:.4f}; checkpoint in {out}")
     return 0

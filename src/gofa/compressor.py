@@ -22,9 +22,10 @@ layers 1..t0, and phase 2 the hooks and the layers after t0, with memory
 rows per sequence that read their text's keys and values. A
 ``Compressor.text_cache()`` keeps what the memory rows need of a text: its
 memory rows at t0 and its text rows at the input of each layer after t0.
-A text runs through the layers once, to fill its entry; from then on each
-layer rebuilds the text's keys and values from the cached rows, and only
-memory rows run through layers.
+A call buckets its distinct texts once. The texts of a bucket that the
+cache lacks run through the layers once, as a row subset of that bucket,
+to fill their entries; from then on each layer rebuilds a text's keys and
+values from the cached rows, and only memory rows run through layers.
 """
 
 from __future__ import annotations
@@ -389,9 +390,11 @@ class Compressor:
         Phase 1 runs layers 1..t0, ``t0 = min(cfg.gnn_layers)`` (all layers
         without GNN layers), once per distinct sequence. Phase 2 gives every
         sequence its own memory rows and runs the hook at t0 and layers
-        t0+1..n, text rows still once per distinct text. With a
-        ``text_cache()`` open, each text it does not hold yet first runs
-        once and is stored: its text rows through layers 1..n-1, its memory
+        t0+1..n, text rows still once per distinct text. The distinct
+        texts are bucketed once per call. With a ``text_cache()`` open, the
+        texts of each bucket that it does not hold yet first run once, as
+        the subset of the bucket's rows and constants that holds them, and
+        are stored: their text rows through layers 1..n-1, their memory
         rows through layers 1..t0. Then every text is read from the cache:
         phase 1 computes nothing, and in phase 2 each layer rebuilds the
         text keys and values from the cached rows and runs only the memory
@@ -405,8 +408,6 @@ class Compressor:
         t0 = min(cfg.gnn_layers, default=cfg.n_layers)
         keys = [tuple(s) for s in sequences]
         distinct = list(dict.fromkeys(keys))
-        if self._cache is not None:
-            self._fill_cache(t0, distinct)
         buckets = make_compress_buckets(distinct, cfg, cfg.dtype)
         slot = {distinct[u]: (i, row) for i, b in enumerate(buckets) for row, u in enumerate(b.indices)}
         members: list[list[int]] = [[] for _ in buckets]  # the sequences of each bucket
@@ -419,9 +420,11 @@ class Compressor:
         for b, owner in zip(buckets, owners):
             text_consts, mem_consts = _split_consts(b, cfg)
             if self._cache is not None:
-                text, mem = self._cached_state(t0, b, [distinct[u] for u in b.indices])
+                b_keys = [distinct[u] for u in b.indices]
+                self._fill_cache(t0, b, b_keys, text_consts, mem_consts)
+                text, mem = self._cached_state(t0, b, b_keys)
             else:
-                text, mem = self._state_at(t0, b, text_consts, mem_consts)
+                text, mem = self._state_at(t0, b.ids, text_consts, mem_consts)
             rows = None if owner == list(range(len(b.indices))) else np.asarray(owner, dtype=np.int64)
             if rows is not None:
                 mem = gather_rows(mem, rows)
@@ -440,42 +443,45 @@ class Compressor:
                     mems = [gather_rows(new_mems, m) for m in members]
         return gather_in_order(mems, members)
 
-    def _state_at(self, t0: int, bucket: _Bucket, text_consts, mem_consts):
-        """Phase 1 for one bucket of distinct texts: their text rows (None
-        without text columns) and memory rows at the output of layer
-        ``t0``."""
+    def _state_at(self, t0: int, ids: np.ndarray, text_consts, mem_consts):
+        """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb]:
+        their text rows (None without text columns) and memory rows at the
+        output of layer ``t0``."""
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
-        sb, lb = bucket.ids.shape
-        text = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d) if lb else None
+        sb, lb = ids.shape
+        text = gather_rows(self.stack.embed, ids.reshape(-1)).reshape(sb, lb, d) if lb else None
         mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
         for t in range(1, t0 + 1):
             text, mem = self._layer(t, text, mem, text_consts, mem_consts)
         return text, mem
 
-    def _fill_cache(self, t0: int, keys: list[tuple[int, ...]]) -> None:
-        """Store each of the distinct texts ``keys`` that the open cache does
-        not hold yet: its real text rows at the inputs of layers t0+1..n
-        and its memory rows at the output of layer ``t0``."""
+    def _fill_cache(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts) -> None:
+        """Store each text of ``bucket`` (``keys``, one per row) that the
+        open cache does not hold yet: its real text rows at the inputs of
+        layers t0+1..n and its memory rows at the output of layer ``t0``.
+        The missing texts run as the subset of the bucket's rows and
+        constants that holds them."""
         cfg = self.stack.cfg
         cache = self._cache
-        missing = [key for key in keys if key not in cache.entries]
-        cache.hits += len(keys) - len(missing)
-        cache.misses += len(missing)
-        for b in make_compress_buckets(missing, cfg, cfg.dtype):
-            text_consts, mem_consts = _split_consts(b, cfg)
-            text, mem = self._state_at(t0, b, text_consts, mem_consts)
-            lb = b.text_len
-            real = [min(len(missing[u]), cfg.max_seq_len - cfg.memory_tokens) for u in b.indices]
-            stored = [np.empty((cfg.n_layers - t0, n, cfg.d_model), dtype=cfg.dtype) for n in real]
-            for t in range(t0 + 1, cfg.n_layers + 1) if lb else ():
-                for rows, n, x in zip(stored, real, text.data):
-                    rows[t - t0 - 1] = x[lb - n :]  # the rows at the input of layer t
-                if t < cfg.n_layers:
-                    text = layer_forward(text, self.stack.layers[t - 1], cfg, *text_consts)
-            for u, rows, m in zip(b.indices, stored, mem.data):
-                cache.entries[missing[u]] = rows, m.copy()
-                cache.bytes += rows.nbytes + m.nbytes
+        rows = [row for row, key in enumerate(keys) if key not in cache.entries]
+        cache.hits += len(keys) - len(rows)
+        cache.misses += len(rows)
+        if not rows:
+            return
+        text_consts, mem_consts = (tuple(c[rows] for c in consts) for consts in (text_consts, mem_consts))
+        text, mem = self._state_at(t0, bucket.ids[rows], text_consts, mem_consts)
+        lb = bucket.text_len
+        real = [min(len(keys[row]), cfg.max_seq_len - cfg.memory_tokens) for row in rows]
+        stored = [np.empty((cfg.n_layers - t0, n, cfg.d_model), dtype=cfg.dtype) for n in real]
+        for t in range(t0 + 1, cfg.n_layers + 1) if lb else ():
+            for text_rows, n, x in zip(stored, real, text.data):
+                text_rows[t - t0 - 1] = x[lb - n :]  # the rows at the input of layer t
+            if t < cfg.n_layers:
+                text = layer_forward(text, self.stack.layers[t - 1], cfg, *text_consts)
+        for row, text_rows, m in zip(rows, stored, mem.data):
+            cache.entries[keys[row]] = text_rows, m.copy()
+            cache.bytes += text_rows.nbytes + m.nbytes
 
     def _cached_state(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]]):
         """Phase 1 for one bucket of texts the open cache holds: their text

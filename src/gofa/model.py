@@ -212,16 +212,6 @@ class GofaModel:
                 ids.append(nxt)
         return tokenizer.decode(ids)
 
-    # -- objectives beyond graph decoding ---------------------------------------
-
-    def autoencode_loss(self, texts: list[str]) -> Tensor:
-        """Reconstruction objective: compress each text, then decode the
-        original tokens from the memory prefix alone. Mean over targets."""
-        if not texts:
-            raise GraphError("autoencode_loss requires a non-empty batch")
-        mems = self.encode_texts(texts)
-        return _mean_of_target_means(self.decoder_nll_per_target(mems, [self.target_ids(t) for t in texts]))
-
     # -- persistence ---------------------------------------------------------------
 
     def save(self, path, extra_tensors: dict[str, np.ndarray] | None = None, extra_config: dict | None = None) -> None:

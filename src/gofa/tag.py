@@ -60,7 +60,7 @@ class TaskSample:
 
     graph: "TAG"
     targets: list[GenerationTarget]
-    task_kind: str  # completion | spd | cn | qa | downstream
+    task_kind: str  # completion | spd | cn | qa | downstream | autoencode
 
     def validate(self) -> None:
         self.graph.validate()

@@ -249,6 +249,14 @@ def make_downstream_task(
     return sample
 
 
+def make_autoencode_task(text: str) -> TaskSample:
+    """Reconstruction sample (ICAE autoencoding): a one-node graph whose
+    target is the node's own text, decoded from its memory block alone."""
+    graph = TAG()
+    graph.add_node(text)
+    return TaskSample(graph=graph, targets=[GenerationTarget(nog=0, target_text=text)], task_kind="autoencode")
+
+
 # -- corpus serialization ---------------------------------------------------------
 
 

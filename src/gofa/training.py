@@ -340,27 +340,6 @@ def train(
     return report
 
 
-def autoencode_pretrain(model: GofaModel, texts: list[str], cfg: TrainConfig) -> TrainReport:
-    """Optimize the reconstruction objective over a pool of texts."""
-    if not texts:
-        raise ValueError("autoencode corpus is empty")
-    opt = AdamW(model.parameters(), cfg)
-    report = TrainReport(steps=cfg.max_steps)
-    rng = np.random.default_rng(cfg.seed)
-    with _frozen(opt):
-        for step in range(cfg.max_steps):
-            idx = rng.integers(0, len(texts), size=min(cfg.batch_size, len(texts)))
-            batch = [texts[i] for i in idx]
-            opt.zero_grad()
-            loss = model.autoencode_loss(batch)
-            loss.backward()
-            clip_gradients(list(opt.trainable.values()), cfg.grad_clip)
-            opt.step(cosine_restart_lr(step, cfg.max_steps, cfg))
-            report.losses.append(loss.item())
-    report.final_loss = report.losses[-1]
-    return report
-
-
 def resume(model_path, corpus, out_dir=None, use_gnn: bool = True, loss_log_path=None) -> tuple[GofaModel, TrainReport]:
     """Continue a checkpointed run to its configured max_steps."""
     model, extras, config = GofaModel.load(model_path)

@@ -274,6 +274,27 @@ class TestAutoencodeCommand:
         )
         assert code == 0
         assert (out / "autoencoder.gofa").exists()
+        assert (out / "checkpoint_000003.gofa").exists()
+        rows = (out / "loss_log.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "step,lr,loss,grad_norm,tokens_seen" and rows[-1].startswith("2,")
+
+    def test_diverging_run_exits_3_and_saves_nothing(self, tmp_path, monkeypatch, capsys):
+        class NanMemory(GofaModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.memory_tokens.data[0, 0] = np.nan
+
+        monkeypatch.setattr("gofa.cli.GofaModel", NanMemory)
+        out = tmp_path / "ae"
+        code = run(
+            ["autoencode-pretrain", "--out", str(out)]
+            + SMALL_MODEL
+            + ["--set", "pretrain.steps=3", "--set", "pretrain.batch_size=4"]
+        )
+        assert code == 3
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not (out / "autoencoder.gofa").exists()
+        assert not list(out.glob("checkpoint_*.gofa"))
 
 
 class TestAblateCommand:

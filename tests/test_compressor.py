@@ -16,8 +16,9 @@ from gofa.compressor import (
     make_compress_buckets,
     make_decode_buckets,
 )
-from gofa.model import GofaModel
-from gofa.training import TrainConfig, autoencode_pretrain
+from gofa.model import GofaModel, _mean_of_target_means
+from gofa.taskgen import make_autoencode_task
+from gofa.training import TrainConfig, train
 
 
 def tiny_cfg(**kw):
@@ -458,6 +459,25 @@ class TestTextCache:
             assert {rows for _, rows in called} <= {cfg.memory_tokens}
             monkeypatch.undo()
 
+    def test_each_distinct_text_is_bucketed_once(self, monkeypatch):
+        model = self._frozen_model(tiny_cfg(n_layers=3, gnn_layers=(1, 2)), seed=14)
+        bucketed = []
+
+        def recording(seqs, *rest):
+            bucketed.extend(tuple(s) for s in seqs)
+            return make_compress_buckets(seqs, *rest)
+
+        # hits, misses and duplicate texts ("" twice, three texts repeated)
+        texts = SPLIT_TEXTS[2:] + SPLIT_TEXTS[2:5]
+        distinct = {tuple(tokenizer.encode(t)) for t in texts}
+        with model.compressor.text_cache() as cache:
+            model.compressor.run([tokenizer.encode(t) for t in SPLIT_TEXTS[:4]])
+            hits, misses = cache.hits, cache.misses
+            monkeypatch.setattr("gofa.compressor.make_compress_buckets", recording)
+            model.compressor.run([tokenizer.encode(t) for t in texts])
+            assert (cache.hits - hits, cache.misses - misses) == (3, len(distinct) - 3)
+        assert len(bucketed) == len(distinct) and set(bucketed) == distinct
+
     def test_refuses_a_compressor_that_takes_gradients(self):
         model = GofaModel(tiny_cfg(), seed=13)
         with pytest.raises(ValueError, match="frozen compressor"):
@@ -466,11 +486,19 @@ class TestTextCache:
         assert model.compressor._cache is None
 
 
+def reference_autoencode_loss(model, texts):
+    """Reconstruction loss straight from the compressor and the decoder:
+    compress the bare texts, then decode each one's tokens from its memory
+    block alone; mean over texts."""
+    mems = model.encode_texts(texts)
+    return _mean_of_target_means(model.decoder_nll_per_target(mems, [model.target_ids(t) for t in texts]))
+
+
 class TestAutoencoder:
     def test_untrained_loss_near_uniform(self):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=0)
-        loss = model.autoencode_loss(["abab", "bbaa"])
+        loss, _, _ = model.forward_batch([make_autoencode_task(t) for t in ["abab", "bbaa"]])
         assert abs(loss.item() - np.log(cfg.vocab_size)) < 0.5
 
     def test_identical_texts_identical_memories(self):
@@ -479,6 +507,26 @@ class TestAutoencoder:
         mems = model.encode_texts(["same text", "same text"]).data
         assert np.array_equal(mems[0], mems[1])
 
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_one_node_tasks_match_the_reconstruction_loss(self, precision):
+        # an empty text, a duplicate, and one longer than max_seq_len - K
+        texts = ["abab", "", "bbaa", "a longer text in its own bucket", "abab", "z" * 70]
+        model = GofaModel(tiny_cfg(precision=precision), seed=3)
+        params = model.parameters()
+        runs = []
+        for loss_of in (
+            lambda: reference_autoencode_loss(model, texts),
+            lambda: model.forward_batch([make_autoencode_task(t) for t in texts])[0],
+        ):
+            model.zero_grad()
+            loss = loss_of()
+            loss.backward()
+            runs.append((loss.data.tobytes(), {n: None if t.grad is None else t.grad.tobytes() for n, t in params.items()}))
+        (ref_loss, ref_grads), (loss, grads) = runs
+        assert loss == ref_loss
+        assert all(grads[n] is not None for n in ("compressor.embed", "memory_tokens", "decoder.embed"))
+        assert grads == ref_grads
+
     def test_overfit_two_symbol_alphabet(self):
         # K >= text length on a 2-symbol alphabet: reconstruction drives
         # below 0.05 after overfitting 32 samples.
@@ -486,7 +534,8 @@ class TestAutoencoder:
         model = GofaModel(cfg, seed=5)
         rng = np.random.default_rng(7)
         texts = ["".join(rng.choice(["a", "b"], size=rng.integers(1, 5))) for _ in range(32)]
+        samples = [make_autoencode_task(t) for t in texts]
         tcfg = TrainConfig(lr=3e-3, weight_decay=0.0, grad_clip=1.0, batch_size=32, max_steps=400, seed=1)
-        report = autoencode_pretrain(model, texts, tcfg)
-        final = model.autoencode_loss(texts).item()
+        train(model, samples, tcfg)
+        final = model.forward_batch(samples)[0].item()
         assert final < 0.05, f"reconstruction loss stuck at {final}"

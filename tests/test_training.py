@@ -14,11 +14,11 @@ from gofa.corpus import CorpusConfig
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, TaskSample, attach_prompt_node
 from gofa.evaluation import perplexity
+from gofa.taskgen import make_autoencode_task
 from gofa.training import (
     AdamW,
     TrainConfig,
     TrainingDivergedError,
-    autoencode_pretrain,
     clip_gradients,
     cosine_restart_lr,
     resume,
@@ -187,7 +187,7 @@ class TestFreezing:
         tcfg = TrainConfig(lr=1e-3, max_steps=1, batch_size=2, freeze=self.FREEZE)
         train(model, make_corpus(2), tcfg)
         assert self._flags(model) == before
-        autoencode_pretrain(model, ["abab", "ba"], tcfg)
+        train(model, [make_autoencode_task(t) for t in ("abab", "ba")], tcfg)
         assert self._flags(model) == before
         model.memory_tokens.data[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
@@ -402,8 +402,15 @@ class TestTextCache:
             t.requires_grad = not name.startswith(self.FREEZE)
         seen.clear()
         perplexity(model, samples, batch_size=2)
-        autoencode_pretrain(model, ["abab", "ba"], TrainConfig(lr=1e-3, max_steps=1, batch_size=2, freeze=self.FREEZE))
         assert seen and not any(seen)
+        # autoencode pre-training runs through train, so it opens one on the same condition
+        for t in model.parameters().values():
+            t.requires_grad = True
+        seen.clear()
+        texts = [make_autoencode_task(t) for t in ("abab", "ba")]
+        report = train(model, texts, TrainConfig(lr=1e-3, max_steps=2, batch_size=2, freeze=freeze))
+        assert seen == [cached, cached]
+        assert (report.text_cache_misses, report.text_cache_hits) == ((2, 2) if cached else (0, 0))
         assert model.compressor._cache is None
 
     def test_cache_emptied_after_divergence(self, tmp_path, monkeypatch):
@@ -467,5 +474,5 @@ class TestAutoencodePretrain:
         model = GofaModel(tiny_cfg(d_model=24, n_heads=2), seed=30)
         texts = ["abba", "baab", "aabb", "bbaa"]
         tcfg = TrainConfig(lr=2e-3, weight_decay=0.0, grad_clip=1.0, batch_size=4, max_steps=60, seed=1)
-        report = autoencode_pretrain(model, texts, tcfg)
+        report = train(model, [make_autoencode_task(t) for t in texts], tcfg)
         assert report.losses[-1] < report.losses[0]
