@@ -13,6 +13,7 @@ for inference paths.
 from __future__ import annotations
 
 import contextlib
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -348,14 +349,29 @@ class Tensor:
         return self._make(out_data, (self,), bw)
 
     def silu(self):
-        out_data = self.data * (1.0 / (1.0 + np.exp(-self.data)))
+        out_data = _sigmoid(self.data)
+        out_data *= self.data
 
         def bw(g):
-            # recomputed rather than kept: one array less per call until backward
-            sig = 1.0 / (1.0 + np.exp(-self.data))
-            self._accum(g * sig * (1.0 + self.data * (1.0 - sig)), owned=True)
+            # recomputed rather than kept: one array less per call until backward;
+            # g * sig * (1 + x * (1 - sig)) in place, in that order
+            sig = _sigmoid(self.data)
+            grad = np.subtract(1.0, sig)
+            grad *= self.data
+            grad += 1.0
+            sig *= g
+            sig *= grad
+            self._accum(sig, owned=True)
 
         return self._make(out_data, (self,), bw)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one fresh array."""
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return np.divide(1.0, sig, out=sig)
 
 
 # -- free functions -------------------------------------------------------
@@ -384,9 +400,12 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     def bw(g):
         if not x.requires_grad:
             return
-        full = np.zeros(x.shape, dtype=g.dtype)
-        np.add.at(full, idx, g)
-        x._accum(full, owned=True)
+        # one bin per element of x; each bin adds its rows in index order from
+        # 0.0, as np.add.at would, but in one pass
+        width = math.prod(x.shape[1:])
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        full = np.bincount(flat, weights=g.reshape(-1), minlength=x.size)
+        x._accum(full.astype(g.dtype, copy=False).reshape(x.shape), owned=True)
 
     return x._make(out_data, (x,), bw)
 
@@ -463,22 +482,31 @@ def blocked_keys(lq: int, lk: int, window: np.ndarray | None = None) -> np.ndarr
     return (cols < window[:, :1, None]) | (cols > limit[:, :, None])
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None) -> Tensor:
-    """Causal scaled dot-product attention with merged heads.
+# Key columns per attention tile: a query tile ends at a multiple of this
+# column (or at the last one) and scores only the keys up to its end.
+_TILE = 32
 
-    ``q`` is [S, H, Lq, dh] and ``k``, ``v`` are [S, H, Lk, dh]; the output
-    is [S, Lq, H*dh]. Which keys a query sees is set by ``blocked_keys``
-    from ``window``. A query that sees no key (a pad row) outputs the mean
-    of the values, a finite stand-in that passes no gradient.
 
-    Only the probabilities [S, H, Lq, Lk] are kept for the backward pass.
-    """
-    s, h, lq, dh = q.shape
-    lk = k.shape[2]
-    p = q.data @ k.data.swapaxes(-1, -2)
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=p.dtype)
+def _query_tiles(lq: int, lk: int) -> list[tuple[int, int, int]]:
+    """Tiles ``(r0, r1, c1)`` of the Lq queries, which sit at the last Lq of
+    Lk key columns: queries ``[r0, r1)`` end at key column ``c1``, a multiple
+    of ``_TILE`` or ``lk``, and see no key at or past it."""
+    first = lk - lq  # the first query's column
+    tiles, r0 = [], 0
+    for c1 in [*range((first // _TILE + 1) * _TILE, lk, _TILE), lk]:
+        tiles.append((r0, c1 - first, c1))
+        r0 = c1 - first
+    return tiles
+
+
+def _probabilities(q: np.ndarray, k: np.ndarray, window: np.ndarray | None):
+    """Attention probabilities [S, H, Lq, Lk] of queries ``q`` at the last
+    Lq of the Lk columns of ``k``, the scale, and the [S, Lq] rows that see
+    no key (None if there are none)."""
+    p = q @ k.swapaxes(-1, -2)
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=p.dtype)
     p *= scale
-    blocked = blocked_keys(lq, lk, window)
+    blocked = blocked_keys(q.shape[2], k.shape[2], window)
     dead = None
     if blocked is not None:
         np.copyto(p, _BLOCKED_SCORE, where=blocked[:, None] if window is not None else blocked)
@@ -488,23 +516,80 @@ def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out_data = (p @ v.data).transpose(0, 2, 1, 3).reshape(s, lq, h * dh)
+    return p, scale, dead
+
+
+def _add_prefix(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """``part`` added into the first key columns (axis 2) of ``total``, or
+    ``part`` itself while there is no total yet."""
+    if total is None:
+        return part
+    total[:, :, : part.shape[2]] += part
+    return total
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None) -> Tensor:
+    """Causal scaled dot-product attention with merged heads.
+
+    ``q`` is [S, H, Lq, dh] and ``k``, ``v`` are [S, H, Lk, dh]; the output
+    is [S, Lq, H*dh]. Which keys a query sees is set by ``blocked_keys``
+    from ``window``.
+
+    The queries run in tiles (``_query_tiles``): a tile ends at a key column
+    that is a multiple of ``_TILE`` or at the last one, and scores, softmaxes
+    and backpropagates only the keys before its end, since no query of the
+    tile sees a later one. A call whose queries fit in one tile, such as a
+    single query or at most ``_TILE`` key columns, runs as one kernel over
+    all keys. Whether a call is tiled depends only on Lq and Lk.
+
+    A query that sees no key (a pad row) outputs the mean of its tile's key
+    prefix values, a finite stand-in that passes no gradient.
+
+    Only each tile's probabilities [S, H, r1 - r0, c1] are kept for the
+    backward pass.
+    """
+    s, h, lq, dh = q.shape
+    lk = k.shape[2]
+    tiles = _query_tiles(lq, lk)
+    if len(tiles) == 1:
+        p, scale, dead = _probabilities(q.data, k.data, window)
+        out_data = (p @ v.data).transpose(0, 2, 1, 3).reshape(s, lq, h * dh)
+        kept = [(p, dead)]
+    else:
+        out_data = np.empty((s, lq, h, dh), dtype=np.result_type(q.data, k.data, v.data))
+        kept = []
+        for r0, r1, c1 in tiles:
+            p, scale, dead = _probabilities(q.data[:, :, r0:r1], k.data[:, :, :c1], window)
+            out_data[:, r0:r1] = (p @ v.data[:, :, :c1]).transpose(0, 2, 1, 3)
+            kept.append((p, dead))
+        out_data = out_data.reshape(s, lq, h * dh)
 
     def bw(g):
-        if dead is not None:
-            g = np.where(dead[:, :, None], 0, g)
-        gc = g.reshape(s, lq, h, dh).transpose(0, 2, 1, 3)
-        if q.requires_grad or k.requires_grad:
-            ds = gc @ v.data.swapaxes(-1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            if q.requires_grad:
-                q._accum(ds @ k.data, owned=True)
-            if k.requires_grad:
-                k._accum((q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+        # the last tile reads every key: its key and value gradients are full
+        # size and take the earlier tiles' prefixes
+        dqs, dk, dv = [], None, None
+        for (r0, r1, c1), (p, dead) in zip(reversed(tiles), reversed(kept)):
+            gt = g[:, r0:r1]
+            if dead is not None:
+                gt = np.where(dead[:, :, None], 0, gt)
+            gc = gt.reshape(s, r1 - r0, h, dh).transpose(0, 2, 1, 3)
+            if q.requires_grad or k.requires_grad:
+                ds = gc @ v.data[:, :, :c1].swapaxes(-1, -2)
+                ds -= (ds * p).sum(axis=-1, keepdims=True)
+                ds *= p
+                ds *= scale
+                if q.requires_grad:
+                    dqs.append(ds @ k.data[:, :, :c1])
+                if k.requires_grad:
+                    dk = _add_prefix(dk, (q.data[:, :, r0:r1].swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+            if v.requires_grad:
+                dv = _add_prefix(dv, p.swapaxes(-1, -2) @ gc)
+        if q.requires_grad:
+            q._accum(dqs[0] if len(dqs) == 1 else np.concatenate(dqs[::-1], axis=2), owned=True)
+        if k.requires_grad:
+            k._accum(dk)
         if v.requires_grad:
-            v._accum(p.swapaxes(-1, -2) @ gc, owned=True)
+            v._accum(dv, owned=True)
 
     return q._make(out_data, (q, k, v), bw)
 

@@ -217,6 +217,11 @@ def layer_forward(
     ``cos`` and ``sin`` rotate the rows of ``x``. With ``kv``, the keys and
     values of ``x`` are appended to the cached ones and the queries attend
     over all of them.
+
+    Attention runs the rows in tiles that end at every 32nd key column and
+    reads only the keys before a tile's end (``autodiff.attention``). The
+    tiles depend on L and the key count alone, so a row's output does not
+    depend on the other rows of its bucket.
     """
     xn = rms_norm(x, p["attn_norm"])
     q = rope(split_heads(xn @ p["wq"], cfg.n_heads), cos, sin)

@@ -368,6 +368,93 @@ class TestFusedAttentionChain:
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
+class TestTiledAttention:
+    """``attention`` scores a query tile only against the keys up to its last
+    column, a multiple of 32 or Lk; the dense-mask chain scores every key."""
+
+    @staticmethod
+    def _windows(lk: int) -> np.ndarray:
+        # left padding that leaves whole tiles of pad rows, right padding, both
+        return np.array([[min(lk - 1, 40), lk], [0, lk - lk // 3], [lk // 4, lk - 2], [0, lk]])
+
+    @pytest.mark.parametrize("lk", [31, 32, 33, 63, 64, 65, 100, 132])
+    @pytest.mark.parametrize("queries", ["one", "memory", "all"])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_matches_dense_mask_chain(self, lk, queries, windowed):
+        rng = np.random.default_rng(lk)
+        lq = {"one": 1, "memory": 4, "all": lk}[queries]
+        window = self._windows(lk) if windowed else None
+        s, h, dh = 4, 2, 4
+        q, k, v = leaf(rng, (s, h, lq, dh)), leaf(rng, (s, h, lk, dh)), leaf(rng, (s, h, lk, dh))
+        up = rng.normal(size=(s, lq, h * dh))
+        live = np.ones((s, lq), dtype=bool) if window is None else ~dead_rows(lq, lk, window)
+        if window is not None and lq == lk:
+            assert not live.all()
+        up[~live] = 0.0  # the chain passes gradient from rows that see no key; the fused op does not
+        results = []
+        for att in (attention, ref_attention):
+            for t in (q, k, v):
+                t.zero_grad()
+            out = att(q, k, v, window)
+            (out * Tensor(up)).sum().backward()
+            results.append([out.data[live]] + [t.grad for t in (q, k, v)])
+        for fused, ref in zip(*results):
+            if lk <= 32:
+                assert np.array_equal(fused, ref)
+            else:
+                np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_three_tiles_vs_fd(self, rng):
+        # queries at columns 0..69 end tiles at columns 32, 64 and 70
+        q, k, v = (leaf(rng, (1, 1, 70, 2)) for _ in range(3))
+        window = np.array([[3, 70]])
+        up = rng.normal(size=(1, 70, 2))
+        up[dead_rows(70, 70, window)] = 0.0
+        check_op(lambda: (attention(q, k, v, window) * Tensor(up)).sum(), [q, k, v])
+
+    def test_dead_rows_average_their_tile_prefix(self, rng):
+        q, k, v = (leaf(rng, (1, 1, 40, 2)) for _ in range(3))
+        out = attention(q, k, v, np.array([[36, 40]]))
+        # rows 0..31 end their tile at column 32, rows 32..35 at column 40
+        np.testing.assert_allclose(out.data[0, :32], np.broadcast_to(v.data[0, 0, :32].mean(axis=0), (32, 2)), rtol=1e-12)
+        np.testing.assert_allclose(out.data[0, 32:36], np.broadcast_to(v.data[0, 0].mean(axis=0), (4, 2)), rtol=1e-12)
+        up = np.zeros(out.shape)
+        up[0, :36] = rng.normal(size=(36, 2))
+        (out * Tensor(up)).sum().backward()
+        for t in (q, k, v):
+            assert np.all(np.isfinite(t.grad)) and not np.any(t.grad)
+
+
+class TestInPlaceKernels:
+    """``silu`` and the ``gather_rows`` backward compute in place or in one
+    pass what the plain expressions compute."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_bytes_equal_the_plain_expressions(self, rng, dtype):
+        x = Tensor(rng.normal(size=(3, 5, 7)) * 4, requires_grad=True, dtype=dtype)
+        g = rng.normal(size=(3, 5, 7)).astype(dtype)
+        out = x.silu()
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        sig = 1.0 / (1.0 + np.exp(-x.data))
+        assert out.data.dtype == x.grad.dtype == dtype
+        assert out.data.tobytes() == (x.data * sig).tobytes()
+        assert x.grad.tobytes() == (g * sig * (1.0 + x.data * (1.0 - sig))).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_rows_backward_matches_add_at(self, rng, dtype):
+        x = Tensor(rng.normal(size=(26, 3, 4)), requires_grad=True, dtype=dtype)
+        idx = rng.integers(0, 26, 300)
+        g = rng.normal(size=(300, 3, 4)).astype(dtype)
+        (gather_rows(x, idx) * Tensor(g, dtype=dtype)).sum().backward()
+        want = np.zeros(x.shape, dtype=dtype)
+        np.add.at(want, idx, g)
+        assert x.grad.dtype == dtype
+        if dtype is np.float64:
+            assert x.grad.tobytes() == want.tobytes()
+        else:  # bincount sums in float64, then rounds once
+            np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+
 class TestFusedOpGradients:
     """Float64 finite-difference checks of the fused tape ops."""
 

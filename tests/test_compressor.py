@@ -368,6 +368,8 @@ class TestBatchIndependence:
     @settings(max_examples=25, deadline=None)
     @example(BOUNDARY_LENGTHS + [600], 4, np.float64, 0)
     @example(BOUNDARY_LENGTHS + [600], 1, np.float32, 1)
+    @example([33, 47, 70, 100, 120, 5], 4, np.float64, 2)
+    @example([120, 33, 65, 97], 3, np.float32, 3)
     @given(
         st.lists(st.one_of(st.sampled_from(BOUNDARY_LENGTHS), st.integers(0, 40)), min_size=2, max_size=6),
         st.integers(1, 4),
@@ -402,9 +404,12 @@ class TestTextCache:
             t.requires_grad = not name.startswith(("compressor.", "memory_tokens"))
         return model
 
-    def _calls(self, model, hook, w, upstream):
+    # texts of 33-120 tokens, whose text rows run in several attention tiles
+    LONG_CALLS = [["q" * 33, "r" * 70, "s" * 120, "ab"], ["r" * 70, "t" * 64, "u" * 97], ["s" * 120, "q" * 33]]
+
+    def _calls(self, model, hook, w, upstream, calls=CALLS):
         out = []
-        for texts in self.CALLS:
+        for texts in calls:
             w.zero_grad()
             mems = model.compressor.run([tokenizer.encode(t) for t in texts], memory_hook=hook)
             if hook is not None:
@@ -435,6 +440,18 @@ class TestTextCache:
         k, d, later = cfg.memory_tokens, cfg.d_model, cfg.n_layers - min(gnn_layers, default=cfg.n_layers)
         assert cache.bytes == sum(8 * d * (later * min(len(key), cfg.max_seq_len - k) + k) for key in distinct)
         assert cache.entries == {} and model.compressor._cache is None
+
+    def test_long_cached_texts_match_uncached(self, rng):
+        cfg = tiny_cfg(n_layers=3, gnn_layers=(1,), max_seq_len=128)
+        model = self._frozen_model(cfg, seed=15)
+        hook, w = TestSplitRun._hook_and_weight(cfg, rng)
+        upstream = Tensor(rng.normal(size=(4, cfg.memory_tokens, cfg.d_model)))
+        uncached = self._calls(model, hook, w, upstream, self.LONG_CALLS)
+        with model.compressor.text_cache() as cache:
+            cached = self._calls(model, hook, w, upstream, self.LONG_CALLS)
+            assert cache.hits == 3
+        for (mem_a, grad_a), (mem_b, grad_b) in zip(uncached, cached):
+            assert mem_a.tobytes() == mem_b.tobytes() and grad_a.tobytes() == grad_b.tobytes()
 
     def test_repeated_call_skips_the_layers_below_the_cache_point(self, monkeypatch):
         for gnn_layers, ran in (((1,), [2, 3]), ((2,), [3]), ((), [])):

@@ -405,6 +405,20 @@ class TestKVCache:
             assert prefix == ids[:i]
             np.testing.assert_allclose(logits, full[k - 1 + i], rtol=0, atol=1e-12)
 
+    def test_long_target_logits_match_teacher_forcing_across_tiles(self):
+        # 90 target tokens: the teacher-forced decoder runs 99 query columns in
+        # four attention tiles, the KV cache one query at a time
+        model = GofaModel(tiny_cfg(max_seq_len=128), seed=27)
+        mem = model.encode_texts(["prompt text"])[0]
+        ids = [int(i) for i in np.random.default_rng(0).integers(0, 256, 90)]
+        k = model.cfg.memory_tokens
+        bucket = make_decode_buckets([ids], model.cfg, model.cfg.dtype)[0]
+        with no_grad():
+            full = model.decoder._forward_bucket(mem.reshape(1, k, model.cfg.d_model), bucket, model.cfg).data[0]
+        with model.decoder.kv_cache():
+            for i in range(len(ids) + 1):
+                np.testing.assert_allclose(model.decoder.next_logits(mem, ids[:i]), full[k - 1 + i], rtol=0, atol=1e-12)
+
     def test_seeded_sampling_equals_full_recompute(self):
         model = GofaModel(tiny_cfg(), seed=14)
         mem = model.encode_texts(["prompt text"])[0]
