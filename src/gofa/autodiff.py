@@ -231,16 +231,6 @@ class Tensor:
 
         return self._make(out_data, (self, other), bw)
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise ShapeError("pow exponent must be a python scalar")
-        out_data = self.data**p
-
-        def bw(g):
-            self._accum(g * p * self.data ** (p - 1), owned=True)
-
-        return self._make(out_data, (self,), bw)
-
     def __matmul__(self, other):
         other = self._coerce(other)
         if self.data.shape[-1] != other.data.shape[-2]:
@@ -320,16 +310,6 @@ class Tensor:
 
         return self._make(np.asarray(out_data), (self,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for a in axes:
-                count *= self.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # -- elementwise nonlinearities --------------------------------------------
 
     def tanh(self):
@@ -349,8 +329,7 @@ class Tensor:
         return self._make(out_data, (self,), bw)
 
     def silu(self):
-        out_data = _sigmoid(self.data)
-        out_data *= self.data
+        out_data = silu_kernel(self.data)
 
         def bw(g):
             # recomputed rather than kept: one array less per call until backward;
@@ -372,6 +351,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     np.exp(sig, out=sig)
     sig += 1.0
     return np.divide(1.0, sig, out=sig)
+
+
+def silu_kernel(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x) in one fresh array."""
+    out = _sigmoid(x)
+    out *= x
+    return out
 
 
 # -- free functions -------------------------------------------------------
@@ -441,14 +427,20 @@ def _half_swap(n: int) -> np.ndarray:
     return swap
 
 
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+def rope_kernel(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotary positions: the halves [a, b] of the last axis become
     [a cos - b sin, b cos + a sin]. ``cos`` holds each angle's cosine in
     both halves and ``sin`` its sine, negated in the first half, so the
     result is ``x * cos + swap(x) * sin``; both broadcast against ``x``."""
+    out = x * cos  # in x's memory order, which the matmuls that read it see
+    out += x.take(_half_swap(x.shape[-1]), axis=-1) * sin
+    return out
+
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """``rope_kernel`` on the tape."""
     swap = _half_swap(x.shape[-1])
-    out_data = x.data * cos  # in x's memory order, which the matmuls that read it see
-    out_data += x.data.take(swap, axis=-1) * sin
+    out_data = rope_kernel(x.data, cos, sin)
 
     def bw(g):
         grad = g * cos
@@ -528,41 +520,47 @@ def _add_prefix(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
     return total
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None) -> Tensor:
-    """Causal scaled dot-product attention with merged heads.
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, window: np.ndarray | None = None):
+    """Causal scaled dot-product attention with merged heads, on arrays.
 
     ``q`` is [S, H, Lq, dh] and ``k``, ``v`` are [S, H, Lk, dh]; the output
     is [S, Lq, H*dh]. Which keys a query sees is set by ``blocked_keys``
     from ``window``.
 
     The queries run in tiles (``_query_tiles``): a tile ends at a key column
-    that is a multiple of ``_TILE`` or at the last one, and scores, softmaxes
-    and backpropagates only the keys before its end, since no query of the
-    tile sees a later one. A call whose queries fit in one tile, such as a
-    single query or at most ``_TILE`` key columns, runs as one kernel over
-    all keys. Whether a call is tiled depends only on Lq and Lk.
+    that is a multiple of ``_TILE`` or at the last one, and scores and
+    softmaxes only the keys before its end, since no query of the tile sees
+    a later one. A call whose queries fit in one tile, such as a single
+    query or at most ``_TILE`` key columns, runs as one kernel over all
+    keys. Whether a call is tiled depends only on Lq and Lk.
 
     A query that sees no key (a pad row) outputs the mean of its tile's key
-    prefix values, a finite stand-in that passes no gradient.
+    prefix values, a finite stand-in.
 
-    Only each tile's probabilities [S, H, r1 - r0, c1] are kept for the
-    backward pass.
+    Returns the output, the tiles ``(r0, r1, c1)``, each tile's
+    probabilities [S, H, r1 - r0, c1] with its [S, r1 - r0] rows that see
+    no key (None if there are none), and the score scale.
     """
     s, h, lq, dh = q.shape
-    lk = k.shape[2]
-    tiles = _query_tiles(lq, lk)
+    tiles = _query_tiles(lq, k.shape[2])
     if len(tiles) == 1:
-        p, scale, dead = _probabilities(q.data, k.data, window)
-        out_data = (p @ v.data).transpose(0, 2, 1, 3).reshape(s, lq, h * dh)
-        kept = [(p, dead)]
-    else:
-        out_data = np.empty((s, lq, h, dh), dtype=np.result_type(q.data, k.data, v.data))
-        kept = []
-        for r0, r1, c1 in tiles:
-            p, scale, dead = _probabilities(q.data[:, :, r0:r1], k.data[:, :, :c1], window)
-            out_data[:, r0:r1] = (p @ v.data[:, :, :c1]).transpose(0, 2, 1, 3)
-            kept.append((p, dead))
-        out_data = out_data.reshape(s, lq, h * dh)
+        p, scale, dead = _probabilities(q, k, window)
+        return (p @ v).transpose(0, 2, 1, 3).reshape(s, lq, h * dh), tiles, [(p, dead)], scale
+    out = np.empty((s, lq, h, dh), dtype=np.result_type(q, k, v))
+    kept = []
+    for r0, r1, c1 in tiles:
+        p, scale, dead = _probabilities(q[:, :, r0:r1], k[:, :, :c1], window)
+        out[:, r0:r1] = (p @ v[:, :, :c1]).transpose(0, 2, 1, 3)
+        kept.append((p, dead))
+    return out.reshape(s, lq, h * dh), tiles, kept, scale
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None) -> Tensor:
+    """``attention_kernel`` on the tape. The backward pass runs the same
+    query tiles and reads only each tile's kept probabilities; a query that
+    sees no key passes no gradient."""
+    s, h, lq, dh = q.shape
+    out_data, tiles, kept, scale = attention_kernel(q.data, k.data, v.data, window)
 
     def bw(g):
         # the last tile reads every key: its key and value gradients are full
@@ -594,14 +592,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None)
     return q._make(out_data, (q, k, v), bw)
 
 
+def rms_norm_kernel(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` scaled by the reciprocal root-mean-square ``r`` over its last
+    axis and by ``gain``; returns the result and ``r`` [..., 1]."""
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+    r = 1.0 / np.sqrt(ms + eps)
+    return x * r * gain, r
+
+
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """Scale by the reciprocal root-mean-square over the last axis."""
+    """``rms_norm_kernel`` on the tape."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
     n = x.shape[-1]
-    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / n
-    r = 1.0 / np.sqrt(ms + eps)
-    out_data = x.data * r * gain.data
+    out_data, r = rms_norm_kernel(x.data, gain.data, eps)
 
     def bw(g):
         if x.requires_grad:

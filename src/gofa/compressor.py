@@ -38,7 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, attention, concat, gather_rows, no_grad, rms_norm, rope, split_heads
+from .autodiff import (
+    Tensor, attention, attention_kernel, concat, gather_rows, rms_norm, rms_norm_kernel, rope, rope_kernel,
+    silu_kernel, split_heads,
+)
 
 log = logging.getLogger("gofa")
 
@@ -162,42 +165,31 @@ def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
 class LayerKV:
     """Keys and values [S, H, n, dh] that one layer computed in earlier calls.
 
-    ``extend`` appends one call's keys and values and returns all of them.
-    With a ``capacity``, they are written into buffers of that many
-    positions, allocated on the first ``extend``; the buffers are written in
-    place, so no tape can flow through them and that form serves inference
-    only. Without one, ``extend`` concatenates tensors, so gradients flow
-    back into every call that contributed keys and values.
+    Without a ``capacity``, ``extend`` appends one call's key and value
+    tensors and returns all of them, so gradients flow back into every call
+    that contributed keys and values.
+
+    With a ``capacity``, it is the inference cache, which ``layer_forward``
+    runs on arrays without a tape (``_cached_layer``): buffers of that many
+    positions, written in place, and the layer's fused [d, 3d] projection
+    ``[wq | wk | wv]``. Both are made on the first call and kept as long as
+    the cache is, so the layer's weights must not change meanwhile.
     """
 
     def __init__(self, capacity: int | None = None):
         self.capacity = capacity
         self.keys: np.ndarray | Tensor | None = None
         self.values: np.ndarray | Tensor | None = None
+        self.qkv: np.ndarray | None = None
         self.n = 0
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Append new positions; return the keys and values of all of them."""
-        if self.capacity is None:
-            if self.n:
-                k = concat([self.keys, k], axis=2)
-                v = concat([self.values, v], axis=2)
-            self.keys, self.values, self.n = k, v, k.shape[2]
-            return k, v
-        if k.requires_grad or v.requires_grad:
-            raise ValueError("K/V caching runs without a tape; use no_grad()")
-        if self.keys is None:
-            s, h, _, dh = k.shape
-            self.keys = np.empty((s, h, self.capacity, dh), dtype=k.dtype)
-            self.values = np.empty((s, h, self.capacity, dh), dtype=v.dtype)
-        end = self.n + k.shape[2]
-        self.keys[:, :, self.n : end] = k.data
-        self.values[:, :, self.n : end] = v.data
-        self.n = end
-        return (
-            Tensor(self.keys[:, :, :end], dtype=self.keys.dtype),
-            Tensor(self.values[:, :, :end], dtype=self.values.dtype),
-        )
+        if self.n:
+            k = concat([self.keys, k], axis=2)
+            v = concat([self.values, v], axis=2)
+        self.keys, self.values, self.n = k, v, k.shape[2]
+        return k, v
 
 
 def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, cos: np.ndarray, sin: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -206,9 +198,9 @@ def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, cos: np.ndarray, sin: np
 
 
 def layer_forward(
-    x: Tensor, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
+    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
     kv: LayerKV | None = None,
-) -> Tensor:
+) -> Tensor | np.ndarray:
     """One pre-norm transformer block over [S, L, d].
 
     The rows of ``x`` are the last L key columns, and each attends causally;
@@ -216,13 +208,18 @@ def layer_forward(
     ``window[s, 0] <= j < window[s, 1]`` (see ``autodiff.blocked_keys``).
     ``cos`` and ``sin`` rotate the rows of ``x``. With ``kv``, the keys and
     values of ``x`` are appended to the cached ones and the queries attend
-    over all of them.
+    over all of them. When ``kv`` is the inference cache (a ``LayerKV`` with
+    a capacity), ``x`` and the result are arrays and no tape is recorded:
+    the step runs the kernels of the tape ops in the same order, with the
+    three projections of queries, keys and values as the columns of one.
 
     Attention runs the rows in tiles that end at every 32nd key column and
     reads only the keys before a tile's end (``autodiff.attention``). The
     tiles depend on L and the key count alone, so a row's output does not
     depend on the other rows of its bucket.
     """
+    if kv is not None and kv.capacity is not None:
+        return _cached_layer(x, p, cfg, window, cos, sin, kv)
     xn = rms_norm(x, p["attn_norm"])
     q = rope(split_heads(xn @ p["wq"], cfg.n_heads), cos, sin)
     k, v = _keys_values(xn, p, cfg, cos, sin)
@@ -231,6 +228,34 @@ def layer_forward(
     x = x + attention(q, k, v, window) @ p["wo"]
     xn2 = rms_norm(x, p["ff_norm"])
     return x + (xn2 @ p["ff1"]).silu() @ p["ff2"]
+
+
+def _cached_layer(
+    x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
+    kv: LayerKV,
+) -> np.ndarray:
+    """``layer_forward`` on arrays against the inference cache ``kv``: one
+    projection through ``[wq | wk | wv]``, one rotation of queries and keys
+    together, and keys and values written straight into the buffers."""
+    if isinstance(x, Tensor):
+        raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
+    s, n, _ = x.shape
+    h = cfg.n_heads
+    if kv.qkv is None:
+        kv.qkv = np.concatenate([p["wq"].data, p["wk"].data, p["wv"].data], axis=1)
+        kv.keys = np.empty((s, h, kv.capacity, cfg.head_dim), dtype=x.dtype)
+        kv.values = np.empty_like(kv.keys)
+    xn, _ = rms_norm_kernel(x, p["attn_norm"].data)
+    qkv = (xn @ kv.qkv).reshape(s, n, 3 * h, cfg.head_dim).transpose(0, 2, 1, 3)
+    qk = rope_kernel(qkv[:, : 2 * h], cos, sin)
+    end = kv.n + n
+    kv.keys[:, :, kv.n : end] = qk[:, h:]
+    kv.values[:, :, kv.n : end] = qkv[:, 2 * h :]
+    kv.n = end
+    att, *_ = attention_kernel(qk[:, :h], kv.keys[:, :, :end], kv.values[:, :, :end], window)
+    x = x + att @ p["wo"].data
+    xn, _ = rms_norm_kernel(x, p["ff_norm"].data)
+    return x + silu_kernel(xn @ p["ff1"].data) @ p["ff2"].data
 
 
 # -- sequence bucketing -------------------------------------------------------
@@ -539,7 +564,6 @@ class _DecodeState:
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
         self.memory: Tensor | None = None
         self.prefix: list[int] = []
-        self.truncated = False  # a window was cut; warn only once per cache
 
     def extends(self, memory: Tensor, prefix: list[int]) -> bool:
         """True when ``prefix`` is the cached prefix plus one token for the
@@ -580,7 +604,8 @@ class Decoder:
     @contextmanager
     def kv_cache(self):
         """Let ``next_logits`` keep per-layer K/V between calls until the
-        block exits; ``GofaModel.generate`` holds one per answer."""
+        block exits; ``GofaModel.generate`` holds one per answer. The
+        decoder's weights must not change inside the block."""
         outer = self._state
         self._state = _DecodeState(self.stack.cfg, len(self.stack.layers))
         try:
@@ -594,34 +619,30 @@ class Decoder:
         Inside ``kv_cache()``, a prefix that extends the previous call's by
         one token, for the same memory block, runs only that token's
         position against the cached K/V. Every other call prefills memory
-        plus prefix (its last ``max_seq_len - K`` tokens) from scratch; the
-        left truncation is logged once per ``kv_cache()`` block.
+        plus prefix from scratch. Either way each layer runs on arrays
+        through the inference cache (see ``layer_forward``), so no tape
+        object is made. A prefix longer than ``max_seq_len - K`` tokens is a
+        ``ValueError``.
         """
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
-        state = self._state
-        with no_grad():
-            if state is not None and k + len(prefix) <= cfg.max_seq_len and state.extends(memory, prefix):
-                state.prefix.append(prefix[-1])
-                pos = k + len(prefix) - 1
-                x = gather_rows(self.stack.embed, prefix[-1:]).reshape(1, 1, d)
-                cos, sin = state.cos[:, :, pos : pos + 1], state.sin[:, :, pos : pos + 1]
-            else:
-                if state is None:
-                    state = _DecodeState(cfg, len(self.stack.layers))
-                state.reset(memory, prefix)
-                limit = cfg.max_seq_len - k
-                if state.truncated:
-                    window = list(prefix[-limit:])
-                else:
-                    window = _truncate(list(prefix), limit, "target")
-                    state.truncated = len(window) < len(prefix)
-                x = memory.reshape(1, k, d)
-                if window:
-                    x = concat([x, gather_rows(self.stack.embed, window).reshape(1, len(window), d)], axis=1)
-                total = k + len(window)
-                cos, sin = state.cos[:, :, :total], state.sin[:, :, :total]
-            for layer, kv in zip(self.stack.layers, state.layers):
-                x = layer_forward(x, layer, cfg, None, cos, sin, kv)
-            xn = rms_norm(x[:, -1:, :], self.stack.final_norm)
-            return (xn @ self.stack.embed.swapaxes(0, 1)).data[0, 0]
+        if len(prefix) > cfg.max_seq_len - k:
+            raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_seq_len - k}")
+        state = self._state if self._state is not None else _DecodeState(cfg, len(self.stack.layers))
+        embed = self.stack.embed.data
+        if state.extends(memory, prefix):
+            state.prefix.append(prefix[-1])
+            pos = k + len(prefix) - 1
+            x = embed[prefix[-1:]].reshape(1, 1, d)
+            cos, sin = state.cos[:, :, pos : pos + 1], state.sin[:, :, pos : pos + 1]
+        else:
+            state.reset(memory, prefix)
+            x = memory.data.reshape(1, k, d)
+            if prefix:
+                x = np.concatenate([x, embed[list(prefix)].reshape(1, len(prefix), d)], axis=1)
+            total = k + len(prefix)
+            cos, sin = state.cos[:, :, :total], state.sin[:, :, :total]
+        for layer, kv in zip(self.stack.layers, state.layers):
+            x = layer_forward(x, layer, cfg, None, cos, sin, kv)
+        xn, _ = rms_norm_kernel(x[:, -1:], self.stack.final_norm.data)
+        return (xn @ embed.swapaxes(0, 1))[0, 0]

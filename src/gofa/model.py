@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, concat, cross_entropy_rows, gather_rows, no_grad
+from .autodiff import Tensor, concat, cross_entropy_rows, gather_rows
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, make_decode_buckets
 from .gnn import gnn_layer, init_gnn_layer, representation_change_ratio
@@ -189,14 +189,19 @@ class GofaModel:
         """Autoregressive decoding from a memory block until EOS or budget.
 
         The decoder keeps per-layer K/V for this call only, so each token
-        after the first computes one decoder position."""
+        after the first computes one decoder position. A budget above
+        ``max_seq_len - memory_tokens``, the longest target the decoder is
+        trained on, is a ``ValueError``."""
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+        limit = self.cfg.max_seq_len - self.cfg.memory_tokens
+        if max_new_tokens > limit:
+            raise ValueError(f"max_new_tokens {max_new_tokens} exceeds max_seq_len - memory_tokens = {limit}")
         if mode not in ("greedy", "sample"):
             raise ValueError(f"unknown generation mode {mode!r}")
         rng = np.random.default_rng(seed)
         ids: list[int] = []
-        with no_grad(), self.decoder.kv_cache():
+        with self.decoder.kv_cache():
             for _ in range(max_new_tokens):
                 logits = self.decoder.next_logits(nog_memory, ids)
                 if mode == "greedy":

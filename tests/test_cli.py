@@ -27,6 +27,8 @@ SMALL_MODEL = [
     "--set", 'model.memory_tokens=2',
     "--set", 'model.gnn_layers=[1]',
     "--set", 'model.max_seq_len=48',
+    # a budget the small model's decoder can hold: at most max_seq_len - memory_tokens
+    "--set", 'eval.max_new_tokens=46',
 ]
 
 
@@ -223,6 +225,8 @@ class TestExitCodes:
             ("gen-corpus", "gen.test_fraction=0"),
             ("eval", "eval.batch_size=0"),
             ("eval", "eval.max_new_tokens=0"),
+            ("eval", "eval.max_new_tokens=125"),
+            ("train", "model.max_seq_len=64"),
             ("eval", "eval.delta_profile_n=0"),
             ("autoencode-pretrain", "pretrain.text_low=9"),
             ("autoencode-pretrain", 'pretrain.alphabet=""'),

@@ -169,11 +169,10 @@ class TestTransformerLayer:
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         cos, sin = cos_tab[None, None], sin_tab[None, None]
         kv = LayerKV(capacity=total)
-        with no_grad():
-            rows = [layer_forward(Tensor(x[:, :5]), layer, cfg, None, cos[:, :, :5], sin[:, :, :5], kv).data]
-            for i in range(5, total):
-                step = slice(i, i + 1)
-                rows.append(layer_forward(Tensor(x[:, step]), layer, cfg, None, cos[:, :, step], sin[:, :, step], kv).data)
+        rows = [layer_forward(x[:, :5], layer, cfg, None, cos[:, :, :5], sin[:, :, :5], kv)]
+        for i in range(5, total):
+            step = slice(i, i + 1)
+            rows.append(layer_forward(x[:, step], layer, cfg, None, cos[:, :, step], sin[:, :, step], kv))
         assert kv.n == total
         np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
 
@@ -182,8 +181,10 @@ class TestTransformerLayer:
         model = GofaModel(cfg, seed=4)
         x = rng.normal(size=(1, 3, cfg.d_model))
         cos_tab, sin_tab = _rope_tables(3, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-        with pytest.raises(ValueError, match="without a tape"):
-            layer_forward(Tensor(x), model.decoder_stack.layers[0], cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
+        layer = model.decoder_stack.layers[0]
+        for tensor in (Tensor(x), Tensor(x, requires_grad=True)):
+            with pytest.raises(ValueError, match="without a tape"):
+                layer_forward(tensor, layer, cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
 
     def test_left_truncation_warns_and_keeps_memory(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import assert_grad_close, finite_difference
 from gofa import compressor, tokenizer
-from gofa.autodiff import Tensor, no_grad
+from gofa.autodiff import Tensor, concat, gather_rows, no_grad, rms_norm
 from gofa.checkpoint import load_checkpoint, save_checkpoint
-from gofa.compressor import ModelConfig, _rope_tables, layer_forward, make_decode_buckets
+from gofa.compressor import LayerKV, ModelConfig, _rope_tables, _rotation_tables, layer_forward, make_decode_buckets
 from gofa.gnn import gnn_layer
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, GraphError, TaskSample, attach_prompt_node
@@ -336,15 +336,60 @@ class TestGenerate:
 
 
 def reference_next_logits(model: GofaModel, mem, prefix):
-    """Teacher-forcing forward over memory plus the whole prefix (its last
-    max_seq_len - K tokens), read at the last position."""
+    """Teacher-forcing forward over memory plus the whole prefix, read at
+    the last position."""
     cfg = model.cfg
     k = cfg.memory_tokens
-    window = list(prefix)[-(cfg.max_seq_len - k) :]
-    bucket = make_decode_buckets([window], cfg, cfg.dtype)[0]
+    bucket = make_decode_buckets([list(prefix)], cfg, cfg.dtype)[0]
     with no_grad():
         logits = model.decoder._forward_bucket(mem.reshape(1, k, cfg.d_model), bucket, cfg)
-    return logits.data[0, k + len(window) - 1]
+    return logits.data[0, k + len(prefix) - 1]
+
+
+class TapeDecoder:
+    """The decode step as tape ops: ``Decoder.next_logits`` before it ran on
+    arrays. Each layer is ``layer_forward`` over tensors with keys and
+    values kept per layer; a prefix that extends the previous call's by one
+    token, for the same memory block, runs that token's position alone, and
+    every other call prefills memory plus prefix."""
+
+    def __init__(self, model: GofaModel):
+        self.stack = model.decoder_stack
+        self.memory, self.prefix, self.layers = None, [], []
+
+    def next_logits(self, memory, prefix):
+        stack, cfg = self.stack, self.stack.cfg
+        k, d = cfg.memory_tokens, cfg.d_model
+        cos_tab, sin_tab = _rotation_tables(cfg)
+        n = len(self.prefix)
+        with no_grad():
+            if memory is self.memory and len(prefix) == n + 1 and list(prefix[:n]) == self.prefix:
+                self.prefix.append(prefix[-1])
+                x = gather_rows(stack.embed, prefix[-1:]).reshape(1, 1, d)
+                cols = slice(k + n, k + n + 1)
+            else:
+                self.memory, self.prefix = memory, list(prefix)
+                self.layers = [LayerKV() for _ in stack.layers]
+                x = memory.reshape(1, k, d)
+                if prefix:
+                    x = concat([x, gather_rows(stack.embed, prefix).reshape(1, len(prefix), d)], axis=1)
+                cols = slice(0, k + len(prefix))
+            for layer, kv in zip(stack.layers, self.layers):
+                x = layer_forward(x, layer, cfg, None, cos_tab[None, None, cols], sin_tab[None, None, cols], kv)
+            xn = rms_norm(x[:, -1:, :], stack.final_norm)
+            return (xn @ stack.embed.swapaxes(0, 1)).data[0, 0]
+
+
+def tape_generate(model: GofaModel, mem, max_new_tokens):
+    """Greedy ``generate`` through one ``TapeDecoder``."""
+    tape = TapeDecoder(model)
+    ids = []
+    for _ in range(max_new_tokens):
+        nxt = int(np.argmax(tape.next_logits(mem, ids)))
+        if nxt == tokenizer.EOS_ID:
+            break
+        ids.append(nxt)
+    return tokenizer.decode(ids)
 
 
 def reference_generate(model: GofaModel, mem, max_new_tokens, mode="greedy", temperature=1.0, seed=0):
@@ -425,18 +470,35 @@ class TestKVCache:
         kw = dict(mode="sample", temperature=1.3, seed=42)
         assert model.generate(mem, max_new_tokens=20, **kw) == reference_generate(model, mem, 20, **kw)
 
-    def test_sliding_window_past_max_seq_len(self, caplog):
+    def test_budget_past_max_seq_len_is_rejected_before_decoding(self):
         model = GofaModel(tiny_cfg(max_seq_len=16), seed=23)
         mem = model.encode_texts(["window"])[0]
         limit = model.cfg.max_seq_len - model.cfg.memory_tokens
-        with caplog.at_level(logging.WARNING, logger="gofa"):
-            text, calls = recorded_generate(model, mem, max_new_tokens=2 * limit)
-        warned = [r for r in caplog.records if r.getMessage().startswith("target length")]
-        assert len(warned) == 1
-        assert len(calls) == 2 * limit
-        assert text == reference_generate(model, mem, 2 * limit)
-        for prefix, logits in calls:
-            np.testing.assert_allclose(logits, reference_next_logits(model, mem, prefix), rtol=0, atol=1e-12)
+        calls = []
+        inner = model.decoder.next_logits
+        model.decoder.next_logits = lambda memory, prefix: calls.append(len(prefix)) or inner(memory, prefix)
+        try:
+            with pytest.raises(ValueError, match="max_seq_len - memory_tokens"):
+                model.generate(mem, max_new_tokens=limit + 1)
+            assert calls == []
+            assert model.generate(mem, max_new_tokens=limit) == reference_generate(model, mem, limit)
+        finally:
+            del model.decoder.next_logits
+
+    def test_prefix_past_max_seq_len_is_rejected(self):
+        model = GofaModel(tiny_cfg(max_seq_len=16), seed=23)
+        mem = model.encode_texts(["window"])[0]
+        limit = model.cfg.max_seq_len - model.cfg.memory_tokens
+        ids = [65 + i % 26 for i in range(limit + 1)]
+        with pytest.raises(ValueError, match="max_seq_len - memory_tokens"):
+            model.decoder.next_logits(mem, ids)
+        with model.decoder.kv_cache():
+            for i in range(limit + 1):
+                np.testing.assert_allclose(
+                    model.decoder.next_logits(mem, ids[:i]), reference_next_logits(model, mem, ids[:i]), rtol=0, atol=1e-12
+                )
+            with pytest.raises(ValueError, match="max_seq_len - memory_tokens"):
+                model.decoder.next_logits(mem, ids)
 
     def test_next_logits_outside_generate_or_off_prefix_is_fresh(self):
         model = GofaModel(tiny_cfg(), seed=24)
@@ -472,6 +534,55 @@ class TestKVCache:
         _, calls = recorded_generate(model, mem, max_new_tokens=20)
         assert len(calls) == 20
         assert positions == [model.cfg.memory_tokens] + [1] * 19
+
+    def test_array_step_matches_the_tape_step(self):
+        # prefix of 40 tokens: K + 40 = 43 key columns, past one 32-column attention tile
+        model = GofaModel(tiny_cfg(), seed=28)
+        mems = model.encode_texts(["first", "second"])
+        a, b = mems[0], mems[1]
+        long = [int(i) for i in np.random.default_rng(1).integers(0, 256, 42)]
+        cases = [
+            (a, []),  # empty prefix
+            (a, [72]),
+            (a, [72, 105]),  # a one-token extension
+            (a, [72, 106, 1]),  # off the cached prefix: a fresh call
+            (b, [72, 106]),  # another memory block
+            (b, long[:40]),  # a prefill over two tiles
+            (b, long[:41]),
+            (b, long[:42]),
+        ]
+        tape = TapeDecoder(model)
+        with model.decoder.kv_cache():
+            for memory, prefix in cases:
+                np.testing.assert_allclose(
+                    model.decoder.next_logits(memory, prefix), tape.next_logits(memory, prefix), rtol=0, atol=1e-12
+                )
+        for mem, budget in ((a, 20), (b, 45)):
+            assert model.generate(mem, max_new_tokens=budget) == tape_generate(model, mem, budget)
+
+    def test_no_tape_objects_per_token(self, monkeypatch):
+        model = GofaModel(tiny_cfg(), seed=26)
+        mem = model.encode_texts(["prompt text"])[0]
+        calls, made = 0, 0
+        make = Tensor._make
+        next_logits = model.decoder.next_logits
+
+        def counting_make(tensor, *args):
+            nonlocal made
+            made += calls > 0  # after the prefill
+            return make(tensor, *args)
+
+        def counting_next_logits(memory, prefix):
+            nonlocal calls
+            logits = next_logits(memory, prefix)
+            calls += 1
+            return logits
+
+        monkeypatch.setattr(Tensor, "_make", counting_make)
+        monkeypatch.setattr(model.decoder, "next_logits", counting_next_logits)
+        model.generate(mem, max_new_tokens=21)
+        assert calls == 21
+        assert made == 0
 
     def test_weight_change_between_generates(self):
         cfg = tiny_cfg()
