@@ -1,9 +1,16 @@
 """Command-line entry points tying the pipeline together.
 
-Commands: gen-corpus, autoencode-pretrain, train, eval, ablate-edges,
-inspect-checkpoint. Exit codes: 0 success, 2 config error, 3 runtime
-failure. The GOFA_LOG environment variable (debug/info/warning/error)
-controls verbosity.
+Commands:
+  gen-corpus           write the synthetic task corpora and their splits
+  autoencode-pretrain  train the text reconstruction objective
+  train                train on task sample corpora (or resume a run)
+  eval                 evaluate a checkpoint on a corpus
+  ablate-edges         compare single- vs double-edge prompt wiring
+  reproduce            run the paper's trained claims and write claims.json
+  inspect-checkpoint   list a checkpoint's tensors and config
+
+Exit codes: 0 success, 2 config error, 3 runtime failure. The GOFA_LOG
+environment variable (debug/info/warning/error) controls verbosity.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint
+from .claims import CLAIMS, render_claims, run_claim
 from .compressor import ModelConfig
 from .config import ConfigError, load_config, pretrain_train_section, write_run_meta
 from .corpus import (
+    LOOKUP_VALUES,
     CorpusConfig,
     gen_completion_corpus,
     gen_lookup_corpus,
@@ -40,7 +49,6 @@ from .evaluation import (
     perplexity,
     write_transcripts,
 )
-from .corpus import LOOKUP_VALUES
 from .model import GofaModel
 from .structure import all_shortest_paths, common_neighbors
 from .tag import TaskSample
@@ -147,8 +155,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path) -> GofaModel:
+def _load_model(path, budget: int | None) -> GofaModel:
+    """The checkpoint's model; a generation ``budget`` its decoder cannot
+    hold is a ``ConfigError``."""
     model, _extras, _config = GofaModel.load(path)
+    limit = model.cfg.max_seq_len - model.cfg.memory_tokens
+    if budget is not None and budget > limit:
+        raise ConfigError(
+            f"eval.max_new_tokens {budget} exceeds max_seq_len - memory_tokens = {limit} of checkpoint {path}"
+        )
     return model
 
 
@@ -163,9 +178,8 @@ def _eval_kind(samples: list[TaskSample], requested: str) -> str:
     return "perplexity"
 
 
-def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, use_gnn: bool = True) -> EvalReport:
+def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, kind: str, use_gnn: bool = True) -> EvalReport:
     ecfg = cfg["eval"]
-    kind = _eval_kind(samples, ecfg["kind"])
     if kind == "structural":
         report = evaluate_structural(model, samples, use_gnn=use_gnn, max_new_tokens=ecfg["max_new_tokens"])
     elif kind == "accuracy":
@@ -192,29 +206,33 @@ def _emit_report(out: Path, name: str, report: EvalReport) -> None:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
+    samples = read_samples(args.corpus)
+    kind = _eval_kind(samples, cfg["eval"]["kind"])
+    # only structural and accuracy evals generate, so only they need the budget to fit
+    model = _load_model(args.checkpoint, cfg["eval"]["max_new_tokens"] if kind != "perplexity" else None)
     out = Path(args.out)
     write_run_meta(out, cfg)
-    model = _load_model(args.checkpoint)
-    samples = read_samples(args.corpus)
-    report = _run_eval(model, samples, cfg, use_gnn=not args.text_only)
+    report = _run_eval(model, samples, cfg, kind, use_gnn=not args.text_only)
     _emit_report(out, "eval_report", report)
     return 0
 
 
 def cmd_ablate_edges(args) -> int:
     cfg = load_config(args.config, args.set)
+    budget = cfg["eval"]["max_new_tokens"]
+    arms = [
+        (mode, _load_model(ckpt_path, budget), corpus_path)
+        for mode, ckpt_path, corpus_path in [
+            ("single", args.checkpoint_single, args.corpus_single),
+            ("double", args.checkpoint_double, args.corpus_double),
+        ]
+    ]
     out = Path(args.out)
     write_run_meta(out, cfg)
     rows = []
-    for mode, ckpt_path, corpus_path in [
-        ("single", args.checkpoint_single, args.corpus_single),
-        ("double", args.checkpoint_double, args.corpus_double),
-    ]:
-        model = _load_model(ckpt_path)
+    for mode, model, corpus_path in arms:
         samples = read_samples(corpus_path)
-        report = evaluate_accuracy(
-            model, samples, candidates=LOOKUP_VALUES, max_new_tokens=cfg["eval"]["max_new_tokens"]
-        )
+        report = evaluate_accuracy(model, samples, candidates=LOOKUP_VALUES, max_new_tokens=budget)
         _emit_report(out, f"ablation_{mode}", report)
         rows.append((mode, report.metrics["accuracy"], report.metrics["n"]))
     table = ["edge_mode  accuracy  n", "-" * 26]
@@ -223,6 +241,23 @@ def cmd_ablate_edges(args) -> int:
     comparison = "\n".join(table)
     (out / "ablation_comparison.txt").write_text(comparison + "\n", encoding="utf-8")
     print(comparison)
+    return 0
+
+
+def cmd_reproduce(args) -> int:
+    unknown = [name for name in args.claims if name not in CLAIMS]
+    if unknown:
+        raise ConfigError(f"unknown claim(s) {', '.join(unknown)}; known: {', '.join(CLAIMS)}")
+    names = args.claims or list(CLAIMS)
+    out = Path(args.out)
+    write_run_meta(out, {"claims": {name: CLAIMS[name].recipe() for name in names}})
+    results = {}
+    for name in names:
+        log.info("claim %s: running", name)
+        results[name] = run_claim(CLAIMS[name])
+        # rewritten after every claim, so a cut run keeps the claims it finished
+        (out / "claims.json").write_text(json.dumps(results, indent=2), encoding="utf-8")
+    print(render_claims(results))
     return 0
 
 
@@ -278,6 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-single", required=True)
     p.add_argument("--corpus-double", required=True)
     p.set_defaults(func=cmd_ablate_edges)
+
+    p = sub.add_parser("reproduce", help="run the paper's trained claims and write claims.json")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("claims", nargs="*", metavar="CLAIM", help=f"claims to run (default: all of {', '.join(CLAIMS)})")
+    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("inspect-checkpoint", help="list checkpoint contents")
     p.add_argument("checkpoint")

@@ -277,17 +277,6 @@ class _Bucket:
     text_len: int  # Lb
 
 
-def _truncate(seq: list[int], limit: int, what: str, keep_head: bool = False) -> list[int]:
-    """At most ``limit`` tokens of ``seq``: its last ones, or its first ones
-    with ``keep_head``."""
-    if len(seq) > limit:
-        how = "dropping the tail" if keep_head else "truncating from the left"
-        # the kind leads the message template, so log handlers can tell targets from texts
-        log.warning(f"{what} length %d exceeds %d tokens; {how}", len(seq), limit)
-        return seq[:limit] if keep_head else seq[-limit:]
-    return seq
-
-
 def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bool) -> list[_Bucket]:
     """Group sequences by padded text length into [Sb, Lb + K] buckets.
 
@@ -301,8 +290,15 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
     keeps its first, so the memory rows always learn the answer's start.
     """
     k = cfg.memory_tokens
-    what = "target" if memory_first else "node/edge text"
-    seqs = [_truncate(list(s), cfg.max_seq_len - k, what, keep_head=memory_first) for s in sequences]
+    limit = cfg.max_seq_len - k
+    longest = max(map(len, sequences), default=0)
+    if longest > limit:
+        what, how = ("target", "dropping the tail") if memory_first else ("node/edge text", "truncating from the left")
+        n_long = sum(len(s) > limit for s in sequences)
+        # the kind leads the message template, so log handlers can tell targets from texts
+        log.warning(f"{what} length exceeds %d tokens in %d of %d sequences (longest %d); {how}",
+                    limit, n_long, len(sequences), longest)
+    seqs = [list(s[:limit]) if memory_first else list(s[-limit:]) for s in sequences]
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
         # a decode bucket always has target columns, even for an empty target

@@ -137,7 +137,7 @@ def write_run_meta(out_dir: Path, cfg: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "config": cfg,
-        "seed": cfg.get("seed", 0),
+        "seed": cfg.get("seed"),
         "version": __version__,
         "build_id": build_id(cfg),
         # what the bits of a run depend on besides the config

@@ -17,7 +17,7 @@ from .autodiff import no_grad
 from .model import GofaModel
 from .structure import UNREACHABLE, PathSet, all_shortest_paths, common_neighbors
 from .tag import TAG, TaskSample
-from .taskgen import CN_EMPTY_ANSWER, SPD_UNREACHABLE_ANSWER, render_cn_answer, render_spd_answer
+from .taskgen import CN_EMPTY_ANSWER, SPD_UNREACHABLE_ANSWER
 
 NUMBER_RE = re.compile(r"[-+]?(?:\d+(?:\.\d+)?|\.\d+)")
 

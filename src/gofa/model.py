@@ -121,23 +121,11 @@ class GofaModel:
         node_mems = mems[:n_nodes] if edge_seqs else mems
         return node_mems, offsets
 
-    def encode_texts(self, texts: list[str]) -> Tensor:
-        """Compressor-only path: memory embeddings of bare texts, no graph."""
-        return self.compressor.run([tokenizer.encode(t) for t in texts])
-
     # -- decoding ---------------------------------------------------------------
 
     @staticmethod
     def target_ids(text: str) -> list[int]:
         return tokenizer.encode(text) + [tokenizer.EOS_ID]
-
-    def decode_loss(self, nog_memory: Tensor, target_text: str) -> Tensor:
-        """Mean token NLL of teacher-forcing ``target_text`` from one memory
-        block [K, d]."""
-        if not target_text:
-            raise GraphError("decode_loss requires a non-empty target text")
-        memory = nog_memory.reshape(1, self.cfg.memory_tokens, self.cfg.d_model)
-        return _mean_of_target_means(self.decoder_nll_per_target(memory, [self.target_ids(target_text)]))
 
     def decoder_nll_per_target(self, memories: Tensor, targets: list[list[int]]):
         """Per-target (summed NLL tensor, token count) pairs."""
@@ -178,15 +166,8 @@ class GofaModel:
         per_target = self.decoder_nll_per_target(mems, target_ids)
         return _mean_of_target_means(per_target), len(per_target), sum(count for _, count in per_target)
 
-    def generate(
-        self,
-        nog_memory: Tensor,
-        max_new_tokens: int = 64,
-        mode: str = "greedy",
-        temperature: float = 1.0,
-        seed: int = 0,
-    ) -> str:
-        """Autoregressive decoding from a memory block until EOS or budget.
+    def generate(self, nog_memory: Tensor, max_new_tokens: int = 64) -> str:
+        """Greedy decoding from a memory block until EOS or budget.
 
         The decoder keeps per-layer K/V for this call only, so each token
         after the first computes one decoder position. A budget above
@@ -197,21 +178,10 @@ class GofaModel:
         limit = self.cfg.max_seq_len - self.cfg.memory_tokens
         if max_new_tokens > limit:
             raise ValueError(f"max_new_tokens {max_new_tokens} exceeds max_seq_len - memory_tokens = {limit}")
-        if mode not in ("greedy", "sample"):
-            raise ValueError(f"unknown generation mode {mode!r}")
-        rng = np.random.default_rng(seed)
         ids: list[int] = []
         with self.decoder.kv_cache():
             for _ in range(max_new_tokens):
-                logits = self.decoder.next_logits(nog_memory, ids)
-                if mode == "greedy":
-                    nxt = int(np.argmax(logits))
-                else:
-                    z = logits / max(temperature, 1e-8)
-                    z = z - z.max()
-                    p = np.exp(z)
-                    p /= p.sum()
-                    nxt = int(rng.choice(len(p), p=p))
+                nxt = int(np.argmax(self.decoder.next_logits(nog_memory, ids)))
                 if nxt == tokenizer.EOS_ID:
                     break
                 ids.append(nxt)

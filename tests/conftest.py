@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and a finite-difference checker.
+"""Shared test helpers: independent oracles, a finite-difference checker,
+and the compressor and decoder paths of bare texts.
 
 The oracles here are deliberately naive reimplementations (exhaustive DFS,
 dense loops) kept separate from the library code paths they check.
@@ -11,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from gofa import tokenizer
 from gofa.tag import TAG
 
 NODE_TAG_RE = re.compile(r"\[NODEID\.([A-Z]+)\]")
@@ -109,6 +111,20 @@ def finite_difference(f, tensors: list, h: float = 1e-5, max_coords: int | None 
 def assert_grad_close(analytic: float, fd: float, rel_tol: float = 1e-4, abs_floor: float = 1e-7):
     scale = max(abs(analytic), abs(fd), abs_floor)
     assert abs(analytic - fd) / scale < rel_tol, f"grad mismatch: analytic {analytic} vs fd {fd}"
+
+
+def compress(model, texts: list[str]):
+    """Memory blocks [len(texts), K, d] of bare texts, no graph: the
+    compressor pass every node and edge text goes through."""
+    return model.compressor.run([tokenizer.encode(t) for t in texts])
+
+
+def decode_loss(model, memory, target_text: str) -> float:
+    """Mean token NLL of teacher-forcing ``target_text`` from one memory
+    block [K, d], through the decoder path ``forward_batch`` runs."""
+    k, d = model.cfg.memory_tokens, model.cfg.d_model
+    [(total, count)] = model.decoder_nll_per_target(memory.reshape(1, k, d), [model.target_ids(target_text)])
+    return (total * (1.0 / count)).item()
 
 
 @pytest.fixture

@@ -1,46 +1,30 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The three trained
-directional checks (6, 7, 8) build small corpora and train desk-scale
-models; they are the slow part of the suite and cache their models at
-module scope.
+Run with ``pytest tests/test_acceptance.py -v -s``. The trained criteria
+6-8 are not here: ``gofa reproduce`` runs them from the recipes in
+``gofa.claims``.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from gofa import tokenizer
 from gofa.autodiff import Tensor, no_grad
 from gofa.compressor import ModelConfig, _rope_tables, layer_forward
-from gofa.corpus import (
-    CorpusConfig,
-    LOOKUP_VALUES,
-    gen_completion_corpus,
-    gen_lookup_corpus,
-    gen_structural_corpus,
-    split_corpus,
-)
-from gofa.evaluation import (
-    evaluate_accuracy,
-    evaluate_structural,
-    layer_delta_profile,
-    parse_cn_answer,
-    parse_spd_answer,
-    perplexity,
-)
+from gofa.evaluation import parse_cn_answer, parse_spd_answer
 from gofa.gnn import gnn_layer, init_gnn_layer
 from gofa.model import GofaModel
 from gofa.structure import UNREACHABLE, all_shortest_paths, common_neighbors
 from gofa.tag import TAG, GenerationTarget, TaskSample, attach_prompt_node
 from gofa.taskgen import Conversation, make_qa_chain_graphs, render_cn_answer, render_spd_answer
-from gofa.training import AdamW, TrainConfig, clip_gradients, cosine_restart_lr, resume, train
 
 from conftest import (
     assert_grad_close,
     brute_force_all_paths,
     brute_force_distance,
+    compress,
+    decode_loss,
     finite_difference,
     random_tag,
     undirected_adj,
@@ -281,10 +265,9 @@ def test_criterion_05_degenerate_language_modeling():
         target = " ".join(rng.choice(words, size=rng.integers(1, 4)))
         g = TAG()
         g.add_node(text)
-        graph_mem = model.encode_graphs([g])[0][0]
-        text_mem = model.encode_texts([text])[0]
-        graph_loss = model.decode_loss(graph_mem, target).item()
-        text_loss = model.decode_loss(text_mem, target).item()
+        sample = TaskSample(graph=g, targets=[GenerationTarget(0, target)], task_kind="completion")
+        graph_loss = model.forward_batch([sample])[0].item()
+        text_loss = decode_loss(model, compress(model, [text])[0], target)
         assert graph_loss == text_loss, f"bitwise mismatch {graph_loss} vs {text_loss}"
     assert time.time() - t0 < 60
     report(5, "single-node graph loss is bit-identical to the pure sequence model")

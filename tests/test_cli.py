@@ -251,6 +251,30 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: ")
 
+    def test_budget_past_the_checkpoint_decoder_is_2_before_any_output(self, tmp_path, capsys):
+        # the config's model section allows the default budget of 96; the checkpoint's does not
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        ckpt = str(tmp_path / "m.gofa")
+        small = ModelConfig(d_model=16, n_heads=2, n_layers=2, memory_tokens=2, gnn_layers=(1,), max_seq_len=48)
+        GofaModel(small).save(ckpt)
+        lookup = str(corpus_dir / "lookup_single_test.jsonl")
+        commands = [
+            ["eval", "--checkpoint", ckpt, "--corpus", str(corpus_dir / "spd_test.jsonl")],
+            ["ablate-edges", "--checkpoint-single", ckpt, "--checkpoint-double", ckpt,
+             "--corpus-single", lookup, "--corpus-double", lookup],
+        ]
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"out{i}"
+            assert run(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+            assert not out.exists()
+            assert "exceeds max_seq_len - memory_tokens = 46 of checkpoint" in capsys.readouterr().err
+        # a perplexity eval generates nothing, so the budget does not bind it
+        out = tmp_path / "ppl"
+        completion = str(corpus_dir / "completion_test.jsonl")
+        code = run(["eval", "--out", str(out), "--checkpoint", ckpt, "--corpus", completion, "--set", "eval.delta_profile_n=1"])
+        assert code == 0 and (out / "eval_report.json").exists()
+
     def test_runtime_error_is_3(self, tmp_path):
         assert run(["eval", "--out", str(tmp_path / "x"), "--checkpoint", "/nonexistent.gofa",
                     "--corpus", "/nonexistent.jsonl"]) == 3

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,8 @@ from gofa.compressor import (
 from gofa.model import GofaModel, _mean_of_target_means
 from gofa.taskgen import make_autoencode_task
 from gofa.training import TrainConfig, train
+
+from conftest import compress
 
 
 def tiny_cfg(**kw):
@@ -99,14 +103,14 @@ class TestEmbedding:
     def test_empty_text_zero_length(self):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=0)
-        mems = model.encode_texts([""])
+        mems = compress(model, [""])
         assert mems.shape == (1, cfg.memory_tokens, cfg.d_model)
         assert np.all(np.isfinite(mems.data))
 
     def test_two_char_text(self):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=0)
-        mems = model.encode_texts(["ab"])
+        mems = compress(model, ["ab"])
         assert mems.shape == (1, cfg.memory_tokens, cfg.d_model)
 
 
@@ -138,23 +142,23 @@ class TestTransformerLayer:
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=2)
         text = "hello graph"
-        base = model.encode_texts([text]).data
+        base = compress(model, [text]).data
         for j, repl in [(0, "Jello graph"), (6, "hello Xraph")]:
-            out = model.encode_texts([repl]).data
+            out = compress(model, [repl]).data
             assert not np.allclose(base, out), f"memory blind to token {j}"
 
     def test_per_node_independence(self, rng):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=3)
         a = "first sequence"
-        base = model.encode_texts([a, "second one"]).data[0]
-        out = model.encode_texts([a, "second TWO"]).data[0]
+        base = compress(model, [a, "second one"]).data[0]
+        out = compress(model, [a, "second TWO"]).data[0]
         assert np.array_equal(base, out)
 
     def test_memory_slot_count_invariant(self):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=0)
-        mems = model.encode_texts(["short", "a much longer sequence of text here"])
+        mems = compress(model, ["short", "a much longer sequence of text here"])
         assert mems.shape[1] == cfg.memory_tokens
 
     def test_kv_steps_match_full_causal_pass(self, rng):
@@ -186,13 +190,31 @@ class TestTransformerLayer:
             with pytest.raises(ValueError, match="without a tape"):
                 layer_forward(tensor, layer, cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
 
+    def test_truncation_is_logged_once_per_call_with_a_count(self, caplog):
+        cfg = tiny_cfg(max_seq_len=12)
+        limit = cfg.max_seq_len - cfg.memory_tokens
+        seqs = [[65] * 50, [66] * 3, [67] * (limit + 1), [68] * limit]
+        for make, kind, keep in [
+            (make_compress_buckets, "node/edge text length", lambda s: s[-limit:]),
+            (make_decode_buckets, "target length", lambda s: s[:limit]),
+        ]:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="gofa"):
+                buckets = make(seqs, cfg, cfg.dtype)
+                make(seqs[1:2], cfg, cfg.dtype)  # nothing to cut: no record
+            [record] = caplog.records
+            assert record.getMessage().startswith(kind)
+            assert f"exceeds {limit} tokens in 2 of 4 sequences (longest 50)" in record.getMessage()
+            for b in buckets:
+                for row, i in enumerate(b.indices):
+                    first, stop = b.window[row]  # text columns, then K memory columns
+                    assert b.ids[row, first : stop - cfg.memory_tokens].tolist() == keep(seqs[i])
+
     def test_left_truncation_warns_and_keeps_memory(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)
         model = GofaModel(cfg, seed=0)
-        import logging
-
         with caplog.at_level(logging.WARNING, logger="gofa"):
-            mems = model.encode_texts(["x" * 50])
+            mems = compress(model, ["x" * 50])
         assert mems.shape == (1, cfg.memory_tokens, cfg.d_model)
         assert any("truncating from the left" in r.message for r in caplog.records)
 
@@ -508,7 +530,7 @@ def reference_autoencode_loss(model, texts):
     """Reconstruction loss straight from the compressor and the decoder:
     compress the bare texts, then decode each one's tokens from its memory
     block alone; mean over texts."""
-    mems = model.encode_texts(texts)
+    mems = compress(model, texts)
     return _mean_of_target_means(model.decoder_nll_per_target(mems, [model.target_ids(t) for t in texts]))
 
 
@@ -522,7 +544,7 @@ class TestAutoencoder:
     def test_identical_texts_identical_memories(self):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=0)
-        mems = model.encode_texts(["same text", "same text"]).data
+        mems = compress(model, ["same text", "same text"]).data
         assert np.array_equal(mems[0], mems[1])
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])

@@ -25,7 +25,7 @@ from gofa.structure import UNREACHABLE, all_shortest_paths, common_neighbors
 from gofa.tag import TAG, GenerationTarget, TaskSample, assign_node_id_tags, attach_prompt_node
 from gofa.taskgen import PretrainConfig, make_structural_tasks, render_cn_answer, render_spd_answer
 
-from conftest import random_tag
+from conftest import decode_loss, random_tag
 
 
 def tiny_cfg(**kw):
@@ -190,8 +190,8 @@ class TestPerplexity:
         model = GofaModel(cfg, seed=2)
         s = simple_sample()
         mems, _ = model.encode_graphs([s.graph])
-        direct = model.decode_loss(mems[s.targets[0].nog], s.targets[0].target_text)
-        assert perplexity(model, [s]) == pytest.approx(float(np.exp(direct.item())), rel=1e-9)
+        direct = decode_loss(model, mems[s.targets[0].nog], s.targets[0].target_text)
+        assert perplexity(model, [s]) == pytest.approx(float(np.exp(direct)), rel=1e-9)
 
     def test_token_weighted_aggregation(self):
         cfg = tiny_cfg()
