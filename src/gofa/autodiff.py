@@ -202,9 +202,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -218,18 +215,6 @@ class Tensor:
         return self._make(out_data, (self, other), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.shape), owned=True)
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / (other.data * other.data), other.shape), owned=True)
-
-        return self._make(out_data, (self, other), bw)
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -320,14 +305,6 @@ class Tensor:
 
         return self._make(out_data, (self,), bw)
 
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def bw(g):
-            self._accum(g * out_data, owned=True)
-
-        return self._make(out_data, (self,), bw)
-
     def silu(self):
         out_data = silu_kernel(self.data)
 
@@ -392,18 +369,6 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
         full = np.bincount(flat, weights=g.reshape(-1), minlength=x.size)
         x._accum(full.astype(g.dtype, copy=False).reshape(x.shape), owned=True)
-
-    return x._make(out_data, (x,), bw)
-
-
-def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` (axis 0) into ``num_segments`` buckets."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = np.zeros((num_segments,) + x.shape[1:], dtype=x.data.dtype)
-    np.add.at(out_data, segment_ids, x.data)
-
-    def bw(g):
-        x._accum(g[segment_ids], owned=True)
 
     return x._make(out_data, (x,), bw)
 

@@ -22,7 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -40,7 +39,6 @@ from .corpus import (
     split_corpus,
 )
 from .evaluation import (
-    REPORT_SCHEMA,
     EvalReport,
     _prompt_endpoints,
     evaluate_accuracy,
@@ -196,8 +194,6 @@ def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, kind: str,
 
 
 def _emit_report(out: Path, name: str, report: EvalReport) -> None:
-    payload = json.loads(report.to_json())
-    jsonschema.validate(payload, REPORT_SCHEMA)
     (out / f"{name}.json").write_text(report.to_json(), encoding="utf-8")
     (out / f"{name}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
     write_transcripts(out / f"{name}_transcripts.jsonl", report)

@@ -498,11 +498,11 @@ class Compressor:
         text_consts, mem_consts = (tuple(c[rows] for c in consts) for consts in (text_consts, mem_consts))
         text, mem = self._state_at(t0, bucket.ids[rows], text_consts, mem_consts)
         lb = bucket.text_len
-        real = [min(len(keys[row]), cfg.max_seq_len - cfg.memory_tokens) for row in rows]
-        stored = [np.empty((cfg.n_layers - t0, n, cfg.d_model), dtype=cfg.dtype) for n in real]
+        starts = bucket.window[rows, 0]  # each text's first real column
+        stored = [np.empty((cfg.n_layers - t0, lb - start, cfg.d_model), dtype=cfg.dtype) for start in starts]
         for t in range(t0 + 1, cfg.n_layers + 1) if lb else ():
-            for text_rows, n, x in zip(stored, real, text.data):
-                text_rows[t - t0 - 1] = x[lb - n :]  # the rows at the input of layer t
+            for text_rows, start, x in zip(stored, starts, text.data):
+                text_rows[t - t0 - 1] = x[start:]  # the rows at the input of layer t
             if t < cfg.n_layers:
                 text = layer_forward(text, self.stack.layers[t - 1], cfg, *text_consts)
         for row, text_rows, m in zip(rows, stored, mem.data):

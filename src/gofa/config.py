@@ -70,9 +70,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"eval.kind {cfg['eval']['kind']!r} is not one of {', '.join(EVAL_KINDS)}")
     for key in ("batch_size", "max_new_tokens", "delta_profile_n"):
         _require(f"eval.{key}", cfg["eval"][key], int, lambda v: v >= 1, "an integer >= 1")
-    limit = cfg["model"]["max_seq_len"] - cfg["model"]["memory_tokens"]
-    _require("eval.max_new_tokens", cfg["eval"]["max_new_tokens"], int, lambda v: v <= limit,
-             f"at most model.max_seq_len - model.memory_tokens = {limit}")
     _require("gen.test_fraction", cfg["gen"]["test_fraction"], (int, float), lambda v: 0 < v < 1, "in (0, 1)")
     pre = cfg["pretrain"]
     _require("pretrain.text_low", pre["text_low"], int, lambda v: v >= 0, "an integer >= 0")

@@ -226,20 +226,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["metrics", "notes"],
-    "properties": {
-        "metrics": {
-            "type": "object",
-            "additionalProperties": {"type": ["number", "string", "null", "object", "array"]},
-        },
-        "notes": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
-
-
 def _rmse(errors: list[float | None], labels: list[float], penalty: float | None) -> tuple[float, float]:
     """RMSE with misses (None) charged a penalty distance.
 

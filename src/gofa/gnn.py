@@ -3,7 +3,8 @@
 Message passing runs independently at each of the K memory-token indices:
 node i attends over its in-neighbors j (arcs j->i) with logits
 (Wq h_i) . (Wk_node h_j + Wk_edge h_e) / sqrt(d_head), aggregates values
-Wv_node h_j + Wv_edge h_e, and applies an output projection. A tanh-gated
+Wv_node h_j + Wv_edge h_e, and applies an output projection. The attention
+runs through the fused ``autodiff.attention`` op. A tanh-gated
 residual plus a tanh-gated feed-forward sublayer follow, both pre-normed,
 so a freshly initialized layer (gates at 0) is an exact identity. Edge
 memories are read but never updated here. Nodes with no in-neighbors pass
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, gather_rows, rms_norm, segment_sum
-from .compressor import ModelConfig, ParamStore
+from .autodiff import ShapeError, Tensor, attention, attention_kernel, gather_rows, rms_norm, split_heads
+from .compressor import ModelConfig, ParamStore, gather_in_order
 
 
 def init_gnn_layer(store: ParamStore, prefix: str, cfg: ModelConfig, rng) -> dict:
@@ -59,40 +60,44 @@ def gnn_layer(
         return node_mem
     if edge_mem.shape != (n_edges, k, d):
         raise ShapeError(f"edge memories {edge_mem.shape} do not match {n_edges} arcs of [{k}, {d}]")
-    heads, dh = cfg.n_heads, cfg.head_dim
+    heads = cfg.n_heads
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
 
     hn = rms_norm(node_mem, params["norm_nodes"])
     he = rms_norm(edge_mem, params["norm_edges"])
-
-    def to_heads(t: Tensor, rows: int) -> Tensor:
-        return t.reshape(rows, k, heads, dh)
-
-    q = to_heads(gather_rows(hn @ params["wq"], dst), n_edges)
+    q = hn @ params["wq"]
     h_src = gather_rows(hn, src)
-    key = to_heads(h_src @ params["wk_node"] + he @ params["wk_edge"], n_edges)
-    val = to_heads(h_src @ params["wv_node"] + he @ params["wv_edge"], n_edges)
+    key = h_src @ params["wk_node"] + he @ params["wk_edge"]  # [E, K, d]
+    val = h_src @ params["wv_node"] + he @ params["wv_edge"]
 
-    logits = (q * key).sum(axis=-1) * (1.0 / np.sqrt(dh))  # [E, K, heads]
+    # A node's query at memory index t attends over its in-arcs, in arc
+    # order, as attention head (t, head). Nodes of equal in-degree share one
+    # call, so a node's result does not depend on the other graphs of a
+    # batch; nodes without in-arcs get zero rows.
+    in_deg = np.bincount(dst, minlength=n_nodes)
+    by_dst = np.argsort(dst, kind="stable")
+    first = np.cumsum(in_deg) - in_deg  # node n's in-arcs are by_dst[first[n] : first[n] + in_deg[n]]
+    alpha = None if collect_attention is None else np.empty((n_edges, k, heads), dtype=key.dtype)
+    blocks, members = [], []
+    for deg in np.unique(in_deg):
+        nodes = np.flatnonzero(in_deg == deg)
+        members.append(nodes)
+        if deg == 0:
+            blocks.append(Tensor(np.zeros((len(nodes), k, d)), dtype=node_mem.dtype))
+            continue
+        arcs = by_dst[(first[nodes, None] + np.arange(deg)).reshape(-1)]
+        qg = split_heads(gather_rows(q, nodes).reshape(len(nodes), 1, k * d), k * heads)
+        kg, vg = (split_heads(gather_rows(t, arcs).reshape(len(nodes), deg, k * d), k * heads) for t in (key, val))
+        blocks.append(attention(qg, kg, vg).reshape(len(nodes), k, d))
+        if alpha is not None:
+            p = attention_kernel(qg.data, kg.data, vg.data)[2][0][0]  # [m, K * heads, 1, deg]
+            alpha[arcs] = p.reshape(len(nodes), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
+    if alpha is not None:
+        collect_attention.append((alpha, dst.copy()))
+    out = gather_in_order(blocks, members) @ params["wo"]
 
-    # Segment softmax over each destination's in-arcs; the max shift is a
-    # constant, so gradients of the normalized weights stay exact.
-    shift = np.full((n_nodes, k, heads), -np.inf, dtype=logits.dtype)
-    np.maximum.at(shift, dst, logits.data)
-    num = (logits - Tensor(shift[dst], dtype=logits.dtype)).exp()
-    denom = segment_sum(num, dst, n_nodes)
-    alpha = num / gather_rows(denom, dst)  # [E, K, heads]
-    if collect_attention is not None:
-        collect_attention.append((alpha.data.copy(), dst.copy()))
-
-    weighted = val * alpha.reshape(n_edges, k, heads, 1)
-    agg = segment_sum(weighted, dst, n_nodes).reshape(n_nodes, k, d)
-    out = agg @ params["wo"]
-
-    has_in = np.zeros((n_nodes, 1, 1), dtype=node_mem.dtype)
-    has_in[np.unique(dst)] = 1.0
-    mask = Tensor(has_in, dtype=node_mem.dtype)
+    mask = Tensor((in_deg > 0).reshape(n_nodes, 1, 1), dtype=node_mem.dtype)  # has in-arcs
 
     h1 = node_mem + (params["gate_gnn"].tanh() * out) * mask
     hf = rms_norm(h1, params["ff_norm"])

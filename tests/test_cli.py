@@ -27,8 +27,6 @@ SMALL_MODEL = [
     "--set", 'model.memory_tokens=2',
     "--set", 'model.gnn_layers=[1]',
     "--set", 'model.max_seq_len=48',
-    # a budget the small model's decoder can hold: at most max_seq_len - memory_tokens
-    "--set", 'eval.max_new_tokens=46',
 ]
 
 
@@ -66,6 +64,11 @@ class TestConfig:
         cfg = load_config(None, ["model.d_model=64", "seed=9"])
         assert cfg["model"]["d_model"] == 64
         assert cfg["seed"] == 9
+
+    def test_generation_budget_is_not_checked_against_the_config_model(self):
+        # train never generates; eval checks the budget against each checkpoint
+        cfg = load_config(None, ["model.max_seq_len=64"])
+        assert cfg["eval"]["max_new_tokens"] > cfg["model"]["max_seq_len"] - cfg["model"]["memory_tokens"]
 
     def test_bad_override_path(self):
         with pytest.raises(ConfigError):
@@ -225,8 +228,6 @@ class TestExitCodes:
             ("gen-corpus", "gen.test_fraction=0"),
             ("eval", "eval.batch_size=0"),
             ("eval", "eval.max_new_tokens=0"),
-            ("eval", "eval.max_new_tokens=125"),
-            ("train", "model.max_seq_len=64"),
             ("eval", "eval.delta_profile_n=0"),
             ("autoencode-pretrain", "pretrain.text_low=9"),
             ("autoencode-pretrain", 'pretrain.alphabet=""'),
@@ -252,7 +253,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_budget_past_the_checkpoint_decoder_is_2_before_any_output(self, tmp_path, capsys):
-        # the config's model section allows the default budget of 96; the checkpoint's does not
+        # the default budget of 96 is past the checkpoint decoder's 46
         corpus_dir = tmp_path / "corpus"
         run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
         ckpt = str(tmp_path / "m.gofa")

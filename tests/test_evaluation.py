@@ -5,7 +5,6 @@ import pytest
 
 from gofa.compressor import ModelConfig
 from gofa.evaluation import (
-    REPORT_SCHEMA,
     EvalReport,
     eval_token_nll,
     evaluate_accuracy,
@@ -256,10 +255,8 @@ class TestReports:
         g = random_tag(rng, 6, edge_prob=0.4)
         spd, cn = make_structural_tasks(g, PretrainConfig(n_selected=2, rng_seed=0, question_style="compact"))
         report = evaluate_structural(model, [spd, cn], max_new_tokens=8)
-        import jsonschema
-
         payload = json.loads(report.to_json())
-        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert set(payload) == {"metrics", "notes"}
         assert "spd_rmse" in report.metrics and "cn_rmse" in report.metrics
         assert np.isfinite(report.metrics["spd_rmse"])
         table = report.render_table()

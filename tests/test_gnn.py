@@ -29,9 +29,20 @@ def star_arcs(n_leaves):
     return src, dst
 
 
+def uneven_arcs():
+    """In-degrees 3, 2, 1, 1 and 0 with arcs of different nodes interleaved:
+    node 0 has three in-arcs, node 1 two parallel arcs from node 0, node 2
+    a self-loop, node 3 one arc from node 4, and node 4 none."""
+    src = np.array([1, 0, 2, 2, 0, 3, 4])
+    dst = np.array([0, 1, 0, 2, 1, 0, 3])
+    return src, dst
+
+
 def dense_oracle(src, dst, node_mem, edge_mem, params, cfg):
     """Straight-line computation of the attention-GNN formula, written
-    independently with loops over nodes, heads and token indices."""
+    independently with loops over nodes, heads and token indices. Returns
+    the new node memories and the attention weights [E, K, heads] in arc
+    order."""
     n, k, d = node_mem.shape
     heads, dh = cfg.n_heads, cfg.head_dim
     eps = 1e-6
@@ -44,6 +55,7 @@ def dense_oracle(src, dst, node_mem, edge_mem, params, cfg):
     he = np.stack([[rms(edge_mem[e, t], p["norm_edges"]) for t in range(k)] for e in range(len(src))])
 
     out = np.zeros_like(node_mem)
+    alpha = np.zeros((len(src), k, heads))
     for i in range(n):
         in_arcs = [e for e in range(len(src)) if dst[e] == i]
         if not in_arcs:
@@ -62,6 +74,7 @@ def dense_oracle(src, dst, node_mem, edge_mem, params, cfg):
                 logits = np.array(logits)
                 weights = np.exp(logits - logits.max())
                 weights /= weights.sum()
+                alpha[in_arcs, t, h] = weights
                 collected.reshape(heads, dh)[h] = sum(w * v for w, v in zip(weights, values))
             out[i, t] = collected @ p["wo"]
 
@@ -77,7 +90,7 @@ def dense_oracle(src, dst, node_mem, edge_mem, params, cfg):
             z = hf @ p["ff1"]
             ff = (z * (1 / (1 + np.exp(-z)))) @ p["ff2"]
             result[i, t] = h1[i, t] + g2 * ff
-    return result
+    return result, alpha
 
 
 class TestGateZero:
@@ -173,7 +186,7 @@ class TestDenseOracle:
         node_mem = rng.normal(size=(3, 3, 8))
         edge_mem = rng.normal(size=(2, 3, 8))
         fast = gnn_layer(src, dst, Tensor(node_mem), Tensor(edge_mem), params, cfg).data
-        slow = dense_oracle(src, dst, node_mem, edge_mem, params, cfg)
+        slow, _ = dense_oracle(src, dst, node_mem, edge_mem, params, cfg)
         assert np.allclose(fast, slow, atol=1e-12)
 
     def test_random_graph_matches_dense(self, rng):
@@ -184,8 +197,24 @@ class TestDenseOracle:
         node_mem = rng.normal(size=(4, 3, 12))
         edge_mem = rng.normal(size=(6, 3, 12))
         fast = gnn_layer(src, dst, Tensor(node_mem), Tensor(edge_mem), params, cfg).data
-        slow = dense_oracle(src, dst, node_mem, edge_mem, params, cfg)
+        slow, _ = dense_oracle(src, dst, node_mem, edge_mem, params, cfg)
         assert np.allclose(fast, slow, atol=1e-12)
+
+    def test_uneven_in_degrees_match_dense(self, rng):
+        # parallel arcs, a self-loop and a node without in-arcs, with the
+        # attention weights compared in arc order
+        cfg = tiny_cfg(d_model=12, n_heads=3)
+        params = make_params(cfg, seed=12, gates=0.55)
+        src, dst = uneven_arcs()
+        node_mem = rng.normal(size=(5, 3, 12))
+        edge_mem = rng.normal(size=(7, 3, 12))
+        collected = []
+        fast = gnn_layer(src, dst, Tensor(node_mem), Tensor(edge_mem), params, cfg, collect_attention=collected).data
+        slow, alpha = dense_oracle(src, dst, node_mem, edge_mem, params, cfg)
+        assert np.allclose(fast, slow, atol=1e-12)
+        assert np.allclose(collected[0][0], alpha, atol=1e-12)
+        assert np.array_equal(collected[0][1], dst)
+        assert np.array_equal(fast[4], node_mem[4])
 
 
 class TestEquivariance:
@@ -208,18 +237,16 @@ class TestGradients:
     def test_full_layer_gradient_vs_fd(self, rng):
         cfg = tiny_cfg()
         params = make_params(cfg, seed=11, gates=0.37)
-        src = np.array([0, 1, 2, 3])
-        dst = np.array([1, 2, 3, 0])
-        node_data = rng.normal(size=(4, 3, 8))
-        edge_data = rng.normal(size=(4, 3, 8))
-        upstream = rng.normal(size=(4, 3, 8))
+        src, dst = uneven_arcs()
+        upstream = rng.normal(size=(5, 3, 8))
 
-        node_mem = Tensor(node_data, requires_grad=True)
-        checked = [node_mem, params["wq"], params["wk_edge"], params["wv_node"],
-                   params["gate_gnn"], params["gate_ff"], params["ff1"], params["norm_nodes"]]
+        node_mem = Tensor(rng.normal(size=(5, 3, 8)), requires_grad=True)
+        edge_mem = Tensor(rng.normal(size=(7, 3, 8)), requires_grad=True)
+        checked = [node_mem, edge_mem, *params.values()]
+        assert len(checked) == 15
 
         def build():
-            return (gnn_layer(src, dst, node_mem, Tensor(edge_data), params, cfg) * Tensor(upstream)).sum()
+            return (gnn_layer(src, dst, node_mem, edge_mem, params, cfg) * Tensor(upstream)).sum()
 
         loss = build()
         loss.backward()

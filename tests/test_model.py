@@ -107,16 +107,27 @@ class TestEncodeGraph:
         assert np.allclose(fast.data, slow, atol=1e-9)
 
     def test_union_batching_matches_singletons(self):
+        # bit for bit with the GNN on, beside a star whose hub has a higher
+        # in-degree than any node of the path
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=5)
-        s1 = path_sample(["aa bb cc", "dd ee"])
-        s2 = path_sample(["xx yy", "zz ww vv", "uu"])
-        batched, offsets = model.encode_graphs([s1.graph, s2.graph])
+        for params in model.gnn_params.values():
+            params["gate_gnn"].data = np.asarray(0.7)
+            params["gate_ff"].data = np.asarray(-0.5)
+        s1 = path_sample(["aa bb cc", "dd ee", "ff gg", "hh"])
+        star = TAG()
+        star.add_node("hub")
+        for i in range(10):
+            star.add_node(f"leaf {i}")
+            star.add_undirected_edge(0, i + 1, "spoke")
+        attach_prompt_node(star, [0], "complete?", "single")
+        batched, offsets = model.encode_graphs([s1.graph, star])
         alone1, _ = model.encode_graphs([s1.graph])
-        alone2, _ = model.encode_graphs([s2.graph])
+        alone2, _ = model.encode_graphs([star])
         n1 = s1.graph.n_nodes()
-        assert np.allclose(batched.data[:n1], alone1.data, atol=1e-9)
-        assert np.allclose(batched.data[n1:], alone2.data, atol=1e-9)
+        assert not np.allclose(alone1.data, model.encode_graphs([s1.graph], use_gnn=False)[0].data)
+        assert np.array_equal(batched.data[:n1], alone1.data)
+        assert np.array_equal(batched.data[n1:], alone2.data)
 
     def test_node_order_permutation_equivariance(self, rng):
         cfg = tiny_cfg()
