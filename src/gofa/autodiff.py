@@ -557,20 +557,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None)
     return q._make(out_data, (q, k, v), bw)
 
 
-def rms_norm_kernel(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` scaled by the reciprocal root-mean-square ``r`` over its last
-    axis and by ``gain``; returns the result and ``r`` [..., 1]."""
-    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-    r = 1.0 / np.sqrt(ms + eps)
-    return x * r * gain, r
-
-
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """``rms_norm_kernel`` on the tape."""
+    """``x`` scaled by the reciprocal root-mean-square ``r`` over its last
+    axis and by ``gain``."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
     n = x.shape[-1]
-    out_data, r = rms_norm_kernel(x.data, gain.data, eps)
+    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / n
+    r = 1.0 / np.sqrt(ms + eps)
+    out_data = x.data * r * gain.data
 
     def bw(g):
         if x.requires_grad:

@@ -31,6 +31,7 @@ values from the cached rows, and only memory rows run through layers.
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,8 +40,7 @@ import numpy as np
 
 from . import tokenizer
 from .autodiff import (
-    Tensor, attention, attention_kernel, concat, gather_rows, rms_norm, rms_norm_kernel, rope, rope_kernel,
-    silu_kernel, split_heads,
+    Tensor, attention, concat, gather_rows, no_grad, rms_norm, rope, rope_kernel, silu_kernel, split_heads,
 )
 
 log = logging.getLogger("gofa")
@@ -163,24 +163,26 @@ def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LayerKV:
-    """Keys and values [S, H, n, dh] that one layer computed in earlier calls.
+    """Keys and values that one layer computed in earlier calls.
 
     Without a ``capacity``, ``extend`` appends one call's key and value
-    tensors and returns all of them, so gradients flow back into every call
-    that contributed keys and values.
+    tensors [S, H, n, dh] and returns all of them, so gradients flow back
+    into every call that contributed keys and values.
 
-    With a ``capacity``, it is the inference cache, which ``layer_forward``
-    runs on arrays without a tape (``_cached_layer``): buffers of that many
-    positions, written in place, and the layer's fused [d, 3d] projection
-    ``[wq | wk | wv]``. Both are made on the first call and kept as long as
-    the cache is, so the layer's weights must not change meanwhile.
+    With a ``capacity``, it is the inference cache of one sequence, which
+    ``layer_forward`` steps on arrays without a tape (``_cached_layer``):
+    ``fill`` copies the first key columns of a prefill's taped cache into
+    buffers [H, capacity, dh], and every step writes one more column. The
+    layer's step arrays (its fused [d, 3d] projection ``[wq | wk | wv]``
+    among them) are made on the first step and kept as long as the cache
+    is, so the layer's weights must not change meanwhile.
     """
 
     def __init__(self, capacity: int | None = None):
         self.capacity = capacity
         self.keys: np.ndarray | Tensor | None = None
         self.values: np.ndarray | Tensor | None = None
-        self.qkv: np.ndarray | None = None
+        self.weights: tuple | None = None
         self.n = 0
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -190,6 +192,14 @@ class LayerKV:
             v = concat([self.values, v], axis=2)
         self.keys, self.values, self.n = k, v, k.shape[2]
         return k, v
+
+    def fill(self, taped: "LayerKV", n: int) -> None:
+        """Start the inference cache from the first ``n`` key columns of
+        ``taped``, the cache a one-sequence tape pass extended."""
+        keys, values = taped.keys.data[0], taped.values.data[0]
+        self.keys = np.empty((keys.shape[0], self.capacity, keys.shape[2]), dtype=keys.dtype)
+        self.values = np.empty_like(self.keys)
+        self.keys[:, :n], self.values[:, :n], self.n = keys[:, :n], values[:, :n], n
 
 
 def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, cos: np.ndarray, sin: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -209,9 +219,9 @@ def layer_forward(
     ``cos`` and ``sin`` rotate the rows of ``x``. With ``kv``, the keys and
     values of ``x`` are appended to the cached ones and the queries attend
     over all of them. When ``kv`` is the inference cache (a ``LayerKV`` with
-    a capacity), ``x`` and the result are arrays and no tape is recorded:
-    the step runs the kernels of the tape ops in the same order, with the
-    three projections of queries, keys and values as the columns of one.
+    a capacity), ``x`` is one new position [1, 1, d] as an array, ``window``
+    is None, ``cos`` and ``sin`` are that position's rows, and the step runs
+    without a tape (``_cached_layer``).
 
     Attention runs the rows in tiles that end at every 32nd key column and
     reads only the keys before a tile's end (``autodiff.attention``). The
@@ -230,32 +240,47 @@ def layer_forward(
     return x + (xn2 @ p["ff1"]).silu() @ p["ff2"]
 
 
+def _row_norm(v: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """``autodiff.rms_norm`` of one row [d], with its scale on Python floats:
+    the same IEEE operations in float64, at a fraction of the numpy calls.
+    In float32 the scale is rounded once, from float64."""
+    ms = float(np.add.reduce(v * v)) / v.shape[0]
+    return v * (1.0 / math.sqrt(ms + eps)) * gain
+
+
 def _cached_layer(
     x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
     kv: LayerKV,
 ) -> np.ndarray:
-    """``layer_forward`` on arrays against the inference cache ``kv``: one
-    projection through ``[wq | wk | wv]``, one rotation of queries and keys
-    together, and keys and values written straight into the buffers."""
+    """``layer_forward`` of one new position against the inference cache
+    ``kv``, on arrays: one projection through ``[wq | wk | wv]``, one
+    rotation of the query and key together, the key and value written
+    straight into the buffers, and a softmax over the one query's scores
+    with no tiles or mask. The operations are those of the tape ops on one
+    row, in the same order."""
     if isinstance(x, Tensor):
         raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
-    s, n, _ = x.shape
-    h = cfg.n_heads
-    if kv.qkv is None:
-        kv.qkv = np.concatenate([p["wq"].data, p["wk"].data, p["wv"].data], axis=1)
-        kv.keys = np.empty((s, h, kv.capacity, cfg.head_dim), dtype=x.dtype)
-        kv.values = np.empty_like(kv.keys)
-    xn, _ = rms_norm_kernel(x, p["attn_norm"].data)
-    qkv = (xn @ kv.qkv).reshape(s, n, 3 * h, cfg.head_dim).transpose(0, 2, 1, 3)
-    qk = rope_kernel(qkv[:, : 2 * h], cos, sin)
-    end = kv.n + n
-    kv.keys[:, :, kv.n : end] = qk[:, h:]
-    kv.values[:, :, kv.n : end] = qkv[:, 2 * h :]
-    kv.n = end
-    att, *_ = attention_kernel(qk[:, :h], kv.keys[:, :, :end], kv.values[:, :, :end], window)
-    x = x + att @ p["wo"].data
-    xn, _ = rms_norm_kernel(x, p["ff_norm"].data)
-    return x + silu_kernel(xn @ p["ff1"].data) @ p["ff2"].data
+    if x.shape[:2] != (1, 1) or window is not None:
+        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a window, not {x.shape}; prefill with fill()")
+    if kv.weights is None:
+        qkv = np.concatenate([p["wq"].data, p["wk"].data, p["wv"].data], axis=1)
+        scale = np.asarray(1.0 / np.sqrt(cfg.head_dim), dtype=x.dtype)
+        kv.weights = (p["attn_norm"].data, qkv, p["wo"].data, p["ff_norm"].data, p["ff1"].data, p["ff2"].data, scale)
+    attn_gain, qkv, wo, ff_gain, ff1, ff2, scale = kv.weights
+    h, n = cfg.n_heads, kv.n + 1
+    row = x.reshape(-1)
+    qkv = (_row_norm(row, attn_gain) @ qkv).reshape(3 * h, 1, cfg.head_dim)
+    qk = rope_kernel(qkv[: 2 * h], cos, sin)
+    kv.keys[:, kv.n] = qk[h:, 0]
+    kv.values[:, kv.n] = qkv[2 * h :, 0]
+    kv.n = n
+    att = qk[:h] @ kv.keys[:, :n].swapaxes(-1, -2)  # [H, 1, n]
+    att *= scale
+    att -= np.maximum.reduce(att, axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= np.add.reduce(att, axis=-1, keepdims=True)
+    row = row + (att @ kv.values[:, :n]).reshape(-1) @ wo
+    return (row + silu_kernel(_row_norm(row, ff_gain) @ ff1) @ ff2).reshape(x.shape)
 
 
 # -- sequence bucketing -------------------------------------------------------
@@ -551,12 +576,11 @@ class Compressor:
 
 
 class _DecodeState:
-    """Per-layer K/V of one memory block followed by the prefix tokens
-    decoded after it, with RoPE tables for every position a window can use."""
+    """The inference K/V of each decoder layer for one memory block and the
+    prefix decoded after it, with the rotations of every position."""
 
     def __init__(self, cfg: ModelConfig, n_layers: int):
-        cos, sin = _rotation_tables(cfg)
-        self.cos, self.sin = cos[None, None], sin[None, None]
+        self.cos, self.sin = _rotation_tables(cfg)
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
         self.memory: Tensor | None = None
         self.prefix: list[int] = []
@@ -566,12 +590,6 @@ class _DecodeState:
         cached memory block."""
         n = len(self.prefix)
         return memory is self.memory and len(prefix) == n + 1 and list(prefix[:n]) == self.prefix
-
-    def reset(self, memory: Tensor, prefix: list[int]) -> None:
-        self.memory = memory
-        self.prefix = list(prefix)
-        for kv in self.layers:
-            kv.n = 0
 
 
 class Decoder:
@@ -583,7 +601,9 @@ class Decoder:
             raise ValueError("decoder stack requires a final norm")
         self._state: _DecodeState | None = None
 
-    def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig):
+    def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig, kvs: list[LayerKV] | None = None):
+        """Logits [S, K + Lb, V] of a decode bucket; with ``kvs``, layer i
+        extends the taped ``kvs[i]`` with its keys and values."""
         d = cfg.d_model
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
@@ -592,8 +612,8 @@ class Decoder:
         cos_tab, sin_tab = _rotation_tables(cfg)
         total = lb + cfg.memory_tokens
         cos, sin = cos_tab[None, None, :total], sin_tab[None, None, :total]
-        for layer in self.stack.layers:
-            x = layer_forward(x, layer, cfg, bucket.window, cos, sin)
+        for i, layer in enumerate(self.stack.layers):
+            x = layer_forward(x, layer, cfg, bucket.window, cos, sin, kvs[i] if kvs else None)
         xn = rms_norm(x, self.stack.final_norm)
         return xn @ self.stack.embed.swapaxes(0, 1)
 
@@ -614,31 +634,32 @@ class Decoder:
 
         Inside ``kv_cache()``, a prefix that extends the previous call's by
         one token, for the same memory block, runs only that token's
-        position against the cached K/V. Every other call prefills memory
-        plus prefix from scratch. Either way each layer runs on arrays
-        through the inference cache (see ``layer_forward``), so no tape
-        object is made. A prefix longer than ``max_seq_len - K`` tokens is a
-        ``ValueError``.
+        position, on arrays against the cached K/V (see ``layer_forward``),
+        so no tape object is made. Every other call is a prefill: the
+        teacher-forcing pass (``_forward_bucket``, without gradients) over
+        the decode bucket of memory plus prefix, whose keys and values
+        start the cache, so its logits are those of teacher forcing. A
+        prefix longer than ``max_seq_len - K`` tokens is a ``ValueError``.
         """
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
         if len(prefix) > cfg.max_seq_len - k:
             raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_seq_len - k}")
         state = self._state if self._state is not None else _DecodeState(cfg, len(self.stack.layers))
+        if not state.extends(memory, prefix):
+            bucket = make_decode_buckets([list(prefix)], cfg, cfg.dtype)[0]
+            taped = [LayerKV() for _ in self.stack.layers]
+            with no_grad():
+                logits = self._forward_bucket(memory.reshape(1, k, d), bucket, cfg, taped)
+            n = k + len(prefix)
+            for kv, t in zip(state.layers, taped):
+                kv.fill(t, n)
+            state.memory, state.prefix = memory, list(prefix)
+            return logits.data[0, n - 1]
+        state.prefix.append(prefix[-1])
+        pos = k + len(prefix) - 1
         embed = self.stack.embed.data
-        if state.extends(memory, prefix):
-            state.prefix.append(prefix[-1])
-            pos = k + len(prefix) - 1
-            x = embed[prefix[-1:]].reshape(1, 1, d)
-            cos, sin = state.cos[:, :, pos : pos + 1], state.sin[:, :, pos : pos + 1]
-        else:
-            state.reset(memory, prefix)
-            x = memory.data.reshape(1, k, d)
-            if prefix:
-                x = np.concatenate([x, embed[list(prefix)].reshape(1, len(prefix), d)], axis=1)
-            total = k + len(prefix)
-            cos, sin = state.cos[:, :, :total], state.sin[:, :, :total]
+        x = embed[prefix[-1]].reshape(1, 1, d)
         for layer, kv in zip(self.stack.layers, state.layers):
-            x = layer_forward(x, layer, cfg, None, cos, sin, kv)
-        xn, _ = rms_norm_kernel(x[:, -1:], self.stack.final_norm.data)
-        return (xn @ embed.swapaxes(0, 1))[0, 0]
+            x = layer_forward(x, layer, cfg, None, state.cos[pos], state.sin[pos], kv)
+        return _row_norm(x.reshape(d), self.stack.final_norm.data) @ embed.swapaxes(0, 1)

@@ -178,7 +178,8 @@ def generate_answers(
     max_new_tokens: int = 96,
     batch_size: int = 8,
 ) -> list[tuple[TaskSample, int, str]]:
-    """Greedy generations for every target; yields (sample, target idx, text)."""
+    """Greedy generations for every target, as a list of (sample, target
+    idx, text)."""
     out = []
     with no_grad():
         for i in range(0, len(samples), batch_size):

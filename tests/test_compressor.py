@@ -162,8 +162,9 @@ class TestTransformerLayer:
         assert mems.shape[1] == cfg.memory_tokens
 
     def test_kv_steps_match_full_causal_pass(self, rng):
-        # Prefill 5 positions, then feed the rest one at a time against the
-        # cached K/V: every output row matches one causal pass.
+        # Prefill 5 positions on the tape, start the inference cache from
+        # them with fill(), then step the rest one row at a time: every
+        # output row matches one causal pass.
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=4)
         layer = model.compressor_stack.layers[0]
@@ -171,12 +172,14 @@ class TestTransformerLayer:
         x = rng.normal(size=(1, total, cfg.d_model))
         full = self._run_layer(cfg, x, model).data
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-        cos, sin = cos_tab[None, None], sin_tab[None, None]
+        taped = LayerKV()
+        with no_grad():
+            prefill = layer_forward(Tensor(x[:, :5]), layer, cfg, None, cos_tab[None, None, :5], sin_tab[None, None, :5], taped)
+        rows = [prefill.data]
         kv = LayerKV(capacity=total)
-        rows = [layer_forward(x[:, :5], layer, cfg, None, cos[:, :, :5], sin[:, :, :5], kv)]
+        kv.fill(taped, 5)
         for i in range(5, total):
-            step = slice(i, i + 1)
-            rows.append(layer_forward(x[:, step], layer, cfg, None, cos[:, :, step], sin[:, :, step], kv))
+            rows.append(layer_forward(x[:, i : i + 1], layer, cfg, None, cos_tab[i], sin_tab[i], kv))
         assert kv.n == total
         np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
 
@@ -189,6 +192,9 @@ class TestTransformerLayer:
         for tensor in (Tensor(x), Tensor(x, requires_grad=True)):
             with pytest.raises(ValueError, match="without a tape"):
                 layer_forward(tensor, layer, cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
+        # the step runs one position; several rows are a prefill's, on the tape
+        with pytest.raises(ValueError, match="one position"):
+            layer_forward(x, layer, cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
 
     def test_truncation_is_logged_once_per_call_with_a_count(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)

@@ -450,6 +450,22 @@ class TestKVCache:
             for i in range(len(ids) + 1):
                 np.testing.assert_allclose(model.decoder.next_logits(mem, ids[:i]), full[k - 1 + i], rtol=0, atol=1e-12)
 
+    def test_desk_scale_generation_matches_teacher_forcing(self):
+        # the bench's model: a 96-token budget crosses the 32/64/96-column
+        # attention tiles of the teacher-forcing pass
+        cfg = ModelConfig(d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=128)
+        model = GofaModel(cfg, seed=1)
+        mems = compress(model, ["node 3 links to node 7 and node 9", "what is the shortest path?"])
+        for i in range(mems.shape[0]):
+            text, calls = recorded_generate(model, mems[i], max_new_tokens=96)
+            assert len(calls) == 96 and text == reference_generate(model, mems[i], 96)
+            for prefix, logits in calls:
+                reference = reference_next_logits(model, mems[i], prefix)
+                np.testing.assert_allclose(logits, reference, rtol=0, atol=1e-12)
+                if not prefix:  # generate's first call is fresh
+                    assert np.array_equal(logits, reference)
+                assert np.array_equal(model.decoder.next_logits(mems[i], prefix), reference)  # fresh outside kv_cache()
+
     def test_budget_past_max_seq_len_is_rejected_before_decoding(self):
         model = GofaModel(tiny_cfg(max_seq_len=16), seed=23)
         mem = compress(model, ["window"])[0]
@@ -513,7 +529,10 @@ class TestKVCache:
         monkeypatch.setattr(compressor, "layer_forward", counting_layer_forward)
         _, calls = recorded_generate(model, mem, max_new_tokens=20)
         assert len(calls) == 20
-        assert positions == [model.cfg.memory_tokens] + [1] * 19
+        # the prefill is the teacher-forcing pass over the decode bucket of
+        # memory plus the empty prefix; then one position per token
+        bucket = make_decode_buckets([[]], model.cfg, model.cfg.dtype)[0]
+        assert positions == [bucket.pos.shape[1]] + [1] * 19
 
     def test_array_step_matches_the_tape_step(self):
         # prefix of 40 tokens: K + 40 = 43 key columns, past one 32-column attention tile
