@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -306,7 +305,8 @@ class Tensor:
         return self._make(out_data, (self,), bw)
 
     def silu(self):
-        out_data = silu_kernel(self.data)
+        out_data = _sigmoid(self.data)
+        out_data *= self.data
 
         def bw(g):
             # recomputed rather than kept: one array less per call until backward;
@@ -328,13 +328,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     np.exp(sig, out=sig)
     sig += 1.0
     return np.divide(1.0, sig, out=sig)
-
-
-def silu_kernel(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x) in one fresh array."""
-    out = _sigmoid(x)
-    out *= x
-    return out
 
 
 # -- free functions -------------------------------------------------------
@@ -384,28 +377,15 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     return x._make(out_data, (x,), bw)
 
 
-@lru_cache(maxsize=8)
-def _half_swap(n: int) -> np.ndarray:
-    """Read-only indices that swap the two halves of an axis of length ``n``."""
-    swap = np.concatenate([np.arange(n // 2, n), np.arange(n // 2)])
-    swap.flags.writeable = False
-    return swap
-
-
-def rope_kernel(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary positions: the halves [a, b] of the last axis become
     [a cos - b sin, b cos + a sin]. ``cos`` holds each angle's cosine in
     both halves and ``sin`` its sine, negated in the first half, so the
     result is ``x * cos + swap(x) * sin``; both broadcast against ``x``."""
-    out = x * cos  # in x's memory order, which the matmuls that read it see
-    out += x.take(_half_swap(x.shape[-1]), axis=-1) * sin
-    return out
-
-
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """``rope_kernel`` on the tape."""
-    swap = _half_swap(x.shape[-1])
-    out_data = rope_kernel(x.data, cos, sin)
+    half = x.shape[-1] // 2
+    swap = np.arange(-half, half)  # the two halves exchanged, through negative indices
+    out_data = x.data * cos  # in x's memory order, which the matmuls that read it see
+    out_data += x.data.take(swap, axis=-1) * sin
 
     def bw(g):
         grad = g * cos

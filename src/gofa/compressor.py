@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tokenizer
 from .autodiff import (
-    Tensor, attention, concat, gather_rows, no_grad, rms_norm, rope, rope_kernel, silu_kernel, split_heads,
+    Tensor, attention, concat, gather_rows, no_grad, rms_norm, rope, split_heads,
 )
 
 log = logging.getLogger("gofa")
@@ -155,11 +155,32 @@ def _rope_tables(n_pos: int, half: int, base: float, dtype) -> tuple[np.ndarray,
     return tables
 
 
+@lru_cache(maxsize=16)
+def _rope_matrices(n_pos: int, half: int, base: float, dtype) -> np.ndarray:
+    """Read-only rotations [n_pos, 2*half, 2*half] of ``_rope_tables`` as
+    matrices: a row vector times entry i is ``autodiff.rope`` of it at
+    position i. Column j holds the cosine on the diagonal and the sine in
+    the row of j's partner in the other half."""
+    cos, sin = _rope_tables(n_pos, half, base, dtype)
+    cols = np.arange(2 * half)
+    rot = np.zeros((n_pos, 2 * half, 2 * half), dtype=dtype)
+    rot[:, cols, cols] = cos
+    rot[:, np.roll(cols, half), cols] = sin
+    rot.flags.writeable = False
+    return rot
+
+
 def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of every position a bucket of ``cfg`` can hold, pad
     columns of the longest decode bucket included."""
     k = cfg.memory_tokens
     return _rope_tables(_bucket_len(cfg.max_seq_len - k) + k, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+
+
+def _rotation_matrices(cfg: ModelConfig) -> np.ndarray:
+    """The rotation matrices of the positions of ``_rotation_tables``."""
+    n_pos = len(_rotation_tables(cfg)[0])
+    return _rope_matrices(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
 
 
 class LayerKV:
@@ -173,9 +194,9 @@ class LayerKV:
     ``layer_forward`` steps on arrays without a tape (``_cached_layer``):
     ``fill`` copies the first key columns of a prefill's taped cache into
     buffers [H, capacity, dh], and every step writes one more column. The
-    layer's step arrays (its fused [d, 3d] projection ``[wq | wk | wv]``
-    among them) are made on the first step and kept as long as the cache
-    is, so the layer's weights must not change meanwhile.
+    layer's step arrays (``_step_weights``: its weights with the norm gains
+    and the score scale folded in) are made on the first step and kept as
+    long as the cache is, so the layer's weights must not change meanwhile.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -220,8 +241,9 @@ def layer_forward(
     values of ``x`` are appended to the cached ones and the queries attend
     over all of them. When ``kv`` is the inference cache (a ``LayerKV`` with
     a capacity), ``x`` is one new position [1, 1, d] as an array, ``window``
-    is None, ``cos`` and ``sin`` are that position's rows, and the step runs
-    without a tape (``_cached_layer``).
+    is None, ``cos`` is that position's rotation matrix [dh, dh] (from
+    ``_rotation_matrices``), ``sin`` is None, and the step runs without a
+    tape (``_cached_layer``).
 
     Attention runs the rows in tiles that end at every 32nd key column and
     reads only the keys before a tile's end (``autodiff.attention``). The
@@ -240,47 +262,62 @@ def layer_forward(
     return x + (xn2 @ p["ff1"]).silu() @ p["ff2"]
 
 
-def _row_norm(v: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """``autodiff.rms_norm`` of one row [d], with its scale on Python floats:
-    the same IEEE operations in float64, at a fraction of the numpy calls.
-    In float32 the scale is rounded once, from float64."""
-    ms = float(np.add.reduce(v * v)) / v.shape[0]
-    return v * (1.0 / math.sqrt(ms + eps)) * gain
+def _rms_scale(row: np.ndarray, eps: float = 1e-6) -> float:
+    """The reciprocal root-mean-square of one row [d] that ``rms_norm``
+    scales it by, on Python floats."""
+    return 1.0 / math.sqrt(float(row @ row) / row.shape[0] + eps)
+
+
+def _step_weights(p: dict, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
+    """The arrays of the one-row step of layer ``p``: ``[wq | wk | wv]``
+    [d, 3d] with the score scale 1/sqrt(dh) folded into the ``wq`` columns
+    and ``attn_norm`` into the rows, ``wo``, ``ff1`` with ``ff_norm``
+    folded into the rows, and ``ff2``."""
+    qkv = np.concatenate([p["wq"].data * (1.0 / math.sqrt(cfg.head_dim)), p["wk"].data, p["wv"].data], axis=1)
+    qkv *= p["attn_norm"].data[:, None]
+    return qkv, p["wo"].data, p["ff_norm"].data[:, None] * p["ff1"].data, p["ff2"].data
 
 
 def _cached_layer(
-    x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
+    x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, rot: np.ndarray, sin: None,
     kv: LayerKV,
 ) -> np.ndarray:
     """``layer_forward`` of one new position against the inference cache
-    ``kv``, on arrays: one projection through ``[wq | wk | wv]``, one
-    rotation of the query and key together, the key and value written
-    straight into the buffers, and a softmax over the one query's scores
-    with no tiles or mask. The operations are those of the tape ops on one
-    row, in the same order."""
+    ``kv``, on arrays. With the constants folded into the cache's step
+    arrays (``_step_weights``), each norm is one scale on Python floats and
+    the projection through ``[wq | wk | wv]`` yields the scaled query; one
+    product with the rotation matrix ``rot`` rotates the query and key
+    together, the key and value go straight into the buffers, and the
+    softmax of the one query's scores, with no tiles or mask, divides the
+    [H, 1, dh] output by its row sums rather than the probabilities. This
+    is the tape ops' arithmetic in another order, so results differ from
+    teacher forcing by rounding alone."""
     if isinstance(x, Tensor):
         raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
-    if x.shape[:2] != (1, 1) or window is not None:
-        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a window, not {x.shape}; prefill with fill()")
+    if x.shape[:2] != (1, 1) or window is not None or sin is not None:
+        raise ValueError(
+            f"the K/V cache steps one position [1, 1, d] with its rotation matrix, without a window or sin, "
+            f"not {x.shape}; prefill with fill()"
+        )
     if kv.weights is None:
-        qkv = np.concatenate([p["wq"].data, p["wk"].data, p["wv"].data], axis=1)
-        scale = np.asarray(1.0 / np.sqrt(cfg.head_dim), dtype=x.dtype)
-        kv.weights = (p["attn_norm"].data, qkv, p["wo"].data, p["ff_norm"].data, p["ff1"].data, p["ff2"].data, scale)
-    attn_gain, qkv, wo, ff_gain, ff1, ff2, scale = kv.weights
+        kv.weights = _step_weights(p, cfg)
+    qkv_w, wo, ff1, ff2 = kv.weights
     h, n = cfg.n_heads, kv.n + 1
     row = x.reshape(-1)
-    qkv = (_row_norm(row, attn_gain) @ qkv).reshape(3 * h, 1, cfg.head_dim)
-    qk = rope_kernel(qkv[: 2 * h], cos, sin)
-    kv.keys[:, kv.n] = qk[h:, 0]
-    kv.values[:, kv.n] = qkv[2 * h :, 0]
+    qkv = ((row * _rms_scale(row)) @ qkv_w).reshape(3 * h, cfg.head_dim)
+    qk = qkv[: 2 * h] @ rot
+    kv.keys[:, kv.n] = qk[h:]
+    kv.values[:, kv.n] = qkv[2 * h :]
     kv.n = n
-    att = qk[:h] @ kv.keys[:, :n].swapaxes(-1, -2)  # [H, 1, n]
-    att *= scale
+    att = qk[:h, None] @ kv.keys[:, :n].swapaxes(-1, -2)  # [H, 1, n]
     att -= np.maximum.reduce(att, axis=-1, keepdims=True)
     np.exp(att, out=att)
-    att /= np.add.reduce(att, axis=-1, keepdims=True)
-    row = row + (att @ kv.values[:, :n]).reshape(-1) @ wo
-    return (row + silu_kernel(_row_norm(row, ff_gain) @ ff1) @ ff2).reshape(x.shape)
+    out = att @ kv.values[:, :n]
+    out /= np.add.reduce(att, axis=-1, keepdims=True)
+    row = row + out.reshape(-1) @ wo
+    hidden = (row * _rms_scale(row)) @ ff1
+    hidden /= 1.0 + np.exp(-hidden)  # silu
+    return (row + hidden @ ff2).reshape(x.shape)
 
 
 # -- sequence bucketing -------------------------------------------------------
@@ -326,8 +363,7 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
     seqs = [list(s[:limit]) if memory_first else list(s[-limit:]) for s in sequences]
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
-        # a decode bucket always has target columns, even for an empty target
-        groups.setdefault(_bucket_len(max(len(s), int(memory_first))), []).append(i)
+        groups.setdefault(_bucket_len(len(s)), []).append(i)
     buckets = []
     for lb in sorted(groups):
         idxs = groups[lb]
@@ -577,11 +613,14 @@ class Compressor:
 
 class _DecodeState:
     """The inference K/V of each decoder layer for one memory block and the
-    prefix decoded after it, with the rotations of every position."""
+    prefix decoded after it, with the rotation matrix of every position and,
+    from the first step on, the output projection with the final norm's
+    gain folded into its rows."""
 
     def __init__(self, cfg: ModelConfig, n_layers: int):
-        self.cos, self.sin = _rotation_tables(cfg)
+        self.rotations = _rotation_matrices(cfg)
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
+        self.head: np.ndarray | None = None
         self.memory: Tensor | None = None
         self.prefix: list[int] = []
 
@@ -637,29 +676,34 @@ class Decoder:
         position, on arrays against the cached K/V (see ``layer_forward``),
         so no tape object is made. Every other call is a prefill: the
         teacher-forcing pass (``_forward_bucket``, without gradients) over
-        the decode bucket of memory plus prefix, whose keys and values
-        start the cache, so its logits are those of teacher forcing. A
+        the decode bucket of memory plus prefix (the K memory rows alone
+        for an empty prefix), whose keys and values start the cache inside
+        ``kv_cache()``, so its logits are those of teacher forcing. A
         prefix longer than ``max_seq_len - K`` tokens is a ``ValueError``.
         """
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
         if len(prefix) > cfg.max_seq_len - k:
             raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_seq_len - k}")
-        state = self._state if self._state is not None else _DecodeState(cfg, len(self.stack.layers))
-        if not state.extends(memory, prefix):
+        state = self._state
+        if state is None or not state.extends(memory, prefix):
             bucket = make_decode_buckets([list(prefix)], cfg, cfg.dtype)[0]
-            taped = [LayerKV() for _ in self.stack.layers]
+            taped = [LayerKV() for _ in self.stack.layers] if state is not None else None
             with no_grad():
                 logits = self._forward_bucket(memory.reshape(1, k, d), bucket, cfg, taped)
             n = k + len(prefix)
-            for kv, t in zip(state.layers, taped):
-                kv.fill(t, n)
-            state.memory, state.prefix = memory, list(prefix)
+            if state is not None:
+                for kv, t in zip(state.layers, taped):
+                    kv.fill(t, n)
+                state.memory, state.prefix = memory, list(prefix)
             return logits.data[0, n - 1]
         state.prefix.append(prefix[-1])
-        pos = k + len(prefix) - 1
         embed = self.stack.embed.data
+        if state.head is None:
+            state.head = self.stack.final_norm.data[:, None] * embed.T
         x = embed[prefix[-1]].reshape(1, 1, d)
+        rot = state.rotations[k + len(prefix) - 1]
         for layer, kv in zip(self.stack.layers, state.layers):
-            x = layer_forward(x, layer, cfg, None, state.cos[pos], state.sin[pos], kv)
-        return _row_norm(x.reshape(d), self.stack.final_norm.data) @ embed.swapaxes(0, 1)
+            x = layer_forward(x, layer, cfg, None, rot, None, kv)
+        row = x.reshape(d)
+        return (row * _rms_scale(row)) @ state.head

@@ -6,13 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gofa import tokenizer
-from gofa.autodiff import Tensor, blocked_keys, concat, gather_rows, no_grad
+from gofa.autodiff import Tensor, blocked_keys, concat, gather_rows, no_grad, rope
 from gofa.compressor import (
     _BUCKET_STEPS,
     LayerKV,
     ModelConfig,
     _bucket_len,
+    _rope_matrices,
     _rope_tables,
+    _rotation_matrices,
+    _rotation_tables,
     gather_in_order,
     layer_forward,
     make_compress_buckets,
@@ -172,6 +175,7 @@ class TestTransformerLayer:
         x = rng.normal(size=(1, total, cfg.d_model))
         full = self._run_layer(cfg, x, model).data
         cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        rot = _rope_matrices(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         taped = LayerKV()
         with no_grad():
             prefill = layer_forward(Tensor(x[:, :5]), layer, cfg, None, cos_tab[None, None, :5], sin_tab[None, None, :5], taped)
@@ -179,22 +183,33 @@ class TestTransformerLayer:
         kv = LayerKV(capacity=total)
         kv.fill(taped, 5)
         for i in range(5, total):
-            rows.append(layer_forward(x[:, i : i + 1], layer, cfg, None, cos_tab[i], sin_tab[i], kv))
+            rows.append(layer_forward(x[:, i : i + 1], layer, cfg, None, rot[i], None, kv))
         assert kv.n == total
         np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
+
+    def test_rotation_matrices_match_rope(self, rng):
+        # the step rotates [2H, dh] query and key rows with one matrix product
+        cfg = tiny_cfg(d_model=32, n_heads=4)
+        cos_tab, sin_tab = _rotation_tables(cfg)
+        rot = _rotation_matrices(cfg)
+        assert rot.shape == (len(cos_tab), cfg.head_dim, cfg.head_dim) and not rot.flags.writeable
+        for i in range(len(cos_tab)):
+            rows = rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))
+            want = rope(Tensor(rows), cos_tab[i], sin_tab[i]).data
+            assert np.abs(rows @ rot[i] - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_kv_cache_refuses_a_tape(self, rng):
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=4)
         x = rng.normal(size=(1, 3, cfg.d_model))
-        cos_tab, sin_tab = _rope_tables(3, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+        rot = _rope_matrices(3, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         layer = model.decoder_stack.layers[0]
         for tensor in (Tensor(x), Tensor(x, requires_grad=True)):
             with pytest.raises(ValueError, match="without a tape"):
-                layer_forward(tensor, layer, cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
+                layer_forward(tensor, layer, cfg, None, rot[0], None, LayerKV(3))
         # the step runs one position; several rows are a prefill's, on the tape
         with pytest.raises(ValueError, match="one position"):
-            layer_forward(x, layer, cfg, None, cos_tab[None, None], sin_tab[None, None], LayerKV(3))
+            layer_forward(x, layer, cfg, None, rot[0], None, LayerKV(3))
 
     def test_truncation_is_logged_once_per_call_with_a_count(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)
@@ -305,7 +320,7 @@ def reference_buckets(sequences, cfg, memory_first):
     seqs = [list(s)[:limit] if memory_first else list(s)[-limit:] for s in sequences]
     groups = {}
     for i, s in enumerate(seqs):
-        groups.setdefault(_bucket_len(max(len(s), 1) if memory_first else len(s)), []).append(i)
+        groups.setdefault(_bucket_len(len(s)), []).append(i)
     out = []
     for lb in sorted(groups):
         idxs = groups[lb]

@@ -450,10 +450,13 @@ class TestKVCache:
             for i in range(len(ids) + 1):
                 np.testing.assert_allclose(model.decoder.next_logits(mem, ids[:i]), full[k - 1 + i], rtol=0, atol=1e-12)
 
-    def test_desk_scale_generation_matches_teacher_forcing(self):
+    @staticmethod
+    def _check_desk_scale_generation(precision, close):
         # the bench's model: a 96-token budget crosses the 32/64/96-column
         # attention tiles of the teacher-forcing pass
-        cfg = ModelConfig(d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=128)
+        cfg = ModelConfig(
+            d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=128, precision=precision
+        )
         model = GofaModel(cfg, seed=1)
         mems = compress(model, ["node 3 links to node 7 and node 9", "what is the shortest path?"])
         for i in range(mems.shape[0]):
@@ -461,10 +464,23 @@ class TestKVCache:
             assert len(calls) == 96 and text == reference_generate(model, mems[i], 96)
             for prefix, logits in calls:
                 reference = reference_next_logits(model, mems[i], prefix)
-                np.testing.assert_allclose(logits, reference, rtol=0, atol=1e-12)
+                assert logits.dtype == cfg.dtype
+                close(logits, reference)
                 if not prefix:  # generate's first call is fresh
                     assert np.array_equal(logits, reference)
                 assert np.array_equal(model.decoder.next_logits(mems[i], prefix), reference)  # fresh outside kv_cache()
+
+    def test_desk_scale_generation_matches_teacher_forcing(self):
+        self._check_desk_scale_generation(
+            "float64", lambda logits, reference: np.testing.assert_allclose(logits, reference, rtol=0, atol=1e-12)
+        )
+
+    def test_desk_scale_float32_generation_matches_teacher_forcing(self):
+        # within 1e-5 of the largest logit's magnitude; greedy text equal
+        def close(logits, reference):
+            assert np.abs(logits - reference).max() <= 1e-5 * np.abs(reference).max()
+
+        self._check_desk_scale_generation("float32", close)
 
     def test_budget_past_max_seq_len_is_rejected_before_decoding(self):
         model = GofaModel(tiny_cfg(max_seq_len=16), seed=23)
@@ -529,10 +545,9 @@ class TestKVCache:
         monkeypatch.setattr(compressor, "layer_forward", counting_layer_forward)
         _, calls = recorded_generate(model, mem, max_new_tokens=20)
         assert len(calls) == 20
-        # the prefill is the teacher-forcing pass over the decode bucket of
-        # memory plus the empty prefix; then one position per token
-        bucket = make_decode_buckets([[]], model.cfg, model.cfg.dtype)[0]
-        assert positions == [bucket.pos.shape[1]] + [1] * 19
+        # the prefill is the teacher-forcing pass over the K memory rows of
+        # the empty prefix, with no pad column; then one position per token
+        assert positions == [model.cfg.memory_tokens] + [1] * 19
 
     def test_array_step_matches_the_tape_step(self):
         # prefix of 40 tokens: K + 40 = 43 key columns, past one 32-column attention tile
@@ -596,6 +611,22 @@ class TestKVCache:
             t.data = model.parameters()[name].data.copy()
         assert model.generate(mem, max_new_tokens=12) == fresh.generate(mem, max_new_tokens=12)
         assert model.generate(mem, max_new_tokens=12) == reference_generate(model, mem, 12)
+
+    def test_folded_weights_follow_a_weight_change(self):
+        # the step folds wq, attn_norm and ff_norm into per-cache arrays; a
+        # later generate must fold the changed weights, not reuse old ones
+        model = GofaModel(tiny_cfg(), seed=29)
+        mem = compress(model, ["prompt text"])[0]
+        before = model.generate(mem, max_new_tokens=20)
+        rng = np.random.default_rng(3)
+        layer = model.decoder_stack.layers[1]
+        for name in ("wq", "attn_norm", "ff_norm"):
+            layer[name].data = layer[name].data * rng.uniform(0.5, 2.0, layer[name].shape)
+        text, calls = recorded_generate(model, mem, max_new_tokens=20)
+        assert text == reference_generate(model, mem, 20) and text != before
+        assert len(calls) > 1
+        for prefix, logits in calls:
+            np.testing.assert_allclose(logits, reference_next_logits(model, mem, prefix), rtol=0, atol=1e-12)
 
 
 class TestPersistence:
