@@ -367,12 +367,13 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """View [S, L, H*dh] as H heads [S, H, L, dh]."""
-    s, seq_len, d = x.shape
-    out_data = x.data.reshape(s, seq_len, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    """View [S, L, ...] as H heads [S, H, L, dh]: the trailing axes of each
+    row, flattened, are the H*dh features."""
+    s, seq_len = x.shape[:2]
+    out_data = x.data.reshape(s, seq_len, n_heads, math.prod(x.shape[2:]) // n_heads).transpose(0, 2, 1, 3)
 
     def bw(g):
-        x._accum(g.transpose(0, 2, 1, 3).reshape(s, seq_len, d))
+        x._accum(g.transpose(0, 2, 1, 3).reshape(x.shape))
 
     return x._make(out_data, (x,), bw)
 

@@ -65,6 +65,8 @@ class ModelConfig:
 
     def __post_init__(self):
         self.gnn_layers = tuple(sorted(self.gnn_layers))
+        if self.vocab_size < tokenizer.VOCAB_SIZE:
+            raise ValueError(f"vocab_size {self.vocab_size} is below the tokenizer's {tokenizer.VOCAB_SIZE} ids")
         if self.init_std is not None and self.init_std <= 0:
             raise ValueError("init_std must be positive")
         if self.embed_std <= 0:

@@ -24,7 +24,6 @@ import numpy as np
 from .tag import TAG, TaskSample
 from .taskgen import (
     Conversation,
-    PretrainConfig,
     make_completion_tasks,
     make_downstream_task,
     make_qa_chain_graphs,
@@ -61,10 +60,12 @@ class CorpusConfig:
 
     def __post_init__(self):
         self.conversation_rounds = tuple(self.conversation_rounds)
-        # the task makers' checks, so a bad value fails here, not partway through a corpus
-        PretrainConfig(
-            n_selected=self.n_selected, split_fraction=self.split_fraction, question_style=self.question_style
-        )
+        if self.n_selected < 1:
+            raise ValueError("n_selected must be >= 1")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise ValueError("split_fraction must lie in (0, 1)")
+        if self.question_style not in ("full", "compact"):
+            raise ValueError(f"unknown question_style {self.question_style!r}")
 
 
 def random_connected_graph(rng, n_nodes: int, extra_edges: int, min_degree: int = 1) -> list[tuple[int, int]]:
@@ -135,13 +136,7 @@ def gen_completion_corpus(cfg: CorpusConfig) -> list[TaskSample]:
     samples = []
     for i in range(cfg.n_graphs):
         graph = gen_completion_graph(rng, cfg)
-        task_cfg = PretrainConfig(
-            n_selected=cfg.n_selected,
-            split_fraction=cfg.split_fraction,
-            rng_seed=cfg.rng_seed * 1_000_003 + i,
-            question_style=cfg.question_style,
-        )
-        samples.append(make_completion_tasks(graph, task_cfg))
+        samples.append(make_completion_tasks(graph, cfg.n_selected, cfg.split_fraction, cfg.rng_seed * 1_000_003 + i))
     return samples
 
 
@@ -160,18 +155,13 @@ def gen_structural_graph(rng, cfg: CorpusConfig) -> TAG:
     return graph
 
 
-def gen_structural_corpus(cfg: CorpusConfig, edge_mode: str = "single") -> tuple[list[TaskSample], list[TaskSample]]:
+def gen_structural_corpus(cfg: CorpusConfig) -> tuple[list[TaskSample], list[TaskSample]]:
     """Paired SPD and CN sample lists, one of each per generated graph."""
     rng = np.random.default_rng((cfg.rng_seed, 11))
     spd, cn = [], []
     for i in range(cfg.n_graphs):
         graph = gen_structural_graph(rng, cfg)
-        task_cfg = PretrainConfig(
-            n_selected=cfg.n_selected,
-            rng_seed=cfg.rng_seed * 1_000_003 + i,
-            question_style=cfg.question_style,
-        )
-        s, c = make_structural_tasks(graph, task_cfg, edge_mode=edge_mode)
+        s, c = make_structural_tasks(graph, cfg.n_selected, cfg.question_style, cfg.rng_seed * 1_000_003 + i)
         spd.append(s)
         cn.append(c)
     return spd, cn

@@ -157,9 +157,10 @@ def eval_token_nll(model: GofaModel, samples: list[TaskSample], use_gnn: bool = 
     with no_grad():
         for i in range(0, len(samples), batch_size):
             mems, target_ids = model.encode_targets(samples[i : i + batch_size], use_gnn=use_gnn)
-            for part, count in model.decoder_nll_per_target(mems, target_ids):
-                total += part.item()
-                tokens += count
+            nll, counts = model.decoder_nll_per_target(mems, target_ids)
+            for part in nll.data.tolist():  # in target order, on Python floats
+                total += part
+            tokens += int(counts.sum())
     return total, tokens
 
 
@@ -176,14 +177,13 @@ def generate_answers(
     samples: list[TaskSample],
     use_gnn: bool = True,
     max_new_tokens: int = 96,
-    batch_size: int = 8,
 ) -> list[tuple[TaskSample, int, str]]:
     """Greedy generations for every target, as a list of (sample, target
-    idx, text)."""
+    idx, text); the graphs are encoded 8 samples at a time."""
     out = []
     with no_grad():
-        for i in range(0, len(samples), batch_size):
-            batch = samples[i : i + batch_size]
+        for i in range(0, len(samples), 8):
+            batch = samples[i : i + 8]
             mems, _ = model.encode_targets(batch, use_gnn=use_gnn)
             refs = [(s, ti) for s in batch for ti in range(len(s.targets))]
             for row, (s, ti) in enumerate(refs):
@@ -227,14 +227,12 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _rmse(errors: list[float | None], labels: list[float], penalty: float | None) -> tuple[float, float]:
+def _rmse(errors: list[float | None], labels: list[float]) -> tuple[float, float]:
     """RMSE with misses (None) charged a penalty distance.
 
-    The default penalty is the standard deviation of the oracle labels,
-    so the metric stays defined when extraction fails. Returns
-    (rmse, penalty used)."""
-    if penalty is None:
-        penalty = float(np.std(labels)) if labels else 1.0
+    The penalty is the standard deviation of the oracle labels, so the
+    metric stays defined when extraction fails. Returns (rmse, penalty)."""
+    penalty = float(np.std(labels)) if labels else 1.0
     sq = [(e if e is not None else penalty) ** 2 for e in errors]
     return float(np.sqrt(np.mean(sq))) if sq else float("nan"), penalty
 
@@ -243,7 +241,6 @@ def evaluate_structural(
     model: GofaModel,
     samples: list[TaskSample],
     use_gnn: bool = True,
-    miss_penalty: float | None = None,
     max_new_tokens: int = 96,
 ) -> EvalReport:
     """Score SPD/CN samples: RMSE on distances/counts plus exactness rates.
@@ -280,13 +277,13 @@ def evaluate_structural(
         transcripts.append(row)
     report = EvalReport(transcripts=transcripts)
     if spd_errors:
-        rmse, used = _rmse(spd_errors, spd_labels, miss_penalty)
+        rmse, used = _rmse(spd_errors, spd_labels)
         report.metrics["spd_rmse"] = rmse
         report.metrics["spd_path_exact_rate"] = float(np.mean(spd_exact))
         report.notes["spd_miss_penalty"] = used
         report.notes["spd_miss_rate"] = float(np.mean([e is None for e in spd_errors]))
     if cn_errors:
-        rmse, used = _rmse(cn_errors, cn_labels, miss_penalty)
+        rmse, used = _rmse(cn_errors, cn_labels)
         report.metrics["cn_rmse"] = rmse
         report.metrics["cn_set_exact_rate"] = float(np.mean(cn_exact))
         report.notes["cn_miss_penalty"] = used

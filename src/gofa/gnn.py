@@ -84,18 +84,18 @@ def gnn_layer(
         nodes = np.flatnonzero(in_deg == deg)
         members.append(nodes)
         if deg == 0:
-            blocks.append(Tensor(np.zeros((len(nodes), k, d)), dtype=node_mem.dtype))
+            blocks.append(Tensor(np.zeros((len(nodes), 1, k * d)), dtype=node_mem.dtype))
             continue
-        arcs = by_dst[(first[nodes, None] + np.arange(deg)).reshape(-1)]
-        qg = split_heads(gather_rows(q, nodes).reshape(len(nodes), 1, k * d), k * heads)
-        kg, vg = (split_heads(gather_rows(t, arcs).reshape(len(nodes), deg, k * d), k * heads) for t in (key, val))
-        blocks.append(attention(qg, kg, vg).reshape(len(nodes), k, d))
+        arcs = by_dst[first[nodes, None] + np.arange(deg)]  # [m, deg]
+        qg = split_heads(gather_rows(q, nodes[:, None]), k * heads)
+        kg, vg = (split_heads(gather_rows(t, arcs), k * heads) for t in (key, val))
+        blocks.append(attention(qg, kg, vg))  # [m, 1, K * d]
         if alpha is not None:
             p = attention_kernel(qg.data, kg.data, vg.data)[2][0][0]  # [m, K * heads, 1, deg]
-            alpha[arcs] = p.reshape(len(nodes), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
+            alpha[arcs.reshape(-1)] = p.reshape(len(nodes), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
     if alpha is not None:
         collect_attention.append((alpha, dst.copy()))
-    out = gather_in_order(blocks, members) @ params["wo"]
+    out = gather_in_order(blocks, members).reshape(n_nodes, k, d) @ params["wo"]
 
     mask = Tensor((in_deg > 0).reshape(n_nodes, 1, 1), dtype=node_mem.dtype)  # has in-arcs
 

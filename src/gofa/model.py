@@ -17,19 +17,9 @@ import numpy as np
 from . import tokenizer
 from .autodiff import Tensor, concat, cross_entropy_rows, gather_rows
 from .checkpoint import load_checkpoint, save_checkpoint
-from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, make_decode_buckets
+from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets
 from .gnn import gnn_layer, init_gnn_layer, representation_change_ratio
 from .tag import TAG, GraphError, TaskSample
-
-
-def _mean_of_target_means(per_target) -> Tensor:
-    """Mean over targets of each target's mean token NLL, summed in target
-    order; ``per_target`` holds (summed NLL, token count) pairs."""
-    loss = None
-    for total, count in per_target:
-        part = total * (1.0 / count)
-        loss = part if loss is None else loss + part
-    return loss * (1.0 / len(per_target))
 
 
 class GofaModel:
@@ -127,12 +117,13 @@ class GofaModel:
     def target_ids(text: str) -> list[int]:
         return tokenizer.encode(text) + [tokenizer.EOS_ID]
 
-    def decoder_nll_per_target(self, memories: Tensor, targets: list[list[int]]):
-        """Per-target (summed NLL tensor, token count) pairs."""
+    def decoder_nll_per_target(self, memories: Tensor, targets: list[list[int]]) -> tuple[Tensor, np.ndarray]:
+        """Each target's summed token NLL, one [T] tensor in target order,
+        and its scored token count, an int array [T]."""
         cfg = self.cfg
         k = cfg.memory_tokens
         buckets = make_decode_buckets(targets, cfg, cfg.dtype)
-        results: list = [None] * len(targets)
+        totals, counts = [], np.zeros(len(targets), dtype=np.int64)
         for b in buckets:
             mem_rows = gather_rows(memories, b.indices)
             logits = self.decoder._forward_bucket(mem_rows, b, cfg)
@@ -141,10 +132,9 @@ class GofaModel:
             n = b.window[:, 1:] - k
             labels = np.full((sb, k + lb), -100, dtype=np.int64)
             labels[:, k - 1 : k - 1 + lb] = np.where(np.arange(lb) < n, b.ids, -100)
-            totals, counts = cross_entropy_rows(logits, labels)
-            for row, i in enumerate(b.indices):
-                results[i] = (totals[row], int(counts[row]))
-        return results
+            bucket_totals, counts[b.indices] = cross_entropy_rows(logits, labels)
+            totals.append(bucket_totals)
+        return gather_in_order(totals, [b.indices for b in buckets]), counts
 
     def encode_targets(self, samples: list[TaskSample], use_gnn: bool = True) -> tuple[Tensor, list[list[int]]]:
         """Encode the samples' graphs as one batch; return the NOG memory
@@ -163,8 +153,10 @@ class GofaModel:
         mems, target_ids = self.encode_targets(samples, use_gnn=use_gnn)
         if not target_ids:
             raise GraphError("forward_batch requires at least one generation target")
-        per_target = self.decoder_nll_per_target(mems, target_ids)
-        return _mean_of_target_means(per_target), len(per_target), sum(count for _, count in per_target)
+        nll, counts = self.decoder_nll_per_target(mems, target_ids)
+        n_targets = len(target_ids)
+        # mean over targets of each target's mean token NLL
+        return (nll * (1.0 / (counts * n_targets))).sum(), n_targets, int(counts.sum())
 
     def generate(self, nog_memory: Tensor, max_new_tokens: int = 64) -> str:
         """Greedy decoding from a memory block until EOS or budget.

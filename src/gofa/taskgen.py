@@ -30,22 +30,6 @@ ROOT = 0  # by convention the rooted graph's target node
 
 
 @dataclass
-class PretrainConfig:
-    n_selected: int = 3
-    split_fraction: float = 0.5
-    rng_seed: int = 0
-    question_style: str = "full"  # "full" (verbatim templates) | "compact"
-
-    def __post_init__(self):
-        if self.n_selected < 1:
-            raise ValueError("n_selected must be >= 1")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie in (0, 1)")
-        if self.question_style not in ("full", "compact"):
-            raise ValueError(f"unknown question_style {self.question_style!r}")
-
-
-@dataclass
 class Conversation:
     rounds: list[tuple[str, str]]
 
@@ -111,17 +95,17 @@ def split_text(text: str, fraction: float) -> tuple[str, str] | None:
     return " ".join(tokens[:keep]), " ".join(tokens[keep:])
 
 
-def _select_nodes(graph: TAG, cfg: PretrainConfig, exclude: set[int]) -> list[int]:
+def _select_nodes(graph: TAG, n_selected: int, seed: int, exclude: set[int]) -> list[int]:
     pool = [i for i in graph.content_nodes() if i not in exclude]
-    rng = np.random.default_rng((cfg.rng_seed, 1))
+    rng = np.random.default_rng((seed, 1))
     rng.shuffle(pool)
-    return pool[: cfg.n_selected]
+    return pool[:n_selected]
 
 
 # -- task makers ---------------------------------------------------------------
 
 
-def make_completion_tasks(graph: TAG, cfg: PretrainConfig) -> TaskSample:
+def make_completion_tasks(graph: TAG, n_selected: int, split_fraction: float, seed: int) -> TaskSample:
     """Sentence-completion sample: root plus n selected nodes keep only the
     first half of their text; each gets a prompt node wired with a single
     directed arc, and the cut half becomes the generation target."""
@@ -131,17 +115,17 @@ def make_completion_tasks(graph: TAG, cfg: PretrainConfig) -> TaskSample:
     work = graph.copy()
 
     candidates = [i for i in content if i != ROOT]
-    rng = np.random.default_rng((cfg.rng_seed, 2))
+    rng = np.random.default_rng((seed, 2))
     rng.shuffle(candidates)
 
     chosen: list[tuple[int, str, str]] = []  # (node, kept, cut)
-    root_split = split_text(work.nodes[ROOT].text, cfg.split_fraction)
+    root_split = split_text(work.nodes[ROOT].text, split_fraction)
     if root_split is not None:
         chosen.append((ROOT, *root_split))
     for i in candidates:
-        if len(chosen) >= cfg.n_selected + (1 if root_split is not None else 0):
+        if len(chosen) >= n_selected + (1 if root_split is not None else 0):
             break
-        split = split_text(work.nodes[i].text, cfg.split_fraction)
+        split = split_text(work.nodes[i].text, split_fraction)
         if split is not None:
             chosen.append((i, *split))
     if not chosen:
@@ -149,7 +133,7 @@ def make_completion_tasks(graph: TAG, cfg: PretrainConfig) -> TaskSample:
 
     for node, kept, _cut in chosen:
         work.nodes[node].text = kept
-    tagged = assign_node_id_tags(work, cfg.rng_seed)
+    tagged = assign_node_id_tags(work, seed)
 
     targets = []
     for node, _kept, cut in chosen:
@@ -162,7 +146,7 @@ def make_completion_tasks(graph: TAG, cfg: PretrainConfig) -> TaskSample:
 
 
 def make_structural_tasks(
-    graph: TAG, cfg: PretrainConfig, edge_mode: str = "single"
+    graph: TAG, n_selected: int, question_style: str, seed: int
 ) -> tuple[TaskSample, TaskSample]:
     """Shortest-path-distance and common-neighbor samples over the same
     tagged graph: for each selected node, one SPD question and one CN
@@ -171,20 +155,20 @@ def make_structural_tasks(
     content = graph.content_nodes()
     if ROOT not in content or len(content) < 2:
         raise GraphError("structural tasks need a rooted graph with >= 2 content nodes")
-    selected = _select_nodes(graph, cfg, exclude={ROOT})
+    selected = _select_nodes(graph, n_selected, seed, exclude={ROOT})
     if not selected:
         raise GraphError("no selectable nodes besides the root")
-    tagged = assign_node_id_tags(graph.copy(), cfg.rng_seed)
+    tagged = assign_node_id_tags(graph.copy(), seed)
 
-    q_spd = SPD_QUESTION if cfg.question_style == "full" else SPD_QUESTION_COMPACT
-    q_cn = CN_QUESTION if cfg.question_style == "full" else CN_QUESTION_COMPACT
+    q_spd = SPD_QUESTION if question_style == "full" else SPD_QUESTION_COMPACT
+    q_cn = CN_QUESTION if question_style == "full" else CN_QUESTION_COMPACT
 
     spd_graph = tagged.copy()
     spd_targets = []
     for node in selected:
         paths = all_shortest_paths(spd_graph, ROOT, node)
         question = q_spd.format(a=spd_graph.nodes[ROOT].node_id_tag, b=spd_graph.nodes[node].node_id_tag)
-        prompt = attach_prompt_node(spd_graph, [ROOT, node], question, edge_mode=edge_mode)
+        prompt = attach_prompt_node(spd_graph, [ROOT, node], question, edge_mode="single")
         spd_targets.append(GenerationTarget(nog=prompt, target_text=render_spd_answer(spd_graph, paths)))
     spd_sample = TaskSample(graph=spd_graph, targets=spd_targets, task_kind="spd")
     spd_sample.validate()
@@ -194,7 +178,7 @@ def make_structural_tasks(
     for node in selected:
         shared = common_neighbors(cn_graph, ROOT, node)
         question = q_cn.format(a=cn_graph.nodes[ROOT].node_id_tag, b=cn_graph.nodes[node].node_id_tag)
-        prompt = attach_prompt_node(cn_graph, [ROOT, node], question, edge_mode=edge_mode)
+        prompt = attach_prompt_node(cn_graph, [ROOT, node], question, edge_mode="single")
         cn_targets.append(GenerationTarget(nog=prompt, target_text=render_cn_answer(cn_graph, shared)))
     cn_sample = TaskSample(graph=cn_graph, targets=cn_targets, task_kind="cn")
     cn_sample.validate()

@@ -123,8 +123,8 @@ def decode_loss(model, memory, target_text: str) -> float:
     """Mean token NLL of teacher-forcing ``target_text`` from one memory
     block [K, d], through the decoder path ``forward_batch`` runs."""
     k, d = model.cfg.memory_tokens, model.cfg.d_model
-    [(total, count)] = model.decoder_nll_per_target(memory.reshape(1, k, d), [model.target_ids(target_text)])
-    return (total * (1.0 / count)).item()
+    nll, counts = model.decoder_nll_per_target(memory.reshape(1, k, d), [model.target_ids(target_text)])
+    return float(nll.data[0] * (1.0 / counts[0]))
 
 
 @pytest.fixture

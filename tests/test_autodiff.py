@@ -492,6 +492,18 @@ class TestFusedOpGradients:
         up = Tensor(rng.normal(size=(2, 3, 3, 2)))
         check_op(lambda: (split_heads(x, 3) * up).sum(), [x])
 
+    def test_split_heads_of_trailing_axes_equals_the_flat_reshape(self, rng):
+        x4 = leaf(rng, (3, 2, 4, 6))
+        x3 = Tensor(x4.data.reshape(3, 2, 24), requires_grad=True)
+        up = Tensor(rng.normal(size=(3, 8, 2, 3)))
+        outs = []
+        for x in (x4, x3):
+            out = split_heads(x, 8)
+            (out * up).sum().backward()
+            outs.append(out.data)
+        assert outs[0].shape == outs[1].shape and outs[0].tobytes() == outs[1].tobytes()
+        assert x4.grad.shape == x4.shape and x4.grad.tobytes() == x3.grad.tobytes()
+
     def test_cross_entropy_rows_vs_fd(self, rng):
         logits = leaf(rng, (3, 4, 7))
         targets = np.array([[1, 6, -100, -100], [-100, -100, -100, -100], [0, 2, 2, 5]])

@@ -242,6 +242,7 @@ class TestExitCodes:
             ("train", "model.embed_std=-1"),
             ("train", "model.embed_std=0"),
             ("train", "model.init_std=0"),
+            ("train", "model.vocab_size=100"),
         ],
     )
     def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):

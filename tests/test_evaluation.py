@@ -22,7 +22,7 @@ from gofa.evaluation import (
 from gofa.model import GofaModel
 from gofa.structure import UNREACHABLE, all_shortest_paths, common_neighbors
 from gofa.tag import TAG, GenerationTarget, TaskSample, assign_node_id_tags, attach_prompt_node
-from gofa.taskgen import PretrainConfig, make_structural_tasks, render_cn_answer, render_spd_answer
+from gofa.taskgen import make_structural_tasks, render_cn_answer, render_spd_answer
 
 from conftest import decode_loss, random_tag
 
@@ -253,7 +253,7 @@ class TestReports:
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=10)
         g = random_tag(rng, 6, edge_prob=0.4)
-        spd, cn = make_structural_tasks(g, PretrainConfig(n_selected=2, rng_seed=0, question_style="compact"))
+        spd, cn = make_structural_tasks(g, 2, "compact", 0)
         report = evaluate_structural(model, [spd, cn], max_new_tokens=8)
         payload = json.loads(report.to_json())
         assert set(payload) == {"metrics", "notes"}

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gofa.compressor import LayerKV, ModelConfig, _rope_tables, _rotation_tables
 from gofa.gnn import gnn_layer
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, TaskSample, attach_prompt_node
+from gofa.taskgen import make_autoencode_task
 from gofa.training import AdamW, TrainConfig
 
 
@@ -243,6 +245,33 @@ class TestDecode:
         assert n == 2
         assert tokens == len("alpha") + 1 + len("beta") + 1
 
+    # 21, 3, 12, 4 and 7 target ids: buckets of width 24, 4, 16, 4 and 8
+    MIXED_TARGETS = ["a twenty byte target", "ab", "eleven byte", "cde", "six by"]
+
+    def test_loss_vector_entries_equal_singleton_calls(self):
+        model = GofaModel(tiny_cfg(), seed=12)
+        ids = [model.target_ids(t) for t in self.MIXED_TARGETS]
+        buckets = make_decode_buckets(ids, model.cfg, model.cfg.dtype)
+        assert len(buckets) >= 3
+        assert [i for b in buckets for i in b.indices] != list(range(len(ids)))  # given out of bucket order
+        mems = compress(model, [f"node {i}" for i in range(len(ids))])
+        nll, counts = model.decoder_nll_per_target(mems, ids)
+        assert nll.shape == (len(ids),) and counts.tolist() == [len(t) for t in ids]
+        for i, target in enumerate(ids):
+            one, one_count = model.decoder_nll_per_target(mems[i : i + 1], [target])
+            assert nll.data[i].tobytes() == one.data[0].tobytes()
+            assert counts[i] == one_count[0]
+
+    def test_forward_batch_averages_the_target_means(self):
+        model = GofaModel(tiny_cfg(), seed=13)
+        samples = [make_autoencode_task(t) for t in self.MIXED_TARGETS]
+        loss, n, tokens = model.forward_batch(samples)
+        nll, counts = model.decoder_nll_per_target(*model.encode_targets(samples))
+        means = [float(total) / int(count) for total, count in zip(nll.data, counts)]
+        ref = math.fsum(means) / len(means)
+        assert n == len(samples) and tokens == sum(len(t) + 1 for t in self.MIXED_TARGETS)
+        assert abs(loss.item() - ref) <= 1e-15 * abs(ref)
+
     def test_long_target_keeps_its_head(self, caplog):
         cfg = tiny_cfg(max_seq_len=16)
         model = GofaModel(cfg, seed=11)
@@ -251,9 +280,9 @@ class TestDecode:
         ids = model.target_ids("The shortest path distance is 3. Shortest paths: A -> B -> C -> D.")
         assert len(ids) > limit
         with caplog.at_level(logging.WARNING, logger="gofa"):
-            [(long_nll, long_n)] = model.decoder_nll_per_target(mem, [ids])
-        [(head_nll, head_n)] = model.decoder_nll_per_target(mem, [ids[:limit]])
-        assert long_n == head_n == limit
+            long_nll, long_n = model.decoder_nll_per_target(mem, [ids])
+        head_nll, head_n = model.decoder_nll_per_target(mem, [ids[:limit]])
+        assert long_n.tolist() == head_n.tolist() == [limit]
         assert long_nll.data.tobytes() == head_nll.data.tobytes()
         assert any(r.getMessage().startswith("target length") and "dropping the tail" in r.getMessage()
                    for r in caplog.records)

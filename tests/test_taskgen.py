@@ -7,7 +7,6 @@ from gofa.taskgen import (
     CN_EMPTY_ANSWER,
     COMPLETION_QUESTION,
     Conversation,
-    PretrainConfig,
     SPD_UNREACHABLE_ANSWER,
     make_completion_tasks,
     make_downstream_task,
@@ -54,18 +53,18 @@ class TestSplitText:
 
 class TestCompletionTasks:
     def test_target_count_root_plus_selected(self):
-        sample = make_completion_tasks(rooted_graph(10), PretrainConfig(n_selected=3, rng_seed=0))
+        sample = make_completion_tasks(rooted_graph(10), 3, 0.5, 0)
         assert sample.task_kind == "completion"
         assert len(sample.targets) == 4
 
     def test_deterministic_under_seed(self):
-        a = make_completion_tasks(rooted_graph(10), PretrainConfig(n_selected=3, rng_seed=5))
-        b = make_completion_tasks(rooted_graph(10), PretrainConfig(n_selected=3, rng_seed=5))
+        a = make_completion_tasks(rooted_graph(10), 3, 0.5, 5)
+        b = make_completion_tasks(rooted_graph(10), 3, 0.5, 5)
         assert tags_equal(a.graph, b.graph)
         assert [t.target_text for t in a.targets] == [t.target_text for t in b.targets]
 
     def test_truncated_text_keeps_tag_and_target_excludes_it(self):
-        sample = make_completion_tasks(rooted_graph(6), PretrainConfig(n_selected=2, rng_seed=1))
+        sample = make_completion_tasks(rooted_graph(6), 2, 0.5, 1)
         for t in sample.targets:
             prompt_node = sample.graph.nodes[t.nog]
             assert prompt_node.kind == "prompt"
@@ -80,7 +79,7 @@ class TestCompletionTasks:
             assert f"{kept} {t.target_text}".startswith("paper number")
 
     def test_prompt_template(self):
-        sample = make_completion_tasks(rooted_graph(5), PretrainConfig(n_selected=1, rng_seed=2))
+        sample = make_completion_tasks(rooted_graph(5), 1, 0.5, 2)
         t = sample.targets[0]
         sources = [e.src for e in sample.graph.edges if e.dst == t.nog]
         tag = sample.graph.nodes[sources[0]].node_id_tag
@@ -88,7 +87,7 @@ class TestCompletionTasks:
         assert sample.graph.nodes[t.nog].text == f"Complete the sentence of the node{tag}."
 
     def test_single_directed_arc_per_prompt(self):
-        sample = make_completion_tasks(rooted_graph(8), PretrainConfig(n_selected=3, rng_seed=3))
+        sample = make_completion_tasks(rooted_graph(8), 3, 0.5, 3)
         for t in sample.targets:
             incoming = [e for e in sample.graph.edges if e.dst == t.nog]
             outgoing = [e for e in sample.graph.edges if e.src == t.nog]
@@ -101,7 +100,7 @@ class TestCompletionTasks:
         g.add_node("another node with many words")
         g.add_undirected_edge(0, 1)
         g.add_undirected_edge(0, 2)
-        sample = make_completion_tasks(g, PretrainConfig(n_selected=1, rng_seed=0))
+        sample = make_completion_tasks(g, 1, 0.5, 0)
         selected = {e.src for t in sample.targets for e in sample.graph.edges if e.dst == t.nog}
         assert 1 not in selected
         assert len(sample.targets) == 2
@@ -112,17 +111,17 @@ class TestCompletionTasks:
         g.add_node("two")
         g.add_undirected_edge(0, 1)
         with pytest.raises(GraphError):
-            make_completion_tasks(g, PretrainConfig(n_selected=1, rng_seed=0))
+            make_completion_tasks(g, 1, 0.5, 0)
 
 
 class TestStructuralTasks:
     def test_two_questions_per_selected_node(self):
-        spd, cn = make_structural_tasks(rooted_graph(10), PretrainConfig(n_selected=3, rng_seed=0))
+        spd, cn = make_structural_tasks(rooted_graph(10), 3, "full", 0)
         assert spd.task_kind == "spd" and cn.task_kind == "cn"
         assert len(spd.targets) == 3 and len(cn.targets) == 3
 
     def test_prompt_connected_from_both_endpoints(self):
-        spd, _ = make_structural_tasks(rooted_graph(8), PretrainConfig(n_selected=2, rng_seed=1))
+        spd, _ = make_structural_tasks(rooted_graph(8), 2, "full", 1)
         for t in spd.targets:
             sources = {e.src for e in spd.graph.edges if e.dst == t.nog}
             assert len(sources) == 2 and 0 in sources
@@ -132,21 +131,21 @@ class TestStructuralTasks:
         g.add_node("root paper text")
         g.add_node("neighbor text here")
         g.add_undirected_edge(0, 1)
-        spd, _ = make_structural_tasks(g, PretrainConfig(n_selected=1, rng_seed=0))
+        spd, _ = make_structural_tasks(g, 1, "full", 0)
         assert spd.targets[0].target_text.startswith("The shortest path distance is 1. ")
 
     def test_unreachable_negative_template(self):
         g = TAG()
         g.add_node("root text")
         g.add_node("island text")
-        spd, cn = make_structural_tasks(g, PretrainConfig(n_selected=1, rng_seed=0))
+        spd, cn = make_structural_tasks(g, 1, "full", 0)
         assert spd.targets[0].target_text == SPD_UNREACHABLE_ANSWER
         assert cn.targets[0].target_text == CN_EMPTY_ANSWER
 
     def test_answers_reparse_to_oracle(self, rng):
         for trial in range(10):
             g = random_tag(rng, 12, edge_prob=0.25)
-            spd, cn = make_structural_tasks(g, PretrainConfig(n_selected=3, rng_seed=trial))
+            spd, cn = make_structural_tasks(g, 3, "full", trial)
             from gofa.evaluation import _prompt_endpoints, score_structural
 
             for t in spd.targets:
@@ -161,12 +160,6 @@ class TestStructuralTasks:
                 score = score_structural(t.target_text, oracle, cn.graph)
                 assert score["cn_set_exact"] is True
                 assert score["cn_count_error"] == 0
-
-    def test_double_edge_mode(self):
-        spd, _ = make_structural_tasks(rooted_graph(6), PretrainConfig(n_selected=1, rng_seed=0), edge_mode="double")
-        t = spd.targets[0]
-        outgoing = {e.dst for e in spd.graph.edges if e.src == t.nog}
-        assert len(outgoing) == 2
 
 
 class TestRenderTemplates:
@@ -287,7 +280,7 @@ class TestDownstream:
 class TestSampleSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         samples = [
-            make_completion_tasks(rooted_graph(8, seed=s), PretrainConfig(n_selected=2, rng_seed=s))
+            make_completion_tasks(rooted_graph(8, seed=s), 2, 0.5, s)
             for s in range(3)
         ]
         path = tmp_path / "corpus.jsonl"
@@ -300,7 +293,7 @@ class TestSampleSerialization:
             assert a.task_kind == b.task_kind
 
     def test_obj_contains_prompt_text(self):
-        s = make_completion_tasks(rooted_graph(6), PretrainConfig(n_selected=1, rng_seed=0))
+        s = make_completion_tasks(rooted_graph(6), 1, 0.5, 0)
         obj = sample_to_obj(s)
         assert obj["kind"] == "completion"
         for t in obj["targets"]:
