@@ -19,13 +19,29 @@ pass through the hooks, and causal attention keeps text rows from reading
 memory rows, so a text's rows at every layer are a function of the text
 alone. Each distinct token sequence of a call runs once: phase 1 runs
 layers 1..t0, and phase 2 the hooks and the layers after t0, with memory
-rows per sequence that read their text's keys and values. A
-``Compressor.text_cache()`` keeps what the memory rows need of a text: its
-memory rows at t0 and its text rows at the input of each layer after t0.
-A call buckets its distinct texts once. The texts of a bucket that the
-cache lacks run through the layers once, as a row subset of that bucket,
-to fill their entries; from then on each layer rebuilds a text's keys and
-values from the cached rows, and only memory rows run through layers.
+rows per sequence that read their text's keys and values.
+
+Texts of equal length in a bucket also run the rows of their shared
+leading tokens once (``_share_prefixes``): a representative runs all its
+rows, and a text that shares a prefix with it runs only the rows after
+it, reading the representative's keys and values for the prefix columns.
+Only equal lengths share: their left pad is the same, so a shared token
+sits at the same column and rotary position and falls in the same
+attention tile, and each row computes what it would without sharing. No
+member call and no attention tile of one may hold exactly one row: numpy
+runs a one-row product through another BLAS kernel than the rows of a
+longer one, with other bits, so such a member starts a column earlier.
+Members that start in the same attention tile run as one call from the
+earliest of their columns. A text's rows therefore do not depend on which
+texts share its batch.
+
+A ``Compressor.text_cache()`` keeps what the memory rows need of a text:
+its memory rows at t0 and its text rows at the input of each layer after
+t0. A call buckets its distinct texts once. The texts of a bucket that
+the cache lacks run through the layers once, as a row subset of that
+bucket that shares prefixes within itself, to fill their entries; from
+then on each layer rebuilds a text's keys and values from the cached
+rows, and only memory rows run through layers.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ import numpy as np
 
 from . import tokenizer
 from .autodiff import (
-    Tensor, attention, concat, gather_rows, no_grad, rms_norm, rope, split_heads,
+    _TILE, Tensor, _query_tiles, attention, concat, gather_rows, no_grad, rms_norm, rope, split_heads,
 )
 
 log = logging.getLogger("gofa")
@@ -404,6 +420,86 @@ def _split_consts(bucket: _Bucket, cfg: ModelConfig):
     return (w, cos[:, :, :lb], sin[:, :, :lb]), (w, cos[:, :, lb:], sin[:, :, lb:])
 
 
+@dataclass
+class _Part:
+    """Rows of a compression bucket that run through the layers together:
+    the representatives, every column of them, or members that share the
+    columns before ``start`` with a representative and run only the rest."""
+
+    rows: np.ndarray  # bucket rows
+    start: int  # the first column it runs; 0 for the representatives
+    source: np.ndarray | None  # per row, the representative (a row of the first part) it reads keys from
+    consts: tuple  # window, cos and sin of its rows and columns
+
+
+def _first_run_column(column: int, lb: int) -> int:
+    """The first column a member runs when its text first differs from its
+    representative's at ``column``: earlier while the member's first
+    attention tile (and with it the whole call, at the bucket's end) would
+    hold one row. A one-row product takes another BLAS kernel than the rows
+    of a longer one, whose bits it would not match."""
+    while True:
+        r0, r1, _ = _query_tiles(lb - column, lb)[0]
+        if r1 - r0 > 1:
+            return column
+        column -= 1
+
+
+def _share_prefixes(ids: np.ndarray, text_consts) -> list[_Part]:
+    """Split the text rows [m, Lb] of a compression bucket (``text_consts``
+    from ``_split_consts``) into the parts they run as: the representatives
+    first, then the members, one part per attention tile they start in.
+
+    Texts that start at the same column have the same pad, so a token they
+    share sits at the same column and position, sees the same keys and
+    falls in the same attention tile. A text joins the representative of
+    its start column with which it shares the most leading tokens; it would
+    run from its first differing column on (``_first_run_column``), reading
+    the representative's keys and values before it. A text that would save
+    no row becomes a representative. Members whose first columns fall in
+    the same tile run together from the earliest of them, so a bucket makes
+    at most one member call per tile. A member then recomputes fewer than a
+    tile of rows: rows it shares, with the representative's bits, or pad
+    rows of a shorter text, which its window hides from every real row."""
+    window, cos, sin = text_consts
+    lb = ids.shape[1]
+    reps: dict[int, list[int]] = {}  # representative rows by start column
+    index: dict[int, int] = {}  # a representative row's place in the first part
+    members: dict[int, list[tuple[int, int, int]]] = {}  # (row, representative, first column) by tile
+    for row, start in enumerate(window[:, 0].tolist()):
+        candidates = reps.setdefault(start, [])
+        first = start
+        if candidates:
+            differ = (ids[candidates] != ids[row]).argmax(axis=1)  # distinct texts differ somewhere
+            best = int(differ.argmax())
+            first = max(start, _first_run_column(int(differ[best]), lb))
+        if first == start:
+            index[row] = len(index)
+            candidates.append(row)
+        else:
+            members.setdefault(first // _TILE, []).append((row, candidates[best], first))
+
+    def part(rows: list[int], start: int, source) -> _Part:
+        return _Part(np.asarray(rows, dtype=np.int64), start, source,
+                     (window[rows], cos[rows][:, :, start:], sin[rows][:, :, start:]))
+
+    parts = [part(list(index), 0, None)]
+    for tile in sorted(members):
+        rows, sources, firsts = zip(*members[tile])
+        parts.append(part(list(rows), min(firsts), np.asarray([index[r] for r in sources], dtype=np.int64)))
+    return parts
+
+
+def _part_order(parts: list[_Part]) -> np.ndarray:
+    """The bucket rows of ``parts`` in the order they run."""
+    return np.concatenate([p.rows for p in parts])
+
+
+def _unless_identity(rows: np.ndarray) -> np.ndarray | None:
+    """``rows``, or None when it selects every row in order."""
+    return None if np.array_equal(rows, np.arange(len(rows))) else rows
+
+
 def gather_in_order(per_bucket: list[Tensor], indices: list[list[int]]) -> Tensor:
     """Stack per-bucket rows back into original sequence order; bucket i
     holds the rows of sequences ``indices[i]``."""
@@ -467,28 +563,30 @@ class Compressor:
     def run(self, sequences: list[list[int]], memory_hook=None) -> Tensor:
         """Compress token sequences to a [S, K, d] memory tensor.
 
-        Each bucket runs as two tensors: the text rows [S, Lb, d] attending
-        causally within their windows, and the memory rows [S, K, d] as a
-        K-position extension that attends to the layer's text keys and
-        values plus its own. Causal attention keeps text rows independent
-        of memory rows, so the split computes what one [text; memory] tensor
-        per bucket would, up to the order in which a softmax row's terms are
-        summed. Text rows carry a tape only when the compressor itself is
-        trained, and the last layer computes only their keys and values.
+        Each bucket runs as text rows attending causally within their
+        windows, and the memory rows [S, K, d] as a K-position extension
+        that attends to the layer's text keys and values plus its own.
+        Causal attention keeps text rows independent of memory rows, so the
+        split computes what one [text; memory] tensor per bucket would, up
+        to the order in which a softmax row's terms are summed. Text rows
+        carry a tape only when the compressor itself is trained, and the
+        last layer computes only their keys and values.
 
         Phase 1 runs layers 1..t0, ``t0 = min(cfg.gnn_layers)`` (all layers
         without GNN layers), once per distinct sequence. Phase 2 gives every
         sequence its own memory rows and runs the hook at t0 and layers
         t0+1..n, text rows still once per distinct text. The distinct
-        texts are bucketed once per call. With a ``text_cache()`` open, the
-        texts of each bucket that it does not hold yet first run once, as
-        the subset of the bucket's rows and constants that holds them, and
-        are stored: their text rows through layers 1..n-1, their memory
-        rows through layers 1..t0. Then every text is read from the cache:
-        phase 1 computes nothing, and in phase 2 each layer rebuilds the
-        text keys and values from the cached rows and runs only the memory
-        rows. A text's rows do not depend on the other texts of its bucket,
-        so every path gives each sequence the bits it would get alone.
+        texts are bucketed once per call, and a text that shares leading
+        tokens with an equally long one runs only the rows after them
+        (``_share_prefixes``). With a ``text_cache()`` open, the texts of
+        each bucket that it does not hold yet first run once, as the subset
+        of the bucket's rows and constants that holds them, and are stored:
+        their text rows through layers 1..n-1, their memory rows through
+        layers 1..t0. Then every text is read from the cache: phase 1
+        computes nothing, and in phase 2 each layer's text keys and values
+        are rebuilt from the cached rows and only memory rows run. A text's
+        rows do not depend on the other texts of its bucket, so every path
+        gives each sequence the bits it would get alone.
 
         ``memory_hook(mems, layer_idx)`` may return a replacement [S, K, d]
         tensor after each layer listed in ``cfg.gnn_layers``.
@@ -508,19 +606,23 @@ class Compressor:
         texts, mems, consts = [], [], []
         for b, owner in zip(buckets, owners):
             text_consts, mem_consts = _split_consts(b, cfg)
+            owner = np.asarray(owner, dtype=np.int64)
             if self._cache is not None:
                 b_keys = [distinct[u] for u in b.indices]
                 self._fill_cache(t0, b, b_keys, text_consts, mem_consts)
-                text, mem = self._cached_state(t0, b, b_keys)
+                text, mem = self._cached_state(t0, b, b_keys, text_consts)
+                parts, rows = None, owner
             else:
-                text, mem = self._state_at(t0, b.ids, text_consts, mem_consts)
-            rows = None if owner == list(range(len(b.indices))) else np.asarray(owner, dtype=np.int64)
+                text, mem, parts = self._state_at(t0, b.ids, text_consts, mem_consts)
+                rows = np.argsort(_part_order(parts))[owner]  # each sequence's text in the run order
+            rows = _unless_identity(rows)
             if rows is not None:
                 mem = gather_rows(mem, rows)
-                mem_consts = tuple(c[rows] for c in mem_consts)
+            if _unless_identity(owner) is not None:
+                mem_consts = tuple(c[owner] for c in mem_consts)
             texts.append(text)
             mems.append(mem)
-            consts.append((text_consts, mem_consts, rows))
+            consts.append((parts, mem_consts, rows))
         for t in range(t0, cfg.n_layers + 1):
             if t > t0:
                 for i, c in enumerate(consts):
@@ -534,16 +636,22 @@ class Compressor:
 
     def _state_at(self, t0: int, ids: np.ndarray, text_consts, mem_consts):
         """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb]:
-        their text rows (None without text columns) and memory rows at the
-        output of layer ``t0``."""
+        the parts they run as (``_share_prefixes``), the text rows of each
+        part (None without text columns) and the memory rows, in the order
+        of the parts' rows, at the output of layer ``t0``."""
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
         sb, lb = ids.shape
-        text = gather_rows(self.stack.embed, ids.reshape(-1)).reshape(sb, lb, d) if lb else None
+        parts = _share_prefixes(ids, text_consts)
+        text = None
+        if lb:
+            embed = self.stack.embed
+            text = [gather_rows(embed, ids[p.rows, p.start :].reshape(-1)).reshape(len(p.rows), lb - p.start, d) for p in parts]
+        mem_consts = tuple(c[_part_order(parts)] for c in mem_consts)
         mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
         for t in range(1, t0 + 1):
-            text, mem = self._layer(t, text, mem, text_consts, mem_consts)
-        return text, mem
+            text, mem = self._layer(t, text, mem, parts, mem_consts)
+        return text, mem, parts
 
     def _fill_cache(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts) -> None:
         """Store each text of ``bucket`` (``keys``, one per row) that the
@@ -559,25 +667,30 @@ class Compressor:
         if not rows:
             return
         text_consts, mem_consts = (tuple(c[rows] for c in consts) for consts in (text_consts, mem_consts))
-        text, mem = self._state_at(t0, bucket.ids[rows], text_consts, mem_consts)
+        text, mem, parts = self._state_at(t0, bucket.ids[rows], text_consts, mem_consts)
         lb = bucket.text_len
         starts = bucket.window[rows, 0]  # each text's first real column
         stored = [np.empty((cfg.n_layers - t0, lb - start, cfg.d_model), dtype=cfg.dtype) for start in starts]
+        full = np.empty((len(rows), lb, cfg.d_model), dtype=cfg.dtype)
         for t in range(t0 + 1, cfg.n_layers + 1) if lb else ():
-            for text_rows, start, x in zip(stored, starts, text.data):
+            for p, x in zip(parts, text):  # the first part, the representatives, fills first
+                if p.start:
+                    full[p.rows, : p.start] = full[parts[0].rows[p.source], : p.start]
+                full[p.rows, p.start :] = x.data
+            for text_rows, start, x in zip(stored, starts, full):
                 text_rows[t - t0 - 1] = x[start:]  # the rows at the input of layer t
             if t < cfg.n_layers:
-                text = layer_forward(text, self.stack.layers[t - 1], cfg, *text_consts)
-        for row, text_rows, m in zip(rows, stored, mem.data):
-            cache.entries[keys[row]] = text_rows, m.copy()
-            cache.bytes += text_rows.nbytes + m.nbytes
+                text = self._text_layer(t, text, parts)[0]
+        for row, m in zip(_part_order(parts), mem.data):
+            cache.entries[keys[rows[row]]] = stored[row], m.copy()
+            cache.bytes += stored[row].nbytes + m.nbytes
 
-    def _cached_state(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]]):
-        """Phase 1 for one bucket of texts the open cache holds: their text
-        rows at the inputs of layers t0+1..n, one [m, Lb, d] tensor per
-        layer (None without text columns), and their memory rows at the
-        output of layer ``t0``. Pad rows are zeros, which masked attention
-        never reads."""
+    def _cached_state(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts):
+        """Phase 1 for one bucket of texts the open cache holds: an iterator
+        over the keys and values [m, H, Lb, dh] of their text rows at layers
+        t0+1..n, one pair per layer rebuilt from the cached rows (None
+        without text columns), and their memory rows at the output of layer
+        ``t0``. Pad rows are zeros, which masked attention never reads."""
         cfg = self.stack.cfg
         m, lb = bucket.ids.shape
         text = np.zeros((cfg.n_layers - t0, m, lb, cfg.d_model), dtype=cfg.dtype)
@@ -585,31 +698,58 @@ class Compressor:
         for row, key in enumerate(keys):
             real, mem[row] = self._cache.entries[key]
             text[:, row, lb - real.shape[1] :] = real
-        return ([Tensor(x, dtype=cfg.dtype) for x in text] if lb else None), Tensor(mem, dtype=cfg.dtype)
+        _, cos, sin = text_consts
+        # built as each layer asks, while the memory rows that read them are about to run
+        kvs = (
+            _keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, cos, sin)
+            for x, layer in zip(text, self.stack.layers[t0:])
+        )
+        return (kvs if lb else None), Tensor(mem, dtype=cfg.dtype)
 
-    def _layer(self, t: int, text, mem: Tensor, text_consts, mem_consts, rows=None):
+    def _text_layer(self, t: int, text: list[Tensor], parts: list[_Part]) -> tuple[list[Tensor], list[LayerKV]]:
+        """Layer ``t`` over the text rows of each of ``parts``: their rows
+        for layer t+1 (none after the last layer, which computes only keys
+        and values) and, per part, the keys and values of all Lb columns of
+        its rows, a member's first columns read from its representative."""
+        cfg = self.stack.cfg
+        layer = self.stack.layers[t - 1]
+        out, kvs = [], []
+        for p, x in zip(parts, text):
+            kv = LayerKV()
+            if p.source is not None:
+                reps = kvs[0]
+                kv.extend(gather_rows(reps.keys, p.source)[:, :, : p.start], gather_rows(reps.values, p.source)[:, :, : p.start])
+            if t < cfg.n_layers:
+                out.append(layer_forward(x, layer, cfg, *p.consts, kv))
+            else:
+                kv.extend(*_keys_values(rms_norm(x, layer["attn_norm"]), layer, cfg, *p.consts[1:]))
+            kvs.append(kv)
+        return out, kvs
+
+    def _layer(self, t: int, text, mem: Tensor, parts: list[_Part] | None, mem_consts, rows=None):
         """Layer ``t`` over one bucket's text rows and memory rows [S, K, d];
-        memory row j reads the keys and values of text row ``rows[j]``, or
-        of row j without ``rows``. ``text`` is None without text columns,
-        the text rows [m, Lb, d] at the layer's input, or, for cached texts,
-        a list of those rows at the inputs of layers t..n, whose first
-        gives this layer's keys and values. Returns the text rows for layer
-        t+1 in the same form, and the memory rows."""
+        memory row j reads the keys and values of text ``rows[j]``, or of
+        text j without ``rows``, counting texts in the order they run: that
+        of ``parts``' rows, or bucket order for cached texts (``parts``
+        None). ``text`` is None without text columns, the text rows of each
+        part at the layer's input, or, for cached texts, the iterator over
+        the keys and values of layers t..n, whose next pair is this layer's.
+        Returns the text for layer t+1 in the same form, and the memory
+        rows."""
         cfg = self.stack.cfg
         layer = self.stack.layers[t - 1]
         kv = LayerKV()
         if text is not None:
-            _, cos, sin = text_consts
-            if isinstance(text, list):
-                kv.extend(*_keys_values(rms_norm(text[0], layer["attn_norm"]), layer, cfg, cos, sin))
-                text = text[1:]
-            elif t < cfg.n_layers:
-                text = layer_forward(text, layer, cfg, *text_consts, kv)
+            if parts is None:
+                k, v = next(text)
             else:
-                # nothing reads the last layer's text rows but the memory rows' attention
-                kv.extend(*_keys_values(rms_norm(text, layer["attn_norm"]), layer, cfg, cos, sin))
+                text, kvs = self._text_layer(t, text, parts)
+                k, v = kvs[0].keys, kvs[0].values
+                if len(kvs) > 1:
+                    k, v = concat([x.keys for x in kvs], axis=0), concat([x.values for x in kvs], axis=0)
             if rows is not None:
-                kv.keys, kv.values = gather_rows(kv.keys, rows), gather_rows(kv.values, rows)
+                k, v = gather_rows(k, rows), gather_rows(v, rows)
+            kv.extend(k, v)
         return text, layer_forward(mem, layer, cfg, *mem_consts, kv)
 
 

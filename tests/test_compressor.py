@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gofa import tokenizer
-from gofa.autodiff import Tensor, blocked_keys, concat, gather_rows, no_grad, rope
+from gofa import corpus, tokenizer
+from gofa.autodiff import Tensor, _query_tiles, blocked_keys, concat, gather_rows, no_grad, rope
 from gofa.compressor import (
     _BUCKET_STEPS,
     LayerKV,
@@ -16,6 +16,8 @@ from gofa.compressor import (
     _rope_tables,
     _rotation_matrices,
     _rotation_tables,
+    _share_prefixes,
+    _split_consts,
     gather_in_order,
     layer_forward,
     make_compress_buckets,
@@ -63,6 +65,30 @@ def concatenated_run(comp, sequences, memory_hook=None):
 
 # texts in buckets of length 0, 4, 8, 16, 24 and 48, several sharing one
 SPLIT_TEXTS = ["", "ab", "abc", "abcdef", "abcdefgh", "nine char", "", "a text of twenty-one.", "x" * 40, "link"]
+
+
+def _variant(text, i):
+    return text[:i] + "#" + text[i + 1 :]
+
+
+# texts of equal length that share leading tokens, for max_seq_len 64, and
+# where each first differs from the first text of its length. 56 tokens (the
+# 64-column bucket, first column 8): at column 31, the last of an attention
+# tile, and at 63, the bucket's last; at 8 nothing is shared. 40 tokens (the
+# 48-column bucket, first column 8): at 32, a tile's first, and at 13 and 17,
+# in one tile. 34 tokens (first column 14 of that bucket): at 19, in the same
+# tile, so it runs from column 13, a pad column of its own. 20 tokens (first
+# column 4): at 23, the last, and at 4. The 21-token text and the 2-token
+# texts share a prefix but not a length or a saved row.
+_B56 = "".join(chr(97 + i * 7 % 26) for i in range(56))
+_B40 = "".join(chr(65 + i * 5 % 26) for i in range(40))
+_B34 = "".join(chr(48 + i * 3 % 10) for i in range(34))
+_B20 = "shortest path from n"
+SHARED_TEXTS = [
+    _B56, _variant(_B56, 23), _variant(_B56, 55), _variant(_B56, 0),
+    _B40, _variant(_B40, 24), _variant(_B40, 5), _variant(_B40, 9), _B34, _variant(_B34, 5),
+    _B20, _variant(_B20, 19), _variant(_B20, 0), _B20 + "!", "ab", "ac",
+]
 
 
 class TestTokenizer:
@@ -253,12 +279,20 @@ class TestSplitRun:
     # same row followed by K zero-probability memory keys can be summed in a
     # different order, so with 4 memory tokens the 4-token bucket differs in
     # the last bits; with 3, every memory of these texts is bit-equal.
-    @pytest.mark.parametrize("k, exact", [(3, True), (4, False)])
-    def test_memories_match_concatenated_reference(self, rng, k, exact):
+    @pytest.mark.parametrize(
+        "k, exact, texts",
+        [
+            pytest.param(3, True, SPLIT_TEXTS, id="3-True"),
+            pytest.param(4, False, SPLIT_TEXTS, id="4-False"),
+            pytest.param(3, True, SHARED_TEXTS, id="3-True-shared"),
+            pytest.param(4, True, SHARED_TEXTS, id="4-True-shared"),
+        ],
+    )
+    def test_memories_match_concatenated_reference(self, rng, k, exact, texts):
         cfg = tiny_cfg(memory_tokens=k, n_layers=3, gnn_layers=(1, 2))
         model = GofaModel(cfg, seed=8)
         hook, _ = self._hook_and_weight(cfg, rng)
-        seqs = [tokenizer.encode(t) for t in SPLIT_TEXTS]
+        seqs = [tokenizer.encode(t) for t in texts]
         with no_grad():
             for h in (None, hook):
                 split = model.compressor.run(seqs, memory_hook=h).data
@@ -268,11 +302,13 @@ class TestSplitRun:
                 else:
                     np.testing.assert_allclose(split, ref, rtol=1e-13, atol=1e-15)
 
-    def test_gradients_match_concatenated_reference(self, rng):
-        cfg = tiny_cfg(memory_tokens=4, n_layers=3, gnn_layers=(1, 2))
-        model = GofaModel(cfg, seed=9)
-        hook, w = self._hook_and_weight(cfg, rng)
-        seqs = [tokenizer.encode(t) for t in SPLIT_TEXTS]
+    @staticmethod
+    def _gradients(model, texts, rng):
+        """The gradients of every parameter and of the hook's weight, from
+        ``Compressor.run`` and from the concatenated reference."""
+        cfg = model.compressor.stack.cfg
+        hook, w = TestSplitRun._hook_and_weight(cfg, rng)
+        seqs = [tokenizer.encode(t) for t in texts]
         upstream = Tensor(rng.normal(size=(len(seqs), cfg.memory_tokens, cfg.d_model)))
         checked = {**model.parameters(), "hook.w": w}
         grads = []
@@ -281,7 +317,12 @@ class TestSplitRun:
                 t.zero_grad()
             (run(seqs, memory_hook=hook) * upstream).sum().backward()
             grads.append({n: t.grad for n, t in checked.items()})
-        split, ref = grads
+        return grads
+
+    def test_gradients_match_concatenated_reference(self, rng):
+        cfg = tiny_cfg(memory_tokens=4, n_layers=3, gnn_layers=(1, 2))
+        model = GofaModel(cfg, seed=9)
+        split, ref = self._gradients(model, SPLIT_TEXTS, rng)
         assert {n for n, g in ref.items() if g is not None} == {n for n, g in split.items() if g is not None}
         assert split["hook.w"] is not None and split["compressor.layers.0.wq"] is not None
         for name, g in ref.items():
@@ -436,6 +477,90 @@ class TestBatchIndependence:
                 assert alone.tobytes() == full[i].tobytes() == among.tobytes(), f"text of length {len(seq)}"
 
 
+class TestSharedPrefixes:
+    """Texts of equal length run the rows of their shared leading tokens once
+    (``_share_prefixes``); the rest of each text reads those rows' keys."""
+
+    def test_members_start_after_the_shared_columns(self):
+        cfg = tiny_cfg()
+        seqs = [tokenizer.encode(t) for t in SHARED_TEXTS]
+        buckets = {b.text_len: b for b in make_compress_buckets(seqs, cfg, cfg.dtype)}
+        for lb, want in [
+            # (text, representative, first column run) of each member: a member
+            # whose tile or call would hold one row starts a column earlier, and
+            # members that start in one tile run from the earliest column
+            (64, {(1, 0, 30), (2, 0, 62)}),
+            (48, {(5, 4, 32), (6, 4, 13), (7, 4, 13), (9, 8, 13)}),
+            (24, {(11, 10, 22)}),
+            (4, set()),
+        ]:
+            b = buckets[lb]
+            parts = _share_prefixes(b.ids, _split_consts(b, cfg)[0])
+            reps = parts[0]
+            assert reps.start == 0 and reps.source is None
+            got = {
+                (b.indices[row], b.indices[reps.rows[src]], p.start)
+                for p in parts[1:]
+                for row, src in zip(p.rows, p.source)
+            }
+            assert got == want
+            members = [b.indices[row] for p in parts[1:] for row in p.rows]
+            assert sorted(b.indices[row] for row in reps.rows) == sorted(set(b.indices) - set(members))
+            for p in parts[1:]:
+                # every member call and every attention tile of it holds two rows or more
+                assert all(r1 - r0 > 1 for r0, r1, _ in _query_tiles(lb - p.start, lb))
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_memories_equal_each_text_alone(self, precision):
+        cfg = tiny_cfg(n_layers=3, gnn_layers=(2,), precision=precision)
+        model = GofaModel(cfg, seed=16)
+        seqs = [tokenizer.encode(t) for t in SHARED_TEXTS]
+        with no_grad():
+            batch = model.compressor.run(seqs).data
+            for seq, mem in zip(seqs, batch):
+                alone = model.compressor.run([seq]).data[0]
+                assert alone.dtype == cfg.dtype and alone.tobytes() == mem.tobytes()
+
+    def test_gradients_match_concatenated_reference(self, rng):
+        cfg = tiny_cfg(memory_tokens=4, n_layers=3, gnn_layers=(1, 2))
+        split, ref = TestSplitRun._gradients(GofaModel(cfg, seed=17), SHARED_TEXTS, rng)
+        compressor_grads = [n for n, g in ref.items() if g is not None and n.startswith("compressor.")]
+        assert len(compressor_grads) == 1 + 8 * cfg.n_layers
+        assert {n for n, g in ref.items() if g is not None} == {n for n, g in split.items() if g is not None}
+        for name, g in ref.items():
+            if g is not None:
+                np.testing.assert_allclose(split[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+    def test_an_spd_batch_runs_few_text_rows(self, monkeypatch):
+        # one batch of 8 SPD samples at desk scale: 3,816 padded text rows per
+        # layer without sharing, 1,154 with it
+        spd, _ = corpus.gen_structural_corpus(corpus.CorpusConfig(n_graphs=8, rng_seed=1))
+        cfg = ModelConfig(d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=128)
+        model = GofaModel(cfg, seed=1)
+        first = model.compressor_stack.layers[0]
+        rows, texts = [], set()
+        inner_layer, inner_buckets = layer_forward, make_compress_buckets
+
+        def recording_layer(x, p, *rest):
+            if p is first:
+                rows.append(x.shape[0] * x.shape[1])
+            return inner_layer(x, p, *rest)
+
+        def recording_buckets(seqs, *rest):
+            texts.update(tuple(s) for s in seqs)
+            return inner_buckets(seqs, *rest)
+
+        monkeypatch.setattr("gofa.compressor.layer_forward", recording_layer)
+        monkeypatch.setattr("gofa.compressor.make_compress_buckets", recording_buckets)
+        with no_grad():
+            model.encode_graphs([s.graph for s in spd[:8]])
+        padded = sum(b.ids.size for b in inner_buckets([list(t) for t in texts], cfg, cfg.dtype))
+        # layer 1 runs each distinct text's K memory rows, and text rows
+        text_rows = sum(rows) - cfg.memory_tokens * len(texts)
+        assert padded == 3816
+        assert text_rows <= 1154
+
+
 class TestTextCache:
     # three calls that share texts, the last one repeating the first; one text
     # is longer than max_seq_len
@@ -451,6 +576,10 @@ class TestTextCache:
     # texts of 33-120 tokens, whose text rows run in several attention tiles
     LONG_CALLS = [["q" * 33, "r" * 70, "s" * 120, "ab"], ["r" * 70, "t" * 64, "u" * 97], ["s" * 120, "q" * 33]]
 
+    # the same with texts that share prefixes: the second call holds members
+    # whose representatives the cache already has
+    SHARED_CALLS = [SHARED_TEXTS[:8], SHARED_TEXTS[3:] + [_variant(_B56, 40)], SHARED_TEXTS[:8]]
+
     def _calls(self, model, hook, w, upstream, calls=CALLS):
         out = []
         for texts in calls:
@@ -461,25 +590,34 @@ class TestTextCache:
             out.append((mems.data, None if w.grad is None else w.grad.copy()))
         return out
 
-    @pytest.mark.parametrize("gnn_layers", [(1, 2), (), (2,)])
-    def test_cached_calls_match_uncached(self, rng, gnn_layers):
+    @pytest.mark.parametrize(
+        "gnn_layers, calls",
+        [
+            pytest.param((1, 2), CALLS, id="gnn_layers0"),
+            pytest.param((), CALLS, id="gnn_layers1"),
+            pytest.param((2,), CALLS, id="gnn_layers2"),
+            pytest.param((1, 2), SHARED_CALLS, id="gnn_layers0-shared"),
+            pytest.param((2,), SHARED_CALLS, id="gnn_layers2-shared"),
+        ],
+    )
+    def test_cached_calls_match_uncached(self, rng, gnn_layers, calls):
         cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
         model = self._frozen_model(cfg, seed=11)
         hook, w = TestSplitRun._hook_and_weight(cfg, rng)
         hook = hook if gnn_layers else None
-        upstream = Tensor(rng.normal(size=(len(SPLIT_TEXTS), cfg.memory_tokens, cfg.d_model)))
-        uncached = self._calls(model, hook, w, upstream)
+        upstream = Tensor(rng.normal(size=(max(map(len, calls)), cfg.memory_tokens, cfg.d_model)))
+        uncached = self._calls(model, hook, w, upstream, calls)
         with model.compressor.text_cache() as cache:
-            cached = self._calls(model, hook, w, upstream)
+            cached = self._calls(model, hook, w, upstream, calls)
             assert model.compressor._cache is cache
             stored = set(cache.entries)
         for (mem_a, grad_a), (mem_b, grad_b) in zip(uncached, cached):
             assert mem_a.tobytes() == mem_b.tobytes()
             assert (grad_a is None) == (grad_b is None) == (hook is None)
             assert grad_a is None or grad_a.tobytes() == grad_b.tobytes()
-        distinct = {tuple(tokenizer.encode(t)) for texts in self.CALLS for t in texts}
+        distinct = {tuple(tokenizer.encode(t)) for texts in calls for t in texts}
         assert stored == distinct and cache.misses == len(distinct)
-        assert cache.hits == sum(len(set(texts)) for texts in self.CALLS) - len(distinct)
+        assert cache.hits == sum(len(set(texts)) for texts in calls) - len(distinct)
         # text rows at the inputs of layers t0+1..n, memory rows at t0
         k, d, later = cfg.memory_tokens, cfg.d_model, cfg.n_layers - min(gnn_layers, default=cfg.n_layers)
         assert cache.bytes == sum(8 * d * (later * min(len(key), cfg.max_seq_len - k) + k) for key in distinct)

@@ -252,20 +252,19 @@ class TestTrainLoop:
 
 
 class TestResume:
-    def test_bit_exact_resume(self, tmp_path):
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_bit_exact_resume(self, tmp_path, precision):
         corpus = make_corpus(6, seed=4)
 
-        model_a = GofaModel(tiny_cfg(), seed=21)
+        model_a = GofaModel(tiny_cfg(precision=precision), seed=21)
         cfg_a = TrainConfig(lr=1e-3, max_steps=6, batch_size=2, checkpoint_every=3, seed=2)
         train(model_a, corpus, cfg_a, out_dir=tmp_path / "full")
 
-        model_b = GofaModel(tiny_cfg(), seed=21)
-        cfg_b = TrainConfig(lr=1e-3, max_steps=6, batch_size=2, checkpoint_every=3, seed=2)
-        # interrupt: stop at 3 by training a copy with max_steps=3... instead use
-        # the checkpoint the full run wrote at step 3 and resume it.
+        # resume from the checkpoint the full run wrote at step 3
         resumed, report = resume(tmp_path / "full" / "checkpoint_000003.gofa", corpus, out_dir=tmp_path / "resumed")
         assert report.steps == 6
         for name, t in model_a.parameters().items():
+            assert t.dtype == resumed.parameters()[name].dtype == np.dtype(precision)
             assert np.array_equal(t.data, resumed.parameters()[name].data), f"{name} differs after resume"
 
     def test_resumed_loss_log_equals_uninterrupted(self, tmp_path, monkeypatch):
