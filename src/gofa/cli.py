@@ -157,7 +157,7 @@ def _load_model(path, budget: int | None) -> GofaModel:
     """The checkpoint's model; a generation ``budget`` its decoder cannot
     hold is a ``ConfigError``."""
     model, _extras, _config = GofaModel.load(path)
-    limit = model.cfg.max_seq_len - model.cfg.memory_tokens
+    limit = model.cfg.max_text_len
     if budget is not None and budget > limit:
         raise ConfigError(
             f"eval.max_new_tokens {budget} exceeds max_seq_len - memory_tokens = {limit} of checkpoint {path}"

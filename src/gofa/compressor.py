@@ -17,9 +17,14 @@ Compression runs in two phases split at the cache point ``t0 =
 min(gnn_layers)`` (the last layer without GNN layers). Only memory rows
 pass through the hooks, and causal attention keeps text rows from reading
 memory rows, so a text's rows at every layer are a function of the text
-alone. Each distinct token sequence of a call runs once: phase 1 runs
-layers 1..t0, and phase 2 the hooks and the layers after t0, with memory
-rows per sequence that read their text's keys and values.
+alone. Each bucket has one text side, an iterator over layers that yields
+the text keys and values its memory rows read, and one memory-row step
+consumes it layer by layer. Each distinct token sequence of a call runs
+once: a text pass runs its text rows through every layer, phase 1 runs
+one set of memory rows per distinct text through layers 1..t0 against
+that pass, and phase 2 the hooks and the layers after t0, with memory
+rows per sequence that read their text's keys and values from the rest
+of it.
 
 Texts of equal length in a bucket also run the rows of their shared
 leading tokens once (``_share_prefixes``): a representative runs all its
@@ -38,10 +43,11 @@ texts share its batch.
 A ``Compressor.text_cache()`` keeps what the memory rows need of a text:
 its memory rows at t0 and its text rows at the input of each layer after
 t0. A call buckets its distinct texts once. The texts of a bucket that
-the cache lacks run through the layers once, as a row subset of that
-bucket that shares prefixes within itself, to fill their entries; from
-then on each layer rebuilds a text's keys and values from the cached
-rows, and only memory rows run through layers.
+the cache lacks run phase 1 as a row subset of that bucket that shares
+prefixes within itself, and their text pass goes on through the layers
+before the last, storing their rows as it passes them. The bucket's text
+side then rebuilds each layer's keys and values from the cached rows, and
+only memory rows run through layers.
 """
 
 from __future__ import annotations
@@ -81,6 +87,13 @@ class ModelConfig:
 
     def __post_init__(self):
         self.gnn_layers = tuple(sorted(self.gnn_layers))
+        if len(set(self.gnn_layers)) < len(self.gnn_layers):
+            raise ValueError(f"gnn_layers {list(self.gnn_layers)} lists a layer twice")
+        for name in ("d_model", "n_heads", "ff_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.rope_base > 0:
+            raise ValueError("rope_base must be positive")
         if self.vocab_size < tokenizer.VOCAB_SIZE:
             raise ValueError(f"vocab_size {self.vocab_size} is below the tokenizer's {tokenizer.VOCAB_SIZE} ids")
         if self.init_std is not None and self.init_std <= 0:
@@ -109,6 +122,12 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def max_text_len(self) -> int:
+        """The most tokens a node/edge text or a decoder target keeps: what
+        ``max_seq_len`` leaves after the K memory rows."""
+        return self.max_seq_len - self.memory_tokens
 
     @property
     def dtype(self):
@@ -191,8 +210,7 @@ def _rope_matrices(n_pos: int, half: int, base: float, dtype) -> np.ndarray:
 def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of every position a bucket of ``cfg`` can hold, pad
     columns of the longest decode bucket included."""
-    k = cfg.memory_tokens
-    return _rope_tables(_bucket_len(cfg.max_seq_len - k) + k, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+    return _rope_tables(_bucket_len(cfg.max_text_len) + cfg.memory_tokens, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
 
 
 def _rotation_matrices(cfg: ModelConfig) -> np.ndarray:
@@ -369,8 +387,7 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
     A text too long for ``max_seq_len`` keeps its last tokens; a target
     keeps its first, so the memory rows always learn the answer's start.
     """
-    k = cfg.memory_tokens
-    limit = cfg.max_seq_len - k
+    k, limit = cfg.memory_tokens, cfg.max_text_len
     longest = max(map(len, sequences), default=0)
     if longest > limit:
         what, how = ("target", "dropping the tail") if memory_first else ("node/edge text", "truncating from the left")
@@ -490,11 +507,6 @@ def _share_prefixes(ids: np.ndarray, text_consts) -> list[_Part]:
     return parts
 
 
-def _part_order(parts: list[_Part]) -> np.ndarray:
-    """The bucket rows of ``parts`` in the order they run."""
-    return np.concatenate([p.rows for p in parts])
-
-
 def _unless_identity(rows: np.ndarray) -> np.ndarray | None:
     """``rows``, or None when it selects every row in order."""
     return None if np.array_equal(rows, np.arange(len(rows))) else rows
@@ -575,18 +587,21 @@ class Compressor:
         Phase 1 runs layers 1..t0, ``t0 = min(cfg.gnn_layers)`` (all layers
         without GNN layers), once per distinct sequence. Phase 2 gives every
         sequence its own memory rows and runs the hook at t0 and layers
-        t0+1..n, text rows still once per distinct text. The distinct
-        texts are bucketed once per call, and a text that shares leading
-        tokens with an equally long one runs only the rows after them
-        (``_share_prefixes``). With a ``text_cache()`` open, the texts of
-        each bucket that it does not hold yet first run once, as the subset
-        of the bucket's rows and constants that holds them, and are stored:
-        their text rows through layers 1..n-1, their memory rows through
-        layers 1..t0. Then every text is read from the cache: phase 1
-        computes nothing, and in phase 2 each layer's text keys and values
-        are rebuilt from the cached rows and only memory rows run. A text's
-        rows do not depend on the other texts of its bucket, so every path
-        gives each sequence the bits it would get alone.
+        t0+1..n. In both, one step runs a layer's memory rows against the
+        text keys and values that the bucket's text side yields for that
+        layer. The distinct texts are bucketed once per call. Without a
+        cache, the text side is one text pass over the bucket's texts,
+        which runs each text's rows through every layer once, a text that
+        shares leading tokens with an equally long one only the rows after
+        them (``_share_prefixes``). With a ``text_cache()`` open, the texts
+        of each bucket that it does not hold yet run phase 1 in the same
+        way, as the subset of the bucket's rows and constants that holds
+        them, and their text pass goes on through layer n-1 to store their
+        rows; the text side then rebuilds each layer's keys and values from
+        the cached rows, so phase 1 computes nothing for a text the cache
+        holds and only memory rows run after t0. A text's rows do not
+        depend on the other texts of its bucket, so every path gives each
+        sequence the bits it would get alone.
 
         ``memory_hook(mems, layer_idx)`` may return a replacement [S, K, d]
         tensor after each layer listed in ``cfg.gnn_layers``.
@@ -607,26 +622,21 @@ class Compressor:
         for b, owner in zip(buckets, owners):
             text_consts, mem_consts = _split_consts(b, cfg)
             owner = np.asarray(owner, dtype=np.int64)
-            if self._cache is not None:
-                b_keys = [distinct[u] for u in b.indices]
-                self._fill_cache(t0, b, b_keys, text_consts, mem_consts)
-                text, mem = self._cached_state(t0, b, b_keys, text_consts)
-                parts, rows = None, owner
+            if self._cache is None:
+                order, mem, text = self._computed(t0, b.ids, text_consts, mem_consts)
             else:
-                text, mem, parts = self._state_at(t0, b.ids, text_consts, mem_consts)
-                rows = np.argsort(_part_order(parts))[owner]  # each sequence's text in the run order
-            rows = _unless_identity(rows)
+                order, mem, text = self._cached(t0, b, [distinct[u] for u in b.indices], text_consts, mem_consts)
+            rows = _unless_identity(np.argsort(order)[owner])  # each sequence's text in the order its keys come
             if rows is not None:
                 mem = gather_rows(mem, rows)
             if _unless_identity(owner) is not None:
                 mem_consts = tuple(c[owner] for c in mem_consts)
             texts.append(text)
             mems.append(mem)
-            consts.append((parts, mem_consts, rows))
+            consts.append((mem_consts, rows))
         for t in range(t0, cfg.n_layers + 1):
             if t > t0:
-                for i, c in enumerate(consts):
-                    texts[i], mems[i] = self._layer(t, texts[i], mems[i], *c)
+                mems = [self._memory_layer(t, mem, next(text), *c) for mem, text, c in zip(mems, texts, consts)]
             if memory_hook is not None and t in cfg.gnn_layers:
                 ordered = gather_in_order(mems, members)
                 new_mems = memory_hook(ordered, t)
@@ -634,123 +644,112 @@ class Compressor:
                     mems = [gather_rows(new_mems, m) for m in members]
         return gather_in_order(mems, members)
 
-    def _state_at(self, t0: int, ids: np.ndarray, text_consts, mem_consts):
-        """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb]:
-        the parts they run as (``_share_prefixes``), the text rows of each
-        part (None without text columns) and the memory rows, in the order
-        of the parts' rows, at the output of layer ``t0``."""
-        cfg = self.stack.cfg
-        k, d = cfg.memory_tokens, cfg.d_model
-        sb, lb = ids.shape
-        parts = _share_prefixes(ids, text_consts)
-        text = None
-        if lb:
-            embed = self.stack.embed
-            text = [gather_rows(embed, ids[p.rows, p.start :].reshape(-1)).reshape(len(p.rows), lb - p.start, d) for p in parts]
-        mem_consts = tuple(c[_part_order(parts)] for c in mem_consts)
-        mem = self.memory.reshape(1, k, d).broadcast_to((sb, k, d))
-        for t in range(1, t0 + 1):
-            text, mem = self._layer(t, text, mem, parts, mem_consts)
-        return text, mem, parts
+    def _computed(self, t0: int, ids: np.ndarray, text_consts, mem_consts, stored: list[np.ndarray] | None = None):
+        """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb]: the
+        rows in the order their ``_share_prefixes`` parts run, their memory
+        rows at the output of layer ``t0`` in that order, and the text side
+        of layers t0+1..n.
 
-    def _fill_cache(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts) -> None:
-        """Store each text of ``bucket`` (``keys``, one per row) that the
-        open cache does not hold yet: its real text rows at the inputs of
-        layers t0+1..n and its memory rows at the output of layer ``t0``.
-        The missing texts run as the subset of the bucket's rows and
-        constants that holds them."""
+        The text side is one pass of the parts through layers 1..n, whose
+        layers 1..t0 phase 1 reads: per layer it yields each part's keys and
+        values [m_i, H, Lb, dh], a member's first columns read from its
+        representative (no pair without text columns), and the last layer
+        computes only keys and values. With ``stored``, one array [n - t0,
+        real columns, d] per row of ``ids``, each text's real rows at the
+        inputs of layers t0+1..n go there as the pass reaches them, a
+        member's first columns its representative's."""
+        cfg = self.stack.cfg
+        (m, lb), k, d = ids.shape, cfg.memory_tokens, cfg.d_model
+        parts = _share_prefixes(ids, text_consts)
+        order = np.concatenate([p.rows for p in parts])
+
+        def text_layer(t: int, layer: dict) -> list[tuple[Tensor, Tensor]]:
+            # a function of its own, so that no part's rows or keys outlive the
+            # memory-row step that reads them
+            nonlocal x
+            out, pairs = [], []
+            for p, xp in zip(parts, x):
+                kv = LayerKV()
+                if p.source is not None:
+                    keys, values = pairs[0]
+                    kv.extend(gather_rows(keys, p.source)[:, :, : p.start], gather_rows(values, p.source)[:, :, : p.start])
+                if t < cfg.n_layers:
+                    out.append(layer_forward(xp, layer, cfg, *p.consts, kv))
+                else:
+                    kv.extend(*_keys_values(rms_norm(xp, layer["attn_norm"]), layer, cfg, *p.consts[1:]))
+                pairs.append((kv.keys, kv.values))
+            x = out
+            if stored is not None and t0 <= t < cfg.n_layers:
+                for p, xp in zip(parts, x):  # the first part, the representatives, fills first
+                    if p.start:
+                        joined[p.rows, : p.start] = joined[parts[0].rows[p.source], : p.start]
+                    joined[p.rows, p.start :] = xp.data
+                for rows, full in zip(stored, joined):
+                    rows[t - t0] = full[lb - rows.shape[1] :]  # the rows at the input of layer t+1
+            return pairs
+
+        joined = np.empty((m, lb, d), dtype=cfg.dtype) if stored is not None else None
+        embed = self.stack.embed
+        x = [gather_rows(embed, ids[p.rows, p.start :].reshape(-1)).reshape(len(p.rows), lb - p.start, d) for p in parts] if lb else []
+        text = (text_layer(t, layer) for t, layer in enumerate(self.stack.layers, start=1))
+        mem = self.memory.reshape(1, k, d).broadcast_to((m, k, d))
+        mem_consts = tuple(c[order] for c in mem_consts)
+        for t in range(1, t0 + 1):
+            mem = self._memory_layer(t, mem, next(text), mem_consts)
+        return order, mem, text
+
+    def _cached(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts):
+        """Phase 1 for a bucket of texts (``keys``, one per row) from the open
+        cache: the rows in bucket order, their memory rows at the output of
+        layer ``t0``, and the text side of layers t0+1..n, one pair of keys
+        and values [m, H, Lb, dh] per layer, rebuilt from the cached rows as
+        it is asked for (pad rows are zeros, which masked attention never
+        reads). The texts the cache lacks first run as the subset of the
+        bucket's rows and constants that holds them (``_computed``), through
+        phase 1 and on through the text layers before the last, and are
+        stored as they pass."""
         cfg = self.stack.cfg
         cache = self._cache
-        rows = [row for row, key in enumerate(keys) if key not in cache.entries]
-        cache.hits += len(keys) - len(rows)
-        cache.misses += len(rows)
-        if not rows:
-            return
-        text_consts, mem_consts = (tuple(c[rows] for c in consts) for consts in (text_consts, mem_consts))
-        text, mem, parts = self._state_at(t0, bucket.ids[rows], text_consts, mem_consts)
-        lb = bucket.text_len
-        starts = bucket.window[rows, 0]  # each text's first real column
-        stored = [np.empty((cfg.n_layers - t0, lb - start, cfg.d_model), dtype=cfg.dtype) for start in starts]
-        full = np.empty((len(rows), lb, cfg.d_model), dtype=cfg.dtype)
-        for t in range(t0 + 1, cfg.n_layers + 1) if lb else ():
-            for p, x in zip(parts, text):  # the first part, the representatives, fills first
-                if p.start:
-                    full[p.rows, : p.start] = full[parts[0].rows[p.source], : p.start]
-                full[p.rows, p.start :] = x.data
-            for text_rows, start, x in zip(stored, starts, full):
-                text_rows[t - t0 - 1] = x[start:]  # the rows at the input of layer t
-            if t < cfg.n_layers:
-                text = self._text_layer(t, text, parts)[0]
-        for row, m in zip(_part_order(parts), mem.data):
-            cache.entries[keys[rows[row]]] = stored[row], m.copy()
-            cache.bytes += stored[row].nbytes + m.nbytes
-
-    def _cached_state(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts):
-        """Phase 1 for one bucket of texts the open cache holds: an iterator
-        over the keys and values [m, H, Lb, dh] of their text rows at layers
-        t0+1..n, one pair per layer rebuilt from the cached rows (None
-        without text columns), and their memory rows at the output of layer
-        ``t0``. Pad rows are zeros, which masked attention never reads."""
-        cfg = self.stack.cfg
-        m, lb = bucket.ids.shape
-        text = np.zeros((cfg.n_layers - t0, m, lb, cfg.d_model), dtype=cfg.dtype)
-        mem = np.empty((m, cfg.memory_tokens, cfg.d_model), dtype=cfg.dtype)
+        later, (m, lb), d = cfg.n_layers - t0, bucket.ids.shape, cfg.d_model
+        missing = [row for row, key in enumerate(keys) if key not in cache.entries]
+        cache.hits += m - len(missing)
+        cache.misses += len(missing)
+        if missing:
+            stored = [np.empty((later, lb - first, d), dtype=cfg.dtype) for first in bucket.window[missing, 0]]
+            subset = (tuple(c[missing] for c in consts) for consts in (text_consts, mem_consts))
+            order, mem, filling = self._computed(t0, bucket.ids[missing], *subset, stored)
+            for _ in range(t0 + 1, cfg.n_layers):
+                next(filling)
+            del filling  # frees the pass's last rows before the cached read allocates its own
+            for row, mem_rows in zip(order, mem.data):
+                cache.entries[keys[missing[row]]] = stored[row], mem_rows.copy()
+                cache.bytes += stored[row].nbytes + mem_rows.nbytes
+        text = np.zeros((later, m, lb, d), dtype=cfg.dtype)
+        mem = np.empty((m, cfg.memory_tokens, d), dtype=cfg.dtype)
         for row, key in enumerate(keys):
-            real, mem[row] = self._cache.entries[key]
+            real, mem[row] = cache.entries[key]
             text[:, row, lb - real.shape[1] :] = real
         _, cos, sin = text_consts
-        # built as each layer asks, while the memory rows that read them are about to run
         kvs = (
-            _keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, cos, sin)
+            [_keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, cos, sin)] if lb else []
             for x, layer in zip(text, self.stack.layers[t0:])
         )
-        return (kvs if lb else None), Tensor(mem, dtype=cfg.dtype)
+        return np.arange(m), Tensor(mem, dtype=cfg.dtype), kvs
 
-    def _text_layer(self, t: int, text: list[Tensor], parts: list[_Part]) -> tuple[list[Tensor], list[LayerKV]]:
-        """Layer ``t`` over the text rows of each of ``parts``: their rows
-        for layer t+1 (none after the last layer, which computes only keys
-        and values) and, per part, the keys and values of all Lb columns of
-        its rows, a member's first columns read from its representative."""
-        cfg = self.stack.cfg
-        layer = self.stack.layers[t - 1]
-        out, kvs = [], []
-        for p, x in zip(parts, text):
-            kv = LayerKV()
-            if p.source is not None:
-                reps = kvs[0]
-                kv.extend(gather_rows(reps.keys, p.source)[:, :, : p.start], gather_rows(reps.values, p.source)[:, :, : p.start])
-            if t < cfg.n_layers:
-                out.append(layer_forward(x, layer, cfg, *p.consts, kv))
-            else:
-                kv.extend(*_keys_values(rms_norm(x, layer["attn_norm"]), layer, cfg, *p.consts[1:]))
-            kvs.append(kv)
-        return out, kvs
-
-    def _layer(self, t: int, text, mem: Tensor, parts: list[_Part] | None, mem_consts, rows=None):
-        """Layer ``t`` over one bucket's text rows and memory rows [S, K, d];
-        memory row j reads the keys and values of text ``rows[j]``, or of
-        text j without ``rows``, counting texts in the order they run: that
-        of ``parts``' rows, or bucket order for cached texts (``parts``
-        None). ``text`` is None without text columns, the text rows of each
-        part at the layer's input, or, for cached texts, the iterator over
-        the keys and values of layers t..n, whose next pair is this layer's.
-        Returns the text for layer t+1 in the same form, and the memory
-        rows."""
-        cfg = self.stack.cfg
-        layer = self.stack.layers[t - 1]
+    def _memory_layer(self, t: int, mem: Tensor, pairs: list[tuple[Tensor, Tensor]], mem_consts, rows=None) -> Tensor:
+        """Layer ``t`` over one bucket's memory rows [S, K, d]: memory row j
+        reads the text keys and values of row ``rows[j]`` (row j without
+        ``rows``) of ``pairs``, the keys and values of each part joined in
+        order; none without pairs."""
         kv = LayerKV()
-        if text is not None:
-            if parts is None:
-                k, v = next(text)
-            else:
-                text, kvs = self._text_layer(t, text, parts)
-                k, v = kvs[0].keys, kvs[0].values
-                if len(kvs) > 1:
-                    k, v = concat([x.keys for x in kvs], axis=0), concat([x.values for x in kvs], axis=0)
+        if pairs:
+            k, v = pairs[0]
+            if len(pairs) > 1:
+                k, v = concat([k for k, _ in pairs], axis=0), concat([v for _, v in pairs], axis=0)
             if rows is not None:
                 k, v = gather_rows(k, rows), gather_rows(v, rows)
             kv.extend(k, v)
-        return text, layer_forward(mem, layer, cfg, *mem_consts, kv)
+        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, *mem_consts, kv)
 
 
 class _DecodeState:
@@ -821,12 +820,12 @@ class Decoder:
         the decode bucket of memory plus prefix (the K memory rows alone
         for an empty prefix), whose keys and values start the cache inside
         ``kv_cache()``, so its logits are those of teacher forcing. A
-        prefix longer than ``max_seq_len - K`` tokens is a ``ValueError``.
+        prefix longer than ``cfg.max_text_len`` tokens is a ``ValueError``.
         """
         cfg = self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
-        if len(prefix) > cfg.max_seq_len - k:
-            raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_seq_len - k}")
+        if len(prefix) > cfg.max_text_len:
+            raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_text_len}")
         state = self._state
         if state is None or not state.extends(memory, prefix):
             bucket = make_decode_buckets([list(prefix)], cfg, cfg.dtype)[0]

@@ -60,6 +60,12 @@ class CorpusConfig:
 
     def __post_init__(self):
         self.conversation_rounds = tuple(self.conversation_rounds)
+        if self.nodes_low < 2:
+            raise ValueError("nodes_low must be >= 2")
+        if self.nodes_high < self.nodes_low:
+            raise ValueError(f"nodes_high {self.nodes_high} is below nodes_low {self.nodes_low}")
+        if not 1 <= self.lookup_facts <= len(LOOKUP_KEYS):
+            raise ValueError(f"lookup_facts must lie in [1, {len(LOOKUP_KEYS)}], one fact per lookup key")
         if self.n_selected < 1:
             raise ValueError("n_selected must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:

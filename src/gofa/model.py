@@ -167,7 +167,7 @@ class GofaModel:
         trained on, is a ``ValueError``."""
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        limit = self.cfg.max_seq_len - self.cfg.memory_tokens
+        limit = self.cfg.max_text_len
         if max_new_tokens > limit:
             raise ValueError(f"max_new_tokens {max_new_tokens} exceeds max_seq_len - memory_tokens = {limit}")
         ids: list[int] = []

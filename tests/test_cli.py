@@ -243,6 +243,15 @@ class TestExitCodes:
             ("train", "model.embed_std=0"),
             ("train", "model.init_std=0"),
             ("train", "model.vocab_size=100"),
+            ("train", "model.n_heads=0"),
+            ("train", "model.d_model=0"),
+            ("train", "model.ff_mult=0"),
+            ("train", "model.rope_base=0"),
+            ("train", "model.gnn_layers=[3,3]"),
+            ("gen-corpus", "corpus.nodes_high=5"),
+            ("gen-corpus", "corpus.nodes_low=1"),
+            ("gen-corpus", "corpus.lookup_facts=0"),
+            ("gen-corpus", "corpus.lookup_facts=17"),
         ],
     )
     def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):

@@ -272,7 +272,7 @@ class TestSplitRun:
 
     @staticmethod
     def _hook_and_weight(cfg, rng):
-        w = Tensor(rng.normal(0.0, 0.3, (cfg.d_model, cfg.d_model)), requires_grad=True)
+        w = Tensor(rng.normal(0.0, 0.3, (cfg.d_model, cfg.d_model)), requires_grad=True, dtype=cfg.dtype)
         return (lambda mems, t: mems + (mems @ w).tanh()), w
 
     # Both paths sum a softmax row with numpy. A row of Lb text keys and the
@@ -590,29 +590,34 @@ class TestTextCache:
             out.append((mems.data, None if w.grad is None else w.grad.copy()))
         return out
 
+    # each case in float64, under its id, and in float32
     @pytest.mark.parametrize(
-        "gnn_layers, calls",
+        "gnn_layers, calls, precision",
         [
-            pytest.param((1, 2), CALLS, id="gnn_layers0"),
-            pytest.param((), CALLS, id="gnn_layers1"),
-            pytest.param((2,), CALLS, id="gnn_layers2"),
-            pytest.param((1, 2), SHARED_CALLS, id="gnn_layers0-shared"),
-            pytest.param((2,), SHARED_CALLS, id="gnn_layers2-shared"),
+            pytest.param(gnn_layers, calls, precision, id=name if precision == "float64" else f"{name}-{precision}")
+            for gnn_layers, calls, name in [
+                ((1, 2), CALLS, "gnn_layers0"),
+                ((), CALLS, "gnn_layers1"),
+                ((2,), CALLS, "gnn_layers2"),
+                ((1, 2), SHARED_CALLS, "gnn_layers0-shared"),
+                ((2,), SHARED_CALLS, "gnn_layers2-shared"),
+            ]
+            for precision in ("float64", "float32")
         ],
     )
-    def test_cached_calls_match_uncached(self, rng, gnn_layers, calls):
-        cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
+    def test_cached_calls_match_uncached(self, rng, gnn_layers, calls, precision):
+        cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers, precision=precision)
         model = self._frozen_model(cfg, seed=11)
         hook, w = TestSplitRun._hook_and_weight(cfg, rng)
         hook = hook if gnn_layers else None
-        upstream = Tensor(rng.normal(size=(max(map(len, calls)), cfg.memory_tokens, cfg.d_model)))
+        upstream = Tensor(rng.normal(size=(max(map(len, calls)), cfg.memory_tokens, cfg.d_model)), dtype=cfg.dtype)
         uncached = self._calls(model, hook, w, upstream, calls)
         with model.compressor.text_cache() as cache:
             cached = self._calls(model, hook, w, upstream, calls)
             assert model.compressor._cache is cache
             stored = set(cache.entries)
         for (mem_a, grad_a), (mem_b, grad_b) in zip(uncached, cached):
-            assert mem_a.tobytes() == mem_b.tobytes()
+            assert mem_a.dtype == cfg.dtype and mem_a.tobytes() == mem_b.tobytes()
             assert (grad_a is None) == (grad_b is None) == (hook is None)
             assert grad_a is None or grad_a.tobytes() == grad_b.tobytes()
         distinct = {tuple(tokenizer.encode(t)) for texts in calls for t in texts}
@@ -620,20 +625,59 @@ class TestTextCache:
         assert cache.hits == sum(len(set(texts)) for texts in calls) - len(distinct)
         # text rows at the inputs of layers t0+1..n, memory rows at t0
         k, d, later = cfg.memory_tokens, cfg.d_model, cfg.n_layers - min(gnn_layers, default=cfg.n_layers)
-        assert cache.bytes == sum(8 * d * (later * min(len(key), cfg.max_seq_len - k) + k) for key in distinct)
+        assert cache.bytes == sum(np.dtype(cfg.dtype).itemsize * d * (later * min(len(key), cfg.max_seq_len - k) + k) for key in distinct)
         assert cache.entries == {} and model.compressor._cache is None
 
-    def test_long_cached_texts_match_uncached(self, rng):
-        cfg = tiny_cfg(n_layers=3, gnn_layers=(1,), max_seq_len=128)
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_long_cached_texts_match_uncached(self, rng, precision):
+        cfg = tiny_cfg(n_layers=3, gnn_layers=(1,), max_seq_len=128, precision=precision)
         model = self._frozen_model(cfg, seed=15)
         hook, w = TestSplitRun._hook_and_weight(cfg, rng)
-        upstream = Tensor(rng.normal(size=(4, cfg.memory_tokens, cfg.d_model)))
+        upstream = Tensor(rng.normal(size=(4, cfg.memory_tokens, cfg.d_model)), dtype=cfg.dtype)
         uncached = self._calls(model, hook, w, upstream, self.LONG_CALLS)
         with model.compressor.text_cache() as cache:
             cached = self._calls(model, hook, w, upstream, self.LONG_CALLS)
             assert cache.hits == 3
         for (mem_a, grad_a), (mem_b, grad_b) in zip(uncached, cached):
+            assert mem_a.dtype == grad_a.dtype == cfg.dtype
             assert mem_a.tobytes() == mem_b.tobytes() and grad_a.tobytes() == grad_b.tobytes()
+
+    @pytest.mark.parametrize("gnn_layers", [(1,), (2,), ()])
+    def test_filling_runs_the_text_rows_of_an_uncached_call(self, monkeypatch, gnn_layers):
+        # per layer, the text rows that run while a fresh cache fills are those
+        # of the same call without a cache. The 4-column bucket of "ab" and "ac"
+        # runs K text rows, as many as a memory call, so a call is told by its
+        # columns: memory rows end at their windows' last column, the K memory
+        # columns, and text rows K columns before it
+        cfg = tiny_cfg(n_layers=3, gnn_layers=gnn_layers)
+        model = self._frozen_model(cfg, seed=18)
+        names = {id(p): i + 1 for i, p in enumerate(model.compressor_stack.layers)}
+        inner = layer_forward
+
+        def text_rows(cached: bool) -> dict[int, int]:
+            rows: dict[int, int] = {}
+
+            def recording(x, p, c, window, cos, sin, kv=None):
+                end = x.shape[1] + (kv.n if kv is not None else 0)
+                if end < window[0, 1]:
+                    t = names[id(p)]
+                    rows[t] = rows.get(t, 0) + x.shape[0] * x.shape[1]
+                return inner(x, p, c, window, cos, sin, kv)
+
+            monkeypatch.setattr("gofa.compressor.layer_forward", recording)
+            seqs = [tokenizer.encode(t) for t in SHARED_TEXTS + SPLIT_TEXTS]
+            if cached:
+                with model.compressor.text_cache() as cache:
+                    model.compressor.run(seqs)
+                    assert cache.hits == 0
+            else:
+                model.compressor.run(seqs)
+            monkeypatch.undo()
+            return rows
+
+        uncached = text_rows(cached=False)
+        assert sorted(uncached) == list(range(1, cfg.n_layers))
+        assert text_rows(cached=True) == uncached
 
     def test_repeated_call_skips_the_layers_below_the_cache_point(self, monkeypatch):
         for gnn_layers, ran in (((1,), [2, 3]), ((2,), [3]), ((), [])):

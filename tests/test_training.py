@@ -323,7 +323,8 @@ class TestTextCache:
         monkeypatch.setattr(Compressor, "run", run)
         return seen
 
-    def test_cached_and_uncached_training_are_bit_equal(self, monkeypatch):
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_cached_and_uncached_training_are_bit_equal(self, monkeypatch, precision):
         corpus = make_corpus(6, seed=6)
         tcfg = TrainConfig(lr=1e-3, max_steps=7, batch_size=2, freeze=self.FREEZE, gate_lr_mult=25.0, seed=4)
         runs = []
@@ -338,7 +339,7 @@ class TestTextCache:
                 return inner(params, max_norm)
 
             monkeypatch.setattr(training, "clip_gradients", recording)
-            model = GofaModel(tiny_cfg(n_layers=3, gnn_layers=(1, 2)), seed=34)
+            model = GofaModel(tiny_cfg(n_layers=3, gnn_layers=(1, 2), precision=precision), seed=34)
             report = train(model, corpus, tcfg)
             runs.append((report, grads, {n: t.data.copy() for n, t in model.parameters().items()}))
             monkeypatch.undo()
@@ -351,7 +352,7 @@ class TestTextCache:
             for a, b in zip(step_a, step_b):
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
         for name, data in plain_params.items():
-            assert cached_params[name].tobytes() == data.tobytes(), name
+            assert data.dtype == model.cfg.dtype and cached_params[name].tobytes() == data.tobytes(), name
 
     def test_interrupted_cached_run_resumes_to_identical_checkpoint(self, tmp_path, monkeypatch):
         corpus = make_corpus(6, seed=4)
