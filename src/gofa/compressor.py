@@ -11,7 +11,10 @@ Sequences are grouped into length buckets; text tokens are left-padded so
 memory slots always occupy the trailing K columns of a bucket. Each row's
 real columns form one window that its attention keys are limited to, so
 padding columns contribute exact zeros and a single-sequence call is
-arithmetically identical however it is routed.
+arithmetically identical however it is routed. A layer call's rows sit at
+the columns after the keys it extends, and their rotary positions count
+from their windows' first columns (``_rotations``), so no call carries
+positions of its own.
 
 Compression runs in two phases split at the cache point ``t0 =
 min(gnn_layers)`` (the last layer without GNN layers). Only memory rows
@@ -219,6 +222,19 @@ def _rotation_matrices(cfg: ModelConfig) -> np.ndarray:
     return _rope_matrices(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
 
 
+def _rotations(cfg: ModelConfig, window: np.ndarray | None, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin [S, 1, n, dh] of the rows at columns first..first+n-1.
+    A row's rotary position is its column minus its window's first column,
+    0 for the pad columns before that, or the column itself without a
+    window. When every window starts at column 0, as in decode buckets,
+    they are views [1, 1, n, dh] of the tables."""
+    cos, sin = _rotation_tables(cfg)
+    if window is None or not window[:, 0].any():
+        return cos[None, None, first : first + n], sin[None, None, first : first + n]
+    pos = np.maximum(np.arange(first, first + n) - window[:, :1], 0)
+    return cos[pos][:, None], sin[pos][:, None]
+
+
 class LayerKV:
     """Keys and values that one layer computed in earlier calls.
 
@@ -229,10 +245,10 @@ class LayerKV:
     With a ``capacity``, it is the inference cache of one sequence, which
     ``layer_forward`` steps on arrays without a tape (``_cached_layer``):
     ``fill`` copies the first key columns of a prefill's taped cache into
-    buffers [H, capacity, dh], and every step writes one more column. The
-    layer's step arrays (``_step_weights``: its weights with the norm gains
-    and the score scale folded in) are made on the first step and kept as
-    long as the cache is, so the layer's weights must not change meanwhile.
+    buffers [H, capacity, dh], and every step writes one more column, ``n``,
+    which is also the step's position. The layer's step arrays
+    (``_step_weights``) are made on the first step and kept as long as the
+    cache is, so the layer's weights must not change meanwhile.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -259,27 +275,27 @@ class LayerKV:
         self.keys[:, :n], self.values[:, :n], self.n = keys[:, :n], values[:, :n], n
 
 
-def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, cos: np.ndarray, sin: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Rotated keys and values [S, H, L, dh] of the normalised rows ``xn``."""
+def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, window: np.ndarray | None, first: int) -> tuple[Tensor, Tensor]:
+    """Rotated keys and values [S, H, L, dh] of the normalised rows ``xn``
+    at columns ``first``.. under ``window`` (``_rotations``)."""
+    cos, sin = _rotations(cfg, window, first, xn.shape[1])
     return rope(split_heads(xn @ p["wk"], cfg.n_heads), cos, sin), split_heads(xn @ p["wv"], cfg.n_heads)
 
 
 def layer_forward(
-    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, cos: np.ndarray, sin: np.ndarray,
-    kv: LayerKV | None = None,
+    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, kv: LayerKV | None = None,
 ) -> Tensor | np.ndarray:
     """One pre-norm transformer block over [S, L, d].
 
-    The rows of ``x`` are the last L key columns, and each attends causally;
-    ``window`` [S, 2] further limits row s to the key columns
-    ``window[s, 0] <= j < window[s, 1]`` (see ``autodiff.blocked_keys``).
-    ``cos`` and ``sin`` rotate the rows of ``x``. With ``kv``, the keys and
-    values of ``x`` are appended to the cached ones and the queries attend
-    over all of them. When ``kv`` is the inference cache (a ``LayerKV`` with
-    a capacity), ``x`` is one new position [1, 1, d] as an array, ``window``
-    is None, ``cos`` is that position's rotation matrix [dh, dh] (from
-    ``_rotation_matrices``), ``sin`` is None, and the step runs without a
-    tape (``_cached_layer``).
+    The rows of ``x`` are the L key columns after the ones ``kv`` holds (the
+    first L without it), which also fix their rotary positions
+    (``_rotations``), and each attends causally; ``window`` [S, 2] further
+    limits row s to the key columns ``window[s, 0] <= j < window[s, 1]``
+    (see ``autodiff.blocked_keys``). With ``kv``, the keys and values of
+    ``x`` are appended to the cached ones and the queries attend over all
+    of them. When ``kv`` is the inference cache (a ``LayerKV`` with a
+    capacity), ``x`` is one new position [1, 1, d] as an array, ``window``
+    is None, and the step runs without a tape (``_cached_layer``).
 
     Attention runs the rows in tiles that end at every 32nd key column and
     reads only the keys before a tile's end (``autodiff.attention``). The
@@ -287,10 +303,12 @@ def layer_forward(
     depend on the other rows of its bucket.
     """
     if kv is not None and kv.capacity is not None:
-        return _cached_layer(x, p, cfg, window, cos, sin, kv)
+        return _cached_layer(x, p, cfg, window, kv)
+    first = kv.n if kv is not None else 0
+    cos, sin = _rotations(cfg, window, first, x.shape[1])
     xn = rms_norm(x, p["attn_norm"])
     q = rope(split_heads(xn @ p["wq"], cfg.n_heads), cos, sin)
-    k, v = _keys_values(xn, p, cfg, cos, sin)
+    k, v = rope(split_heads(xn @ p["wk"], cfg.n_heads), cos, sin), split_heads(xn @ p["wv"], cfg.n_heads)
     if kv is not None:
         k, v = kv.extend(k, v)
     x = x + attention(q, k, v, window) @ p["wo"]
@@ -308,21 +326,20 @@ def _step_weights(p: dict, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
     """The arrays of the one-row step of layer ``p``: ``[wq | wk | wv]``
     [d, 3d] with the score scale 1/sqrt(dh) folded into the ``wq`` columns
     and ``attn_norm`` into the rows, ``wo``, ``ff1`` with ``ff_norm``
-    folded into the rows, and ``ff2``."""
+    folded into the rows, ``ff2``, and the rotation matrix of every
+    position (``_rotation_matrices``)."""
     qkv = np.concatenate([p["wq"].data * (1.0 / math.sqrt(cfg.head_dim)), p["wk"].data, p["wv"].data], axis=1)
     qkv *= p["attn_norm"].data[:, None]
-    return qkv, p["wo"].data, p["ff_norm"].data[:, None] * p["ff1"].data, p["ff2"].data
+    return qkv, p["wo"].data, p["ff_norm"].data[:, None] * p["ff1"].data, p["ff2"].data, _rotation_matrices(cfg)
 
 
-def _cached_layer(
-    x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, rot: np.ndarray, sin: None,
-    kv: LayerKV,
-) -> np.ndarray:
+def _cached_layer(x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, kv: LayerKV) -> np.ndarray:
     """``layer_forward`` of one new position against the inference cache
     ``kv``, on arrays. With the constants folded into the cache's step
     arrays (``_step_weights``), each norm is one scale on Python floats and
     the projection through ``[wq | wk | wv]`` yields the scaled query; one
-    product with the rotation matrix ``rot`` rotates the query and key
+    product with the rotation matrix of the step's column ``kv.n`` (its
+    position: the cache has no window) rotates the query and key
     together, the key and value go straight into the buffers, and the
     softmax of the one query's scores, with no tiles or mask, divides the
     [H, 1, dh] output by its row sums rather than the probabilities. This
@@ -330,18 +347,15 @@ def _cached_layer(
     teacher forcing by rounding alone."""
     if isinstance(x, Tensor):
         raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
-    if x.shape[:2] != (1, 1) or window is not None or sin is not None:
-        raise ValueError(
-            f"the K/V cache steps one position [1, 1, d] with its rotation matrix, without a window or sin, "
-            f"not {x.shape}; prefill with fill()"
-        )
+    if x.shape[:2] != (1, 1) or window is not None:
+        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a window, not {x.shape}; prefill with fill()")
     if kv.weights is None:
         kv.weights = _step_weights(p, cfg)
-    qkv_w, wo, ff1, ff2 = kv.weights
+    qkv_w, wo, ff1, ff2, rotations = kv.weights
     h, n = cfg.n_heads, kv.n + 1
     row = x.reshape(-1)
     qkv = ((row * _rms_scale(row)) @ qkv_w).reshape(3 * h, cfg.head_dim)
-    qk = qkv[: 2 * h] @ rot
+    qk = qkv[: 2 * h] @ rotations[kv.n]
     kv.keys[:, kv.n] = qk[h:]
     kv.values[:, kv.n] = qkv[2 * h :]
     kv.n = n
@@ -370,9 +384,7 @@ def _bucket_len(n: int) -> int:
 class _Bucket:
     indices: list[int]
     ids: np.ndarray  # [Sb, Lb] token ids, padded on the side away from the memory rows
-    pos: np.ndarray  # [Sb, Lb + K] rotary position ids
     window: np.ndarray  # [Sb, 2] each row's real columns: first, one past the last
-    text_len: int  # Lb
 
 
 def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bool) -> list[_Bucket]:
@@ -381,8 +393,8 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
     Compression puts the K memory rows after left-padded text; decoding
     (``memory_first``) puts them before right-padded text. Either way a
     row's text and memory rows form one unpadded block, its ``window``:
-    positions count from its first column, and each query sees the keys of
-    that block at or before it.
+    each query sees the keys of that block at or before it, and rotary
+    positions count from its first column (``_rotations``).
 
     A text too long for ``max_seq_len`` keeps its last tokens; a target
     keeps its first, so the memory rows always learn the answer's start.
@@ -402,15 +414,12 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
     buckets = []
     for lb in sorted(groups):
         idxs = groups[lb]
-        total = lb + k
         n = np.array([len(seqs[i]) for i in idxs], dtype=np.int64)
         start = np.zeros_like(n) if memory_first else lb - n
         ids = np.full((len(idxs), lb), tokenizer.PAD_ID, dtype=np.int64)
         for row, i in enumerate(idxs):
             ids[row, start[row] : start[row] + n[row]] = seqs[i]
-        col = np.arange(total, dtype=np.int64) - start[:, None]  # [Sb, L], 0 at the block's first column
-        window = np.stack([start, start + n + k], axis=1)
-        buckets.append(_Bucket(idxs, ids, np.maximum(col, 0), window, lb))
+        buckets.append(_Bucket(idxs, ids, np.stack([start, start + n + k], axis=1)))
     return buckets
 
 
@@ -426,17 +435,6 @@ def make_decode_buckets(targets: list[list[int]], cfg: ModelConfig, dtype) -> li
     return _make_buckets(targets, cfg, memory_first=True)
 
 
-def _split_consts(bucket: _Bucket, cfg: ModelConfig):
-    """Window, cos and sin of a compression bucket's text rows and of its
-    memory rows, each indexed by bucket row on axis 0. Rows start at
-    different columns, so each row reads its own positions' rotations."""
-    cos_tab, sin_tab = _rotation_tables(cfg)
-    cos, sin = cos_tab[bucket.pos][:, None], sin_tab[bucket.pos][:, None]
-    lb = bucket.text_len
-    w = bucket.window
-    return (w, cos[:, :, :lb], sin[:, :, :lb]), (w, cos[:, :, lb:], sin[:, :, lb:])
-
-
 @dataclass
 class _Part:
     """Rows of a compression bucket that run through the layers together:
@@ -446,7 +444,7 @@ class _Part:
     rows: np.ndarray  # bucket rows
     start: int  # the first column it runs; 0 for the representatives
     source: np.ndarray | None  # per row, the representative (a row of the first part) it reads keys from
-    consts: tuple  # window, cos and sin of its rows and columns
+    window: np.ndarray  # its rows' windows
 
 
 def _first_run_column(column: int, lb: int) -> int:
@@ -462,10 +460,10 @@ def _first_run_column(column: int, lb: int) -> int:
         column -= 1
 
 
-def _share_prefixes(ids: np.ndarray, text_consts) -> list[_Part]:
-    """Split the text rows [m, Lb] of a compression bucket (``text_consts``
-    from ``_split_consts``) into the parts they run as: the representatives
-    first, then the members, one part per attention tile they start in.
+def _share_prefixes(ids: np.ndarray, window: np.ndarray) -> list[_Part]:
+    """Split the text rows [m, Lb] of a compression bucket, with their
+    windows [m, 2], into the parts they run as: the representatives first,
+    then the members, one part per attention tile they start in.
 
     Texts that start at the same column have the same pad, so a token they
     share sits at the same column and position, sees the same keys and
@@ -478,7 +476,6 @@ def _share_prefixes(ids: np.ndarray, text_consts) -> list[_Part]:
     at most one member call per tile. A member then recomputes fewer than a
     tile of rows: rows it shares, with the representative's bits, or pad
     rows of a shorter text, which its window hides from every real row."""
-    window, cos, sin = text_consts
     lb = ids.shape[1]
     reps: dict[int, list[int]] = {}  # representative rows by start column
     index: dict[int, int] = {}  # a representative row's place in the first part
@@ -497,8 +494,7 @@ def _share_prefixes(ids: np.ndarray, text_consts) -> list[_Part]:
             members.setdefault(first // _TILE, []).append((row, candidates[best], first))
 
     def part(rows: list[int], start: int, source) -> _Part:
-        return _Part(np.asarray(rows, dtype=np.int64), start, source,
-                     (window[rows], cos[rows][:, :, start:], sin[rows][:, :, start:]))
+        return _Part(np.asarray(rows, dtype=np.int64), start, source, window[rows])
 
     parts = [part(list(index), 0, None)]
     for tile in sorted(members):
@@ -595,7 +591,7 @@ class Compressor:
         shares leading tokens with an equally long one only the rows after
         them (``_share_prefixes``). With a ``text_cache()`` open, the texts
         of each bucket that it does not hold yet run phase 1 in the same
-        way, as the subset of the bucket's rows and constants that holds
+        way, as the subset of the bucket's rows and windows that holds
         them, and their text pass goes on through layer n-1 to store their
         rows; the text side then rebuilds each layer's keys and values from
         the cached rows, so phase 1 computes nothing for a text the cache
@@ -618,25 +614,22 @@ class Compressor:
             i, row = slot[key]
             members[i].append(s)
             owners[i].append(row)
-        texts, mems, consts = [], [], []
+        texts, mems, steps = [], [], []
         for b, owner in zip(buckets, owners):
-            text_consts, mem_consts = _split_consts(b, cfg)
             owner = np.asarray(owner, dtype=np.int64)
             if self._cache is None:
-                order, mem, text = self._computed(t0, b.ids, text_consts, mem_consts)
+                order, mem, text = self._computed(t0, b.ids, b.window)
             else:
-                order, mem, text = self._cached(t0, b, [distinct[u] for u in b.indices], text_consts, mem_consts)
+                order, mem, text = self._cached(t0, b, [distinct[u] for u in b.indices])
             rows = _unless_identity(np.argsort(order)[owner])  # each sequence's text in the order its keys come
             if rows is not None:
                 mem = gather_rows(mem, rows)
-            if _unless_identity(owner) is not None:
-                mem_consts = tuple(c[owner] for c in mem_consts)
             texts.append(text)
             mems.append(mem)
-            consts.append((mem_consts, rows))
+            steps.append((b.window[owner], rows))
         for t in range(t0, cfg.n_layers + 1):
             if t > t0:
-                mems = [self._memory_layer(t, mem, next(text), *c) for mem, text, c in zip(mems, texts, consts)]
+                mems = [self._memory_layer(t, mem, next(text), *step) for mem, text, step in zip(mems, texts, steps)]
             if memory_hook is not None and t in cfg.gnn_layers:
                 ordered = gather_in_order(mems, members)
                 new_mems = memory_hook(ordered, t)
@@ -644,11 +637,11 @@ class Compressor:
                     mems = [gather_rows(new_mems, m) for m in members]
         return gather_in_order(mems, members)
 
-    def _computed(self, t0: int, ids: np.ndarray, text_consts, mem_consts, stored: list[np.ndarray] | None = None):
-        """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb]: the
-        rows in the order their ``_share_prefixes`` parts run, their memory
-        rows at the output of layer ``t0`` in that order, and the text side
-        of layers t0+1..n.
+    def _computed(self, t0: int, ids: np.ndarray, window: np.ndarray, stored: list[np.ndarray] | None = None):
+        """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb] with
+        their windows [m, 2]: the rows in the order their ``_share_prefixes``
+        parts run, their memory rows at the output of layer ``t0`` in that
+        order, and the text side of layers t0+1..n.
 
         The text side is one pass of the parts through layers 1..n, whose
         layers 1..t0 phase 1 reads: per layer it yields each part's keys and
@@ -660,7 +653,7 @@ class Compressor:
         member's first columns its representative's."""
         cfg = self.stack.cfg
         (m, lb), k, d = ids.shape, cfg.memory_tokens, cfg.d_model
-        parts = _share_prefixes(ids, text_consts)
+        parts = _share_prefixes(ids, window)
         order = np.concatenate([p.rows for p in parts])
 
         def text_layer(t: int, layer: dict) -> list[tuple[Tensor, Tensor]]:
@@ -674,9 +667,9 @@ class Compressor:
                     keys, values = pairs[0]
                     kv.extend(gather_rows(keys, p.source)[:, :, : p.start], gather_rows(values, p.source)[:, :, : p.start])
                 if t < cfg.n_layers:
-                    out.append(layer_forward(xp, layer, cfg, *p.consts, kv))
+                    out.append(layer_forward(xp, layer, cfg, p.window, kv))
                 else:
-                    kv.extend(*_keys_values(rms_norm(xp, layer["attn_norm"]), layer, cfg, *p.consts[1:]))
+                    kv.extend(*_keys_values(rms_norm(xp, layer["attn_norm"]), layer, cfg, p.window, kv.n))
                 pairs.append((kv.keys, kv.values))
             x = out
             if stored is not None and t0 <= t < cfg.n_layers:
@@ -693,19 +686,19 @@ class Compressor:
         x = [gather_rows(embed, ids[p.rows, p.start :].reshape(-1)).reshape(len(p.rows), lb - p.start, d) for p in parts] if lb else []
         text = (text_layer(t, layer) for t, layer in enumerate(self.stack.layers, start=1))
         mem = self.memory.reshape(1, k, d).broadcast_to((m, k, d))
-        mem_consts = tuple(c[order] for c in mem_consts)
+        window = window[order]
         for t in range(1, t0 + 1):
-            mem = self._memory_layer(t, mem, next(text), mem_consts)
+            mem = self._memory_layer(t, mem, next(text), window)
         return order, mem, text
 
-    def _cached(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], text_consts, mem_consts):
+    def _cached(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]]):
         """Phase 1 for a bucket of texts (``keys``, one per row) from the open
         cache: the rows in bucket order, their memory rows at the output of
         layer ``t0``, and the text side of layers t0+1..n, one pair of keys
         and values [m, H, Lb, dh] per layer, rebuilt from the cached rows as
         it is asked for (pad rows are zeros, which masked attention never
         reads). The texts the cache lacks first run as the subset of the
-        bucket's rows and constants that holds them (``_computed``), through
+        bucket's rows and windows that holds them (``_computed``), through
         phase 1 and on through the text layers before the last, and are
         stored as they pass."""
         cfg = self.stack.cfg
@@ -716,8 +709,7 @@ class Compressor:
         cache.misses += len(missing)
         if missing:
             stored = [np.empty((later, lb - first, d), dtype=cfg.dtype) for first in bucket.window[missing, 0]]
-            subset = (tuple(c[missing] for c in consts) for consts in (text_consts, mem_consts))
-            order, mem, filling = self._computed(t0, bucket.ids[missing], *subset, stored)
+            order, mem, filling = self._computed(t0, bucket.ids[missing], bucket.window[missing], stored)
             for _ in range(t0 + 1, cfg.n_layers):
                 next(filling)
             del filling  # frees the pass's last rows before the cached read allocates its own
@@ -729,18 +721,17 @@ class Compressor:
         for row, key in enumerate(keys):
             real, mem[row] = cache.entries[key]
             text[:, row, lb - real.shape[1] :] = real
-        _, cos, sin = text_consts
         kvs = (
-            [_keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, cos, sin)] if lb else []
+            [_keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, bucket.window, 0)] if lb else []
             for x, layer in zip(text, self.stack.layers[t0:])
         )
         return np.arange(m), Tensor(mem, dtype=cfg.dtype), kvs
 
-    def _memory_layer(self, t: int, mem: Tensor, pairs: list[tuple[Tensor, Tensor]], mem_consts, rows=None) -> Tensor:
-        """Layer ``t`` over one bucket's memory rows [S, K, d]: memory row j
-        reads the text keys and values of row ``rows[j]`` (row j without
-        ``rows``) of ``pairs``, the keys and values of each part joined in
-        order; none without pairs."""
+    def _memory_layer(self, t: int, mem: Tensor, pairs: list[tuple[Tensor, Tensor]], window: np.ndarray, rows=None) -> Tensor:
+        """Layer ``t`` over one bucket's memory rows [S, K, d] with their
+        windows [S, 2]: memory row j reads the text keys and values of row
+        ``rows[j]`` (row j without ``rows``) of ``pairs``, the keys and
+        values of each part joined in order; none without pairs."""
         kv = LayerKV()
         if pairs:
             k, v = pairs[0]
@@ -749,17 +740,16 @@ class Compressor:
             if rows is not None:
                 k, v = gather_rows(k, rows), gather_rows(v, rows)
             kv.extend(k, v)
-        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, *mem_consts, kv)
+        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, window, kv)
 
 
 class _DecodeState:
     """The inference K/V of each decoder layer for one memory block and the
-    prefix decoded after it, with the rotation matrix of every position and,
-    from the first step on, the output projection with the final norm's
-    gain folded into its rows."""
+    prefix decoded after it (each layer's ``n`` is the next step's
+    position) and, from the first step on, the output projection with the
+    final norm's gain folded into its rows."""
 
     def __init__(self, cfg: ModelConfig, n_layers: int):
-        self.rotations = _rotation_matrices(cfg)
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
         self.head: np.ndarray | None = None
         self.memory: Tensor | None = None
@@ -788,12 +778,8 @@ class Decoder:
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
         x = concat([mem_rows, emb], axis=1) if lb else mem_rows
-        # every decode row starts at column 0, so positions are columns
-        cos_tab, sin_tab = _rotation_tables(cfg)
-        total = lb + cfg.memory_tokens
-        cos, sin = cos_tab[None, None, :total], sin_tab[None, None, :total]
         for i, layer in enumerate(self.stack.layers):
-            x = layer_forward(x, layer, cfg, bucket.window, cos, sin, kvs[i] if kvs else None)
+            x = layer_forward(x, layer, cfg, bucket.window, kvs[i] if kvs else None)
         xn = rms_norm(x, self.stack.final_norm)
         return xn @ self.stack.embed.swapaxes(0, 1)
 
@@ -843,8 +829,7 @@ class Decoder:
         if state.head is None:
             state.head = self.stack.final_norm.data[:, None] * embed.T
         x = embed[prefix[-1]].reshape(1, 1, d)
-        rot = state.rotations[k + len(prefix) - 1]
         for layer, kv in zip(self.stack.layers, state.layers):
-            x = layer_forward(x, layer, cfg, None, rot, None, kv)
+            x = layer_forward(x, layer, cfg, None, kv)
         row = x.reshape(d)
         return (row * _rms_scale(row)) @ state.head

@@ -60,6 +60,15 @@ class CorpusConfig:
 
     def __post_init__(self):
         self.conversation_rounds = tuple(self.conversation_rounds)
+        rounds = self.conversation_rounds
+        integers = all(isinstance(r, int) and not isinstance(r, bool) for r in rounds)
+        if not (len(rounds) == 2 and integers and 1 <= rounds[0] <= rounds[1]):
+            raise ValueError(f"conversation_rounds must be two integers low, high with 1 <= low <= high, got {list(rounds)}")
+        if self.n_graphs < 1:
+            raise ValueError("n_graphs must be >= 1")
+        for name in ("n_markers", "extra_edge_factor"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.nodes_low < 2:
             raise ValueError("nodes_low must be >= 2")
         if self.nodes_high < self.nodes_low:

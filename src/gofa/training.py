@@ -103,12 +103,17 @@ class AdamW:
     """Decoupled weight decay Adam with bias correction.
 
     Weight decay is skipped for rank-0/rank-1 parameters (gains, gates,
-    biases). Frozen parameters (matched by name prefix) are never updated.
+    biases). Frozen parameters (matched by name prefix) are never updated;
+    a ``freeze`` prefix that matches no parameter name is a ``ValueError``,
+    so a misspelt one cannot leave its parameters training.
     """
 
     def __init__(self, named_params: dict[str, Tensor], cfg: TrainConfig):
         self.cfg = cfg
         self.named = dict(named_params)
+        unmatched = [p for p in cfg.freeze if not any(name.startswith(p) for name in self.named)]
+        if unmatched:
+            raise ValueError(f"freeze prefixes {unmatched} match no parameter name")
         self.trainable = {
             name: t for name, t in self.named.items()
             if not any(name.startswith(p) for p in cfg.freeze)

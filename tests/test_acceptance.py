@@ -11,7 +11,7 @@ import numpy as np
 
 from gofa import tokenizer
 from gofa.autodiff import Tensor, no_grad
-from gofa.compressor import ModelConfig, _rope_tables, layer_forward
+from gofa.compressor import ModelConfig, layer_forward
 from gofa.evaluation import parse_cn_answer, parse_spd_answer
 from gofa.gnn import gnn_layer, init_gnn_layer
 from gofa.model import GofaModel
@@ -92,11 +92,9 @@ def test_criterion_02_gradient_integrity():
     total = 9
     x = Tensor(rng.normal(size=(1, total, cfg.d_model)), requires_grad=True)
     up = Tensor(rng.normal(size=(1, total, cfg.d_model)))
-    cos_t, sin_t = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-    pos = np.arange(total)[None]
     layer = model.compressor_stack.layers[0]
     _fd_check(  # plain causal attention: no window
-        lambda: (layer_forward(x, layer, cfg, None, cos_t[pos][:, None], sin_t[pos][:, None]) * up).sum(),
+        lambda: (layer_forward(x, layer, cfg, None) * up).sum(),
         [x, layer["wq"], layer["ff1"], layer["attn_norm"]],
         rng,
     )

@@ -252,6 +252,13 @@ class TestExitCodes:
             ("gen-corpus", "corpus.nodes_low=1"),
             ("gen-corpus", "corpus.lookup_facts=0"),
             ("gen-corpus", "corpus.lookup_facts=17"),
+            ("gen-corpus", "corpus.n_graphs=0"),
+            ("gen-corpus", "corpus.n_graphs=-3"),
+            ("gen-corpus", "corpus.n_markers=-1"),
+            ("gen-corpus", "corpus.extra_edge_factor=-1"),
+            ("gen-corpus", "corpus.conversation_rounds=[4,2]"),
+            ("gen-corpus", "corpus.conversation_rounds=[0,1]"),
+            ("gen-corpus", "corpus.conversation_rounds=[2]"),
         ],
     )
     def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):

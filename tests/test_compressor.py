@@ -5,19 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gofa import corpus, tokenizer
+from gofa import compressor, corpus, tokenizer
 from gofa.autodiff import Tensor, _query_tiles, blocked_keys, concat, gather_rows, no_grad, rope
 from gofa.compressor import (
     _BUCKET_STEPS,
     LayerKV,
     ModelConfig,
     _bucket_len,
-    _rope_matrices,
-    _rope_tables,
     _rotation_matrices,
     _rotation_tables,
+    _rotations,
     _share_prefixes,
-    _split_consts,
     gather_in_order,
     layer_forward,
     make_compress_buckets,
@@ -48,16 +46,12 @@ def concatenated_run(comp, sequences, memory_hook=None):
         mem = comp.memory.reshape(1, k, d).broadcast_to((sb, k, d))
         emb = gather_rows(comp.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d)
         xs.append(concat([emb, mem], axis=1) if lb else mem)
-    consts = []
-    for b in buckets:
-        cos_tab, sin_tab = _rope_tables(int(b.pos.max()) + 1, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-        consts.append((b.window, cos_tab[b.pos][:, None], sin_tab[b.pos][:, None]))
     for t, layer in enumerate(comp.stack.layers, start=1):
-        xs = [layer_forward(x, layer, cfg, *c) for x, c in zip(xs, consts)]
+        xs = [layer_forward(x, layer, cfg, b.window) for x, b in zip(xs, buckets)]
         if memory_hook is not None and t in cfg.gnn_layers:
             new = memory_hook(gather_in_order([x[:, -k:] for x in xs], [b.indices for b in buckets]), t)
             xs = [
-                concat([x[:, : b.text_len], gather_rows(new, b.indices)], axis=1) if b.text_len else gather_rows(new, b.indices)
+                concat([x[:, : b.ids.shape[1]], gather_rows(new, b.indices)], axis=1) if b.ids.shape[1] else gather_rows(new, b.indices)
                 for x, b in zip(xs, buckets)
             ]
     return gather_in_order([x[:, -k:] for x in xs], [b.indices for b in buckets])
@@ -146,11 +140,7 @@ class TestEmbedding:
 class TestTransformerLayer:
     def _run_layer(self, cfg, x_data, model):
         # Plain causal attention over x exactly: no padding, positions 0..L-1.
-        total = x_data.shape[1]
-        cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-        pos = np.arange(total)[None, :]
-        cos, sin = cos_tab[pos][:, None], sin_tab[pos][:, None]
-        return layer_forward(Tensor(x_data), model.compressor_stack.layers[0], cfg, None, cos, sin)
+        return layer_forward(Tensor(x_data), model.compressor_stack.layers[0], cfg, None)
 
     def test_causality_text_positions(self, rng):
         # Perturbing text token j leaves every output before j unchanged.
@@ -200,16 +190,14 @@ class TestTransformerLayer:
         total = 9
         x = rng.normal(size=(1, total, cfg.d_model))
         full = self._run_layer(cfg, x, model).data
-        cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-        rot = _rope_matrices(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         taped = LayerKV()
         with no_grad():
-            prefill = layer_forward(Tensor(x[:, :5]), layer, cfg, None, cos_tab[None, None, :5], sin_tab[None, None, :5], taped)
+            prefill = layer_forward(Tensor(x[:, :5]), layer, cfg, None, taped)
         rows = [prefill.data]
         kv = LayerKV(capacity=total)
         kv.fill(taped, 5)
         for i in range(5, total):
-            rows.append(layer_forward(x[:, i : i + 1], layer, cfg, None, rot[i], None, kv))
+            rows.append(layer_forward(x[:, i : i + 1], layer, cfg, None, kv))
         assert kv.n == total
         np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
 
@@ -228,14 +216,13 @@ class TestTransformerLayer:
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=4)
         x = rng.normal(size=(1, 3, cfg.d_model))
-        rot = _rope_matrices(3, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
         layer = model.decoder_stack.layers[0]
         for tensor in (Tensor(x), Tensor(x, requires_grad=True)):
             with pytest.raises(ValueError, match="without a tape"):
-                layer_forward(tensor, layer, cfg, None, rot[0], None, LayerKV(3))
+                layer_forward(tensor, layer, cfg, None, LayerKV(3))
         # the step runs one position; several rows are a prefill's, on the tape
         with pytest.raises(ValueError, match="one position"):
-            layer_forward(x, layer, cfg, None, rot[0], None, LayerKV(3))
+            layer_forward(x, layer, cfg, None, LayerKV(3))
 
     def test_truncation_is_logged_once_per_call_with_a_count(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)
@@ -351,6 +338,19 @@ class TestSplitRun:
         assert taped == [(16, False), (k, False), (16, False), (k, False), (k, True)]
 
 
+def positions_of(cfg, cos, sin):
+    """The positions [S, n] whose rows of the rotation tables ``cos`` and
+    ``sin`` [S, 1, n, dh] hold, read back by value."""
+    index = {(c.tobytes(), s.tobytes()): i for i, (c, s) in enumerate(zip(*_rotation_tables(cfg)))}
+    rows = [[index[c.tobytes(), s.tobytes()] for c, s in zip(cr, sr)] for cr, sr in zip(cos[:, 0], sin[:, 0])]
+    return np.array(rows, dtype=np.int64).reshape(cos.shape[0], cos.shape[2])
+
+
+def rotary_positions(cfg, window, first, n):
+    """The positions ``_rotations`` rotates the rows at columns first.. by."""
+    return positions_of(cfg, *_rotations(cfg, window, first, n))
+
+
 def reference_buckets(sequences, cfg, memory_first):
     """Per-row bucket builder: text left-padded before the K memory rows and
     cut to its last tokens, or (``memory_first``) right-padded after them and
@@ -398,7 +398,7 @@ class TestBuckets:
     def test_compress_bucket_layout(self):
         cfg = tiny_cfg()
         buckets = make_compress_buckets([[1, 2, 3], [5], [7, 8, 9, 10, 11]], cfg, np.float64)
-        by_len = {b.text_len: b for b in buckets}
+        by_len = {b.ids.shape[1]: b for b in buckets}
         assert set(by_len) == {4, 8}
         b4 = by_len[4]
         row3 = b4.ids[b4.indices.index(0)]
@@ -407,7 +407,7 @@ class TestBuckets:
     def test_positions_continue_into_memory(self):
         cfg = tiny_cfg()
         b = make_compress_buckets([[1, 2, 3]], cfg, np.float64)[0]
-        assert list(b.pos[0]) == [0, 0, 1, 2, 3, 4, 5, 6]  # pad, 3 text, 4 memory
+        assert list(rotary_positions(cfg, b.window, 0, 8)[0]) == [0, 0, 1, 2, 3, 4, 5, 6]  # pad, 3 text, 4 memory
 
     def test_decode_bucket_labels_right_padded(self):
         cfg = tiny_cfg()
@@ -433,8 +433,9 @@ class TestBuckets:
             want = reference_buckets(seqs, cfg, memory_first)
             assert len(got) == len(want)
             for b, (idxs, ids, pos, window, seen, lb) in zip(got, want):
-                assert b.indices == idxs and b.text_len == lb
-                for have, ref in ((b.ids, ids), (b.pos, pos), (b.window, window)):
+                assert b.indices == idxs and b.ids.shape[1] == lb
+                positions = np.broadcast_to(rotary_positions(cfg, b.window, 0, lb + k), pos.shape)
+                for have, ref in ((b.ids, ids), (positions, pos), (b.window, window)):
                     assert have.dtype == ref.dtype and have.shape == ref.shape
                     assert have.tobytes() == ref.tobytes()
                 # the keys attention masks from the window: whole bucket, and the
@@ -444,6 +445,98 @@ class TestBuckets:
                 if not memory_first:
                     assert np.array_equal(blocked_keys(lb, lb, b.window), ~seen[:, :lb, :lb])
                     assert np.array_equal(blocked_keys(k, total, b.window), ~seen[:, lb:])
+
+
+class TestRotaryPositions:
+    """Each kind of layer call rotates its rows by ``max(column - start, 0)``,
+    ``start`` its row's window's first column (0 without a window), the
+    columns being those after the keys the call extends."""
+
+    KINDS = ["text", "member", "memory", "empty-text", "decode-bucket"]
+
+    @staticmethod
+    def _calls(monkeypatch):
+        """Every ``_rotations`` call of a compressor run over texts that share
+        prefixes, the empty text among them, and of teacher forcing three
+        targets, with the kind of call each is."""
+        cfg = tiny_cfg(n_layers=3, gnn_layers=(2,))
+        model = GofaModel(cfg, seed=19)
+        calls = []
+        inner = _rotations
+
+        def recording(c, window, first, n):
+            cos, sin = inner(c, window, first, n)
+            calls.append((window, first, n, cos, sin))
+            return cos, sin
+
+        monkeypatch.setattr("gofa.compressor._rotations", recording)
+        with no_grad():
+            mems = model.compressor.run([tokenizer.encode(t) for t in SHARED_TEXTS + [""]])
+            compressed = len(calls)
+            model.decoder_nll_per_target(mems[:3], [[1, 2, 3], [4], [5, 6, 7, 8, 9]])
+        kinds = []
+        for i, (window, first, n, _, _) in enumerate(calls):
+            if i >= compressed:
+                kinds.append("decode-bucket")
+            elif first + n < window[0, 1]:  # text rows end K columns before their windows
+                kinds.append("member" if first else "text")
+            else:
+                kinds.append("memory" if first else "empty-text")
+        return cfg, calls, kinds
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_of_call_matches_the_per_row_reference(self, monkeypatch, kind):
+        cfg, calls, kinds = self._calls(monkeypatch)
+        chosen = [call for call, k in zip(calls, kinds) if k == kind]
+        assert chosen
+        k = cfg.memory_tokens
+        for window, first, n, cos, sin in chosen:
+            columns = np.arange(first, first + n)
+            want = np.maximum(columns[None] - window[:, :1], 0)
+            assert np.array_equal(np.broadcast_to(positions_of(cfg, cos, sin), want.shape), want)
+            # the rows are the last columns: text rows end at the text's last
+            # column, memory rows at their windows' last, decode rows start at 0
+            if kind in ("text", "member"):
+                assert first + n == window[0, 1] - k
+            if kind in ("memory", "empty-text"):
+                assert first + n == window[0, 1]
+            if kind == "member":  # members start mid-bucket and read a representative's first columns
+                assert 0 < first < window[0, 1] - k
+            if kind == "memory":  # memory rows after Lb text keys
+                assert n == k and first > 0
+            if kind == "empty-text":
+                assert n == k and window.tolist() == [[0, k]]
+            if kind == "decode-bucket":  # every window starts at column 0: views of the tables
+                assert first == 0 and not window[:, 0].any() and np.shares_memory(cos, _rotation_tables(cfg)[0])
+
+    def test_decode_step_reads_the_rotation_of_its_column(self, monkeypatch):
+        # the step has no window, so its position is its column: the K/V
+        # cache's length before it
+        cfg = tiny_cfg(n_layers=2)
+        model = GofaModel(cfg, seed=20)
+        read = []
+        inner = compressor._step_weights
+
+        class Recording:
+            def __init__(self, rotations):
+                self.rotations = rotations
+
+            def __getitem__(self, i):
+                read.append(i)
+                return self.rotations[i]
+
+        def recording(p, c):
+            *arrays, rotations = inner(p, c)
+            return (*arrays, Recording(rotations))
+
+        monkeypatch.setattr("gofa.compressor._step_weights", recording)
+        mem = compress(model, ["a node"])[0]
+        prefix = [7, 8, 9, 10]
+        with model.decoder.kv_cache():
+            for i in range(len(prefix) + 1):
+                model.decoder.next_logits(mem, prefix[:i])  # the first call prefills, the rest step
+        k = cfg.memory_tokens
+        assert read == [column for column in range(k, k + len(prefix)) for _ in range(cfg.n_layers)]
 
 
 class TestBatchIndependence:
@@ -484,7 +577,7 @@ class TestSharedPrefixes:
     def test_members_start_after_the_shared_columns(self):
         cfg = tiny_cfg()
         seqs = [tokenizer.encode(t) for t in SHARED_TEXTS]
-        buckets = {b.text_len: b for b in make_compress_buckets(seqs, cfg, cfg.dtype)}
+        buckets = {b.ids.shape[1]: b for b in make_compress_buckets(seqs, cfg, cfg.dtype)}
         for lb, want in [
             # (text, representative, first column run) of each member: a member
             # whose tile or call would hold one row starts a column earlier, and
@@ -495,7 +588,7 @@ class TestSharedPrefixes:
             (4, set()),
         ]:
             b = buckets[lb]
-            parts = _share_prefixes(b.ids, _split_consts(b, cfg)[0])
+            parts = _share_prefixes(b.ids, b.window)
             reps = parts[0]
             assert reps.start == 0 and reps.source is None
             got = {
@@ -657,12 +750,12 @@ class TestTextCache:
         def text_rows(cached: bool) -> dict[int, int]:
             rows: dict[int, int] = {}
 
-            def recording(x, p, c, window, cos, sin, kv=None):
+            def recording(x, p, c, window, kv=None):
                 end = x.shape[1] + (kv.n if kv is not None else 0)
                 if end < window[0, 1]:
                     t = names[id(p)]
                     rows[t] = rows.get(t, 0) + x.shape[0] * x.shape[1]
-                return inner(x, p, c, window, cos, sin, kv)
+                return inner(x, p, c, window, kv)
 
             monkeypatch.setattr("gofa.compressor.layer_forward", recording)
             seqs = [tokenizer.encode(t) for t in SHARED_TEXTS + SPLIT_TEXTS]

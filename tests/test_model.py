@@ -8,7 +8,7 @@ from conftest import assert_grad_close, compress, decode_loss, finite_difference
 from gofa import compressor, tokenizer
 from gofa.autodiff import Tensor, concat, gather_rows, no_grad, rms_norm
 from gofa.checkpoint import load_checkpoint, save_checkpoint
-from gofa.compressor import LayerKV, ModelConfig, _rope_tables, _rotation_tables, layer_forward, make_decode_buckets
+from gofa.compressor import LayerKV, ModelConfig, layer_forward, make_decode_buckets
 from gofa.gnn import gnn_layer
 from gofa.model import GofaModel
 from gofa.tag import TAG, GenerationTarget, TaskSample, attach_prompt_node
@@ -50,15 +50,10 @@ def unrolled_encode(model: GofaModel, graph: TAG):
     seqs = seqs + [tokenizer.encode(t) for t in edge_texts]
 
     states = []
-    consts = []
     for s in seqs:
-        total = len(s) + k
         ids = np.asarray(s, dtype=np.int64)
         emb = model.compressor_stack.embed.data[ids] if len(s) else np.zeros((0, d))
         x = np.concatenate([emb, model.memory_tokens.data], axis=0)[None]
-        cos_tab, sin_tab = _rope_tables(total, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-        pos = np.arange(total)[None]
-        consts.append((None, cos_tab[pos][:, None], sin_tab[pos][:, None]))  # plain causal attention
         states.append(Tensor(x))
 
     n_nodes = graph.n_nodes()
@@ -66,7 +61,7 @@ def unrolled_encode(model: GofaModel, graph: TAG):
     dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
     for t in range(1, cfg.n_layers + 1):
         layer = model.compressor_stack.layers[t - 1]
-        states = [layer_forward(x, layer, cfg, *c) for x, c in zip(states, consts)]
+        states = [layer_forward(x, layer, cfg, None) for x in states]  # plain causal attention
         if t in cfg.gnn_layers and len(src):
             node_mem = Tensor(np.concatenate([states[i].data[:, -k:, :] for i in range(n_nodes)], axis=0))
             edge_mem = Tensor(np.stack([states[n_nodes + u].data[0, -k:, :] for u in arc_uid], axis=0))
@@ -384,22 +379,19 @@ class TapeDecoder:
     def next_logits(self, memory, prefix):
         stack, cfg = self.stack, self.stack.cfg
         k, d = cfg.memory_tokens, cfg.d_model
-        cos_tab, sin_tab = _rotation_tables(cfg)
         n = len(self.prefix)
         with no_grad():
             if memory is self.memory and len(prefix) == n + 1 and list(prefix[:n]) == self.prefix:
                 self.prefix.append(prefix[-1])
                 x = gather_rows(stack.embed, prefix[-1:]).reshape(1, 1, d)
-                cols = slice(k + n, k + n + 1)
             else:
                 self.memory, self.prefix = memory, list(prefix)
                 self.layers = [LayerKV() for _ in stack.layers]
                 x = memory.reshape(1, k, d)
                 if prefix:
                     x = concat([x, gather_rows(stack.embed, prefix).reshape(1, len(prefix), d)], axis=1)
-                cols = slice(0, k + len(prefix))
             for layer, kv in zip(stack.layers, self.layers):
-                x = layer_forward(x, layer, cfg, None, cos_tab[None, None, cols], sin_tab[None, None, cols], kv)
+                x = layer_forward(x, layer, cfg, None, kv)
             xn = rms_norm(x[:, -1:, :], stack.final_norm)
             return (xn @ stack.embed.swapaxes(0, 1)).data[0, 0]
 

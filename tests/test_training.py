@@ -140,6 +140,17 @@ class TestAdamW:
             assert np.array_equal(model.parameters()[n].data, before), f"{n} moved"
         assert "memory_tokens" not in AdamW(model.parameters(), tcfg).trainable
 
+    def test_freeze_prefix_matching_no_parameter_is_refused(self):
+        # a misspelt prefix would freeze nothing and train the compressor
+        model = GofaModel(tiny_cfg(), seed=1)
+        with pytest.raises(ValueError, match="compresor"):
+            AdamW(model.parameters(), TrainConfig(freeze=("compresor.",)))
+        with pytest.raises(ValueError, match=r"\['gnn\.9'\]"):
+            AdamW(model.parameters(), TrainConfig(freeze=("memory_tokens", "gnn.9")))
+        assert set(AdamW(model.parameters(), TrainConfig(freeze=("compressor.",))).trainable) == {
+            n for n in model.parameters() if not n.startswith("compressor.")
+        }
+
 
 class TestFreezing:
     FREEZE = ("compressor.", "memory_tokens")
