@@ -8,12 +8,22 @@ opt-in via the ``dtype`` argument on leaf tensors.
 
 The tape is confined to a single thread. ``no_grad()`` suspends recording
 for inference paths.
+
+Besides the elementwise and shape ops, the transformer block runs on a few
+fused ops with hand-written backward passes: ``rms_norm``, ``rope``,
+``split_heads``, ``attention`` and ``feed_forward``. Their forwards compute
+the numpy sequence of the small ops they replace, bit for bit; their
+backwards sum the same terms in other orders. ``attention`` reads which
+keys each query sees from an ``AttentionPlan``, which a caller builds once
+per call geometry and shares across layers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -378,15 +388,27 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     return x._make(out_data, (x,), bw)
 
 
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary positions: the halves [a, b] of the last axis become
-    [a cos - b sin, b cos + a sin]. ``cos`` holds each angle's cosine in
-    both halves and ``sin`` its sine, negated in the first half, so the
-    result is ``x * cos + swap(x) * sin``; both broadcast against ``x``."""
-    half = x.shape[-1] // 2
-    swap = np.arange(-half, half)  # the two halves exchanged, through negative indices
-    out_data = x.data * cos  # in x's memory order, which the matmuls that read it see
-    out_data += x.data.take(swap, axis=-1) * sin
+@lru_cache(maxsize=16)
+def _half_swap(d: int, head_dim: int) -> np.ndarray:
+    """Indices that exchange the two halves of each head of ``head_dim``
+    features within a row of ``d``; read-only."""
+    swap = np.arange(d).reshape(-1, 2, head_dim // 2)[:, ::-1].reshape(d)
+    swap.flags.writeable = False
+    return swap
+
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, head_dim: int) -> Tensor:
+    """Rotary positions on rows whose last axis holds heads of ``head_dim``
+    features: the halves [a, b] of each head become [a cos - b sin, b cos +
+    a sin]. ``cos`` holds each angle's cosine in both halves of every head
+    and ``sin`` its sine, negated in the first half, so the result is ``x *
+    cos + swap(x) * sin``; both broadcast against ``x``. It runs on the
+    contiguous [S, L, d] projection output, before ``split_heads``."""
+    swap = _half_swap(x.shape[-1], head_dim)
+    out_data = x.data * cos
+    swapped = x.data.take(swap, axis=-1)
+    swapped *= sin
+    out_data += swapped
 
     def bw(g):
         grad = g * cos
@@ -437,24 +459,52 @@ def _query_tiles(lq: int, lk: int) -> list[tuple[int, int, int]]:
     return tiles
 
 
-def _probabilities(q: np.ndarray, k: np.ndarray, window: np.ndarray | None):
-    """Attention probabilities [S, H, Lq, Lk] of queries ``q`` at the last
-    Lq of the Lk columns of ``k``, the scale, and the [S, Lq] rows that see
-    no key (None if there are none)."""
+class AttentionPlan:
+    """What every layer call of one geometry shares: Lq query rows at the
+    last Lq of Lk key columns, each row limited to the key columns of its
+    ``window`` [S, 2] (``blocked_keys``; None for plain causal attention),
+    and the rotations ``cos`` and ``sin`` of the query rows in the form
+    ``rope`` takes (None where nothing is rotated).
+
+    A caller builds one plan per decode bucket, text part or set of memory
+    rows and hands it to every layer; ``attention`` and its backward read
+    the query tiles (``_query_tiles``), each tile's blocked keys and the
+    rows that see no key from it. The masks are worked out on first use,
+    once per plan."""
+
+    def __init__(self, lq: int, lk: int, window: np.ndarray | None = None, cos=None, sin=None):
+        self.lq, self.lk, self.window = lq, lk, window
+        self.cos, self.sin = cos, sin
+        self.tiles = _query_tiles(lq, lk)
+
+    @cached_property
+    def blocked(self) -> list[np.ndarray | None]:
+        """Per tile, True where a query may not see a key, broadcastable to
+        its scores [S, H, r1 - r0, c1]; None where every query sees every key."""
+        masks = [blocked_keys(r1 - r0, c1, self.window) for r0, r1, c1 in self.tiles]
+        return masks if self.window is None else [m[:, None] for m in masks]  # one mask for every head
+
+    @cached_property
+    def dead(self) -> np.ndarray | None:
+        """The [S, Lq] rows that see no key, or None if there are none."""
+        if self.window is None:
+            return None
+        dead = np.concatenate([m[:, 0].all(axis=-1) for m in self.blocked], axis=1)
+        return dead if dead.any() else None
+
+
+def _probabilities(q: np.ndarray, k: np.ndarray, blocked: np.ndarray | None):
+    """Attention probabilities [S, H, Lq, Lk] of queries ``q`` against the
+    keys ``k``, none where ``blocked``, and the score scale."""
     p = q @ k.swapaxes(-1, -2)
     scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=p.dtype)
     p *= scale
-    blocked = blocked_keys(q.shape[2], k.shape[2], window)
-    dead = None
     if blocked is not None:
-        np.copyto(p, _BLOCKED_SCORE, where=blocked[:, None] if window is not None else blocked)
-        if window is not None:
-            dead = blocked.all(axis=-1)
-            dead = dead if dead.any() else None
+        np.copyto(p, _BLOCKED_SCORE, where=blocked)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    return p, scale, dead
+    return p, scale
 
 
 def _add_prefix(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
@@ -466,62 +516,86 @@ def _add_prefix(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
     return total
 
 
-def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, window: np.ndarray | None = None):
+class AttentionOutput(NamedTuple):
+    """What ``attention_kernel`` returns."""
+
+    out: np.ndarray  # [S, Lq, H*dh]
+    probabilities: list[np.ndarray]  # per query tile of the plan, [S, H, r1 - r0, c1]
+    scale: np.ndarray  # the score scale 1/sqrt(dh)
+
+
+def _plan_for(q: np.ndarray, k: np.ndarray, plan: AttentionPlan | None) -> AttentionPlan:
+    """``plan``, checked against the query and key counts of ``q`` and ``k``,
+    or the plain causal plan of those counts if it is None."""
+    lq, lk = q.shape[2], k.shape[2]
+    if plan is None:
+        return AttentionPlan(lq, lk)
+    if (plan.lq, plan.lk) != (lq, lk):
+        raise ShapeError(f"attention plan of {plan.lq} queries over {plan.lk} keys given {lq} over {lk}")
+    return plan
+
+
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: AttentionPlan | None = None) -> AttentionOutput:
     """Causal scaled dot-product attention with merged heads, on arrays.
 
     ``q`` is [S, H, Lq, dh] and ``k``, ``v`` are [S, H, Lk, dh]; the output
-    is [S, Lq, H*dh]. Which keys a query sees is set by ``blocked_keys``
-    from ``window``.
+    is [S, Lq, H*dh]. Which keys a query sees is set by the ``plan``
+    (``AttentionPlan``; None for plain causal attention without a window).
 
-    The queries run in tiles (``_query_tiles``): a tile ends at a key column
-    that is a multiple of ``_TILE`` or at the last one, and scores and
-    softmaxes only the keys before its end, since no query of the tile sees
-    a later one. A call whose queries fit in one tile, such as a single
-    query or at most ``_TILE`` key columns, runs as one kernel over all
-    keys. Whether a call is tiled depends only on Lq and Lk.
+    The queries run in the plan's tiles (``_query_tiles``): a tile ends at a
+    key column that is a multiple of ``_TILE`` or at the last one, and
+    scores and softmaxes only the keys before its end, since no query of
+    the tile sees a later one. A call whose queries fit in one tile, such
+    as a single query or at most ``_TILE`` key columns, runs as one kernel
+    over all keys. Whether a call is tiled depends only on Lq and Lk.
 
     A query that sees no key (a pad row) outputs the mean of its tile's key
     prefix values, a finite stand-in.
-
-    Returns the output, the tiles ``(r0, r1, c1)``, each tile's
-    probabilities [S, H, r1 - r0, c1] with its [S, r1 - r0] rows that see
-    no key (None if there are none), and the score scale.
     """
     s, h, lq, dh = q.shape
-    tiles = _query_tiles(lq, k.shape[2])
-    if len(tiles) == 1:
-        p, scale, dead = _probabilities(q, k, window)
-        return (p @ v).transpose(0, 2, 1, 3).reshape(s, lq, h * dh), tiles, [(p, dead)], scale
+    plan = _plan_for(q, k, plan)
+    if len(plan.tiles) == 1:
+        p, scale = _probabilities(q, k, plan.blocked[0])
+        return AttentionOutput((p @ v).transpose(0, 2, 1, 3).reshape(s, lq, h * dh), [p], scale)
     out = np.empty((s, lq, h, dh), dtype=np.result_type(q, k, v))
     kept = []
-    for r0, r1, c1 in tiles:
-        p, scale, dead = _probabilities(q[:, :, r0:r1], k[:, :, :c1], window)
+    for (r0, r1, c1), blocked in zip(plan.tiles, plan.blocked):
+        p, scale = _probabilities(q[:, :, r0:r1], k[:, :, :c1], blocked)
         out[:, r0:r1] = (p @ v[:, :, :c1]).transpose(0, 2, 1, 3)
-        kept.append((p, dead))
-    return out.reshape(s, lq, h * dh), tiles, kept, scale
+        kept.append(p)
+    return AttentionOutput(out.reshape(s, lq, h * dh), kept, scale)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None) -> Tensor:
-    """``attention_kernel`` on the tape. The backward pass runs the same
+def attention(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan | None = None) -> Tensor:
+    """``attention_kernel`` on the tape. The backward pass runs the plan's
     query tiles and reads only each tile's kept probabilities; a query that
-    sees no key passes no gradient."""
+    sees no key passes no gradient.
+
+    As in FlashAttention-2 (Dao 2023), the backward takes each query's
+    softmax correction ``rowsum(dP * P)`` as ``rowsum(dO * O)`` over its
+    head's dh output features instead of its row of scores, and applies the
+    score scale to the query and key gradients rather than to the score
+    block."""
     s, h, lq, dh = q.shape
-    out_data, tiles, kept, scale = attention_kernel(q.data, k.data, v.data, window)
+    plan = _plan_for(q.data, k.data, plan)
+    out_data, kept, scale = attention_kernel(q.data, k.data, v.data, plan)
 
     def bw(g):
+        if plan.dead is not None:
+            g = np.where(plan.dead[:, :, None], 0, g)
+        g = g.reshape(s, lq, h, dh)
+        if q.requires_grad or k.requires_grad:
+            # [S, Lq, H]: each query's sum over its head of dO * O
+            corr = np.add.reduce(g * out_data.reshape(s, lq, h, dh), axis=-1)
         # the last tile reads every key: its key and value gradients are full
         # size and take the earlier tiles' prefixes
         dqs, dk, dv = [], None, None
-        for (r0, r1, c1), (p, dead) in zip(reversed(tiles), reversed(kept)):
-            gt = g[:, r0:r1]
-            if dead is not None:
-                gt = np.where(dead[:, :, None], 0, gt)
-            gc = gt.reshape(s, r1 - r0, h, dh).transpose(0, 2, 1, 3)
+        for (r0, r1, c1), p in zip(reversed(plan.tiles), reversed(kept)):
+            gc = g[:, r0:r1].transpose(0, 2, 1, 3)
             if q.requires_grad or k.requires_grad:
                 ds = gc @ v.data[:, :, :c1].swapaxes(-1, -2)
-                ds -= (ds * p).sum(axis=-1, keepdims=True)
+                ds -= corr[:, r0:r1].transpose(0, 2, 1)[..., None]
                 ds *= p
-                ds *= scale
                 if q.requires_grad:
                     dqs.append(ds @ k.data[:, :, :c1])
                 if k.requires_grad:
@@ -529,8 +603,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None)
             if v.requires_grad:
                 dv = _add_prefix(dv, p.swapaxes(-1, -2) @ gc)
         if q.requires_grad:
-            q._accum(dqs[0] if len(dqs) == 1 else np.concatenate(dqs[::-1], axis=2), owned=True)
+            dq = dqs[0] if len(dqs) == 1 else np.concatenate(dqs[::-1], axis=2)
+            dq *= scale
+            q._accum(dq, owned=True)
         if k.requires_grad:
+            dk *= scale
             k._accum(dk)
         if v.requires_grad:
             v._accum(dv, owned=True)
@@ -538,25 +615,88 @@ def attention(q: Tensor, k: Tensor, v: Tensor, window: np.ndarray | None = None)
     return q._make(out_data, (q, k, v), bw)
 
 
+def _rms_reciprocal(x: np.ndarray, eps: float) -> np.ndarray:
+    """The reciprocal root-mean-square [..., 1] of ``x`` over its last axis."""
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+    return 1.0 / np.sqrt(ms + eps)
+
+
+def _rms_norm_backward(g: np.ndarray, x: Tensor, r: np.ndarray, gain: Tensor) -> np.ndarray | None:
+    """Adds ``gain``'s gradient and returns ``x``'s (None if ``x`` takes
+    none) for the gradient ``g`` of ``x * r * gain``. With ``xr = x * r``,
+    ``dx = r * (g gain - xr mean(g gain xr))``."""
+    n = x.shape[-1]
+    xr = x.data * r  # the forward's bits, recomputed rather than kept
+    if gain.requires_grad:
+        gain._accum(np.add.reduce((g * xr).reshape(-1, n), axis=0), owned=True)
+    if not x.requires_grad:
+        return None
+    dx = g * gain.data
+    corr = np.add.reduce(dx * xr, axis=-1, keepdims=True)
+    corr /= n
+    xr *= corr
+    dx -= xr
+    dx *= r
+    return dx
+
+
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """``x`` scaled by the reciprocal root-mean-square ``r`` over its last
     axis and by ``gain``."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
-    n = x.shape[-1]
-    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / n
-    r = 1.0 / np.sqrt(ms + eps)
+    r = _rms_reciprocal(x.data, eps)
     out_data = x.data * r * gain.data
 
     def bw(g):
-        if x.requires_grad:
-            inner = (g * gain.data * x.data).sum(axis=-1, keepdims=True)
-            x._accum(g * gain.data * r - x.data * (r**3) * inner / n, owned=True)
-        if gain.requires_grad:
-            gg = g * x.data * r
-            gain._accum(gg.reshape(-1, n).sum(axis=0), owned=True)
+        dx = _rms_norm_backward(g, x, r, gain)
+        if dx is not None:
+            x._accum(dx, owned=True)
 
     return x._make(out_data, (x, gain), bw)
+
+
+def feed_forward(x: Tensor, gain: Tensor, w1: Tensor, w2: Tensor, eps: float = 1e-6) -> Tensor:
+    """The pre-norm feed-forward sub-block with its residual, ``x +
+    silu(rms_norm(x, gain) @ w1) @ w2``, as one tape op.
+
+    The forward runs the numpy sequence of ``rms_norm``, the two matrix
+    products, ``Tensor.silu`` and the residual add, so its bits are theirs.
+    It keeps the normalised rows and the hidden pre-activation for backward,
+    not the activation or the ``w2`` product, and recomputes the sigmoid."""
+    if gain.shape != (x.shape[-1],):
+        raise ShapeError(f"feed_forward gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
+    d, ff = w1.shape
+    r = _rms_reciprocal(x.data, eps)
+    xn = x.data * r * gain.data
+    hidden = xn @ w1.data
+    act = _sigmoid(hidden)
+    act *= hidden
+    out_data = x.data + act @ w2.data
+
+    def bw(g):
+        sig = _sigmoid(hidden)
+        if w2.requires_grad:
+            act = sig * hidden
+            w2._accum(act.reshape(-1, ff).T @ g.reshape(-1, d), owned=True)
+        if not (x.requires_grad or gain.requires_grad or w1.requires_grad):
+            return
+        # silu backward as ``Tensor.silu``: g * sig * (1 + h * (1 - sig))
+        dh = np.subtract(1.0, sig)
+        dh *= hidden
+        dh += 1.0
+        sig *= g @ w2.data.T
+        dh *= sig
+        del sig
+        if w1.requires_grad:
+            w1._accum(xn.reshape(-1, d).T @ dh.reshape(-1, ff), owned=True)
+        if x.requires_grad or gain.requires_grad:
+            dx = _rms_norm_backward(dh @ w1.data.T, x, r, gain)
+            if dx is not None:
+                dx += g
+                x._accum(dx, owned=True)
+
+    return x._make(out_data, (x, gain, w1, w2), bw)
 
 
 def cross_entropy_rows(logits: Tensor, targets, ignore_index: int = -100) -> tuple[Tensor, np.ndarray]:

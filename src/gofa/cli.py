@@ -51,7 +51,7 @@ from .model import GofaModel
 from .structure import all_shortest_paths, common_neighbors
 from .tag import TaskSample
 from .taskgen import make_autoencode_task, read_samples, render_cn_answer, render_spd_answer, write_samples
-from .training import TrainConfig, resume, train
+from .training import TrainConfig, check_freeze, resume, train
 
 log = logging.getLogger("gofa")
 
@@ -108,12 +108,25 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
+def _fresh_model(cfg: dict, train_fields: dict) -> tuple[GofaModel, TrainConfig]:
+    """The model a run of ``cfg`` starts from and its ``TrainConfig``. The
+    freeze prefixes can be checked only against the built model's parameter
+    names; one that matches none is a ``ConfigError``, raised before the
+    command writes output."""
+    model = GofaModel(ModelConfig(**cfg["model"]), seed=cfg["seed"])
+    tcfg = TrainConfig(**train_fields)
+    try:
+        check_freeze(tcfg.freeze, model.parameters())
+    except ValueError as exc:
+        raise ConfigError(f"train.freeze: {exc}") from exc
+    return model, tcfg
+
+
 def cmd_autoencode_pretrain(args) -> int:
     cfg = load_config(args.config, args.set)
     out = Path(args.out)
+    model, tcfg = _fresh_model(cfg, pretrain_train_section(cfg))
     write_run_meta(out, cfg)
-    mcfg = ModelConfig(**cfg["model"])
-    model = GofaModel(mcfg, seed=cfg["seed"])
     pre = cfg["pretrain"]
     rng = np.random.default_rng(cfg["seed"])
     alphabet = pre["alphabet"]
@@ -121,7 +134,6 @@ def cmd_autoencode_pretrain(args) -> int:
         "".join(rng.choice(list(alphabet), size=rng.integers(pre["text_low"], pre["text_high"] + 1)))
         for _ in range(256)
     ]
-    tcfg = TrainConfig(**pretrain_train_section(cfg))
     samples = [make_autoencode_task(t) for t in texts]
     report = train(model, samples, tcfg, out_dir=out, loss_log_path=out / "loss_log.csv")
     model.save(out / "autoencoder.gofa")
@@ -132,6 +144,8 @@ def cmd_autoencode_pretrain(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     out = Path(args.out)
+    if not args.resume:
+        model, tcfg = _fresh_model(cfg, cfg["train"])
     write_run_meta(out, cfg)
     samples = []
     for path in args.corpus:
@@ -142,9 +156,6 @@ def cmd_train(args) -> int:
             loss_log_path=out / "loss_log.csv",
         )
     else:
-        mcfg = ModelConfig(**cfg["model"])
-        model = GofaModel(mcfg, seed=cfg["seed"])
-        tcfg = TrainConfig(**cfg["train"])
         report = train(
             model, samples, tcfg, out_dir=out, use_gnn=not args.text_only,
             loss_log_path=out / "loss_log.csv",

@@ -14,7 +14,9 @@ padding columns contribute exact zeros and a single-sequence call is
 arithmetically identical however it is routed. A layer call's rows sit at
 the columns after the keys it extends, and their rotary positions count
 from their windows' first columns (``_rotations``), so no call carries
-positions of its own.
+positions of its own. Each decode bucket, text part and set of memory rows
+has one ``attention_plan`` with its window, attention masks and rotary
+tables, built before the first layer and read by every layer.
 
 Compression runs in two phases split at the cache point ``t0 =
 min(gnn_layers)`` (the last layer without GNN layers). Only memory rows
@@ -65,7 +67,8 @@ import numpy as np
 
 from . import tokenizer
 from .autodiff import (
-    _TILE, Tensor, _query_tiles, attention, concat, gather_rows, no_grad, rms_norm, rope, split_heads,
+    _TILE, AttentionPlan, Tensor, _query_tiles, attention, concat, feed_forward, gather_rows, no_grad, rms_norm, rope,
+    split_heads,
 )
 
 log = logging.getLogger("gofa")
@@ -182,14 +185,14 @@ class TransformerStack:
 
 
 @lru_cache(maxsize=16)  # a few configurations per process; tables are read-only
-def _rope_tables(n_pos: int, half: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rotations [n_pos, 2*half] of positions 0..n_pos-1 in the
-    form ``autodiff.rope`` takes: cosines in both halves, sines negated in
-    the first half."""
+def _rope_tables(n_pos: int, half: int, base: float, dtype, n_heads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rotations [n_pos, n_heads*2*half] of positions
+    0..n_pos-1 in the form ``autodiff.rope`` takes: for each of the heads,
+    cosines in both halves, sines negated in the first half."""
     inv = base ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
     angles = np.arange(n_pos, dtype=np.float64)[:, None] * inv[None, :]
     cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-    tables = np.concatenate([cos, cos], axis=1), np.concatenate([-sin, sin], axis=1)
+    tables = np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -211,28 +214,39 @@ def _rope_matrices(n_pos: int, half: int, base: float, dtype) -> np.ndarray:
 
 
 def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every position a bucket of ``cfg`` can hold, pad
-    columns of the longest decode bucket included."""
-    return _rope_tables(_bucket_len(cfg.max_text_len) + cfg.memory_tokens, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
+    """cos and sin [n_pos, d] of every position a bucket of ``cfg`` can
+    hold, pad columns of the longest decode bucket included, for every head
+    of a [S, L, d] projection."""
+    n_pos = _bucket_len(cfg.max_text_len) + cfg.memory_tokens
+    return _rope_tables(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype, cfg.n_heads)
 
 
 def _rotation_matrices(cfg: ModelConfig) -> np.ndarray:
-    """The rotation matrices of the positions of ``_rotation_tables``."""
+    """The [dh, dh] rotation matrices of the positions of ``_rotation_tables``."""
     n_pos = len(_rotation_tables(cfg)[0])
     return _rope_matrices(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
 
 
 def _rotations(cfg: ModelConfig, window: np.ndarray | None, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin [S, 1, n, dh] of the rows at columns first..first+n-1.
+    """cos and sin [S, n, d] of the rows at columns first..first+n-1.
     A row's rotary position is its column minus its window's first column,
     0 for the pad columns before that, or the column itself without a
     window. When every window starts at column 0, as in decode buckets,
-    they are views [1, 1, n, dh] of the tables."""
+    they are views [1, n, d] of the tables."""
     cos, sin = _rotation_tables(cfg)
     if window is None or not window[:, 0].any():
-        return cos[None, None, first : first + n], sin[None, None, first : first + n]
+        return cos[None, first : first + n], sin[None, first : first + n]
     pos = np.maximum(np.arange(first, first + n) - window[:, :1], 0)
-    return cos[pos][:, None], sin[pos][:, None]
+    return cos[pos], sin[pos]
+
+
+def attention_plan(cfg: ModelConfig, window: np.ndarray | None, first: int, n: int) -> AttentionPlan:
+    """The ``AttentionPlan`` of a layer call whose ``n`` rows sit at the key
+    columns first..first+n-1 after the ``first`` columns its keys extend,
+    under ``window`` [S, 2] (None for plain causal attention), with the
+    rotations of those rows (``_rotations``). Every layer that runs rows of
+    this geometry shares it."""
+    return AttentionPlan(n, first + n, window, *_rotations(cfg, window, first, n))
 
 
 class LayerKV:
@@ -275,45 +289,50 @@ class LayerKV:
         self.keys[:, :n], self.values[:, :n], self.n = keys[:, :n], values[:, :n], n
 
 
-def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, window: np.ndarray | None, first: int) -> tuple[Tensor, Tensor]:
-    """Rotated keys and values [S, H, L, dh] of the normalised rows ``xn``
-    at columns ``first``.. under ``window`` (``_rotations``)."""
-    cos, sin = _rotations(cfg, window, first, xn.shape[1])
-    return rope(split_heads(xn @ p["wk"], cfg.n_heads), cos, sin), split_heads(xn @ p["wv"], cfg.n_heads)
+def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, plan: AttentionPlan) -> tuple[Tensor, Tensor]:
+    """Keys, rotated by the ``plan``'s tables, and values [S, H, L, dh] of
+    the normalised rows ``xn``."""
+    k = split_heads(rope(xn @ p["wk"], plan.cos, plan.sin, cfg.head_dim), cfg.n_heads)
+    return k, split_heads(xn @ p["wv"], cfg.n_heads)
 
 
 def layer_forward(
-    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, kv: LayerKV | None = None,
+    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None = None, kv: LayerKV | None = None,
 ) -> Tensor | np.ndarray:
     """One pre-norm transformer block over [S, L, d].
 
     The rows of ``x`` are the L key columns after the ones ``kv`` holds (the
-    first L without it), which also fix their rotary positions
-    (``_rotations``), and each attends causally; ``window`` [S, 2] further
-    limits row s to the key columns ``window[s, 0] <= j < window[s, 1]``
-    (see ``autodiff.blocked_keys``). With ``kv``, the keys and values of
-    ``x`` are appended to the cached ones and the queries attend over all
-    of them. When ``kv`` is the inference cache (a ``LayerKV`` with a
-    capacity), ``x`` is one new position [1, 1, d] as an array, ``window``
-    is None, and the step runs without a tape (``_cached_layer``).
+    first L without it), and each attends causally. The ``plan``
+    (``attention_plan``), built once by the caller for every layer that
+    runs rows of this geometry, holds their rotary tables and which keys
+    each row sees: its window [S, 2] limits row s to the key columns
+    ``window[s, 0] <= j < window[s, 1]`` (see ``autodiff.blocked_keys``).
+    None stands for plain causal attention without a window, planned for
+    this call alone. With ``kv``, the keys and values of ``x`` are appended
+    to the cached ones and the queries attend over all of them. When ``kv``
+    is the inference cache (a ``LayerKV`` with a capacity), ``x`` is one new
+    position [1, 1, d] as an array, ``plan`` is None, and the step runs
+    without a tape (``_cached_layer``).
 
-    Attention runs the rows in tiles that end at every 32nd key column and
-    reads only the keys before a tile's end (``autodiff.attention``). The
-    tiles depend on L and the key count alone, so a row's output does not
-    depend on the other rows of its bucket.
+    RoPE rotates the contiguous [S, L, d] projections before they are split
+    into heads. Attention runs the rows in tiles that end at every 32nd key
+    column and reads only the keys before a tile's end
+    (``autodiff.attention``). The tiles depend on L and the key count alone,
+    so a row's output does not depend on the other rows of its bucket. The
+    feed-forward sub-block and its residual are one tape op
+    (``autodiff.feed_forward``).
     """
     if kv is not None and kv.capacity is not None:
-        return _cached_layer(x, p, cfg, window, kv)
-    first = kv.n if kv is not None else 0
-    cos, sin = _rotations(cfg, window, first, x.shape[1])
+        return _cached_layer(x, p, cfg, plan, kv)
+    if plan is None:
+        plan = attention_plan(cfg, None, kv.n if kv is not None else 0, x.shape[1])
     xn = rms_norm(x, p["attn_norm"])
-    q = rope(split_heads(xn @ p["wq"], cfg.n_heads), cos, sin)
-    k, v = rope(split_heads(xn @ p["wk"], cfg.n_heads), cos, sin), split_heads(xn @ p["wv"], cfg.n_heads)
+    q = split_heads(rope(xn @ p["wq"], plan.cos, plan.sin, cfg.head_dim), cfg.n_heads)
+    k, v = _keys_values(xn, p, cfg, plan)
     if kv is not None:
         k, v = kv.extend(k, v)
-    x = x + attention(q, k, v, window) @ p["wo"]
-    xn2 = rms_norm(x, p["ff_norm"])
-    return x + (xn2 @ p["ff1"]).silu() @ p["ff2"]
+    x = x + attention(q, k, v, plan) @ p["wo"]
+    return feed_forward(x, p["ff_norm"], p["ff1"], p["ff2"])
 
 
 def _rms_scale(row: np.ndarray, eps: float = 1e-6) -> float:
@@ -333,13 +352,13 @@ def _step_weights(p: dict, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
     return qkv, p["wo"].data, p["ff_norm"].data[:, None] * p["ff1"].data, p["ff2"].data, _rotation_matrices(cfg)
 
 
-def _cached_layer(x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray | None, kv: LayerKV) -> np.ndarray:
+def _cached_layer(x: np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None, kv: LayerKV) -> np.ndarray:
     """``layer_forward`` of one new position against the inference cache
     ``kv``, on arrays. With the constants folded into the cache's step
     arrays (``_step_weights``), each norm is one scale on Python floats and
     the projection through ``[wq | wk | wv]`` yields the scaled query; one
     product with the rotation matrix of the step's column ``kv.n`` (its
-    position: the cache has no window) rotates the query and key
+    position: the cache has no plan or window) rotates the query and key
     together, the key and value go straight into the buffers, and the
     softmax of the one query's scores, with no tiles or mask, divides the
     [H, 1, dh] output by its row sums rather than the probabilities. This
@@ -347,8 +366,8 @@ def _cached_layer(x: np.ndarray, p: dict, cfg: ModelConfig, window: np.ndarray |
     teacher forcing by rounding alone."""
     if isinstance(x, Tensor):
         raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
-    if x.shape[:2] != (1, 1) or window is not None:
-        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a window, not {x.shape}; prefill with fill()")
+    if x.shape[:2] != (1, 1) or plan is not None:
+        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a plan, not {x.shape}; prefill with fill()")
     if kv.weights is None:
         kv.weights = _step_weights(p, cfg)
     qkv_w, wo, ff1, ff2, rotations = kv.weights
@@ -626,7 +645,7 @@ class Compressor:
                 mem = gather_rows(mem, rows)
             texts.append(text)
             mems.append(mem)
-            steps.append((b.window[owner], rows))
+            steps.append((attention_plan(cfg, b.window[owner], b.ids.shape[1], cfg.memory_tokens), rows))
         for t in range(t0, cfg.n_layers + 1):
             if t > t0:
                 mems = [self._memory_layer(t, mem, next(text), *step) for mem, text, step in zip(mems, texts, steps)]
@@ -655,21 +674,22 @@ class Compressor:
         (m, lb), k, d = ids.shape, cfg.memory_tokens, cfg.d_model
         parts = _share_prefixes(ids, window)
         order = np.concatenate([p.rows for p in parts])
+        plans = [attention_plan(cfg, p.window, p.start, lb - p.start) for p in parts]
 
         def text_layer(t: int, layer: dict) -> list[tuple[Tensor, Tensor]]:
             # a function of its own, so that no part's rows or keys outlive the
             # memory-row step that reads them
             nonlocal x
             out, pairs = [], []
-            for p, xp in zip(parts, x):
+            for p, plan, xp in zip(parts, plans, x):
                 kv = LayerKV()
                 if p.source is not None:
                     keys, values = pairs[0]
                     kv.extend(gather_rows(keys, p.source)[:, :, : p.start], gather_rows(values, p.source)[:, :, : p.start])
                 if t < cfg.n_layers:
-                    out.append(layer_forward(xp, layer, cfg, p.window, kv))
+                    out.append(layer_forward(xp, layer, cfg, plan, kv))
                 else:
-                    kv.extend(*_keys_values(rms_norm(xp, layer["attn_norm"]), layer, cfg, p.window, kv.n))
+                    kv.extend(*_keys_values(rms_norm(xp, layer["attn_norm"]), layer, cfg, plan))
                 pairs.append((kv.keys, kv.values))
             x = out
             if stored is not None and t0 <= t < cfg.n_layers:
@@ -686,9 +706,9 @@ class Compressor:
         x = [gather_rows(embed, ids[p.rows, p.start :].reshape(-1)).reshape(len(p.rows), lb - p.start, d) for p in parts] if lb else []
         text = (text_layer(t, layer) for t, layer in enumerate(self.stack.layers, start=1))
         mem = self.memory.reshape(1, k, d).broadcast_to((m, k, d))
-        window = window[order]
+        plan = attention_plan(cfg, window[order], lb, k)
         for t in range(1, t0 + 1):
-            mem = self._memory_layer(t, mem, next(text), window)
+            mem = self._memory_layer(t, mem, next(text), plan)
         return order, mem, text
 
     def _cached(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]]):
@@ -721,15 +741,16 @@ class Compressor:
         for row, key in enumerate(keys):
             real, mem[row] = cache.entries[key]
             text[:, row, lb - real.shape[1] :] = real
+        plan = attention_plan(cfg, bucket.window, 0, lb)
         kvs = (
-            [_keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, bucket.window, 0)] if lb else []
+            [_keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, plan)] if lb else []
             for x, layer in zip(text, self.stack.layers[t0:])
         )
         return np.arange(m), Tensor(mem, dtype=cfg.dtype), kvs
 
-    def _memory_layer(self, t: int, mem: Tensor, pairs: list[tuple[Tensor, Tensor]], window: np.ndarray, rows=None) -> Tensor:
-        """Layer ``t`` over one bucket's memory rows [S, K, d] with their
-        windows [S, 2]: memory row j reads the text keys and values of row
+    def _memory_layer(self, t: int, mem: Tensor, pairs: list[tuple[Tensor, Tensor]], plan: AttentionPlan, rows=None) -> Tensor:
+        """Layer ``t`` over one bucket's memory rows [S, K, d] under their
+        ``plan``: memory row j reads the text keys and values of row
         ``rows[j]`` (row j without ``rows``) of ``pairs``, the keys and
         values of each part joined in order; none without pairs."""
         kv = LayerKV()
@@ -740,7 +761,7 @@ class Compressor:
             if rows is not None:
                 k, v = gather_rows(k, rows), gather_rows(v, rows)
             kv.extend(k, v)
-        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, window, kv)
+        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, plan, kv)
 
 
 class _DecodeState:
@@ -778,8 +799,9 @@ class Decoder:
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
         x = concat([mem_rows, emb], axis=1) if lb else mem_rows
+        plan = attention_plan(cfg, bucket.window, 0, cfg.memory_tokens + lb)
         for i, layer in enumerate(self.stack.layers):
-            x = layer_forward(x, layer, cfg, bucket.window, kvs[i] if kvs else None)
+            x = layer_forward(x, layer, cfg, plan, kvs[i] if kvs else None)
         xn = rms_norm(x, self.stack.final_norm)
         return xn @ self.stack.embed.swapaxes(0, 1)
 

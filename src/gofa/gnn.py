@@ -8,10 +8,13 @@ runs through the fused ``autodiff.attention`` op. A tanh-gated
 residual plus a tanh-gated feed-forward sublayer follow, both pre-normed,
 so a freshly initialized layer (gates at 0) is an exact identity. Edge
 memories are read but never updated here. Nodes with no in-neighbors pass
-through untouched.
+through untouched. Which arcs reach which node (``ArcGroups``) depends on
+the graph alone, so a caller builds it once and passes it to every layer.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +42,31 @@ def init_gnn_layer(store: ParamStore, prefix: str, cfg: ModelConfig, rng) -> dic
     }
 
 
+@dataclass
+class ArcGroups:
+    """The nodes of a graph grouped by in-degree, with their in-arcs.
+
+    A node's query attends over its in-arcs, in arc order; nodes of equal
+    in-degree share one attention call, so a node's result does not depend
+    on the other graphs of a batch."""
+
+    has_in_arcs: np.ndarray  # [N] bool
+    groups: list[tuple[np.ndarray, np.ndarray | None]]  # (nodes [m], their in-arcs [m, deg], None at degree 0)
+
+
+def arc_groups(dst: np.ndarray, n_nodes: int) -> ArcGroups:
+    """``ArcGroups`` of the arcs ending at ``dst`` among ``n_nodes`` nodes."""
+    dst = np.asarray(dst, dtype=np.int64)
+    in_deg = np.bincount(dst, minlength=n_nodes)
+    by_dst = np.argsort(dst, kind="stable")
+    first = np.cumsum(in_deg) - in_deg  # node n's in-arcs are by_dst[first[n] : first[n] + in_deg[n]]
+    groups = []
+    for deg in np.unique(in_deg):
+        nodes = np.flatnonzero(in_deg == deg)
+        groups.append((nodes, by_dst[first[nodes, None] + np.arange(deg)] if deg else None))
+    return ArcGroups(in_deg > 0, groups)
+
+
 def gnn_layer(
     src: np.ndarray,
     dst: np.ndarray,
@@ -47,12 +75,14 @@ def gnn_layer(
     params: dict,
     cfg: ModelConfig,
     collect_attention: list | None = None,
+    groups: ArcGroups | None = None,
 ) -> Tensor:
     """One message-passing layer.
 
     ``src``/``dst`` are arc endpoint arrays; ``node_mem`` is [N, K, d] and
     ``edge_mem`` [E, K, d] (one row block per arc, already expanded from any
-    shared text). Returns the updated [N, K, d] node memories.
+    shared text). ``groups`` is ``arc_groups(dst, N)``, built here when not
+    given. Returns the updated [N, K, d] node memories.
     """
     n_nodes, k, d = node_mem.shape
     n_edges = len(src)
@@ -71,33 +101,28 @@ def gnn_layer(
     key = h_src @ params["wk_node"] + he @ params["wk_edge"]  # [E, K, d]
     val = h_src @ params["wv_node"] + he @ params["wv_edge"]
 
-    # A node's query at memory index t attends over its in-arcs, in arc
-    # order, as attention head (t, head). Nodes of equal in-degree share one
-    # call, so a node's result does not depend on the other graphs of a
-    # batch; nodes without in-arcs get zero rows.
-    in_deg = np.bincount(dst, minlength=n_nodes)
-    by_dst = np.argsort(dst, kind="stable")
-    first = np.cumsum(in_deg) - in_deg  # node n's in-arcs are by_dst[first[n] : first[n] + in_deg[n]]
+    # A node's query at memory index t attends over its in-arcs as
+    # attention head (t, head); nodes without in-arcs get zero rows.
+    if groups is None:
+        groups = arc_groups(dst, n_nodes)
     alpha = None if collect_attention is None else np.empty((n_edges, k, heads), dtype=key.dtype)
-    blocks, members = [], []
-    for deg in np.unique(in_deg):
-        nodes = np.flatnonzero(in_deg == deg)
-        members.append(nodes)
-        if deg == 0:
+    blocks = []
+    for nodes, arcs in groups.groups:
+        if arcs is None:
             blocks.append(Tensor(np.zeros((len(nodes), 1, k * d)), dtype=node_mem.dtype))
             continue
-        arcs = by_dst[first[nodes, None] + np.arange(deg)]  # [m, deg]
         qg = split_heads(gather_rows(q, nodes[:, None]), k * heads)
         kg, vg = (split_heads(gather_rows(t, arcs), k * heads) for t in (key, val))
         blocks.append(attention(qg, kg, vg))  # [m, 1, K * d]
         if alpha is not None:
-            p = attention_kernel(qg.data, kg.data, vg.data)[2][0][0]  # [m, K * heads, 1, deg]
+            p = attention_kernel(qg.data, kg.data, vg.data).probabilities[0]  # [m, K * heads, 1, deg]
+            deg = arcs.shape[1]
             alpha[arcs.reshape(-1)] = p.reshape(len(nodes), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
     if alpha is not None:
         collect_attention.append((alpha, dst.copy()))
-    out = gather_in_order(blocks, members).reshape(n_nodes, k, d) @ params["wo"]
+    out = gather_in_order(blocks, [nodes for nodes, _ in groups.groups]).reshape(n_nodes, k, d) @ params["wo"]
 
-    mask = Tensor((in_deg > 0).reshape(n_nodes, 1, 1), dtype=node_mem.dtype)  # has in-arcs
+    mask = Tensor(groups.has_in_arcs.reshape(n_nodes, 1, 1), dtype=node_mem.dtype)
 
     h1 = node_mem + (params["gate_gnn"].tanh() * out) * mask
     hf = rms_norm(h1, params["ff_norm"])

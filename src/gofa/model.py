@@ -18,7 +18,7 @@ from . import tokenizer
 from .autodiff import Tensor, concat, cross_entropy_rows, gather_rows
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets
-from .gnn import gnn_layer, init_gnn_layer, representation_change_ratio
+from .gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
 from .tag import TAG, GraphError, TaskSample
 
 
@@ -90,6 +90,7 @@ class GofaModel:
             src_arr = np.asarray(src, dtype=np.int64)
             dst_arr = np.asarray(dst, dtype=np.int64)
             uid_arr = n_nodes + np.asarray(arc_text_uid, dtype=np.int64)
+            groups = arc_groups(dst_arr, n_nodes)  # shared by every GNN layer
 
             def hook(mems: Tensor, layer_t: int) -> Tensor:
                 node_mem = mems[:n_nodes]
@@ -97,7 +98,7 @@ class GofaModel:
                 updated = gnn_layer(
                     src_arr, dst_arr, node_mem, edge_mem,
                     self.gnn_params[layer_t], self.cfg,
-                    collect_attention=collect_attention,
+                    collect_attention=collect_attention, groups=groups,
                 )
                 if capture_deltas is not None:
                     capture_deltas.setdefault(layer_t, []).append(

@@ -99,6 +99,14 @@ def clip_gradients(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
+def check_freeze(prefixes, names) -> None:
+    """Raise a ``ValueError`` naming each of the ``freeze`` ``prefixes`` that
+    starts none of the parameter ``names``."""
+    unmatched = [p for p in prefixes if not any(name.startswith(p) for name in names)]
+    if unmatched:
+        raise ValueError(f"freeze prefixes {unmatched} match no parameter name")
+
+
 class AdamW:
     """Decoupled weight decay Adam with bias correction.
 
@@ -111,9 +119,7 @@ class AdamW:
     def __init__(self, named_params: dict[str, Tensor], cfg: TrainConfig):
         self.cfg = cfg
         self.named = dict(named_params)
-        unmatched = [p for p in cfg.freeze if not any(name.startswith(p) for name in self.named)]
-        if unmatched:
-            raise ValueError(f"freeze prefixes {unmatched} match no parameter name")
+        check_freeze(cfg.freeze, self.named)
         self.trainable = {
             name: t for name, t in self.named.items()
             if not any(name.startswith(p) for p in cfg.freeze)

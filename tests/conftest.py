@@ -113,6 +113,24 @@ def assert_grad_close(analytic: float, fd: float, rel_tol: float = 1e-4, abs_flo
     assert abs(analytic - fd) / scale < rel_tol, f"grad mismatch: analytic {analytic} vs fd {fd}"
 
 
+# How far a fused op's gradient may sit from the composed chain it replaced,
+# as a share of the reference's largest entry: the fused backwards sum the
+# same terms in other orders. 1e-12 in float64; the same number of units in
+# the last place in float32.
+GRAD_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-12 * np.finfo(np.float32).eps / np.finfo(np.float64).eps}
+
+
+def assert_grads_match(fused: np.ndarray, ref: np.ndarray, scale: float | None = None):
+    """``fused`` equals ``ref`` within ``GRAD_RTOL`` of ``scale``, by
+    default ``ref``'s largest entry. A gradient that is zero in exact
+    arithmetic, such as a query's over a single key, comes out as rounding
+    noise, so a caller passes the scale of the op's other gradients."""
+    assert fused.dtype == ref.dtype and fused.shape == ref.shape
+    tol = GRAD_RTOL[ref.dtype]
+    scale = np.abs(ref).max(initial=0.0) if scale is None else scale
+    np.testing.assert_allclose(fused, ref, rtol=tol, atol=tol * scale)
+
+
 def compress(model, texts: list[str]):
     """Memory blocks [len(texts), K, d] of bare texts, no graph: the
     compressor pass every node and edge text goes through."""

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gofa.autodiff import (
+    AttentionPlan,
     NonFiniteError,
     ShapeError,
     Tensor,
     attention,
     concat,
     cross_entropy_rows,
+    feed_forward,
     gather_rows,
     global_grad_norm,
     no_grad,
@@ -21,7 +23,7 @@ from gofa.autodiff import (
     split_heads,
 )
 
-from conftest import assert_grad_close, finite_difference
+from conftest import assert_grad_close, assert_grads_match, finite_difference
 
 
 def check_op(build, tensors, max_coords=None, rng=None, rel_tol=1e-4):
@@ -286,6 +288,18 @@ def rotations(rng, s: int, lk: int, half: int, dtype):
     return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
 
+def rows_of_heads(table: np.ndarray, n_heads: int) -> np.ndarray:
+    """A rotation table [S, 1, L, dh] of ``rotations`` repeated for every
+    head of a [S, L, H*dh] projection, the layout ``rope`` rotates."""
+    return np.tile(table[:, 0], n_heads)
+
+
+def plan_of(q: Tensor, k: Tensor, window=None) -> AttentionPlan:
+    """The plan of queries ``q`` [S, H, Lq, dh] at the last columns of keys
+    ``k`` [S, H, Lk, dh] under ``window``."""
+    return AttentionPlan(q.shape[2], k.shape[2], window)
+
+
 def leaf(rng, shape, dtype=np.float64) -> Tensor:
     return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
 
@@ -293,14 +307,17 @@ def leaf(rng, shape, dtype=np.float64) -> Tensor:
 class TestFusedAttentionChain:
     """``split_heads``, ``rope`` and ``attention`` against the composed chain
     of reshape, transpose, getitem, mul, concat, an additive dense mask and
-    softmax that they replaced."""
+    softmax that they replaced: the same forward bits, and gradients within
+    rounding of the chain's (``assert_grads_match``), since the fused
+    backward takes the softmax correction from the output rows and scales
+    the query and key gradients rather than the scores."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.data(),
         st.sampled_from([np.float32, np.float64]), st.booleans(), st.integers(0, 2**31 - 1),
     )
-    def test_forward_and_gradients_bit_equal_to_composed_chain(self, s, h, half, lk, data, dtype, windowed, seed):
+    def test_forward_bit_equal_and_gradients_close_to_composed_chain(self, s, h, half, lk, data, dtype, windowed, seed):
         lq = data.draw(st.integers(1, lk))
         rng = np.random.default_rng(seed)
         d = h * 2 * half
@@ -313,26 +330,41 @@ class TestFusedAttentionChain:
             up[dead_rows(lq, lk, window)] = 0.0
         cos, sin = rotations(rng, s, lk, half, dtype)
         xq, xk, xv = leaf(rng, (s, lq, d), dtype), leaf(rng, (s, lk, d), dtype), leaf(rng, (s, lk, d), dtype)
+        # the fused op rotates the [S, L, d] projection before splitting heads
+        flat_cos, flat_sin = rows_of_heads(cos, h), rows_of_heads(sin, h)
+        chains = (
+            lambda: attention(
+                split_heads(rope(xq, flat_cos[:, lk - lq :], flat_sin[:, lk - lq :], 2 * half), h),
+                split_heads(rope(xk, flat_cos, flat_sin, 2 * half), h),
+                split_heads(xv, h),
+                AttentionPlan(lq, lk, window),
+            ),
+            lambda: ref_attention(
+                ref_rope(ref_heads(xq, h), cos[:, :, lk - lq :], sin[:, :, lk - lq :]),
+                ref_rope(ref_heads(xk, h), cos, sin),
+                ref_heads(xv, h),
+                window,
+            ),
+        )
         results = []
-        for heads, rot, att in ((split_heads, rope, attention), (ref_heads, ref_rope, ref_attention)):
+        for chain in chains:
             for t in (xq, xk, xv):
                 t.zero_grad()
-            q = rot(heads(xq, h), cos[:, :, lk - lq :], sin[:, :, lk - lq :])
-            k = rot(heads(xk, h), cos, sin)
-            out = att(q, k, heads(xv, h), window)
+            out = chain()
             (out * Tensor(up, dtype=dtype)).sum().backward()
             results.append([out.data] + [t.grad for t in (xq, xk, xv)])
-        for fused, ref in zip(*results):
-            assert fused.dtype == ref.dtype == dtype and fused.shape == ref.shape
-            # equal values are equal bits, except that a zero gradient may differ in sign:
-            # the composed chain adds +0.0 halves where the fused op writes its zeros
-            assert np.array_equal(fused, ref)
+        (fused_out, *fused_grads), (ref_out, *ref_grads) = results
+        assert fused_out.dtype == ref_out.dtype == dtype and np.array_equal(fused_out, ref_out)
+        scale = max(np.abs(ref).max() for ref in ref_grads)
+        for fused, ref in zip(fused_grads, ref_grads):
+            assert fused.dtype == ref.dtype == dtype
+            assert_grads_match(fused, ref, scale)
 
     def test_rows_that_see_no_key_stay_finite_and_pass_no_gradient(self, rng):
         q, k, v = (leaf(rng, (2, 2, 5, 4)) for _ in range(3))
         q.data *= 1e3  # scores far beyond any real key's
         window = np.array([[2, 5], [0, 5]])  # row 0: columns 0 and 1 are padding
-        out = attention(q, k, v, window)
+        out = attention(q, k, v, plan_of(q, k, window))
         assert np.all(np.isfinite(out.data))
         mean_v = v.data.mean(axis=2).reshape(2, 1, 8)  # a dead row averages every value
         np.testing.assert_allclose(out.data[0, :2], np.broadcast_to(mean_v[0], (2, 8)), rtol=1e-12)
@@ -345,10 +377,10 @@ class TestFusedAttentionChain:
     def test_float32_stays_float32(self, rng):
         f32 = np.float32
         x, gain = leaf(rng, (2, 5, 8), f32), Tensor(np.ones(8), requires_grad=True, dtype=f32)
-        cos, sin = rotations(rng, 2, 5, 2, f32)
+        cos, sin = (rows_of_heads(t, 2) for t in rotations(rng, 2, 5, 2, f32))
         xn = rms_norm(x, gain)
-        q = rope(split_heads(xn, 2), cos, sin)
-        out = attention(q, q, split_heads(xn, 2), np.array([[1, 5], [0, 3]]))
+        q = split_heads(rope(xn, cos, sin, 4), 2)
+        out = attention(q, q, split_heads(xn, 2), plan_of(q, q, np.array([[1, 5], [0, 3]])))
         logits = out @ Tensor(rng.normal(size=(8, 11)), dtype=f32)
         totals, _ = cross_entropy_rows(logits, rng.integers(0, 11, (2, 5)))
         for t in (xn, q, out, totals):
@@ -363,6 +395,38 @@ class TestFusedAttentionChain:
             want = x * (1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-6)) * gain
             got = rms_norm(Tensor(x, dtype=dtype), Tensor(gain, dtype=dtype)).data
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+class TestFeedForward:
+    """``feed_forward`` against the ops it fuses: ``rms_norm``, two matrix
+    products, ``silu`` and the residual add."""
+
+    @staticmethod
+    def _composed(x, gain, w1, w2):
+        return x + (rms_norm(x, gain) @ w1).silu() @ w2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_equal_and_gradients_close_to_composed_ops(self, rng, dtype):
+        tensors = [leaf(rng, (3, 5, 8), dtype), leaf(rng, (8,), dtype), leaf(rng, (8, 32), dtype), leaf(rng, (32, 8), dtype)]
+        up = Tensor(rng.normal(size=(3, 5, 8)), dtype=dtype)
+        results = []
+        for op in (feed_forward, self._composed):
+            for t in tensors:
+                t.zero_grad()
+            out = op(*tensors)
+            (out * up).sum().backward()
+            results.append([out.data] + [t.grad for t in tensors])
+        (fused_out, *fused_grads), (ref_out, *ref_grads) = results
+        assert fused_out.dtype == dtype and fused_out.tobytes() == ref_out.tobytes()
+        for fused, ref in zip(fused_grads, ref_grads):
+            assert_grads_match(fused, ref)
+
+    def test_frozen_inputs_take_no_gradient(self, rng):
+        x, gain = leaf(rng, (2, 3, 4)), Tensor(np.ones(4))
+        w1, w2 = Tensor(rng.normal(size=(4, 8))), leaf(rng, (8, 4))
+        feed_forward(x, gain, w1, w2).sum().backward()
+        assert gain.grad is None and w1.grad is None
+        assert x.grad.shape == x.shape and w2.grad.shape == w2.shape
 
 
 class TestTiledAttention:
@@ -392,14 +456,16 @@ class TestTiledAttention:
         for att in (attention, ref_attention):
             for t in (q, k, v):
                 t.zero_grad()
-            out = att(q, k, v, window)
+            out = att(q, k, v, plan_of(q, k, window) if att is attention else window)
             (out * Tensor(up)).sum().backward()
             results.append([out.data[live]] + [t.grad for t in (q, k, v)])
-        for fused, ref in zip(*results):
-            if lk <= 32:
-                assert np.array_equal(fused, ref)
-            else:
-                np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        (fused_out, *fused_grads), (ref_out, *ref_grads) = results
+        if lk <= 32:
+            assert np.array_equal(fused_out, ref_out)
+        else:
+            assert_grads_match(fused_out, ref_out)  # tiles sum their keys in other groups
+        for fused, ref in zip(fused_grads, ref_grads):
+            assert_grads_match(fused, ref)
 
     def test_three_tiles_vs_fd(self, rng):
         # queries at columns 0..69 end tiles at columns 32, 64 and 70
@@ -407,11 +473,11 @@ class TestTiledAttention:
         window = np.array([[3, 70]])
         up = rng.normal(size=(1, 70, 2))
         up[dead_rows(70, 70, window)] = 0.0
-        check_op(lambda: (attention(q, k, v, window) * Tensor(up)).sum(), [q, k, v])
+        check_op(lambda: (attention(q, k, v, plan_of(q, k, window)) * Tensor(up)).sum(), [q, k, v])
 
     def test_dead_rows_average_their_tile_prefix(self, rng):
         q, k, v = (leaf(rng, (1, 1, 40, 2)) for _ in range(3))
-        out = attention(q, k, v, np.array([[36, 40]]))
+        out = attention(q, k, v, plan_of(q, k, np.array([[36, 40]])))
         # rows 0..31 end their tile at column 32, rows 32..35 at column 40
         np.testing.assert_allclose(out.data[0, :32], np.broadcast_to(v.data[0, 0, :32].mean(axis=0), (32, 2)), rtol=1e-12)
         np.testing.assert_allclose(out.data[0, 32:36], np.broadcast_to(v.data[0, 0].mean(axis=0), (4, 2)), rtol=1e-12)
@@ -465,7 +531,7 @@ class TestFusedOpGradients:
         window = np.array([[2, 6], [0, 4], [1, 6]])  # left padding, right padding, both
         up = rng.normal(size=(3, 6, 4))
         up[dead_rows(6, 6, window)] = 0.0
-        check_op(lambda: (attention(q, k, v, window) * Tensor(up)).sum(), [q, k, v])
+        check_op(lambda: (attention(q, k, v, plan_of(q, k, window)) * Tensor(up)).sum(), [q, k, v])
 
     def test_attention_single_query_against_a_kv_cache_vs_fd(self, rng):
         q = leaf(rng, (1, 2, 1, 4))
@@ -479,13 +545,39 @@ class TestFusedOpGradients:
         k, v = leaf(rng, (2, 1, 6, 4)), leaf(rng, (2, 1, 6, 4))
         window = np.array([[1, 6], [3, 6]])
         up = Tensor(rng.normal(size=(2, 2, 4)))
-        check_op(lambda: (attention(q, k, v, window) * up).sum(), [q, k, v])
+        check_op(lambda: (attention(q, k, v, plan_of(q, k, window)) * up).sum(), [q, k, v])
 
     def test_rope_vs_fd(self, rng):
-        x = leaf(rng, (2, 2, 3, 6))
-        cos, sin = rotations(rng, 2, 3, 3, np.float64)
-        up = Tensor(rng.normal(size=(2, 2, 3, 6)))
-        check_op(lambda: (rope(x, cos, sin) * up).sum(), [x])
+        # two heads of 6 features in each [S, L, d] row, rotated before they are split
+        x = leaf(rng, (2, 3, 12))
+        cos, sin = (rows_of_heads(t, 2) for t in rotations(rng, 2, 3, 3, np.float64))
+        up = Tensor(rng.normal(size=(2, 3, 12)))
+        check_op(lambda: (rope(x, cos, sin, 6) * up).sum(), [x])
+
+    def test_rope_of_rows_equals_rope_of_each_head(self, rng):
+        # the halves swap within each head, not across the row
+        x = rng.normal(size=(2, 5, 12))
+        cos, sin = rotations(rng, 2, 5, 2, np.float64)
+        got = split_heads(rope(Tensor(x), rows_of_heads(cos, 3), rows_of_heads(sin, 3), 4), 3).data
+        want = ref_rope(ref_heads(Tensor(x), 3), cos, sin).data
+        assert np.array_equal(got, want)
+
+    def test_attention_windowed_over_three_tiles_vs_fd(self, rng):
+        # 70 queries over 70 keys end tiles at columns 32, 64 and 70; row 0's
+        # window leaves its first 40 rows, a whole tile and more, seeing no key
+        q, k, v = (leaf(rng, (2, 2, 70, 2)) for _ in range(3))
+        window = np.array([[40, 70], [5, 66]])
+        up = rng.normal(size=(2, 70, 4))
+        up[dead_rows(70, 70, window)] = 0.0
+        plan = plan_of(q, k, window)
+        assert len(plan.tiles) == 3 and plan.dead[0, :40].all() and plan.dead[1, :5].all()
+        check_op(lambda: (attention(q, k, v, plan) * Tensor(up)).sum(), [q, k, v], max_coords=40, rng=rng)
+
+    def test_feed_forward_vs_fd(self, rng):
+        x, w1, w2 = leaf(rng, (2, 3, 4)), leaf(rng, (4, 6)), leaf(rng, (6, 4))
+        gain = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
+        up = Tensor(rng.normal(size=(2, 3, 4)))
+        check_op(lambda: (feed_forward(x, gain, w1, w2) * up).sum(), [x, gain, w1, w2])
 
     def test_split_heads_vs_fd(self, rng):
         x = leaf(rng, (2, 3, 6))

@@ -259,6 +259,8 @@ class TestExitCodes:
             ("gen-corpus", "corpus.conversation_rounds=[4,2]"),
             ("gen-corpus", "corpus.conversation_rounds=[0,1]"),
             ("gen-corpus", "corpus.conversation_rounds=[2]"),
+            ("train", 'train.freeze=["compresor."]'),
+            ("autoencode-pretrain", 'train.freeze=["gnn.", "decoder.layers.9"]'),
         ],
     )
     def test_invalid_value_is_2_before_any_output(self, tmp_path, capsys, command, override):

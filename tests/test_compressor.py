@@ -6,16 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gofa import compressor, corpus, tokenizer
-from gofa.autodiff import Tensor, _query_tiles, blocked_keys, concat, gather_rows, no_grad, rope
+from gofa.autodiff import (
+    AttentionPlan, Tensor, _query_tiles, attention, blocked_keys, concat, gather_rows, no_grad, rms_norm, rope, split_heads,
+)
 from gofa.compressor import (
     _BUCKET_STEPS,
     LayerKV,
     ModelConfig,
     _bucket_len,
+    _rope_tables,
     _rotation_matrices,
     _rotation_tables,
     _rotations,
     _share_prefixes,
+    attention_plan,
     gather_in_order,
     layer_forward,
     make_compress_buckets,
@@ -46,8 +50,9 @@ def concatenated_run(comp, sequences, memory_hook=None):
         mem = comp.memory.reshape(1, k, d).broadcast_to((sb, k, d))
         emb = gather_rows(comp.stack.embed, b.ids.reshape(-1)).reshape(sb, lb, d)
         xs.append(concat([emb, mem], axis=1) if lb else mem)
+    plans = [attention_plan(cfg, b.window, 0, b.ids.shape[1] + k) for b in buckets]
     for t, layer in enumerate(comp.stack.layers, start=1):
-        xs = [layer_forward(x, layer, cfg, b.window) for x, b in zip(xs, buckets)]
+        xs = [layer_forward(x, layer, cfg, plan) for x, plan in zip(xs, plans)]
         if memory_hook is not None and t in cfg.gnn_layers:
             new = memory_hook(gather_in_order([x[:, -k:] for x in xs], [b.indices for b in buckets]), t)
             xs = [
@@ -209,7 +214,7 @@ class TestTransformerLayer:
         assert rot.shape == (len(cos_tab), cfg.head_dim, cfg.head_dim) and not rot.flags.writeable
         for i in range(len(cos_tab)):
             rows = rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))
-            want = rope(Tensor(rows), cos_tab[i], sin_tab[i]).data
+            want = rope(Tensor(rows.reshape(2, -1)), cos_tab[i], sin_tab[i], cfg.head_dim).data.reshape(rows.shape)
             assert np.abs(rows @ rot[i] - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_kv_cache_refuses_a_tape(self, rng):
@@ -340,10 +345,10 @@ class TestSplitRun:
 
 def positions_of(cfg, cos, sin):
     """The positions [S, n] whose rows of the rotation tables ``cos`` and
-    ``sin`` [S, 1, n, dh] hold, read back by value."""
+    ``sin`` [S, n, d] hold, read back by value."""
     index = {(c.tobytes(), s.tobytes()): i for i, (c, s) in enumerate(zip(*_rotation_tables(cfg)))}
-    rows = [[index[c.tobytes(), s.tobytes()] for c, s in zip(cr, sr)] for cr, sr in zip(cos[:, 0], sin[:, 0])]
-    return np.array(rows, dtype=np.int64).reshape(cos.shape[0], cos.shape[2])
+    rows = [[index[c.tobytes(), s.tobytes()] for c, s in zip(cr, sr)] for cr, sr in zip(cos, sin)]
+    return np.array(rows, dtype=np.int64).reshape(cos.shape[:2])
 
 
 def rotary_positions(cfg, window, first, n):
@@ -537,6 +542,108 @@ class TestRotaryPositions:
                 model.decoder.next_logits(mem, prefix[:i])  # the first call prefills, the rest step
         k = cfg.memory_tokens
         assert read == [column for column in range(k, k + len(prefix)) for _ in range(cfg.n_layers)]
+
+
+def composed_layer(x, p, cfg, window, kv_keys, kv_values):
+    """``layer_forward`` as the separate tape ops it ran before plans: RoPE
+    on the [S, H, L, dh] head views with per-head tables, the attention
+    mask built for this call, and rms_norm, ff1, silu, ff2 and the residual
+    one op each. The rows sit after the ``kv_keys`` columns (None: none)."""
+    first, n, half = 0 if kv_keys is None else kv_keys.shape[2], x.shape[1], cfg.head_dim // 2
+    cos, sin = _rope_tables(len(_rotation_tables(cfg)[0]), half, cfg.rope_base, cfg.dtype)
+    pos = np.arange(first, first + n)[None]
+    if window is not None:
+        pos = np.maximum(pos - window[:, :1], 0)
+    cos, sin = cos[pos][:, None], sin[pos][:, None]  # [S, 1, n, dh]
+    swap = np.arange(-half, half)
+
+    def head_rope(t):
+        out = t.data * cos
+        out += t.data.take(swap, axis=-1) * sin
+        return Tensor(out, dtype=cfg.dtype)
+
+    xn = rms_norm(x, p["attn_norm"])
+    q = head_rope(split_heads(xn @ p["wq"], cfg.n_heads))
+    k, v = head_rope(split_heads(xn @ p["wk"], cfg.n_heads)), split_heads(xn @ p["wv"], cfg.n_heads)
+    if kv_keys is not None:
+        k, v = concat([kv_keys, k], axis=2), concat([kv_values, v], axis=2)
+    x = x + attention(q, k, v, AttentionPlan(n, first + n, window)) @ p["wo"]
+    return x + (rms_norm(x, p["ff_norm"]) @ p["ff1"]).silu() @ p["ff2"]
+
+
+class TestAttentionPlans:
+    """One plan per call geometry: every layer reads it, and the layer
+    output is the composed ops' to the bit."""
+
+    KINDS = ["decode-bucket", "member", "memory"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_layer_forward_bit_equal_to_composed_ops(self, monkeypatch, kind):
+        # the 48- and 64-column buckets of SHARED_TEXTS run two attention
+        # tiles, left padding and members that start mid-bucket; memory rows
+        # read the text keys and values; a 40-token target runs two tiles of
+        # a right-padded decode bucket
+        cfg = tiny_cfg(n_layers=3, gnn_layers=(2,))
+        model = GofaModel(cfg, seed=21)
+        rng = np.random.default_rng(21)
+        for name, t in model.parameters().items():
+            if name.endswith("norm"):  # gains away from their initial ones
+                t.data = rng.uniform(0.5, 1.5, t.shape)
+        k = cfg.memory_tokens
+        checked = []
+        inner = layer_forward
+
+        def comparing(x, p, c, plan, kv=None):
+            prior = (None, None) if kv is None or not kv.n else (kv.keys, kv.values)
+            out = inner(x, p, c, plan, kv)
+            first = 0 if prior[0] is None else prior[0].shape[2]
+            window = plan.window
+            if first and x.shape[1] == k and first + k == window[0, 1]:
+                seen = "memory"
+            elif first:
+                seen = "member"
+            else:
+                seen = "decode-bucket" if decoding else "text"
+            if seen == kind:
+                want = composed_layer(x, p, c, window, *prior)
+                assert out.data.dtype == want.data.dtype and out.data.tobytes() == want.data.tobytes()
+                checked.append(len(plan.tiles))
+            return out
+
+        monkeypatch.setattr("gofa.compressor.layer_forward", comparing)
+        with no_grad():
+            decoding = False
+            mems = model.compressor.run([tokenizer.encode(t) for t in SHARED_TEXTS])
+            decoding = True
+            model.decoder_nll_per_target(mems[:3], [list(range(65, 105)), [4], [5, 6, 7]])
+        assert checked and (kind == "memory" or max(checked) >= 2)
+
+    def test_one_plan_per_bucket_for_every_layer(self, monkeypatch):
+        # teacher forcing one bucket of three targets of 35 to 45 tokens, 48
+        # text and 4 memory columns in two tiles, through three layers, forward
+        # and backward: each tile's mask and the rotary tables are built once
+        cfg = tiny_cfg(n_layers=3, gnn_layers=(2,))
+        model = GofaModel(cfg, seed=22)
+        masks, tables = [], []
+        inner_masks, inner_tables = blocked_keys, _rotations
+
+        def counting_masks(lq, lk, window=None):
+            masks.append((lq, lk))
+            return inner_masks(lq, lk, window)
+
+        def counting_tables(*args):
+            tables.append(args[2:])
+            return inner_tables(*args)
+
+        monkeypatch.setattr("gofa.autodiff.blocked_keys", counting_masks)
+        monkeypatch.setattr("gofa.compressor._rotations", counting_tables)
+        memory = Tensor(np.random.default_rng(0).normal(size=(3, cfg.memory_tokens, cfg.d_model)), requires_grad=True)
+        nll, _ = model.decoder_nll_per_target(memory, [list(range(65, 105)), list(range(70, 105)), list(range(60, 105))])
+        nll.sum().backward()
+        total = 48 + cfg.memory_tokens
+        assert tables == [(0, total)]
+        assert masks == [(r1 - r0, c1) for r0, r1, c1 in _query_tiles(total, total)] and len(masks) == 2
+        assert memory.grad is not None
 
 
 class TestBatchIndependence:
@@ -750,12 +857,12 @@ class TestTextCache:
         def text_rows(cached: bool) -> dict[int, int]:
             rows: dict[int, int] = {}
 
-            def recording(x, p, c, window, kv=None):
+            def recording(x, p, c, plan, kv=None):
                 end = x.shape[1] + (kv.n if kv is not None else 0)
-                if end < window[0, 1]:
+                if end < plan.window[0, 1]:
                     t = names[id(p)]
                     rows[t] = rows.get(t, 0) + x.shape[0] * x.shape[1]
-                return inner(x, p, c, window, kv)
+                return inner(x, p, c, plan, kv)
 
             monkeypatch.setattr("gofa.compressor.layer_forward", recording)
             seqs = [tokenizer.encode(t) for t in SHARED_TEXTS + SPLIT_TEXTS]

@@ -3,9 +3,11 @@ import pytest
 
 from gofa.autodiff import ShapeError, Tensor
 from gofa.compressor import ModelConfig, ParamStore
-from gofa.gnn import gnn_layer, init_gnn_layer, representation_change_ratio
+from gofa import model as model_module
+from gofa.gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
+from gofa.model import GofaModel
 
-from conftest import assert_grad_close, finite_difference
+from conftest import assert_grad_close, finite_difference, random_tag
 
 
 def tiny_cfg(**kw):
@@ -215,6 +217,52 @@ class TestDenseOracle:
         assert np.allclose(collected[0][0], alpha, atol=1e-12)
         assert np.array_equal(collected[0][1], dst)
         assert np.array_equal(fast[4], node_mem[4])
+
+
+class TestArcGroups:
+    """The in-degree groups depend on the graph alone: ``encode_graphs``
+    builds them once and every GNN layer reads them."""
+
+    def test_given_groups_give_the_same_bits(self, rng):
+        cfg = tiny_cfg()
+        params = make_params(cfg, gates=0.6, seed=5)
+        src, dst = uneven_arcs()
+        node_mem, edge_mem = Tensor(rng.normal(size=(5, 3, 8))), Tensor(rng.normal(size=(7, 3, 8)))
+        results = []
+        for groups in (None, arc_groups(dst, 5)):
+            collected = []
+            out = gnn_layer(src, dst, node_mem, edge_mem, params, cfg, collect_attention=collected, groups=groups)
+            results.append((out.data, collected[0][0]))
+        (out_a, alpha_a), (out_b, alpha_b) = results
+        assert out_a.tobytes() == out_b.tobytes() and alpha_a.tobytes() == alpha_b.tobytes()
+
+    def test_groups(self):
+        groups = arc_groups(uneven_arcs()[1], 5)
+        assert groups.has_in_arcs.tolist() == [True, True, True, True, False]
+        by_degree = {0 if arcs is None else arcs.shape[1]: (nodes.tolist(), arcs) for nodes, arcs in groups.groups}
+        assert by_degree[0][0] == [4] and by_degree[0][1] is None
+        assert by_degree[1][0] == [2, 3] and by_degree[1][1].tolist() == [[3], [6]]
+        assert by_degree[2][0] == [1] and by_degree[2][1].tolist() == [[1, 4]]
+        assert by_degree[3][0] == [0] and by_degree[3][1].tolist() == [[0, 2, 5]]
+
+    def test_encode_graphs_builds_them_once_for_every_layer(self, monkeypatch):
+        cfg = tiny_cfg(n_layers=5, gnn_layers=(2, 3, 4))
+        model = GofaModel(cfg, seed=3)
+        built, read = [], []
+        inner_groups, inner_layer = model_module.arc_groups, model_module.gnn_layer
+
+        def building(*args):
+            built.append(inner_groups(*args))
+            return built[-1]
+
+        def reading(*args, groups=None, **kwargs):
+            read.append(groups)
+            return inner_layer(*args, groups=groups, **kwargs)
+
+        monkeypatch.setattr(model_module, "arc_groups", building)
+        monkeypatch.setattr(model_module, "gnn_layer", reading)
+        model.encode_graphs([random_tag(np.random.default_rng(0), 5, edge_prob=0.5)])
+        assert len(built) == 1 and len(read) == 3 and all(g is built[0] for g in read)
 
 
 class TestEquivariance:
