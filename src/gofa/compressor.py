@@ -5,7 +5,9 @@ Each input sequence is a node or edge text appended with K shared memory
 tokens; causal attention lets the memory positions read the whole text, so
 their final states compress the sentence into K fixed-size vectors. The
 same layer machinery also powers the separate decoder stack that generates
-target text from a memory prefix.
+target text from a memory prefix: teacher forcing over decode buckets, and
+generation one position at a time, the K memory rows first, on arrays
+against a K/V cache (``_cached_layer``).
 
 Sequences are grouped into length buckets; text tokens are left-padded so
 memory slots always occupy the trailing K columns of a bucket. Each row's
@@ -67,7 +69,7 @@ import numpy as np
 
 from . import tokenizer
 from .autodiff import (
-    _TILE, AttentionPlan, Tensor, _query_tiles, attention, concat, feed_forward, gather_rows, no_grad, rms_norm, rope,
+    _TILE, AttentionPlan, Tensor, _query_tiles, attention, concat, feed_forward, gather_rows, rms_norm, rope,
     split_heads,
 )
 
@@ -258,11 +260,11 @@ class LayerKV:
 
     With a ``capacity``, it is the inference cache of one sequence, which
     ``layer_forward`` steps on arrays without a tape (``_cached_layer``):
-    ``fill`` copies the first key columns of a prefill's taped cache into
-    buffers [H, capacity, dh], and every step writes one more column, ``n``,
-    which is also the step's position. The layer's step arrays
-    (``_step_weights``) are made on the first step and kept as long as the
-    cache is, so the layer's weights must not change meanwhile.
+    its owner sets ``keys`` and ``values`` to buffers [H, capacity, dh],
+    and every step writes one more column, ``n``, which is also the step's
+    position. The layer's step arrays (``_step_weights``) are made on the
+    first step and kept as long as the cache is, so the layer's weights
+    must not change meanwhile.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -279,14 +281,6 @@ class LayerKV:
             v = concat([self.values, v], axis=2)
         self.keys, self.values, self.n = k, v, k.shape[2]
         return k, v
-
-    def fill(self, taped: "LayerKV", n: int) -> None:
-        """Start the inference cache from the first ``n`` key columns of
-        ``taped``, the cache a one-sequence tape pass extended."""
-        keys, values = taped.keys.data[0], taped.values.data[0]
-        self.keys = np.empty((keys.shape[0], self.capacity, keys.shape[2]), dtype=keys.dtype)
-        self.values = np.empty_like(self.keys)
-        self.keys[:, :n], self.values[:, :n], self.n = keys[:, :n], values[:, :n], n
 
 
 def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, plan: AttentionPlan) -> tuple[Tensor, Tensor]:
@@ -354,20 +348,21 @@ def _step_weights(p: dict, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
 
 def _cached_layer(x: np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None, kv: LayerKV) -> np.ndarray:
     """``layer_forward`` of one new position against the inference cache
-    ``kv``, on arrays. With the constants folded into the cache's step
-    arrays (``_step_weights``), each norm is one scale on Python floats and
-    the projection through ``[wq | wk | wv]`` yields the scaled query; one
-    product with the rotation matrix of the step's column ``kv.n`` (its
-    position: the cache has no plan or window) rotates the query and key
-    together, the key and value go straight into the buffers, and the
-    softmax of the one query's scores, with no tiles or mask, divides the
-    [H, 1, dh] output by its row sums rather than the probabilities. This
-    is the tape ops' arithmetic in another order, so results differ from
-    teacher forcing by rounding alone."""
+    ``kv``, on arrays: every position ``Decoder.next_logits`` computes,
+    memory rows and prefix tokens alike. With the constants folded into
+    the cache's step arrays (``_step_weights``), each norm is one scale on
+    Python floats and the projection through ``[wq | wk | wv]`` yields the
+    scaled query; one product with the rotation matrix of the step's
+    column ``kv.n`` (its position: the cache has no plan or window) rotates
+    the query and key together, the key and value go straight into the
+    buffers, and the softmax of the one query's scores, with no tiles or
+    mask, divides the [H, 1, dh] output by its row sums rather than the
+    probabilities. This is the tape ops' arithmetic in another order, so
+    results differ from teacher forcing by rounding alone."""
     if isinstance(x, Tensor):
         raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
     if x.shape[:2] != (1, 1) or plan is not None:
-        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a plan, not {x.shape}; prefill with fill()")
+        raise ValueError(f"the K/V cache steps one position [1, 1, d] without a plan, not {x.shape}")
     if kv.weights is None:
         kv.weights = _step_weights(p, cfg)
     qkv_w, wo, ff1, ff2, rotations = kv.weights
@@ -765,13 +760,16 @@ class Compressor:
 
 
 class _DecodeState:
-    """The inference K/V of each decoder layer for one memory block and the
-    prefix decoded after it (each layer's ``n`` is the next step's
-    position) and, from the first step on, the output projection with the
-    final norm's gain folded into its rows."""
+    """The inference K/V of each decoder layer, in buffers [H, max_seq_len,
+    dh], for one memory block and the prefix decoded after it (each layer's
+    ``n`` is the next step's position) and, from the first step on, the
+    output projection with the final norm's gain folded into its rows."""
 
     def __init__(self, cfg: ModelConfig, n_layers: int):
+        shape = (cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
         self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
+        for kv in self.layers:
+            kv.keys, kv.values = np.empty(shape, dtype=cfg.dtype), np.empty(shape, dtype=cfg.dtype)
         self.head: np.ndarray | None = None
         self.memory: Tensor | None = None
         self.prefix: list[int] = []
@@ -792,16 +790,15 @@ class Decoder:
             raise ValueError("decoder stack requires a final norm")
         self._state: _DecodeState | None = None
 
-    def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig, kvs: list[LayerKV] | None = None):
-        """Logits [S, K + Lb, V] of a decode bucket; with ``kvs``, layer i
-        extends the taped ``kvs[i]`` with its keys and values."""
+    def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig) -> Tensor:
+        """Teacher forcing: logits [S, K + Lb, V] of a decode bucket."""
         d = cfg.d_model
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
         x = concat([mem_rows, emb], axis=1) if lb else mem_rows
         plan = attention_plan(cfg, bucket.window, 0, cfg.memory_tokens + lb)
-        for i, layer in enumerate(self.stack.layers):
-            x = layer_forward(x, layer, cfg, plan, kvs[i] if kvs else None)
+        for layer in self.stack.layers:
+            x = layer_forward(x, layer, cfg, plan)
         xn = rms_norm(x, self.stack.final_norm)
         return xn @ self.stack.embed.swapaxes(0, 1)
 
@@ -820,38 +817,35 @@ class Decoder:
     def next_logits(self, memory: Tensor, prefix: list[int]) -> np.ndarray:
         """Logits for the next token given one memory block and generated ids.
 
-        Inside ``kv_cache()``, a prefix that extends the previous call's by
-        one token, for the same memory block, runs only that token's
-        position, on arrays against the cached K/V (see ``layer_forward``),
-        so no tape object is made. Every other call is a prefill: the
-        teacher-forcing pass (``_forward_bucket``, without gradients) over
-        the decode bucket of memory plus prefix (the K memory rows alone
-        for an empty prefix), whose keys and values start the cache inside
-        ``kv_cache()``, so its logits are those of teacher forcing. A
-        prefix longer than ``cfg.max_text_len`` tokens is a ``ValueError``.
+        Every position runs as one step of each layer on arrays against the
+        cached K/V (see ``layer_forward``), so no tape object is made. Inside
+        ``kv_cache()``, a prefix that extends the previous call's by one
+        token, for the same memory block, steps that token alone. Every
+        other call empties the layer caches and steps the K memory rows and
+        then every prefix token, one row at a time; outside ``kv_cache()``
+        it does so on a state of its own. The logits are those of teacher
+        forcing (``_forward_bucket``) up to rounding. A prefix longer than
+        ``cfg.max_text_len`` tokens is a ``ValueError``.
         """
         cfg = self.stack.cfg
-        k, d = cfg.memory_tokens, cfg.d_model
+        d = cfg.d_model
         if len(prefix) > cfg.max_text_len:
             raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_text_len}")
-        state = self._state
-        if state is None or not state.extends(memory, prefix):
-            bucket = make_decode_buckets([list(prefix)], cfg, cfg.dtype)[0]
-            taped = [LayerKV() for _ in self.stack.layers] if state is not None else None
-            with no_grad():
-                logits = self._forward_bucket(memory.reshape(1, k, d), bucket, cfg, taped)
-            n = k + len(prefix)
-            if state is not None:
-                for kv, t in zip(state.layers, taped):
-                    kv.fill(t, n)
-                state.memory, state.prefix = memory, list(prefix)
-            return logits.data[0, n - 1]
-        state.prefix.append(prefix[-1])
+        state = self._state if self._state is not None else _DecodeState(cfg, len(self.stack.layers))
         embed = self.stack.embed.data
+        if state.extends(memory, prefix):
+            rows = embed[prefix[-1:]]
+        else:  # start over, keeping the folded weights
+            for kv in state.layers:
+                kv.n = 0
+            state.memory = memory
+            rows = np.concatenate([memory.data.reshape(-1, d), embed[list(prefix)]])
+        state.prefix = list(prefix)
+        for row in rows:
+            x = row.reshape(1, 1, d)
+            for layer, kv in zip(self.stack.layers, state.layers):
+                x = layer_forward(x, layer, cfg, None, kv)
         if state.head is None:
             state.head = self.stack.final_norm.data[:, None] * embed.T
-        x = embed[prefix[-1]].reshape(1, 1, d)
-        for layer, kv in zip(self.stack.layers, state.layers):
-            x = layer_forward(x, layer, cfg, None, kv)
         row = x.reshape(d)
         return (row * _rms_scale(row)) @ state.head

@@ -230,9 +230,9 @@ class EvalReport:
 def _rmse(errors: list[float | None], labels: list[float]) -> tuple[float, float]:
     """RMSE with misses (None) charged a penalty distance.
 
-    The penalty is the standard deviation of the oracle labels, so the
-    metric stays defined when extraction fails. Returns (rmse, penalty)."""
-    penalty = float(np.std(labels)) if labels else 1.0
+    The penalty is the standard deviation of the oracle labels, or 1.0 when
+    they do not vary, so a miss always costs something. Returns (rmse, penalty)."""
+    penalty = float(np.std(labels)) if len(set(labels)) > 1 else 1.0
     sq = [(e if e is not None else penalty) ** 2 for e in errors]
     return float(np.sqrt(np.mean(sq))) if sq else float("nan"), penalty
 

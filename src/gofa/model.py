@@ -157,7 +157,12 @@ class GofaModel:
         nll, counts = self.decoder_nll_per_target(mems, target_ids)
         n_targets = len(target_ids)
         # mean over targets of each target's mean token NLL
-        return (nll * (1.0 / (counts * n_targets))).sum(), n_targets, int(counts.sum())
+        return (nll * (1.0 / (counts * n_targets))).sum(), n_targets, self.scored_tokens(target_ids)
+
+    def scored_tokens(self, targets: list[list[int]]) -> int:
+        """How many tokens of ``targets`` the decoder scores: the first
+        ``cfg.max_text_len`` of each, as its decode bucket keeps them."""
+        return sum(min(len(t), self.cfg.max_text_len) for t in targets)
 
     def generate(self, nog_memory: Tensor, max_new_tokens: int = 64) -> str:
         """Greedy decoding from a memory block until EOS or budget.

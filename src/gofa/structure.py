@@ -28,7 +28,6 @@ class PathSet:
 
     distance: int
     paths: list[list[int]] = field(default_factory=list)
-    truncated: bool = False
 
     def reachable(self) -> bool:
         return self.distance != UNREACHABLE
@@ -73,7 +72,6 @@ def all_shortest_paths(graph: TAG, src: int, dst: int) -> PathSet:
 
     # Walk back from dst along predecessor levels, collecting all paths.
     paths: list[list[int]] = []
-    truncated = False
     stack = [[dst]]
     while stack:
         partial = stack.pop()
@@ -81,7 +79,6 @@ def all_shortest_paths(graph: TAG, src: int, dst: int) -> PathSet:
         if head == src:
             paths.append(list(reversed(partial)))
             if len(paths) > MAX_PATHS:
-                truncated = True
                 paths = paths[:MAX_PATHS]
                 break
             continue
@@ -90,7 +87,7 @@ def all_shortest_paths(graph: TAG, src: int, dst: int) -> PathSet:
                 stack.append(partial + [u])
 
     paths.sort(key=lambda p: tuple(graph.sort_key(v) for v in p))
-    return PathSet(distance=dist[dst], paths=paths, truncated=truncated)
+    return PathSet(distance=dist[dst], paths=paths)
 
 
 def common_neighbors(graph: TAG, u: int, v: int) -> list[int]:

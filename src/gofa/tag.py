@@ -76,7 +76,6 @@ class TaskSample:
 class TAG:
     nodes: list[NodeRecord] = field(default_factory=list)
     edges: list[EdgeRecord] = field(default_factory=list)
-    directed: bool = True
 
     def __post_init__(self):
         self.validate()
@@ -107,7 +106,6 @@ class TAG:
         return TAG(
             nodes=[NodeRecord(n.id, n.text, n.node_id_tag, n.kind) for n in self.nodes],
             edges=[EdgeRecord(e.src, e.dst, e.text) for e in self.edges],
-            directed=self.directed,
         )
 
     # -- queries ---------------------------------------------------------------
@@ -209,9 +207,10 @@ def assign_node_id_tags(graph: TAG, rng_seed: int) -> TAG:
 
 # -- record format ---------------------------------------------------------
 #
-# A graph is a list of JSON-ready records: a header {"version": 1,
-# "directed": true} first, then a tagged record {"n": {...}} per node and
-# {"e": {...}} per edge. Corpus files embed this list in every sample line.
+# A graph is a list of JSON-ready records: a header {"version": 1} first,
+# then a tagged record {"n": {...}} per node and {"e": {...}} per edge.
+# Corpus files embed this list in every sample line. Older files also carry
+# "directed": true in the header, which the reader ignores.
 
 
 def _node_to_obj(n: NodeRecord) -> dict:
@@ -227,7 +226,7 @@ def _edge_to_obj(e: EdgeRecord) -> dict:
 
 def tag_to_records(graph: TAG) -> list[dict]:
     """Graph as a list of JSON objects: header first, then node/edge records."""
-    recs: list[dict] = [{"version": FORMAT_VERSION, "directed": graph.directed}]
+    recs: list[dict] = [{"version": FORMAT_VERSION}]
     recs.extend({"n": _node_to_obj(n)} for n in graph.nodes)
     recs.extend({"e": _edge_to_obj(e)} for e in graph.edges)
     return recs
@@ -243,7 +242,7 @@ def tag_from_records(records: list[dict]) -> TAG:
         raise GraphParseError(1, "first record must be a header with a version field")
     if header["version"] != FORMAT_VERSION:
         raise GraphParseError(1, f"unsupported format version {header['version']}")
-    graph = TAG(directed=bool(header.get("directed", True)))
+    graph = TAG()
     for line_no, rec in enumerate(records[1:], start=2):
         if not isinstance(rec, dict) or len(rec) != 1:
             raise GraphParseError(line_no, "expected a single-key record object")

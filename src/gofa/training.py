@@ -273,9 +273,8 @@ def train(
 
     # Replay token counters for an exact resume of the CSV log.
     for step in range(start_step):
-        for s in batch_for_step(step):
-            for t in s.targets:
-                tokens_seen += len(model.target_ids(t.target_text))
+        targets = [model.target_ids(t.target_text) for s in batch_for_step(step) for t in s.targets]
+        tokens_seen += model.scored_tokens(targets)
 
     # _frozen switches off every parameter the optimizer skips before the cache condition is read
     with (

@@ -31,7 +31,7 @@ def random_tag(rng, n_nodes: int, edge_prob: float = 0.25, with_text: bool = Tru
 
 def tags_equal(a: TAG, b: TAG) -> bool:
     """Structural equality: node order, texts, tags, kinds and arcs."""
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges) or a.directed != b.directed:
+    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
     for na, nb in zip(a.nodes, b.nodes):
         if (na.id, na.text, na.node_id_tag, na.kind) != (nb.id, nb.text, nb.node_id_tag, nb.kind):

@@ -14,6 +14,7 @@ from gofa.compressor import (
     LayerKV,
     ModelConfig,
     _bucket_len,
+    _DecodeState,
     _rope_tables,
     _rotation_matrices,
     _rotation_tables,
@@ -186,23 +187,16 @@ class TestTransformerLayer:
         assert mems.shape[1] == cfg.memory_tokens
 
     def test_kv_steps_match_full_causal_pass(self, rng):
-        # Prefill 5 positions on the tape, start the inference cache from
-        # them with fill(), then step the rest one row at a time: every
-        # output row matches one causal pass.
+        # Step every row from an empty inference cache, one at a time:
+        # every output row matches one causal pass.
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=4)
         layer = model.compressor_stack.layers[0]
         total = 9
         x = rng.normal(size=(1, total, cfg.d_model))
         full = self._run_layer(cfg, x, model).data
-        taped = LayerKV()
-        with no_grad():
-            prefill = layer_forward(Tensor(x[:, :5]), layer, cfg, None, taped)
-        rows = [prefill.data]
-        kv = LayerKV(capacity=total)
-        kv.fill(taped, 5)
-        for i in range(5, total):
-            rows.append(layer_forward(x[:, i : i + 1], layer, cfg, None, kv))
+        kv = _DecodeState(cfg, 1).layers[0]
+        rows = [layer_forward(x[:, i : i + 1], layer, cfg, None, kv) for i in range(total)]
         assert kv.n == total
         np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
 
@@ -225,7 +219,7 @@ class TestTransformerLayer:
         for tensor in (Tensor(x), Tensor(x, requires_grad=True)):
             with pytest.raises(ValueError, match="without a tape"):
                 layer_forward(tensor, layer, cfg, None, LayerKV(3))
-        # the step runs one position; several rows are a prefill's, on the tape
+        # the step runs one position at a time
         with pytest.raises(ValueError, match="one position"):
             layer_forward(x, layer, cfg, None, LayerKV(3))
 
@@ -516,7 +510,7 @@ class TestRotaryPositions:
 
     def test_decode_step_reads_the_rotation_of_its_column(self, monkeypatch):
         # the step has no window, so its position is its column: the K/V
-        # cache's length before it
+        # cache's length before it, memory rows included
         cfg = tiny_cfg(n_layers=2)
         model = GofaModel(cfg, seed=20)
         read = []
@@ -539,9 +533,9 @@ class TestRotaryPositions:
         prefix = [7, 8, 9, 10]
         with model.decoder.kv_cache():
             for i in range(len(prefix) + 1):
-                model.decoder.next_logits(mem, prefix[:i])  # the first call prefills, the rest step
+                model.decoder.next_logits(mem, prefix[:i])  # the first call steps the K memory rows
         k = cfg.memory_tokens
-        assert read == [column for column in range(k, k + len(prefix)) for _ in range(cfg.n_layers)]
+        assert read == [column for column in range(k + len(prefix)) for _ in range(cfg.n_layers)]
 
 
 def composed_layer(x, p, cfg, window, kv_keys, kv_values):

@@ -6,6 +6,7 @@ import pytest
 from gofa.compressor import ModelConfig
 from gofa.evaluation import (
     EvalReport,
+    _rmse,
     eval_token_nll,
     evaluate_accuracy,
     evaluate_structural,
@@ -246,6 +247,18 @@ class TestDeltaProfile:
         model = GofaModel(cfg, seed=9)
         with pytest.raises(ValueError):
             layer_delta_profile(model, [simple_sample()], n=1)
+
+
+class TestRmse:
+    def test_misses_are_charged_the_label_spread(self):
+        labels = [1.0, 3.0]
+        assert _rmse([None, None], labels) == (1.0, 1.0)
+        assert _rmse([0.0, None], labels) == (pytest.approx(np.sqrt(0.5)), 1.0)
+
+    @pytest.mark.parametrize("labels", [[], [2.0, 2.0]])
+    def test_a_miss_costs_one_when_the_labels_do_not_vary(self, labels):
+        assert _rmse([None, None], labels) == (1.0, 1.0)
+        assert _rmse([0.0, 0.0], labels) == (0.0, 1.0)
 
 
 class TestReports:

@@ -143,6 +143,13 @@ class TestSerialization:
         assert tags_equal(parsed, g)
         assert [n.text for n in parsed.nodes] == [n.text for n in g.nodes]
 
+    def test_header_of_older_files_with_directed_key_loads(self):
+        g = two_node_graph()
+        g.add_edge(0, 1, "cites")
+        records = tag_to_records(g)
+        records[0]["directed"] = True
+        assert tags_equal(tag_from_records(records), g)
+
     def test_missing_header_rejected(self):
         with pytest.raises(GraphParseError):
             tag_from_records([{"n": {"id": 0, "text": "x"}}])

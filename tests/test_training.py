@@ -32,7 +32,7 @@ def tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
-def make_corpus(n, seed=0):
+def make_corpus(n, seed=0, answer_tail=""):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -41,7 +41,7 @@ def make_corpus(n, seed=0):
         g.add_node(f"node {i} beta")
         g.add_undirected_edge(0, 1)
         p = attach_prompt_node(g, [0], "question?", "single")
-        targets = [GenerationTarget(p, f"ans {i}")]
+        targets = [GenerationTarget(p, f"ans {i}{answer_tail}")]
         if rng.random() < 0.5:
             p2 = attach_prompt_node(g, [1], "other?", "single")
             targets.append(GenerationTarget(p2, f"more {i}"))
@@ -303,6 +303,19 @@ class TestResume:
         assert len((tmp_path / "cut.csv").read_text().splitlines()) == 6
         resume(tmp_path / "cut" / "checkpoint_000003.gofa", corpus, loss_log_path=tmp_path / "cut.csv")
         assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+    def test_resumed_token_count_of_targets_past_the_decoder(self, tmp_path):
+        # targets longer than the decoder's max_text_len tokens score only
+        # their first max_text_len; the replayed count must do the same
+        corpus = make_corpus(4, seed=6, answer_tail=" and more" * 8)
+        cfg = TrainConfig(lr=1e-3, max_steps=4, batch_size=2, checkpoint_every=2, log_every=1, seed=3)
+        model = GofaModel(tiny_cfg(), seed=23)
+        assert len(model.target_ids(corpus[0].targets[0].target_text)) > model.cfg.max_text_len
+        full = train(model, corpus, cfg, out_dir=tmp_path / "a", loss_log_path=tmp_path / "full.csv")
+        (tmp_path / "resumed.csv").write_bytes((tmp_path / "full.csv").read_bytes())
+        _, resumed = resume(tmp_path / "a" / "checkpoint_000002.gofa", corpus, loss_log_path=tmp_path / "resumed.csv")
+        assert resumed.log_rows == full.log_rows[2:]
+        assert (tmp_path / "resumed.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
     def test_resume_writes_matching_final_checkpoint(self, tmp_path):
         corpus = make_corpus(4, seed=5)
