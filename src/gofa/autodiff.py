@@ -545,18 +545,15 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: Attentio
     The queries run in the plan's tiles (``_query_tiles``): a tile ends at a
     key column that is a multiple of ``_TILE`` or at the last one, and
     scores and softmaxes only the keys before its end, since no query of
-    the tile sees a later one. A call whose queries fit in one tile, such
-    as a single query or at most ``_TILE`` key columns, runs as one kernel
-    over all keys. Whether a call is tiled depends only on Lq and Lk.
+    the tile sees a later one. The tiles depend only on Lq and Lk; a call
+    whose queries fit in one tile, such as a single query or at most
+    ``_TILE`` key columns, runs as one tile over all keys.
 
     A query that sees no key (a pad row) outputs the mean of its tile's key
     prefix values, a finite stand-in.
     """
     s, h, lq, dh = q.shape
     plan = _plan_for(q, k, plan)
-    if len(plan.tiles) == 1:
-        p, scale = _probabilities(q, k, plan.blocked[0])
-        return AttentionOutput((p @ v).transpose(0, 2, 1, 3).reshape(s, lq, h * dh), [p], scale)
     out = np.empty((s, lq, h, dh), dtype=np.result_type(q, k, v))
     kept = []
     for (r0, r1, c1), blocked in zip(plan.tiles, plan.blocked):
@@ -603,7 +600,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan | None = None
             if v.requires_grad:
                 dv = _add_prefix(dv, p.swapaxes(-1, -2) @ gc)
         if q.requires_grad:
-            dq = dqs[0] if len(dqs) == 1 else np.concatenate(dqs[::-1], axis=2)
+            dq = np.concatenate(dqs[::-1], axis=2)
             dq *= scale
             q._accum(dq, owned=True)
         if k.requires_grad:

@@ -7,7 +7,10 @@ their final states compress the sentence into K fixed-size vectors. The
 same layer machinery also powers the separate decoder stack that generates
 target text from a memory prefix: teacher forcing over decode buckets, and
 generation one position at a time, the K memory rows first, on arrays
-against a K/V cache (``_cached_layer``).
+(``_cached_layer``). Each cache has one role: a ``LayerKV`` holds the taped
+keys and values that a later call of the same layer extends, and a
+``StepKV`` the array buffers and folded weights of one decoder layer's
+generation steps.
 
 Sequences are grouped into length buckets; text tokens are left-padded so
 memory slots always occupy the trailing K columns of a bucket. Each row's
@@ -18,7 +21,9 @@ the columns after the keys it extends, and their rotary positions count
 from their windows' first columns (``_rotations``), so no call carries
 positions of its own. Each decode bucket, text part and set of memory rows
 has one ``attention_plan`` with its window, attention masks and rotary
-tables, built before the first layer and read by every layer.
+tables, built before the first layer and read by every layer. One builder
+(``_rope_tables``) makes both those tables and the step's rotation
+matrices.
 
 Compression runs in two phases split at the cache point ``t0 =
 min(gnn_layers)`` (the last layer without GNN layers). Only memory rows
@@ -187,56 +192,45 @@ class TransformerStack:
 
 
 @lru_cache(maxsize=16)  # a few configurations per process; tables are read-only
-def _rope_tables(n_pos: int, half: int, base: float, dtype, n_heads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rotations [n_pos, n_heads*2*half] of positions
-    0..n_pos-1 in the form ``autodiff.rope`` takes: for each of the heads,
-    cosines in both halves, sines negated in the first half."""
+def _rope_tables(n_pos: int, half: int, base: float, dtype, n_heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rotations of positions 0..n_pos-1: ``cos`` and ``sin``
+    [n_pos, n_heads*2*half] in the form ``autodiff.rope`` takes (for each
+    head, cosines in both halves, sines negated in the first half), and the
+    same rotations as matrices [n_pos, 2*half, 2*half], a row vector of one
+    head times entry i being ``autodiff.rope`` of it at position i (column j
+    holds the cosine on the diagonal and the sine in the row of j's partner
+    in the other half)."""
     inv = base ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
     angles = np.arange(n_pos, dtype=np.float64)[:, None] * inv[None, :]
     cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-    tables = np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
+    cos, sin = np.concatenate([cos, cos], axis=1), np.concatenate([-sin, sin], axis=1)
+    cols = np.arange(2 * half)
+    rot = np.zeros((n_pos, 2 * half, 2 * half), dtype=dtype)
+    rot[:, cols, cols] = cos
+    rot[:, np.roll(cols, half), cols] = sin
+    tables = np.tile(cos, n_heads), np.tile(sin, n_heads), rot
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-@lru_cache(maxsize=16)
-def _rope_matrices(n_pos: int, half: int, base: float, dtype) -> np.ndarray:
-    """Read-only rotations [n_pos, 2*half, 2*half] of ``_rope_tables`` as
-    matrices: a row vector times entry i is ``autodiff.rope`` of it at
-    position i. Column j holds the cosine on the diagonal and the sine in
-    the row of j's partner in the other half."""
-    cos, sin = _rope_tables(n_pos, half, base, dtype)
-    cols = np.arange(2 * half)
-    rot = np.zeros((n_pos, 2 * half, 2 * half), dtype=dtype)
-    rot[:, cols, cols] = cos
-    rot[:, np.roll(cols, half), cols] = sin
-    rot.flags.writeable = False
-    return rot
-
-
-def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin [n_pos, d] of every position a bucket of ``cfg`` can
-    hold, pad columns of the longest decode bucket included, for every head
-    of a [S, L, d] projection."""
+def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_rope_tables`` of ``cfg``'s heads at every position a bucket of
+    ``cfg`` can hold, pad columns of the longest decode bucket included:
+    cos and sin [n_pos, d] for a [S, L, d] projection and the [dh, dh]
+    matrices of the array step."""
     n_pos = _bucket_len(cfg.max_text_len) + cfg.memory_tokens
     return _rope_tables(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype, cfg.n_heads)
 
 
-def _rotation_matrices(cfg: ModelConfig) -> np.ndarray:
-    """The [dh, dh] rotation matrices of the positions of ``_rotation_tables``."""
-    n_pos = len(_rotation_tables(cfg)[0])
-    return _rope_matrices(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype)
-
-
 def _rotations(cfg: ModelConfig, window: np.ndarray | None, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin [S, n, d] of the rows at columns first..first+n-1.
-    A row's rotary position is its column minus its window's first column,
-    0 for the pad columns before that, or the column itself without a
-    window. When every window starts at column 0, as in decode buckets,
-    they are views [1, n, d] of the tables."""
-    cos, sin = _rotation_tables(cfg)
-    if window is None or not window[:, 0].any():
+    """cos and sin [S, n, d] of the rows at columns first..first+n-1,
+    gathered from the tables by position. A row's rotary position is its
+    column minus its window's first column, 0 for the pad columns before
+    that. Without a window the position is the column itself, and they are
+    views [1, n, d] of the tables."""
+    cos, sin, _ = _rotation_tables(cfg)
+    if window is None:
         return cos[None, first : first + n], sin[None, first : first + n]
     pos = np.maximum(np.arange(first, first + n) - window[:, :1], 0)
     return cos[pos], sin[pos]
@@ -252,26 +246,14 @@ def attention_plan(cfg: ModelConfig, window: np.ndarray | None, first: int, n: i
 
 
 class LayerKV:
-    """Keys and values that one layer computed in earlier calls.
+    """The taped keys and values that one layer computed in earlier calls:
+    ``extend`` appends one call's key and value tensors [S, H, n, dh] and
+    returns all of them, so gradients flow back into every call that
+    contributed keys and values."""
 
-    Without a ``capacity``, ``extend`` appends one call's key and value
-    tensors [S, H, n, dh] and returns all of them, so gradients flow back
-    into every call that contributed keys and values.
-
-    With a ``capacity``, it is the inference cache of one sequence, which
-    ``layer_forward`` steps on arrays without a tape (``_cached_layer``):
-    its owner sets ``keys`` and ``values`` to buffers [H, capacity, dh],
-    and every step writes one more column, ``n``, which is also the step's
-    position. The layer's step arrays (``_step_weights``) are made on the
-    first step and kept as long as the cache is, so the layer's weights
-    must not change meanwhile.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        self.capacity = capacity
-        self.keys: np.ndarray | Tensor | None = None
-        self.values: np.ndarray | Tensor | None = None
-        self.weights: tuple | None = None
+    def __init__(self):
+        self.keys: Tensor | None = None
+        self.values: Tensor | None = None
         self.n = 0
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -283,6 +265,21 @@ class LayerKV:
         return k, v
 
 
+class StepKV:
+    """The inference cache of one layer ``p`` for one sequence, which
+    ``layer_forward`` steps on arrays without a tape (``_cached_layer``):
+    buffers ``keys`` and ``values`` [H, max_seq_len, dh], of which every
+    step writes one more column, ``n``, also the step's position, and the
+    layer's step arrays (``_step_weights``), folded when the cache is made,
+    so the layer's weights must not change while it is kept."""
+
+    def __init__(self, p: dict, cfg: ModelConfig):
+        shape = (cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
+        self.keys, self.values = np.empty(shape, dtype=cfg.dtype), np.empty(shape, dtype=cfg.dtype)
+        self.weights = _step_weights(p, cfg)
+        self.n = 0
+
+
 def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, plan: AttentionPlan) -> tuple[Tensor, Tensor]:
     """Keys, rotated by the ``plan``'s tables, and values [S, H, L, dh] of
     the normalised rows ``xn``."""
@@ -291,7 +288,8 @@ def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, plan: AttentionPlan) -> 
 
 
 def layer_forward(
-    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None = None, kv: LayerKV | None = None,
+    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None = None,
+    kv: LayerKV | StepKV | None = None,
 ) -> Tensor | np.ndarray:
     """One pre-norm transformer block over [S, L, d].
 
@@ -302,11 +300,11 @@ def layer_forward(
     each row sees: its window [S, 2] limits row s to the key columns
     ``window[s, 0] <= j < window[s, 1]`` (see ``autodiff.blocked_keys``).
     None stands for plain causal attention without a window, planned for
-    this call alone. With ``kv``, the keys and values of ``x`` are appended
-    to the cached ones and the queries attend over all of them. When ``kv``
-    is the inference cache (a ``LayerKV`` with a capacity), ``x`` is one new
-    position [1, 1, d] as an array, ``plan`` is None, and the step runs
-    without a tape (``_cached_layer``).
+    this call alone. With a ``LayerKV``, the keys and values of ``x`` are
+    appended to the taped ones and the queries attend over all of them.
+    With a ``StepKV``, the inference cache, ``x`` is one new position
+    [1, 1, d] as an array, ``plan`` is None, and the step runs without a
+    tape (``_cached_layer``).
 
     RoPE rotates the contiguous [S, L, d] projections before they are split
     into heads. Attention runs the rows in tiles that end at every 32nd key
@@ -316,8 +314,8 @@ def layer_forward(
     feed-forward sub-block and its residual are one tape op
     (``autodiff.feed_forward``).
     """
-    if kv is not None and kv.capacity is not None:
-        return _cached_layer(x, p, cfg, plan, kv)
+    if isinstance(kv, StepKV):
+        return _cached_layer(x, cfg, plan, kv)
     if plan is None:
         plan = attention_plan(cfg, None, kv.n if kv is not None else 0, x.shape[1])
     xn = rms_norm(x, p["attn_norm"])
@@ -340,31 +338,30 @@ def _step_weights(p: dict, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
     [d, 3d] with the score scale 1/sqrt(dh) folded into the ``wq`` columns
     and ``attn_norm`` into the rows, ``wo``, ``ff1`` with ``ff_norm``
     folded into the rows, ``ff2``, and the rotation matrix of every
-    position (``_rotation_matrices``)."""
+    position (``_rotation_tables``)."""
     qkv = np.concatenate([p["wq"].data * (1.0 / math.sqrt(cfg.head_dim)), p["wk"].data, p["wv"].data], axis=1)
     qkv *= p["attn_norm"].data[:, None]
-    return qkv, p["wo"].data, p["ff_norm"].data[:, None] * p["ff1"].data, p["ff2"].data, _rotation_matrices(cfg)
+    return qkv, p["wo"].data, p["ff_norm"].data[:, None] * p["ff1"].data, p["ff2"].data, _rotation_tables(cfg)[2]
 
 
-def _cached_layer(x: np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None, kv: LayerKV) -> np.ndarray:
+def _cached_layer(x: np.ndarray, cfg: ModelConfig, plan: AttentionPlan | None, kv: StepKV) -> np.ndarray:
     """``layer_forward`` of one new position against the inference cache
-    ``kv``, on arrays: every position ``Decoder.next_logits`` computes,
-    memory rows and prefix tokens alike. With the constants folded into
-    the cache's step arrays (``_step_weights``), each norm is one scale on
-    Python floats and the projection through ``[wq | wk | wv]`` yields the
-    scaled query; one product with the rotation matrix of the step's
-    column ``kv.n`` (its position: the cache has no plan or window) rotates
-    the query and key together, the key and value go straight into the
-    buffers, and the softmax of the one query's scores, with no tiles or
-    mask, divides the [H, 1, dh] output by its row sums rather than the
-    probabilities. This is the tape ops' arithmetic in another order, so
-    results differ from teacher forcing by rounding alone."""
+    ``kv`` (a ``StepKV``), on arrays: every position ``Decoder.next_logits``
+    computes, memory rows and prefix tokens alike. The layer's weights are
+    the step arrays folded when the cache was made (``_step_weights``), so
+    each norm is one scale on Python floats and the projection through
+    ``[wq | wk | wv]`` yields the scaled query; one product with the
+    rotation matrix of the step's column ``kv.n`` (its position: the cache
+    has no plan or window) rotates the query and key together, the key and
+    value go straight into the cache's buffers, and the softmax of the one
+    query's scores, with no tiles or mask, divides the [H, 1, dh] output by
+    its row sums rather than the probabilities. This is the tape ops'
+    arithmetic in another order, so results differ from teacher forcing by
+    rounding alone."""
     if isinstance(x, Tensor):
         raise ValueError("the K/V cache runs on arrays, without a tape; pass x.data")
     if x.shape[:2] != (1, 1) or plan is not None:
         raise ValueError(f"the K/V cache steps one position [1, 1, d] without a plan, not {x.shape}")
-    if kv.weights is None:
-        kv.weights = _step_weights(p, cfg)
     qkv_w, wo, ff1, ff2, rotations = kv.weights
     h, n = cfg.n_heads, kv.n + 1
     row = x.reshape(-1)
@@ -517,15 +514,10 @@ def _share_prefixes(ids: np.ndarray, window: np.ndarray) -> list[_Part]:
     return parts
 
 
-def _unless_identity(rows: np.ndarray) -> np.ndarray | None:
-    """``rows``, or None when it selects every row in order."""
-    return None if np.array_equal(rows, np.arange(len(rows))) else rows
-
-
 def gather_in_order(per_bucket: list[Tensor], indices: list[list[int]]) -> Tensor:
     """Stack per-bucket rows back into original sequence order; bucket i
     holds the rows of sequences ``indices[i]``."""
-    stacked = concat(per_bucket, axis=0) if len(per_bucket) > 1 else per_bucket[0]
+    stacked = concat(per_bucket, axis=0)
     order = [i for idx in indices for i in idx]
     inverse = np.argsort(np.asarray(order, dtype=np.int64))
     return gather_rows(stacked, inverse)
@@ -635,20 +627,16 @@ class Compressor:
                 order, mem, text = self._computed(t0, b.ids, b.window)
             else:
                 order, mem, text = self._cached(t0, b, [distinct[u] for u in b.indices])
-            rows = _unless_identity(np.argsort(order)[owner])  # each sequence's text in the order its keys come
-            if rows is not None:
-                mem = gather_rows(mem, rows)
+            rows = np.argsort(order)[owner]  # each sequence's text in the order its keys come
             texts.append(text)
-            mems.append(mem)
+            mems.append(gather_rows(mem, rows))
             steps.append((attention_plan(cfg, b.window[owner], b.ids.shape[1], cfg.memory_tokens), rows))
         for t in range(t0, cfg.n_layers + 1):
             if t > t0:
                 mems = [self._memory_layer(t, mem, next(text), *step) for mem, text, step in zip(mems, texts, steps)]
             if memory_hook is not None and t in cfg.gnn_layers:
-                ordered = gather_in_order(mems, members)
-                new_mems = memory_hook(ordered, t)
-                if new_mems is not ordered:
-                    mems = [gather_rows(new_mems, m) for m in members]
+                new_mems = memory_hook(gather_in_order(mems, members), t)
+                mems = [gather_rows(new_mems, m) for m in members]
         return gather_in_order(mems, members)
 
     def _computed(self, t0: int, ids: np.ndarray, window: np.ndarray, stored: list[np.ndarray] | None = None):
@@ -750,9 +738,7 @@ class Compressor:
         values of each part joined in order; none without pairs."""
         kv = LayerKV()
         if pairs:
-            k, v = pairs[0]
-            if len(pairs) > 1:
-                k, v = concat([k for k, _ in pairs], axis=0), concat([v for _, v in pairs], axis=0)
+            k, v = concat([k for k, _ in pairs], axis=0), concat([v for _, v in pairs], axis=0)
             if rows is not None:
                 k, v = gather_rows(k, rows), gather_rows(v, rows)
             kv.extend(k, v)
@@ -760,17 +746,14 @@ class Compressor:
 
 
 class _DecodeState:
-    """The inference K/V of each decoder layer, in buffers [H, max_seq_len,
-    dh], for one memory block and the prefix decoded after it (each layer's
-    ``n`` is the next step's position) and, from the first step on, the
-    output projection with the final norm's gain folded into its rows."""
+    """The inference cache of each layer of a decoder ``stack`` (a
+    ``StepKV``) for one memory block and the prefix decoded after it (each
+    layer's ``n`` is the next step's position), and the output projection
+    with the final norm's gain folded into its rows, made with the state."""
 
-    def __init__(self, cfg: ModelConfig, n_layers: int):
-        shape = (cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
-        self.layers = [LayerKV(cfg.max_seq_len) for _ in range(n_layers)]
-        for kv in self.layers:
-            kv.keys, kv.values = np.empty(shape, dtype=cfg.dtype), np.empty(shape, dtype=cfg.dtype)
-        self.head: np.ndarray | None = None
+    def __init__(self, stack: TransformerStack):
+        self.layers = [StepKV(layer, stack.cfg) for layer in stack.layers]
+        self.head = stack.final_norm.data[:, None] * stack.embed.data.T
         self.memory: Tensor | None = None
         self.prefix: list[int] = []
 
@@ -795,7 +778,7 @@ class Decoder:
         d = cfg.d_model
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
-        x = concat([mem_rows, emb], axis=1) if lb else mem_rows
+        x = concat([mem_rows, emb], axis=1)
         plan = attention_plan(cfg, bucket.window, 0, cfg.memory_tokens + lb)
         for layer in self.stack.layers:
             x = layer_forward(x, layer, cfg, plan)
@@ -808,7 +791,7 @@ class Decoder:
         block exits; ``GofaModel.generate`` holds one per answer. The
         decoder's weights must not change inside the block."""
         outer = self._state
-        self._state = _DecodeState(self.stack.cfg, len(self.stack.layers))
+        self._state = _DecodeState(self.stack)
         try:
             yield
         finally:
@@ -831,7 +814,7 @@ class Decoder:
         d = cfg.d_model
         if len(prefix) > cfg.max_text_len:
             raise ValueError(f"prefix of {len(prefix)} tokens exceeds max_seq_len - memory_tokens = {cfg.max_text_len}")
-        state = self._state if self._state is not None else _DecodeState(cfg, len(self.stack.layers))
+        state = self._state if self._state is not None else _DecodeState(self.stack)
         embed = self.stack.embed.data
         if state.extends(memory, prefix):
             rows = embed[prefix[-1:]]
@@ -845,7 +828,5 @@ class Decoder:
             x = row.reshape(1, 1, d)
             for layer, kv in zip(self.stack.layers, state.layers):
                 x = layer_forward(x, layer, cfg, None, kv)
-        if state.head is None:
-            state.head = self.stack.final_norm.data[:, None] * embed.T
         row = x.reshape(d)
         return (row * _rms_scale(row)) @ state.head

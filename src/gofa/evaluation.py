@@ -36,20 +36,28 @@ def normalize_label(s: str) -> str:
     return " ".join(s.split())
 
 
+def _has_words(text: str, words: str) -> bool:
+    """True when ``words`` occurs in ``text`` as a run of whole words: not
+    preceded or followed by a word character."""
+    return re.search(rf"(?<!\w){re.escape(words)}(?!\w)", text) is not None
+
+
 def match_answer(generated: str, label: str, candidates: list[str] | None = None) -> bool:
-    """Containment match of the normalized label in the normalized output.
+    """Whole-word match of the normalized label in the normalized output:
+    the label is a run of whole words of it, so "red" does not match
+    "tired".
 
     With a candidate list, the output is correct only when the true label
     matches and no other candidate also matches (ambiguity counts wrong).
     """
     gen = normalize_label(generated)
     lab = normalize_label(label)
-    if not lab or lab not in gen:
+    if not lab or not _has_words(gen, lab):
         return False
     if candidates:
         for c in candidates:
             cn = normalize_label(c)
-            if cn and cn != lab and cn in gen:
+            if cn and cn != lab and _has_words(gen, cn):
                 return False
     return True
 
@@ -306,7 +314,8 @@ def evaluate_accuracy(
     use_gnn: bool = True,
     max_new_tokens: int = 32,
 ) -> EvalReport:
-    """Exact-match accuracy of greedy generations against target labels."""
+    """Whole-word match accuracy (``match_answer``) of greedy generations
+    against target labels."""
     correct = []
     transcripts = []
     for sample, ti, text in generate_answers(model, samples, use_gnn=use_gnn, max_new_tokens=max_new_tokens):

@@ -43,10 +43,6 @@ class GofaModel:
     def parameters(self) -> dict[str, Tensor]:
         return self.store.named()
 
-    def zero_grad(self) -> None:
-        for t in self.store.params.values():
-            t.zero_grad()
-
     def check_finite(self) -> None:
         for name, t in self.store.params.items():
             t.validate_finite(name)
@@ -104,13 +100,10 @@ class GofaModel:
                     capture_deltas.setdefault(layer_t, []).append(
                         representation_change_ratio(updated, node_mem)
                     )
-                if len(edge_seqs) == 0:
-                    return updated
                 return concat([updated, mems[n_nodes:]], axis=0)
 
         mems = self.compressor.run(node_seqs + edge_seqs, memory_hook=hook)
-        node_mems = mems[:n_nodes] if edge_seqs else mems
-        return node_mems, offsets
+        return mems[:n_nodes], offsets
 
     # -- decoding ---------------------------------------------------------------
 

@@ -52,7 +52,10 @@ def _check_content(graph: TAG, idx: int) -> None:
 
 
 def all_shortest_paths(graph: TAG, src: int, dst: int) -> PathSet:
-    """BFS layering then backward enumeration of every shortest path."""
+    """BFS layering from ``src``, then a walk forward over the nodes that
+    lie on a shortest path to ``dst``, each node's successors in ascending
+    ``sort_key`` order. Paths come out in answer order, so the cap keeps
+    the first ``MAX_PATHS`` of the sorted list."""
     _check_content(graph, src)
     _check_content(graph, dst)
     adj = _adjacency(graph)
@@ -70,23 +73,22 @@ def all_shortest_paths(graph: TAG, src: int, dst: int) -> PathSet:
     if dst not in dist:
         return PathSet(distance=UNREACHABLE)
 
-    # Walk back from dst along predecessor levels, collecting all paths.
+    # The nodes on a shortest path: dst, then level by level its predecessors.
+    on_path, level = {dst}, {dst}
+    for _ in range(dist[dst]):
+        level = {u for v in level for u in adj[v] if dist.get(u) == dist[v] - 1}
+        on_path |= level
+    successors = {
+        u: sorted((v for v in adj[u] if v in on_path and dist[v] == dist[u] + 1), key=graph.sort_key) for u in on_path
+    }
     paths: list[list[int]] = []
-    stack = [[dst]]
-    while stack:
+    stack = [[src]]
+    while stack and len(paths) < MAX_PATHS:
         partial = stack.pop()
-        head = partial[-1]
-        if head == src:
-            paths.append(list(reversed(partial)))
-            if len(paths) > MAX_PATHS:
-                paths = paths[:MAX_PATHS]
-                break
+        if partial[-1] == dst:
+            paths.append(partial)
             continue
-        for u in adj[head]:
-            if dist.get(u) == dist[head] - 1:
-                stack.append(partial + [u])
-
-    paths.sort(key=lambda p: tuple(graph.sort_key(v) for v in p))
+        stack.extend(partial + [v] for v in reversed(successors[partial[-1]]))
     return PathSet(distance=dist[dst], paths=paths)
 
 

@@ -11,12 +11,9 @@ from gofa.autodiff import (
 )
 from gofa.compressor import (
     _BUCKET_STEPS,
-    LayerKV,
     ModelConfig,
+    StepKV,
     _bucket_len,
-    _DecodeState,
-    _rope_tables,
-    _rotation_matrices,
     _rotation_tables,
     _rotations,
     _share_prefixes,
@@ -195,7 +192,7 @@ class TestTransformerLayer:
         total = 9
         x = rng.normal(size=(1, total, cfg.d_model))
         full = self._run_layer(cfg, x, model).data
-        kv = _DecodeState(cfg, 1).layers[0]
+        kv = StepKV(layer, cfg)
         rows = [layer_forward(x[:, i : i + 1], layer, cfg, None, kv) for i in range(total)]
         assert kv.n == total
         np.testing.assert_allclose(np.concatenate(rows, axis=1), full, rtol=0, atol=1e-12)
@@ -203,8 +200,7 @@ class TestTransformerLayer:
     def test_rotation_matrices_match_rope(self, rng):
         # the step rotates [2H, dh] query and key rows with one matrix product
         cfg = tiny_cfg(d_model=32, n_heads=4)
-        cos_tab, sin_tab = _rotation_tables(cfg)
-        rot = _rotation_matrices(cfg)
+        cos_tab, sin_tab, rot = _rotation_tables(cfg)
         assert rot.shape == (len(cos_tab), cfg.head_dim, cfg.head_dim) and not rot.flags.writeable
         for i in range(len(cos_tab)):
             rows = rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))
@@ -218,10 +214,10 @@ class TestTransformerLayer:
         layer = model.decoder_stack.layers[0]
         for tensor in (Tensor(x), Tensor(x, requires_grad=True)):
             with pytest.raises(ValueError, match="without a tape"):
-                layer_forward(tensor, layer, cfg, None, LayerKV(3))
+                layer_forward(tensor, layer, cfg, None, StepKV(layer, cfg))
         # the step runs one position at a time
         with pytest.raises(ValueError, match="one position"):
-            layer_forward(x, layer, cfg, None, LayerKV(3))
+            layer_forward(x, layer, cfg, None, StepKV(layer, cfg))
 
     def test_truncation_is_logged_once_per_call_with_a_count(self, caplog):
         cfg = tiny_cfg(max_seq_len=12)
@@ -340,7 +336,7 @@ class TestSplitRun:
 def positions_of(cfg, cos, sin):
     """The positions [S, n] whose rows of the rotation tables ``cos`` and
     ``sin`` [S, n, d] hold, read back by value."""
-    index = {(c.tobytes(), s.tobytes()): i for i, (c, s) in enumerate(zip(*_rotation_tables(cfg)))}
+    index = {(c.tobytes(), s.tobytes()): i for i, (c, s) in enumerate(zip(*_rotation_tables(cfg)[:2]))}
     rows = [[index[c.tobytes(), s.tobytes()] for c, s in zip(cr, sr)] for cr, sr in zip(cos, sin)]
     return np.array(rows, dtype=np.int64).reshape(cos.shape[:2])
 
@@ -505,8 +501,10 @@ class TestRotaryPositions:
                 assert n == k and first > 0
             if kind == "empty-text":
                 assert n == k and window.tolist() == [[0, k]]
-            if kind == "decode-bucket":  # every window starts at column 0: views of the tables
-                assert first == 0 and not window[:, 0].any() and np.shares_memory(cos, _rotation_tables(cfg)[0])
+            if kind == "decode-bucket":  # every window starts at column 0: the tables' first rows
+                tables = _rotation_tables(cfg)
+                assert first == 0 and not window[:, 0].any()
+                assert all(np.array_equal(t, np.broadcast_to(table[:n], t.shape)) for t, table in zip((cos, sin), tables))
 
     def test_decode_step_reads_the_rotation_of_its_column(self, monkeypatch):
         # the step has no window, so its position is its column: the K/V
@@ -544,7 +542,7 @@ def composed_layer(x, p, cfg, window, kv_keys, kv_values):
     mask built for this call, and rms_norm, ff1, silu, ff2 and the residual
     one op each. The rows sit after the ``kv_keys`` columns (None: none)."""
     first, n, half = 0 if kv_keys is None else kv_keys.shape[2], x.shape[1], cfg.head_dim // 2
-    cos, sin = _rope_tables(len(_rotation_tables(cfg)[0]), half, cfg.rope_base, cfg.dtype)
+    cos, sin = (t[:, : cfg.head_dim] for t in _rotation_tables(cfg)[:2])  # one head's
     pos = np.arange(first, first + n)[None]
     if window is not None:
         pos = np.maximum(pos - window[:, :1], 0)
@@ -956,7 +954,8 @@ class TestAutoencoder:
             lambda: reference_autoencode_loss(model, texts),
             lambda: model.forward_batch([make_autoencode_task(t) for t in texts])[0],
         ):
-            model.zero_grad()
+            for t in params.values():
+                t.zero_grad()
             loss = loss_of()
             loss.backward()
             runs.append((loss.data.tobytes(), {n: None if t.grad is None else t.grad.tobytes() for n, t in params.items()}))

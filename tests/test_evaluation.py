@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gofa.compressor import ModelConfig
+from gofa.corpus import LOOKUP_VALUES
 from gofa.evaluation import (
     EvalReport,
     _rmse,
@@ -81,6 +82,14 @@ class TestMatchAnswer:
 
     def test_boundary_punctuation_stripped(self):
         assert match_answer("it is 'biology'.", "Biology!")
+
+    def test_label_inside_a_word_does_not_match(self):
+        assert not match_answer("tired", "red")
+        assert not match_answer("It maps to steal.", "teal", LOOKUP_VALUES)
+        assert match_answer("It maps to teal.", "teal", LOOKUP_VALUES)
+        # a candidate inside a word makes no ambiguity either
+        assert match_answer("it is red, not tired", "red", ["red", "ire"])
+        assert match_answer("graph models, not subgraph models", "graph models")
 
     def test_empty_label_never_matches(self):
         assert not match_answer("anything", "")

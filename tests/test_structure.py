@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gofa.structure import UNREACHABLE, all_shortest_paths, common_neighbors
+from gofa.structure import MAX_PATHS, UNREACHABLE, all_shortest_paths, common_neighbors
 from gofa.tag import TAG, GraphError, assign_node_id_tags, attach_prompt_node
 
 from conftest import brute_force_all_paths, brute_force_distance, random_tag, undirected_adj
@@ -56,6 +56,24 @@ class TestAllShortestPaths:
         assert len(ps.paths) == 2
         keys = [tuple(tagged.sort_key(v) for v in p) for p in ps.paths]
         assert keys == sorted(keys)
+
+    def test_cap_keeps_the_first_paths_in_answer_order(self):
+        # a chain of 7 diamonds has 2**7 = 128 shortest paths, twice MAX_PATHS
+        g = TAG()
+        g.add_node("hub 0")
+        for i in range(7):
+            for name in ("upper", "lower", "hub"):
+                g.add_node(f"{name} {i + 1}")
+            hub, up, low, nxt = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+            for u, v in [(hub, up), (hub, low), (up, nxt), (low, nxt)]:
+                g.add_undirected_edge(u, v)
+        tagged = assign_node_id_tags(g, rng_seed=11)
+        dst = tagged.n_nodes() - 1
+        ps = all_shortest_paths(tagged, 0, dst)
+        every = brute_force_all_paths(tagged, 0, dst, ps.distance)
+        assert ps.distance == 14 and len(every) == 128 == 2 * MAX_PATHS
+        every.sort(key=lambda p: tuple(tagged.sort_key(v) for v in p))
+        assert ps.paths == every[:MAX_PATHS]
 
     def test_agrees_with_exhaustive_dfs(self, rng):
         for trial in range(40):
