@@ -11,11 +11,13 @@ for inference paths.
 
 Besides the elementwise and shape ops, the transformer block runs on a few
 fused ops with hand-written backward passes: ``rms_norm``, ``rope``,
-``split_heads``, ``attention`` and ``feed_forward``. Their forwards compute
-the numpy sequence of the small ops they replace, bit for bit; their
-backwards sum the same terms in other orders. ``attention`` reads which
-keys each query sees from an ``AttentionPlan``, which a caller builds once
-per call geometry and shares across layers.
+``split_heads``, ``attention`` and ``feed_forward``, and the decoder's loss
+is one more, ``head_cross_entropy``, which runs its chain on the scored
+rows alone. Their forwards compute the numpy sequence of the small ops
+they replace, bit for bit; their backwards sum the same terms in other
+orders. ``attention`` reads which keys each query sees from an
+``AttentionPlan``, which a caller builds once per call geometry and shares
+across layers.
 """
 
 from __future__ import annotations
@@ -618,15 +620,15 @@ def _rms_reciprocal(x: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 / np.sqrt(ms + eps)
 
 
-def _rms_norm_backward(g: np.ndarray, x: Tensor, r: np.ndarray, gain: Tensor) -> np.ndarray | None:
-    """Adds ``gain``'s gradient and returns ``x``'s (None if ``x`` takes
-    none) for the gradient ``g`` of ``x * r * gain``. With ``xr = x * r``,
-    ``dx = r * (g gain - xr mean(g gain xr))``."""
+def _rms_norm_backward(g: np.ndarray, x: np.ndarray, r: np.ndarray, gain: Tensor, want_dx: bool) -> np.ndarray | None:
+    """Adds ``gain``'s gradient and returns ``x``'s (None unless
+    ``want_dx``) for the gradient ``g`` of ``x * r * gain``. With ``xr = x *
+    r``, ``dx = r * (g gain - xr mean(g gain xr))``."""
     n = x.shape[-1]
-    xr = x.data * r  # the forward's bits, recomputed rather than kept
+    xr = x * r  # the forward's bits, recomputed rather than kept
     if gain.requires_grad:
         gain._accum(np.add.reduce((g * xr).reshape(-1, n), axis=0), owned=True)
-    if not x.requires_grad:
+    if not want_dx:
         return None
     dx = g * gain.data
     corr = np.add.reduce(dx * xr, axis=-1, keepdims=True)
@@ -646,7 +648,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     out_data = x.data * r * gain.data
 
     def bw(g):
-        dx = _rms_norm_backward(g, x, r, gain)
+        dx = _rms_norm_backward(g, x.data, r, gain, x.requires_grad)
         if dx is not None:
             x._accum(dx, owned=True)
 
@@ -688,7 +690,7 @@ def feed_forward(x: Tensor, gain: Tensor, w1: Tensor, w2: Tensor, eps: float = 1
         if w1.requires_grad:
             w1._accum(xn.reshape(-1, d).T @ dh.reshape(-1, ff), owned=True)
         if x.requires_grad or gain.requires_grad:
-            dx = _rms_norm_backward(dh @ w1.data.T, x, r, gain)
+            dx = _rms_norm_backward(dh @ w1.data.T, x.data, r, gain, x.requires_grad)
             if dx is not None:
                 dx += g
                 x._accum(dx, owned=True)
@@ -696,40 +698,61 @@ def feed_forward(x: Tensor, gain: Tensor, w1: Tensor, w2: Tensor, eps: float = 1
     return x._make(out_data, (x, gain, w1, w2), bw)
 
 
-def cross_entropy_rows(logits: Tensor, targets, ignore_index: int = -100) -> tuple[Tensor, np.ndarray]:
-    """Summed token NLL of each row and the count of its scored positions.
+def head_cross_entropy(
+    x: Tensor, gain: Tensor, head: Tensor, targets, ignore_index: int = -100, eps: float = 1e-6
+) -> tuple[Tensor, np.ndarray]:
+    """Summed token NLL of each row of ``rms_norm(x, gain) @ head.T`` and
+    the count of its scored positions, as one tape op that reads only the
+    scored positions.
 
-    ``logits`` is [S, L, V]; ``targets`` an int array [S, L] whose entries
-    are class ids or ``ignore_index``. Returns an [S] tensor and an [S]
-    count array. Only scored positions are normalised, and the backward
-    pass writes only their gradient rows.
+    ``x`` is [S, L, d], ``gain`` [d], ``head`` [V, d] (a decoder's tied
+    embedding) and ``targets`` an int array [S, L] of class ids or
+    ``ignore_index``. Returns an [S] tensor and an [S] count array. The
+    forward gathers the N scored rows of ``x`` in row-major order and runs
+    the numpy sequence of ``rms_norm``, the head product, a log-softmax
+    and, per row, the sum of its positions' NLL in column order, as a lone
+    row would; no [S, L, V] logits are made. The backward forms softmax
+    minus one-hot on the [N, V] scored logits alone and scatters their
+    ``x`` gradient into a zero [S, L, d].
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 3 or targets.shape != logits.shape[:2]:
-        raise ShapeError(f"cross_entropy_rows expects [S, L, V] logits and [S, L] targets, got {logits.shape} / {targets.shape}")
-    v = logits.shape[-1]
+    if x.ndim != 3 or targets.shape != x.shape[:2]:
+        raise ShapeError(f"head_cross_entropy expects [S, L, d] rows and [S, L] targets, got {x.shape} / {targets.shape}")
+    if gain.shape != (x.shape[-1],) or head.ndim != 2 or head.shape[1] != x.shape[-1]:
+        raise ShapeError(f"head_cross_entropy gain {gain.shape} and head {head.shape} do not match feature dim {x.shape[-1]}")
+    v = head.shape[0]
     row, col = np.nonzero(targets != ignore_index)
     tgt = targets[row, col]
     if np.any((tgt < 0) | (tgt >= v)):
         raise ShapeError(f"target ids out of vocabulary range [0, {v})")
     counts = np.bincount(row, minlength=targets.shape[0])
-    z = logits.data[row, col]
+    xs = x.data[row, col]  # [N, d]
+    r = _rms_reciprocal(xs, eps)
+    xn = xs * r * gain.data
+    z = xn @ head.data.T
     z -= z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     picked = z[np.arange(len(tgt)), tgt] - lse[:, 0]
     ends = np.cumsum(counts)
     # each row sums its own slice, as a lone [L, V] row would
-    totals = np.array([-picked[e - c : e].sum() if c else 0.0 for c, e in zip(counts, ends)], dtype=logits.dtype)
+    totals = np.array([-picked[e - c : e].sum() if c else 0.0 for c, e in zip(counts, ends)], dtype=x.dtype)
 
     def bw(g):
-        grad = np.zeros_like(logits.data)
-        if len(tgt):
-            sm = np.exp(z - lse)
-            sm[np.arange(len(tgt)), tgt] -= 1.0
-            grad[row, col] = sm * g[row][:, None]
-        logits._accum(grad, owned=True)
+        if not len(tgt):
+            return
+        dz = np.exp(z - lse)
+        dz[np.arange(len(tgt)), tgt] -= 1.0
+        dz *= g[row][:, None]
+        if head.requires_grad:
+            head._accum(dz.T @ xn, owned=True)
+        if x.requires_grad or gain.requires_grad:
+            dxs = _rms_norm_backward(dz @ head.data, xs, r, gain, x.requires_grad)
+            if dxs is not None:
+                dx = np.zeros_like(x.data)
+                dx[row, col] = dxs
+                x._accum(dx, owned=True)
 
-    return logits._make(totals, (logits,), bw), counts
+    return x._make(totals, (x, gain, head), bw), counts
 
 
 def global_grad_norm(tensors: list[Tensor]) -> float:

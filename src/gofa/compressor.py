@@ -5,7 +5,8 @@ Each input sequence is a node or edge text appended with K shared memory
 tokens; causal attention lets the memory positions read the whole text, so
 their final states compress the sentence into K fixed-size vectors. The
 same layer machinery also powers the separate decoder stack that generates
-target text from a memory prefix: teacher forcing over decode buckets, and
+target text from a memory prefix: teacher forcing over decode buckets cut
+to their targets, whose loss reads only the rows it scores, and
 generation one position at a time, the K memory rows first, on arrays
 (``_cached_layer``). Each cache has one role: a ``LayerKV`` holds the taped
 keys and values that a later call of the same layer extends, and a
@@ -13,7 +14,9 @@ keys and values that a later call of the same layer extends, and a
 generation steps.
 
 Sequences are grouped into length buckets; text tokens are left-padded so
-memory slots always occupy the trailing K columns of a bucket. Each row's
+memory slots always occupy the trailing K columns of a bucket. Compression
+buckets step through ``_BUCKET_STEPS``; a decode bucket is as long as its
+longest target rounded up to a multiple of 8 (``_decode_len``). Each row's
 real columns form one window that its attention keys are limited to, so
 padding columns contribute exact zeros and a single-sequence call is
 arithmetically identical however it is routed. A layer call's rows sit at
@@ -216,9 +219,11 @@ def _rope_tables(n_pos: int, half: int, base: float, dtype, n_heads: int) -> tup
 
 def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_rope_tables`` of ``cfg``'s heads at every position a bucket of
-    ``cfg`` can hold, pad columns of the longest decode bucket included:
-    cos and sin [n_pos, d] for a [S, L, d] projection and the [dh, dh]
-    matrices of the array step."""
+    ``cfg`` can hold, pad columns included: ``_bucket_len`` of the longest
+    text plus the K memory rows, which no decode bucket passes either
+    (``_decode_len`` is at most ``_bucket_len``). cos and sin [n_pos, d]
+    for a [S, L, d] projection and the [dh, dh] matrices of the array
+    step."""
     n_pos = _bucket_len(cfg.max_text_len) + cfg.memory_tokens
     return _rope_tables(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype, cfg.n_heads)
 
@@ -385,10 +390,19 @@ def _cached_layer(x: np.ndarray, cfg: ModelConfig, plan: AttentionPlan | None, k
 
 
 def _bucket_len(n: int) -> int:
+    """The text length of a compression bucket for texts of ``n`` tokens:
+    the next of ``_BUCKET_STEPS``, or ``n`` itself past the last."""
     for step in _BUCKET_STEPS:
         if n <= step:
             return step
     return n
+
+
+def _decode_len(n: int) -> int:
+    """The text length of a decode bucket for targets of ``n`` tokens: ``n``
+    rounded up to a multiple of 8, never past ``_bucket_len(n)``, so targets
+    of 1-4 tokens keep 4 and one of more than 512 its own length."""
+    return min(-(-n // 8) * 8, _bucket_len(n))
 
 
 @dataclass
@@ -407,6 +421,13 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
     each query sees the keys of that block at or before it, and rotary
     positions count from its first column (``_rotations``).
 
+    A compression bucket's text length is the next of ``_BUCKET_STEPS``
+    (``_bucket_len``); a decode bucket's is its longest target rounded up
+    to a multiple of 8 (``_decode_len``), so it runs fewer than 8 pad
+    columns. With K = 4 a decode bucket then spans 8j + 4 columns, and its
+    last attention tile holds 4, 12, 20 or 28 query rows, never the one
+    row that numpy would run through another BLAS kernel.
+
     A text too long for ``max_seq_len`` keeps its last tokens; a target
     keeps its first, so the memory rows always learn the answer's start.
     """
@@ -419,9 +440,10 @@ def _make_buckets(sequences: list[list[int]], cfg: ModelConfig, memory_first: bo
         log.warning(f"{what} length exceeds %d tokens in %d of %d sequences (longest %d); {how}",
                     limit, n_long, len(sequences), longest)
     seqs = [list(s[:limit]) if memory_first else list(s[-limit:]) for s in sequences]
+    length = _decode_len if memory_first else _bucket_len
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(seqs):
-        groups.setdefault(_bucket_len(len(s)), []).append(i)
+        groups.setdefault(length(len(s)), []).append(i)
     buckets = []
     for lb in sorted(groups):
         idxs = groups[lb]
@@ -441,8 +463,10 @@ def make_compress_buckets(sequences: list[list[int]], cfg: ModelConfig, dtype) -
 
 
 def make_decode_buckets(targets: list[list[int]], cfg: ModelConfig, dtype) -> list[_Bucket]:
-    """Buckets of [K memory rows ; right-padded target tokens]. A bucket
-    holds integer arrays only, whatever the model's ``dtype``."""
+    """Buckets of [K memory rows ; right-padded target tokens], each as
+    long as its longest target rounded up to a multiple of 8
+    (``_decode_len``). A bucket holds integer arrays only, whatever the
+    model's ``dtype``."""
     return _make_buckets(targets, cfg, memory_first=True)
 
 
@@ -774,7 +798,10 @@ class Decoder:
         self._state: _DecodeState | None = None
 
     def _forward_bucket(self, mem_rows: Tensor, bucket: _Bucket, cfg: ModelConfig) -> Tensor:
-        """Teacher forcing: logits [S, K + Lb, V] of a decode bucket."""
+        """Teacher forcing: the last layer's rows [S, K + Lb, d] of a decode
+        bucket, before the final norm. The loss
+        (``autodiff.head_cross_entropy``) takes the final norm and the head
+        on the rows it scores only."""
         d = cfg.d_model
         sb, lb = bucket.ids.shape
         emb = gather_rows(self.stack.embed, bucket.ids.reshape(-1)).reshape(sb, lb, d)
@@ -782,8 +809,7 @@ class Decoder:
         plan = attention_plan(cfg, bucket.window, 0, cfg.memory_tokens + lb)
         for layer in self.stack.layers:
             x = layer_forward(x, layer, cfg, plan)
-        xn = rms_norm(x, self.stack.final_norm)
-        return xn @ self.stack.embed.swapaxes(0, 1)
+        return x
 
     @contextmanager
     def kv_cache(self):
@@ -806,8 +832,9 @@ class Decoder:
         token, for the same memory block, steps that token alone. Every
         other call empties the layer caches and steps the K memory rows and
         then every prefix token, one row at a time; outside ``kv_cache()``
-        it does so on a state of its own. The logits are those of teacher
-        forcing (``_forward_bucket``) up to rounding. A prefix longer than
+        it does so on a state of its own. The logits are the final norm and
+        the head over the rows of teacher forcing (``_forward_bucket``) up
+        to rounding. A prefix longer than
         ``cfg.max_text_len`` tokens is a ``ValueError``.
         """
         cfg = self.stack.cfg

@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import tokenizer
-from .autodiff import Tensor, concat, cross_entropy_rows, gather_rows
+from .autodiff import Tensor, concat, gather_rows, head_cross_entropy
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets
 from .gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
@@ -113,20 +113,23 @@ class GofaModel:
 
     def decoder_nll_per_target(self, memories: Tensor, targets: list[list[int]]) -> tuple[Tensor, np.ndarray]:
         """Each target's summed token NLL, one [T] tensor in target order,
-        and its scored token count, an int array [T]."""
+        and its scored token count, an int array [T]. Per decode bucket, one
+        ``head_cross_entropy`` op takes the final norm and the head over the
+        scored rows of the teacher-forced rows alone."""
         cfg = self.cfg
         k = cfg.memory_tokens
+        stack = self.decoder_stack
         buckets = make_decode_buckets(targets, cfg, cfg.dtype)
         totals, counts = [], np.zeros(len(targets), dtype=np.int64)
         for b in buckets:
             mem_rows = gather_rows(memories, b.indices)
-            logits = self.decoder._forward_bucket(mem_rows, b, cfg)
+            rows = self.decoder._forward_bucket(mem_rows, b, cfg)
             sb, lb = b.ids.shape
             # the position before each target token predicts it; pad columns score nothing
             n = b.window[:, 1:] - k
             labels = np.full((sb, k + lb), -100, dtype=np.int64)
             labels[:, k - 1 : k - 1 + lb] = np.where(np.arange(lb) < n, b.ids, -100)
-            bucket_totals, counts[b.indices] = cross_entropy_rows(logits, labels)
+            bucket_totals, counts[b.indices] = head_cross_entropy(rows, stack.final_norm, stack.embed, labels)
             totals.append(bucket_totals)
         return gather_in_order(totals, [b.indices for b in buckets]), counts
 

@@ -100,17 +100,19 @@ def test_criterion_02_gradient_integrity():
     )
 
     # rms_norm
-    from gofa.autodiff import cross_entropy_rows, rms_norm
+    from gofa.autodiff import head_cross_entropy, rms_norm
 
     xv = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
     gv = Tensor(rng.normal(size=(8,)) + 1.0, requires_grad=True)
     upv = Tensor(rng.normal(size=(5, 8)))
     _fd_check(lambda: (rms_norm(xv, gv) * upv).sum(), [xv, gv], rng)
 
-    # cross entropy
-    logits = Tensor(rng.normal(size=(1, 6, 16)), requires_grad=True)
+    # cross entropy through the final norm and the tied head
+    xc = Tensor(rng.normal(size=(1, 6, 8)), requires_grad=True)
+    gc = Tensor(rng.normal(size=(8,)) + 1.0, requires_grad=True)
+    head = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
     targets = np.array([[1, 3, -100, 7, 15, 0]])
-    _fd_check(lambda: cross_entropy_rows(logits, targets)[0].sum() * (1.0 / 5), [logits], rng)
+    _fd_check(lambda: head_cross_entropy(xc, gc, head, targets)[0].sum() * (1.0 / 5), [xc, gc, head], rng)
 
     # gnn layer on a 4-node cycle
     gcfg = small_cfg(d_model=16, n_heads=2, n_layers=2, gnn_layers=(1,), memory_tokens=3)

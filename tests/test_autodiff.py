@@ -13,17 +13,17 @@ from gofa.autodiff import (
     Tensor,
     attention,
     concat,
-    cross_entropy_rows,
     feed_forward,
     gather_rows,
     global_grad_norm,
+    head_cross_entropy,
     no_grad,
     rms_norm,
     rope,
     split_heads,
 )
 
-from conftest import assert_grad_close, assert_grads_match, finite_difference
+from conftest import GRAD_RTOL, assert_grad_close, assert_grads_match, finite_difference
 
 
 def check_op(build, tensors, max_coords=None, rng=None, rel_tol=1e-4):
@@ -175,33 +175,42 @@ class TestRmsNorm:
 
 
 class TestCrossEntropy:
-    """``cross_entropy_rows`` over one row of targets: its summed NLL over
-    the count of scored positions is the mean token NLL."""
+    """``head_cross_entropy`` over one row of targets: its summed NLL over
+    the count of scored positions is the mean token NLL of the logits
+    ``rms_norm(x, gain) @ head.T``."""
 
     def test_uniform_logits_value(self):
-        totals, counts = cross_entropy_rows(Tensor(np.zeros((1, 3, 16))), np.array([[1, 5, 9]]))
+        # zero rows normalise to zero, so every logit is zero
+        totals, counts = head_cross_entropy(
+            Tensor(np.zeros((1, 3, 8))), Tensor(np.ones(8)), Tensor(np.ones((16, 8))), np.array([[1, 5, 9]])
+        )
         assert np.allclose(totals.data[0] / counts[0], np.log(16.0), atol=1e-12)
 
     def test_confident_correct_near_zero(self):
-        logits = np.zeros((1, 2, 8))
-        logits[0, 0, 3] = 50.0
-        logits[0, 1, 1] = 50.0
-        totals, counts = cross_entropy_rows(Tensor(logits), np.array([[3, 1]]))
+        # a one-hot row normalises to sqrt(8) at its class, whose head row is 50 there
+        x = np.zeros((1, 2, 8))
+        x[0, 0, 3] = 1.0
+        x[0, 1, 1] = 1.0
+        totals, counts = head_cross_entropy(Tensor(x), Tensor(np.ones(8)), Tensor(50.0 * np.eye(8)), np.array([[3, 1]]))
         assert totals.data[0] / counts[0] < 1e-6
 
     def test_ignore_index(self):
-        totals, counts = cross_entropy_rows(Tensor(np.zeros((1, 4, 4))), np.array([[0, -100, 2, -100]]))
+        totals, counts = head_cross_entropy(
+            Tensor(np.zeros((1, 4, 4))), Tensor(np.ones(4)), Tensor(np.ones((4, 4))), np.array([[0, -100, 2, -100]])
+        )
         assert counts.tolist() == [2]
         assert np.allclose(totals.data[0], 2 * np.log(4.0))
 
     def test_out_of_vocab_errors(self):
         with pytest.raises(ShapeError):
-            cross_entropy_rows(Tensor(np.zeros((1, 1, 4))), np.array([[4]]))
+            head_cross_entropy(Tensor(np.zeros((1, 1, 4))), Tensor(np.ones(4)), Tensor(np.ones((4, 4))), np.array([[4]]))
 
     def test_gradient_vs_fd(self, rng):
-        x = Tensor(rng.normal(size=(1, 4, 16)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 4, 8)), requires_grad=True)
+        gain = Tensor(rng.normal(size=8) + 1.0, requires_grad=True)
+        head = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
         targets = np.array([[3, -100, 7, 11]])
-        check_op(lambda: cross_entropy_rows(x, targets)[0].sum() * (1.0 / 3), [x])
+        check_op(lambda: head_cross_entropy(x, gain, head, targets)[0].sum() * (1.0 / 3), [x, gain, head])
 
 
 # -- the composed chain the fused ops replaced, kept as their reference ---------------
@@ -271,6 +280,30 @@ def ref_cross_entropy_sum(logits: Tensor, targets) -> Tensor:
         logits._accum(grad, owned=True)
 
     return logits._make(np.asarray(nll), (logits,), bw)
+
+
+def ref_cross_entropy_rows(logits: Tensor, targets) -> tuple[Tensor, np.ndarray]:
+    """Summed NLL and scored count of each [L, V] row of [S, L, V] logits,
+    the loss op that took the decoder's full logits before
+    ``head_cross_entropy`` took its rows."""
+    row, col = np.nonzero(targets != -100)
+    tgt = targets[row, col]
+    counts = np.bincount(row, minlength=targets.shape[0])
+    z = logits.data[row, col]
+    z -= z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    picked = z[np.arange(len(tgt)), tgt] - lse[:, 0]
+    ends = np.cumsum(counts)
+    totals = np.array([-picked[e - c : e].sum() if c else 0.0 for c, e in zip(counts, ends)], dtype=logits.dtype)
+
+    def bw(g):
+        grad = np.zeros_like(logits.data)
+        sm = np.exp(z - lse)
+        sm[np.arange(len(tgt)), tgt] -= 1.0
+        grad[row, col] = sm * g[row][:, None]
+        logits._accum(grad, owned=True)
+
+    return logits._make(totals, (logits,), bw), counts
 
 
 def dead_rows(lq: int, lk: int, window) -> np.ndarray:
@@ -381,8 +414,7 @@ class TestFusedAttentionChain:
         xn = rms_norm(x, gain)
         q = split_heads(rope(xn, cos, sin, 4), 2)
         out = attention(q, q, split_heads(xn, 2), plan_of(q, q, np.array([[1, 5], [0, 3]])))
-        logits = out @ Tensor(rng.normal(size=(8, 11)), dtype=f32)
-        totals, _ = cross_entropy_rows(logits, rng.integers(0, 11, (2, 5)))
+        totals, _ = head_cross_entropy(out, gain, Tensor(rng.normal(size=(11, 8)), dtype=f32), rng.integers(0, 11, (2, 5)))
         for t in (xn, q, out, totals):
             assert t.dtype == f32
         totals.sum().backward()
@@ -597,45 +629,89 @@ class TestFusedOpGradients:
         assert x4.grad.shape == x4.shape and x4.grad.tobytes() == x3.grad.tobytes()
 
     def test_cross_entropy_rows_vs_fd(self, rng):
-        logits = leaf(rng, (3, 4, 7))
+        # ``head_cross_entropy`` in float64 for the rows, the gain and the
+        # head, with a row that scores nothing
+        x, gain, head = leaf(rng, (3, 4, 6)), leaf(rng, (6,)), leaf(rng, (7, 6))
         targets = np.array([[1, 6, -100, -100], [-100, -100, -100, -100], [0, 2, 2, 5]])
         w = Tensor(rng.normal(size=3))
-        check_op(lambda: (cross_entropy_rows(logits, targets)[0] * w).sum(), [logits])
-        assert list(cross_entropy_rows(logits, targets)[1]) == [2, 0, 4]
+        check_op(lambda: (head_cross_entropy(x, gain, head, targets)[0] * w).sum(), [x, gain, head])
+        assert list(head_cross_entropy(x, gain, head, targets)[1]) == [2, 0, 4]
+        assert not x.grad[1].any() and not x.grad[0, 2:].any()
+
+
+def decode_rows(rng, dtype):
+    """Rows [4, 9, 32] of a decode bucket as the loss sees them, with a gain,
+    a head over the model's 260 ids and right-padded targets of 3, 6, 1 and
+    5 scored positions, as leaves of ``dtype``."""
+    n = np.array([3, 6, 1, 5])
+    targets = np.where(np.arange(9) < n[:, None], rng.integers(0, 260, (4, 9)), -100)
+    x, gain, head = (Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype) for shape in ((4, 9, 32), (32,), (260, 32)))
+    return x, gain, head, targets, n
+
+
+def weighted(parts, weights) -> Tensor:
+    loss = None
+    for part, w in zip(parts, weights):
+        loss = part * w if loss is None else loss + part * w
+    return loss
 
 
 class TestCrossEntropyRows:
+    """``head_cross_entropy`` against the composed chain ``rms_norm`` ->
+    ``@ head.T`` -> cross-entropy that it replaced."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_per_row_reference(self, rng, dtype):
-        # right-padded rows of 1 to 6 scored positions out of 9, as a decode bucket has
-        n = np.array([3, 6, 1, 5])
-        targets = np.where(np.arange(9) < n[:, None], rng.integers(0, 260, (4, 9)), -100)
+        # the chain over the scored rows alone, each target's NLL summed over
+        # its own rows: the fused op's arithmetic in the fused op's order
+        x, gain, head, targets, n = decode_rows(rng, dtype)
         weights = rng.normal(size=4)
-        data = rng.normal(size=(4, 9, 260)) * 3
-        results = []
-        for fused in (True, False):
-            logits = Tensor(data, requires_grad=True, dtype=dtype)
-            if fused:
-                totals, counts = cross_entropy_rows(logits, targets)
-                parts = [totals[r] for r in range(4)]
-                assert list(counts) == list(n)
-            else:
-                parts = [ref_cross_entropy_sum(logits[r], targets[r]) for r in range(4)]
-            loss = None
-            for part, w in zip(parts, weights):
-                loss = part * w if loss is None else loss + part * w
-            loss.backward()
-            results.append(([p.data for p in parts], logits.grad))
-        (fused_parts, fused_grad), (ref_parts, ref_grad) = results
-        for a, b in zip(fused_parts, ref_parts):
-            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
-        assert fused_grad.tobytes() == ref_grad.tobytes()
+        fused, counts = head_cross_entropy(x, gain, head, targets)
+        assert list(counts) == list(n)
+        weighted([fused[r] for r in range(4)], weights).backward()
+        want = [t.grad for t in (x, gain, head)]
+        for t in (x, gain, head):
+            t.zero_grad()
+        row, col = np.nonzero(targets != -100)
+        logits = rms_norm(x[row, col], gain) @ head.swapaxes(0, 1)
+        ends = np.cumsum(n)
+        parts = [ref_cross_entropy_sum(logits[e - c : e], targets[r, :c]) for r, (c, e) in enumerate(zip(n, ends))]
+        weighted(parts, weights).backward()
+        for r, part in enumerate(parts):
+            assert part.data.dtype == fused.dtype == dtype and part.data.tobytes() == fused.data[r].tobytes()
+        for got, t in zip(want, (x, gain, head)):
+            assert_grads_match(got, t.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_chain_over_the_whole_bucket(self, rng, dtype):
+        # the chain as the decoder ran it, over every column of the bucket:
+        # a BLAS product may round the last columns of a row's logits
+        # differently by where the row falls among the product's rows
+        # (OpenBLAS edge tiles), so totals agree to rounding
+        x, gain, head, targets, _ = decode_rows(rng, dtype)
+        weights = Tensor(rng.normal(size=4), dtype=dtype)
+        fused, counts = head_cross_entropy(x, gain, head, targets)
+        (fused * weights).sum().backward()
+        want = [t.grad for t in (x, gain, head)]
+        for t in (x, gain, head):
+            t.zero_grad()
+        ref, ref_counts = ref_cross_entropy_rows(rms_norm(x, gain) @ head.swapaxes(0, 1), targets)
+        (ref * weights).sum().backward()
+        assert list(counts) == list(ref_counts)
+        np.testing.assert_allclose(fused.data, ref.data, rtol=GRAD_RTOL[np.dtype(dtype)], atol=0)
+        for got, t in zip(want, (x, gain, head)):
+            assert_grads_match(got, t.grad)
 
     def test_shape_and_vocabulary_checks(self):
+        gain, head = Tensor(np.ones(4)), Tensor(np.zeros((4, 4)))
         with pytest.raises(ShapeError):
-            cross_entropy_rows(Tensor(np.zeros((2, 4))), np.zeros((2,), dtype=np.int64))
+            head_cross_entropy(Tensor(np.zeros((2, 4))), gain, head, np.zeros((2,), dtype=np.int64))
         with pytest.raises(ShapeError):
-            cross_entropy_rows(Tensor(np.zeros((1, 2, 4))), np.array([[0, 4]]))
+            head_cross_entropy(Tensor(np.zeros((1, 2, 4))), gain, head, np.array([[0, 4]]))
+        with pytest.raises(ShapeError):
+            head_cross_entropy(Tensor(np.zeros((1, 2, 4))), Tensor(np.ones(3)), head, np.array([[0, 1]]))
+        with pytest.raises(ShapeError):
+            head_cross_entropy(Tensor(np.zeros((1, 2, 4))), gain, Tensor(np.zeros((4, 3))), np.array([[0, 1]]))
 
 
 class TestBackward:

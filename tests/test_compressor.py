@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -349,14 +350,19 @@ def rotary_positions(cfg, window, first, n):
 def reference_buckets(sequences, cfg, memory_first):
     """Per-row bucket builder: text left-padded before the K memory rows and
     cut to its last tokens, or (``memory_first``) right-padded after them and
-    cut to its first tokens; one row at a time. Each row's dense [L, L]
-    mask of the keys its queries see and its window of real columns."""
+    cut to its first tokens, to the first multiple of 8 at or above its
+    length unless its compression step is shorter; one row at a time. Each
+    row's dense [L, L] mask of the keys its queries see and its window of
+    real columns."""
     limit = cfg.max_seq_len - cfg.memory_tokens
     k = cfg.memory_tokens
     seqs = [list(s)[:limit] if memory_first else list(s)[-limit:] for s in sequences]
     groups = {}
     for i, s in enumerate(seqs):
-        groups.setdefault(_bucket_len(len(s)), []).append(i)
+        lb = _bucket_len(len(s))
+        if memory_first:
+            lb = min(lb, 8 * math.ceil(len(s) / 8))
+        groups.setdefault(lb, []).append(i)
     out = []
     for lb in sorted(groups):
         idxs = groups[lb]
@@ -408,6 +414,23 @@ class TestBuckets:
         cfg = tiny_cfg()
         b = make_decode_buckets([[9, 8, 7]], cfg, np.float64)[0]
         assert list(b.ids[0][:3]) == [9, 8, 7]
+
+    @pytest.mark.parametrize("max_seq_len", [128, 600])
+    def test_decode_bucket_fits_its_target(self, max_seq_len):
+        # the bench's model, and one whose targets pass the last step (512)
+        cfg = ModelConfig(d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=max_seq_len)
+        k = cfg.memory_tokens
+        n_pos = _rotation_tables(cfg)[0].shape[0]
+        for n in range(1, cfg.max_text_len + 1):
+            (b,) = make_decode_buckets([[7] * n], cfg, cfg.dtype)
+            lb = b.ids.shape[1]
+            assert lb == (4 if n <= 4 else n if n > 512 else 8 * math.ceil(n / 8))
+            assert 0 <= lb - n < 8 and lb + k <= n_pos
+            if lb <= 512:
+                # 8j + 4 columns: the last tile holds 4, 12, 20 or 28 rows, never
+                # one; past 512 a target keeps its length, as it did before
+                tiles = attention_plan(cfg, b.window, 0, k + lb).tiles
+                assert all(r1 - r0 > 1 for r0, r1, _ in tiles)
 
     @settings(max_examples=60, deadline=None)
     @example(BOUNDARY_LENGTHS + [600], 520, 4, np.float32, 0)
@@ -611,9 +634,10 @@ class TestAttentionPlans:
         assert checked and (kind == "memory" or max(checked) >= 2)
 
     def test_one_plan_per_bucket_for_every_layer(self, monkeypatch):
-        # teacher forcing one bucket of three targets of 35 to 45 tokens, 48
-        # text and 4 memory columns in two tiles, through three layers, forward
-        # and backward: each tile's mask and the rotary tables are built once
+        # teacher forcing three targets of 35 to 45 tokens in two buckets, 40
+        # text columns (35 and 40 tokens) and 48 (45 tokens), each with 4
+        # memory columns in two tiles, through three layers, forward and
+        # backward: each bucket's tile masks and rotary tables are built once
         cfg = tiny_cfg(n_layers=3, gnn_layers=(2,))
         model = GofaModel(cfg, seed=22)
         masks, tables = [], []
@@ -632,9 +656,9 @@ class TestAttentionPlans:
         memory = Tensor(np.random.default_rng(0).normal(size=(3, cfg.memory_tokens, cfg.d_model)), requires_grad=True)
         nll, _ = model.decoder_nll_per_target(memory, [list(range(65, 105)), list(range(70, 105)), list(range(60, 105))])
         nll.sum().backward()
-        total = 48 + cfg.memory_tokens
-        assert tables == [(0, total)]
-        assert masks == [(r1 - r0, c1) for r0, r1, c1 in _query_tiles(total, total)] and len(masks) == 2
+        totals = [40 + cfg.memory_tokens, 48 + cfg.memory_tokens]
+        assert tables == [(0, total) for total in totals]
+        assert masks == [(r1 - r0, c1) for total in totals for r0, r1, c1 in _query_tiles(total, total)] and len(masks) == 4
         assert memory.grad is not None
 
 

@@ -47,7 +47,9 @@ def simple_sample(y="target words"):
 
 
 def reference_match(generated: str, label: str, candidates) -> bool:
-    """Independent matcher: naive loops, no shared helpers."""
+    """Independent matcher: naive loops, no shared helpers. A normalised
+    label or candidate matches where it occurs with no letter, digit or
+    underscore right before or after it."""
 
     def norm(s):
         s = s.lower()
@@ -57,12 +59,25 @@ def reference_match(generated: str, label: str, candidates) -> bool:
             s = s[:-1]
         return " ".join(s.split())
 
+    def word_char(ch):
+        return ch.isalnum() or ch == "_"
+
+    def has_words(text, words):
+        for i in range(len(text) - len(words) + 1):
+            if text[i : i + len(words)] != words:
+                continue
+            before = i > 0 and word_char(text[i - 1])
+            after = i + len(words) < len(text) and word_char(text[i + len(words)])
+            if not before and not after:
+                return True
+        return False
+
     g, l = norm(generated), norm(label)
-    if not l or l not in g:
+    if not l or not has_words(g, l):
         return False
     for c in candidates or []:
         cn = norm(c)
-        if cn and cn != l and cn in g:
+        if cn and cn != l and has_words(g, cn):
             return False
     return True
 
@@ -96,7 +111,8 @@ class TestMatchAnswer:
 
     def test_fuzz_against_reference_matcher(self, rng):
         vocab = ["red", "blue", "green", "amber", "violet", "teal"]
-        fillers = ["the answer is", "category:", "likely", "", "### "]
+        # the last fillers hold a label inside a word, which is no match
+        fillers = ["the answer is", "category:", "likely", "", "### ", "tired", "steal", "bluer", "evergreen_ish"]
         for _ in range(1000):
             label = vocab[rng.integers(0, len(vocab))]
             mention = vocab[rng.integers(0, len(vocab))]
@@ -104,6 +120,8 @@ class TestMatchAnswer:
             parts = [fillers[rng.integers(0, len(fillers))], mention]
             if rng.random() < 0.4:
                 parts.append(second)
+            if rng.random() < 0.3:
+                parts.insert(1 + rng.integers(0, len(parts)), fillers[rng.integers(0, len(fillers))])
             generated = " ".join(p for p in parts if p)
             if rng.random() < 0.3:
                 generated = generated.upper() + "."

@@ -354,15 +354,21 @@ class TestGenerate:
         assert out == "ok good"
 
 
+def teacher_logits(model: GofaModel, mem, ids) -> np.ndarray:
+    """Teacher-forcing logits [K + Lb, V] of one memory block and target:
+    the final norm and the head over every row ``_forward_bucket`` returns."""
+    cfg = model.cfg
+    stack = model.decoder_stack
+    bucket = make_decode_buckets([list(ids)], cfg, cfg.dtype)[0]
+    with no_grad():
+        rows = model.decoder._forward_bucket(mem.reshape(1, cfg.memory_tokens, cfg.d_model), bucket, cfg)
+        return (rms_norm(rows, stack.final_norm) @ stack.embed.swapaxes(0, 1)).data[0]
+
+
 def reference_next_logits(model: GofaModel, mem, prefix):
     """Teacher-forcing forward over memory plus the whole prefix, read at
     the last position."""
-    cfg = model.cfg
-    k = cfg.memory_tokens
-    bucket = make_decode_buckets([list(prefix)], cfg, cfg.dtype)[0]
-    with no_grad():
-        logits = model.decoder._forward_bucket(mem.reshape(1, k, cfg.d_model), bucket, cfg)
-    return logits.data[0, k + len(prefix) - 1]
+    return teacher_logits(model, mem, prefix)[model.cfg.memory_tokens + len(prefix) - 1]
 
 
 class TapeDecoder:
@@ -450,9 +456,7 @@ class TestKVCache:
         ids = calls[-1][0] + [int(np.argmax(calls[-1][1]))]
         assert len(calls) == 30 and tokenizer.decode(ids) == text
         k = model.cfg.memory_tokens
-        bucket = make_decode_buckets([ids], model.cfg, model.cfg.dtype)[0]
-        with no_grad():
-            full = model.decoder._forward_bucket(mem.reshape(1, k, model.cfg.d_model), bucket, model.cfg).data[0]
+        full = teacher_logits(model, mem, ids)
         for i, (prefix, logits) in enumerate(calls):
             assert prefix == ids[:i]
             np.testing.assert_allclose(logits, full[k - 1 + i], rtol=0, atol=1e-12)
@@ -464,9 +468,7 @@ class TestKVCache:
         mem = compress(model, ["prompt text"])[0]
         ids = [int(i) for i in np.random.default_rng(0).integers(0, 256, 90)]
         k = model.cfg.memory_tokens
-        bucket = make_decode_buckets([ids], model.cfg, model.cfg.dtype)[0]
-        with no_grad():
-            full = model.decoder._forward_bucket(mem.reshape(1, k, model.cfg.d_model), bucket, model.cfg).data[0]
+        full = teacher_logits(model, mem, ids)
         with model.decoder.kv_cache():
             for i in range(len(ids) + 1):
                 np.testing.assert_allclose(model.decoder.next_logits(mem, ids[:i]), full[k - 1 + i], rtol=0, atol=1e-12)
