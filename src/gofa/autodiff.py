@@ -15,9 +15,9 @@ fused ops with hand-written backward passes: ``rms_norm``, ``rope``,
 is one more, ``head_cross_entropy``, which runs its chain on the scored
 rows alone. Their forwards compute the numpy sequence of the small ops
 they replace, bit for bit; their backwards sum the same terms in other
-orders. ``attention`` reads which keys each query sees from an
-``AttentionPlan``, which a caller builds once per call geometry and shares
-across layers.
+orders. Every ``attention`` call reads which keys each query sees from
+its caller's ``AttentionPlan``, which the caller builds once per call
+geometry and shares across layers.
 """
 
 from __future__ import annotations
@@ -425,21 +425,19 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, head_dim: int) -> Tensor:
 _BLOCKED_SCORE = -1e30
 
 
-def blocked_keys(lq: int, lk: int, window: np.ndarray | None = None) -> np.ndarray | None:
-    """True where a query may not see a key; None when every query sees
-    every key.
+def blocked_keys(lq: int, lk: int, window: np.ndarray | None) -> np.ndarray | None:
+    """True where a query may not see a key, [S, Lq, Lk].
 
     The Lq queries are the last Lq of the Lk key columns, and each sees the
     keys at or before its own column. ``window`` [S, 2] further limits row s
-    to the key columns ``window[s, 0] <= j < window[s, 1]``; the result is
-    then [S, Lq, Lk], else [Lq, Lk].
+    to the key columns ``window[s, 0] <= j < window[s, 1]``. Without a
+    window there is a single query that sees every key, and the result is
+    None (``AttentionPlan`` allows no other windowless call).
     """
-    if window is None and lq == 1:
+    if window is None:
         return None
     cols = np.arange(lk)
     last = np.arange(lk - lq, lk)  # each query's own column
-    if window is None:
-        return cols > last[:, None]
     limit = np.minimum(last, window[:, 1:] - 1)  # [S, Lq]: the last key each query sees
     return (cols < window[:, :1, None]) | (cols > limit[:, :, None])
 
@@ -464,17 +462,21 @@ def _query_tiles(lq: int, lk: int) -> list[tuple[int, int, int]]:
 class AttentionPlan:
     """What every layer call of one geometry shares: Lq query rows at the
     last Lq of Lk key columns, each row limited to the key columns of its
-    ``window`` [S, 2] (``blocked_keys``; None for plain causal attention),
-    and the rotations ``cos`` and ``sin`` of the query rows in the form
-    ``rope`` takes (None where nothing is rotated).
+    ``window`` [S, 2] (``blocked_keys``), and the rotations ``cos`` and
+    ``sin`` of the query rows in the form ``rope`` takes (None where nothing
+    is rotated). Only a single query that sees every key, as in a GNN
+    in-degree group, goes without a window; a windowless plan of more
+    queries is a ``ShapeError``.
 
-    A caller builds one plan per decode bucket, text part or set of memory
-    rows and hands it to every layer; ``attention`` and its backward read
-    the query tiles (``_query_tiles``), each tile's blocked keys and the
-    rows that see no key from it. The masks are worked out on first use,
-    once per plan."""
+    A caller builds one plan per decode bucket, text part, set of memory
+    rows or in-degree group and hands it to every layer; ``attention`` and
+    its backward read the query tiles (``_query_tiles``), each tile's
+    blocked keys and the rows that see no key from it. The masks are worked
+    out on first use, once per plan."""
 
     def __init__(self, lq: int, lk: int, window: np.ndarray | None = None, cos=None, sin=None):
+        if window is None and lq != 1:
+            raise ShapeError(f"a plan of {lq} queries needs a window; only a single query goes without one")
         self.lq, self.lk, self.window = lq, lk, window
         self.cos, self.sin = cos, sin
         self.tiles = _query_tiles(lq, lk)
@@ -482,7 +484,8 @@ class AttentionPlan:
     @cached_property
     def blocked(self) -> list[np.ndarray | None]:
         """Per tile, True where a query may not see a key, broadcastable to
-        its scores [S, H, r1 - r0, c1]; None where every query sees every key."""
+        its scores [S, H, r1 - r0, c1]; None for the single query of a
+        windowless plan, which sees every key."""
         masks = [blocked_keys(r1 - r0, c1, self.window) for r0, r1, c1 in self.tiles]
         return masks if self.window is None else [m[:, None] for m in masks]  # one mask for every head
 
@@ -526,23 +529,12 @@ class AttentionOutput(NamedTuple):
     scale: np.ndarray  # the score scale 1/sqrt(dh)
 
 
-def _plan_for(q: np.ndarray, k: np.ndarray, plan: AttentionPlan | None) -> AttentionPlan:
-    """``plan``, checked against the query and key counts of ``q`` and ``k``,
-    or the plain causal plan of those counts if it is None."""
-    lq, lk = q.shape[2], k.shape[2]
-    if plan is None:
-        return AttentionPlan(lq, lk)
-    if (plan.lq, plan.lk) != (lq, lk):
-        raise ShapeError(f"attention plan of {plan.lq} queries over {plan.lk} keys given {lq} over {lk}")
-    return plan
-
-
-def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: AttentionPlan | None = None) -> AttentionOutput:
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: AttentionPlan) -> AttentionOutput:
     """Causal scaled dot-product attention with merged heads, on arrays.
 
     ``q`` is [S, H, Lq, dh] and ``k``, ``v`` are [S, H, Lk, dh]; the output
-    is [S, Lq, H*dh]. Which keys a query sees is set by the ``plan``
-    (``AttentionPlan``; None for plain causal attention without a window).
+    is [S, Lq, H*dh]. Which keys a query sees is set by the caller's
+    ``plan`` (``AttentionPlan``), which must be of Lq queries over Lk keys.
 
     The queries run in the plan's tiles (``_query_tiles``): a tile ends at a
     key column that is a multiple of ``_TILE`` or at the last one, and
@@ -555,7 +547,8 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: Attentio
     prefix values, a finite stand-in.
     """
     s, h, lq, dh = q.shape
-    plan = _plan_for(q, k, plan)
+    if (plan.lq, plan.lk) != (lq, k.shape[2]):
+        raise ShapeError(f"attention plan of {plan.lq} queries over {plan.lk} keys given {lq} over {k.shape[2]}")
     out = np.empty((s, lq, h, dh), dtype=np.result_type(q, k, v))
     kept = []
     for (r0, r1, c1), blocked in zip(plan.tiles, plan.blocked):
@@ -565,7 +558,7 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: Attentio
     return AttentionOutput(out.reshape(s, lq, h * dh), kept, scale)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan) -> Tensor:
     """``attention_kernel`` on the tape. The backward pass runs the plan's
     query tiles and reads only each tile's kept probabilities; a query that
     sees no key passes no gradient.
@@ -576,7 +569,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan | None = None
     score scale to the query and key gradients rather than to the score
     block."""
     s, h, lq, dh = q.shape
-    plan = _plan_for(q.data, k.data, plan)
     out_data, kept, scale = attention_kernel(q.data, k.data, v.data, plan)
 
     def bw(g):

@@ -142,19 +142,21 @@ def cmd_autoencode_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
-    out = Path(args.out)
-    if not args.resume:
+    if args.resume:  # the run goes on with the checkpoint's config and GNN setting
+        if args.config or args.set or args.text_only:
+            raise ConfigError("--resume continues the checkpoint's run and takes no --config, --set or --text-only")
+        _, ckpt = load_checkpoint(args.resume)
+        cfg = {**load_config(None), "seed": ckpt["seed"], "model": ckpt["model"], "train": ckpt["train"]}
+    else:
+        cfg = load_config(args.config, args.set)
         model, tcfg = _fresh_model(cfg, cfg["train"])
+    out = Path(args.out)
     write_run_meta(out, cfg)
     samples = []
     for path in args.corpus:
         samples.extend(read_samples(path))
     if args.resume:
-        model, report = resume(
-            args.resume, samples, out_dir=out, use_gnn=not args.text_only,
-            loss_log_path=out / "loss_log.csv",
-        )
+        model, report = resume(args.resume, samples, out_dir=out, loss_log_path=out / "loss_log.csv")
     else:
         report = train(
             model, samples, tcfg, out_dir=out, use_gnn=not args.text_only,
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on task sample corpora")
     common(p)
     p.add_argument("--corpus", nargs="+", required=True, help="task sample JSONL file(s)")
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
+    p.add_argument("--resume", default=None, help="checkpoint to resume from, with its own config")
     p.add_argument("--text-only", action="store_true", help="disable graph message passing")
     p.set_defaults(func=cmd_train)
 

@@ -18,13 +18,17 @@ memory slots always occupy the trailing K columns of a bucket. Compression
 buckets step through ``_BUCKET_STEPS``; a decode bucket is as long as its
 longest target rounded up to a multiple of 8 (``_decode_len``). Each row's
 real columns form one window that its attention keys are limited to, so
-padding columns contribute exact zeros and a single-sequence call is
-arithmetically identical however it is routed. A layer call's rows sit at
-the columns after the keys it extends, and their rotary positions count
-from their windows' first columns (``_rotations``), so no call carries
-positions of its own. Each decode bucket, text part and set of memory rows
-has one ``attention_plan`` with its window, attention masks and rotary
-tables, built before the first layer and read by every layer. One builder
+padding columns contribute exact zeros. A text's compression rows and
+memory rows are bit-equal whatever else the call holds. A decode target's
+teacher-forced logits agree only within rounding across the buckets it
+could run in: the last attention tile's softmax row sums round by the
+bucket's length, and the head product by the other rows it holds. A layer
+call's rows sit at the columns after the keys it extends, and their
+rotary positions count from their windows' first columns
+(``_rotations``), so no call carries positions of its own. Each decode
+bucket, text part and set of memory rows has one ``attention_plan`` with
+its window, attention masks and rotary tables, built before the first
+layer and read by every layer. One builder
 (``_rope_tables``) makes both those tables and the step's rotation
 matrices.
 
@@ -228,25 +232,21 @@ def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _rope_tables(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype, cfg.n_heads)
 
 
-def _rotations(cfg: ModelConfig, window: np.ndarray | None, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin [S, n, d] of the rows at columns first..first+n-1,
-    gathered from the tables by position. A row's rotary position is its
-    column minus its window's first column, 0 for the pad columns before
-    that. Without a window the position is the column itself, and they are
-    views [1, n, d] of the tables."""
+def _rotations(cfg: ModelConfig, window: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin [S, n, d] of the rows at columns first..first+n-1 under
+    ``window`` [S, 2], gathered from the tables by position. A row's rotary
+    position is its column minus its window's first column, 0 for the pad
+    columns before that."""
     cos, sin, _ = _rotation_tables(cfg)
-    if window is None:
-        return cos[None, first : first + n], sin[None, first : first + n]
     pos = np.maximum(np.arange(first, first + n) - window[:, :1], 0)
     return cos[pos], sin[pos]
 
 
-def attention_plan(cfg: ModelConfig, window: np.ndarray | None, first: int, n: int) -> AttentionPlan:
+def attention_plan(cfg: ModelConfig, window: np.ndarray, first: int, n: int) -> AttentionPlan:
     """The ``AttentionPlan`` of a layer call whose ``n`` rows sit at the key
     columns first..first+n-1 after the ``first`` columns its keys extend,
-    under ``window`` [S, 2] (None for plain causal attention), with the
-    rotations of those rows (``_rotations``). Every layer that runs rows of
-    this geometry shares it."""
+    under ``window`` [S, 2], with the rotations of those rows
+    (``_rotations``). Every layer that runs rows of this geometry shares it."""
     return AttentionPlan(n, first + n, window, *_rotations(cfg, window, first, n))
 
 
@@ -293,7 +293,7 @@ def _keys_values(xn: Tensor, p: dict, cfg: ModelConfig, plan: AttentionPlan) -> 
 
 
 def layer_forward(
-    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None = None,
+    x: Tensor | np.ndarray, p: dict, cfg: ModelConfig, plan: AttentionPlan | None,
     kv: LayerKV | StepKV | None = None,
 ) -> Tensor | np.ndarray:
     """One pre-norm transformer block over [S, L, d].
@@ -304,12 +304,11 @@ def layer_forward(
     runs rows of this geometry, holds their rotary tables and which keys
     each row sees: its window [S, 2] limits row s to the key columns
     ``window[s, 0] <= j < window[s, 1]`` (see ``autodiff.blocked_keys``).
-    None stands for plain causal attention without a window, planned for
-    this call alone. With a ``LayerKV``, the keys and values of ``x`` are
-    appended to the taped ones and the queries attend over all of them.
-    With a ``StepKV``, the inference cache, ``x`` is one new position
-    [1, 1, d] as an array, ``plan`` is None, and the step runs without a
-    tape (``_cached_layer``).
+    With a ``LayerKV``, the keys and values of ``x`` are appended to the
+    taped ones and the queries attend over all of them. With a ``StepKV``,
+    the inference cache, ``x`` is one new position [1, 1, d] as an array,
+    ``plan`` is None, the one call without a plan, and the step runs
+    without a tape (``_cached_layer``).
 
     RoPE rotates the contiguous [S, L, d] projections before they are split
     into heads. Attention runs the rows in tiles that end at every 32nd key
@@ -321,8 +320,6 @@ def layer_forward(
     """
     if isinstance(kv, StepKV):
         return _cached_layer(x, cfg, plan, kv)
-    if plan is None:
-        plan = attention_plan(cfg, None, kv.n if kv is not None else 0, x.shape[1])
     xn = rms_norm(x, p["attn_norm"])
     q = split_heads(rope(xn @ p["wq"], plan.cos, plan.sin, cfg.head_dim), cfg.n_heads)
     k, v = _keys_values(xn, p, cfg, plan)

@@ -8,8 +8,9 @@ runs through the fused ``autodiff.attention`` op. A tanh-gated
 residual plus a tanh-gated feed-forward sublayer follow, both pre-normed,
 so a freshly initialized layer (gates at 0) is an exact identity. Edge
 memories are read but never updated here. Nodes with no in-neighbors pass
-through untouched. Which arcs reach which node (``ArcGroups``) depends on
-the graph alone, so a caller builds it once and passes it to every layer.
+through untouched. Which arcs reach which node, and the attention plan of
+each in-degree group (``ArcGroups``), depend on the graph alone, so a
+caller builds them once and passes them to every layer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, attention, attention_kernel, gather_rows, rms_norm, split_heads
+from .autodiff import AttentionPlan, ShapeError, Tensor, attention, attention_kernel, gather_rows, rms_norm, split_heads
 from .compressor import ModelConfig, ParamStore, gather_in_order
 
 
@@ -44,14 +45,15 @@ def init_gnn_layer(store: ParamStore, prefix: str, cfg: ModelConfig, rng) -> dic
 
 @dataclass
 class ArcGroups:
-    """The nodes of a graph grouped by in-degree, with their in-arcs.
+    """The nodes of a graph grouped by in-degree, with their in-arcs and
+    the plan of their attention call.
 
     A node's query attends over its in-arcs, in arc order; nodes of equal
     in-degree share one attention call, so a node's result does not depend
     on the other graphs of a batch."""
 
     has_in_arcs: np.ndarray  # [N] bool
-    groups: list[tuple[np.ndarray, np.ndarray | None]]  # (nodes [m], their in-arcs [m, deg], None at degree 0)
+    groups: list[tuple]  # (nodes [m], their in-arcs [m, deg], AttentionPlan(1, deg)); (nodes, None, None) at degree 0
 
 
 def arc_groups(dst: np.ndarray, n_nodes: int) -> ArcGroups:
@@ -63,7 +65,8 @@ def arc_groups(dst: np.ndarray, n_nodes: int) -> ArcGroups:
     groups = []
     for deg in np.unique(in_deg):
         nodes = np.flatnonzero(in_deg == deg)
-        groups.append((nodes, by_dst[first[nodes, None] + np.arange(deg)] if deg else None))
+        arcs = by_dst[first[nodes, None] + np.arange(deg)] if deg else None
+        groups.append((nodes, arcs, AttentionPlan(1, int(deg)) if deg else None))
     return ArcGroups(in_deg > 0, groups)
 
 
@@ -81,8 +84,8 @@ def gnn_layer(
 
     ``src``/``dst`` are arc endpoint arrays; ``node_mem`` is [N, K, d] and
     ``edge_mem`` [E, K, d] (one row block per arc, already expanded from any
-    shared text). ``groups`` is ``arc_groups(dst, N)``, built here when not
-    given. Returns the updated [N, K, d] node memories.
+    shared text). ``groups`` is ``arc_groups(dst, N)``, plans included,
+    built here when not given. Returns the updated [N, K, d] node memories.
     """
     n_nodes, k, d = node_mem.shape
     n_edges = len(src)
@@ -107,26 +110,26 @@ def gnn_layer(
         groups = arc_groups(dst, n_nodes)
     alpha = None if collect_attention is None else np.empty((n_edges, k, heads), dtype=key.dtype)
     blocks = []
-    for nodes, arcs in groups.groups:
+    for nodes, arcs, plan in groups.groups:
         if arcs is None:
             blocks.append(Tensor(np.zeros((len(nodes), 1, k * d)), dtype=node_mem.dtype))
             continue
         qg = split_heads(gather_rows(q, nodes[:, None]), k * heads)
         kg, vg = (split_heads(gather_rows(t, arcs), k * heads) for t in (key, val))
-        blocks.append(attention(qg, kg, vg))  # [m, 1, K * d]
+        blocks.append(attention(qg, kg, vg, plan))  # [m, 1, K * d]
         if alpha is not None:
-            p = attention_kernel(qg.data, kg.data, vg.data).probabilities[0]  # [m, K * heads, 1, deg]
+            p = attention_kernel(qg.data, kg.data, vg.data, plan).probabilities[0]  # [m, K * heads, 1, deg]
             deg = arcs.shape[1]
             alpha[arcs.reshape(-1)] = p.reshape(len(nodes), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
     if alpha is not None:
         collect_attention.append((alpha, dst.copy()))
-    out = gather_in_order(blocks, [nodes for nodes, _ in groups.groups]).reshape(n_nodes, k, d) @ params["wo"]
+    # the zero blocks leave exact zero rows in ``out`` for nodes without in-arcs
+    out = gather_in_order(blocks, [nodes for nodes, *_ in groups.groups]).reshape(n_nodes, k, d) @ params["wo"]
 
-    mask = Tensor(groups.has_in_arcs.reshape(n_nodes, 1, 1), dtype=node_mem.dtype)
-
-    h1 = node_mem + (params["gate_gnn"].tanh() * out) * mask
+    h1 = node_mem + params["gate_gnn"].tanh() * out
     hf = rms_norm(h1, params["ff_norm"])
     ff_out = (hf @ params["ff1"]).silu() @ params["ff2"]
+    mask = Tensor(groups.has_in_arcs.reshape(n_nodes, 1, 1), dtype=node_mem.dtype)
     return h1 + (params["gate_ff"].tanh() * ff_out) * mask
 
 

@@ -340,7 +340,7 @@ def train(
                 model.save(
                     path,
                     extra_tensors=opt.state_tensors(),
-                    extra_config={"train_step": step + 1, "train": asdict(cfg)},
+                    extra_config={"train_step": step + 1, "train": asdict(cfg), "use_gnn": use_gnn},
                 )
                 report.checkpoints.append(str(path))
         if cache is not None:
@@ -350,15 +350,17 @@ def train(
     return report
 
 
-def resume(model_path, corpus, out_dir=None, use_gnn: bool = True, loss_log_path=None) -> tuple[GofaModel, TrainReport]:
-    """Continue a checkpointed run to its configured max_steps."""
+def resume(model_path, corpus, out_dir=None, loss_log_path=None) -> tuple[GofaModel, TrainReport]:
+    """Continue a checkpointed run to its configured max_steps, with or
+    without the GNN as the run was (with it for a checkpoint that does not
+    say)."""
     model, extras, config = GofaModel.load(model_path)
     cfg = TrainConfig(**config["train"])
     opt = AdamW(model.parameters(), cfg)
     opt.load_state_tensors(extras)
     start_step = int(config.get("train_step", 0))
     report = train(
-        model, corpus, cfg, out_dir=out_dir, use_gnn=use_gnn,
+        model, corpus, cfg, out_dir=out_dir, use_gnn=config.get("use_gnn", True),
         start_step=start_step, optimizer=opt, loss_log_path=loss_log_path,
     )
     return model, report

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gofa import tokenizer
+from gofa.compressor import attention_plan
 from gofa.tag import TAG
 
 NODE_TAG_RE = re.compile(r"\[NODEID\.([A-Z]+)\]")
@@ -129,6 +130,20 @@ def assert_grads_match(fused: np.ndarray, ref: np.ndarray, scale: float | None =
     tol = GRAD_RTOL[ref.dtype]
     scale = np.abs(ref).max(initial=0.0) if scale is None else scale
     np.testing.assert_allclose(fused, ref, rtol=tol, atol=tol * scale)
+
+
+def full_windows(s: int, lk: int) -> np.ndarray:
+    """[S, 2] windows that each hold all Lk key columns: plain causal
+    attention."""
+    return np.tile([0, lk], (s, 1))
+
+
+def causal_plan(cfg, x, first: int = 0):
+    """The ``attention_plan`` of plain causal attention for the rows of ``x``
+    [S, L, d] after ``first`` columns of keys: full windows, so each row's
+    rotary position is its column."""
+    s, n = x.shape[:2]
+    return attention_plan(cfg, full_windows(s, first + n), first, n)
 
 
 def compress(model, texts: list[str]):

@@ -23,6 +23,7 @@ from conftest import (
     assert_grad_close,
     brute_force_all_paths,
     brute_force_distance,
+    causal_plan,
     compress,
     decode_loss,
     finite_difference,
@@ -93,8 +94,8 @@ def test_criterion_02_gradient_integrity():
     x = Tensor(rng.normal(size=(1, total, cfg.d_model)), requires_grad=True)
     up = Tensor(rng.normal(size=(1, total, cfg.d_model)))
     layer = model.compressor_stack.layers[0]
-    _fd_check(  # plain causal attention: no window
-        lambda: (layer_forward(x, layer, cfg, None) * up).sum(),
+    _fd_check(  # plain causal attention: full windows
+        lambda: (layer_forward(x, layer, cfg, causal_plan(cfg, x)) * up).sum(),
         [x, layer["wq"], layer["ff1"], layer["attn_norm"]],
         rng,
     )

@@ -23,7 +23,7 @@ from gofa.autodiff import (
     split_heads,
 )
 
-from conftest import GRAD_RTOL, assert_grad_close, assert_grads_match, finite_difference
+from conftest import GRAD_RTOL, assert_grad_close, assert_grads_match, finite_difference, full_windows
 
 
 def check_op(build, tensors, max_coords=None, rng=None, rel_tol=1e-4):
@@ -124,7 +124,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     output is the probability row itself."""
     r, n = x.shape
     eye = Tensor(np.broadcast_to(np.eye(n), (r, 1, n, n)))
-    return attention((x * np.sqrt(n)).reshape(r, 1, 1, n), eye, eye).reshape(r, n)
+    return attention((x * np.sqrt(n)).reshape(r, 1, 1, n), eye, eye, AttentionPlan(1, n)).reshape(r, n)
 
 
 class TestSoftmax:
@@ -329,8 +329,13 @@ def rows_of_heads(table: np.ndarray, n_heads: int) -> np.ndarray:
 
 def plan_of(q: Tensor, k: Tensor, window=None) -> AttentionPlan:
     """The plan of queries ``q`` [S, H, Lq, dh] at the last columns of keys
-    ``k`` [S, H, Lk, dh] under ``window``."""
-    return AttentionPlan(q.shape[2], k.shape[2], window)
+    ``k`` [S, H, Lk, dh] under ``window``. Without one, a single query sees
+    every key, as in a GNN in-degree group, and more queries get full
+    windows: plain causal attention."""
+    s, _, lq, _ = q.shape
+    if window is None and lq > 1:
+        window = full_windows(s, k.shape[2])
+    return AttentionPlan(lq, k.shape[2], window)
 
 
 def leaf(rng, shape, dtype=np.float64) -> Tensor:
@@ -354,7 +359,7 @@ class TestFusedAttentionChain:
         lq = data.draw(st.integers(1, lk))
         rng = np.random.default_rng(seed)
         d = h * 2 * half
-        window = None
+        window = full_windows(s, lk)
         up = rng.normal(size=(s, lq, d)).astype(dtype)
         if windowed:
             lo = rng.integers(0, lk, s)
@@ -461,6 +466,23 @@ class TestFeedForward:
         assert x.grad.shape == x.shape and w2.grad.shape == w2.shape
 
 
+class TestAttentionPlan:
+    """Every attention call takes its caller's plan; only a single query
+    that sees every key, a GNN in-degree group's, goes without a window."""
+
+    def test_only_a_single_query_goes_without_a_window(self):
+        plan = AttentionPlan(1, 40)
+        assert plan.tiles == [(0, 1, 40)] and plan.blocked == [None] and plan.dead is None
+        for lq in (2, 40):
+            with pytest.raises(ShapeError, match="needs a window"):
+                AttentionPlan(lq, 40)
+
+    def test_a_plan_of_other_counts_is_a_shape_error(self, rng):
+        q, k = leaf(rng, (1, 2, 3, 4)), leaf(rng, (1, 2, 5, 4))
+        with pytest.raises(ShapeError, match="plan of 3 queries over 6 keys given 3 over 5"):
+            attention(q, k, k, AttentionPlan(3, 6, full_windows(1, 6)))
+
+
 class TestTiledAttention:
     """``attention`` scores a query tile only against the keys up to its last
     column, a multiple of 32 or Lk; the dense-mask chain scores every key."""
@@ -556,7 +578,7 @@ class TestFusedOpGradients:
     def test_attention_causal_vs_fd(self, rng):
         q, k, v = (leaf(rng, (2, 2, 5, 4)) for _ in range(3))
         up = Tensor(rng.normal(size=(2, 5, 8)))
-        check_op(lambda: (attention(q, k, v) * up).sum(), [q, k, v])
+        check_op(lambda: (attention(q, k, v, plan_of(q, k)) * up).sum(), [q, k, v])
 
     def test_attention_windowed_vs_fd(self, rng):
         q, k, v = (leaf(rng, (3, 2, 6, 2)) for _ in range(3))
@@ -569,7 +591,7 @@ class TestFusedOpGradients:
         q = leaf(rng, (1, 2, 1, 4))
         k, v = leaf(rng, (1, 2, 7, 4)), leaf(rng, (1, 2, 7, 4))
         up = Tensor(rng.normal(size=(1, 1, 8)))
-        check_op(lambda: (attention(q, k, v) * up).sum(), [q, k, v])
+        check_op(lambda: (attention(q, k, v, plan_of(q, k)) * up).sum(), [q, k, v])
 
     def test_memory_rows_after_text_keys_vs_fd(self, rng):
         # K=2 queries at the last columns over 4 left-padded text keys plus their own
@@ -752,7 +774,7 @@ class TestBackward:
         for _ in range(2):
             x = Tensor(data.copy(), requires_grad=True)
             h = (x @ x).reshape(1, 1, 6, 6)
-            (attention(h, h, h) * h.reshape(1, 6, 6)).sum().backward()
+            (attention(h, h, h, plan_of(h, h)) * h.reshape(1, 6, 6)).sum().backward()
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
 

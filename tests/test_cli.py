@@ -312,6 +312,64 @@ class TestExitCodes:
         assert '"d_model": 16' in out
 
 
+class TestResume:
+    """``train --resume`` continues the checkpoint's run with the
+    checkpoint's own config and GNN setting."""
+
+    @staticmethod
+    def _train(corpus, out, extra):
+        return run(
+            ["train", "--out", str(out), "--corpus", corpus] + SMALL_MODEL
+            + ["--set", "train.max_steps=4", "--set", "train.batch_size=2", "--set", "train.checkpoint_every=2"] + extra
+        )
+
+    def test_run_meta_holds_the_checkpoint_config_and_overrides_are_2(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        corpus = str(corpus_dir / "qa_train.jsonl")
+        assert self._train(corpus, tmp_path / "first", ["--set", "seed=5"]) == 0
+        ckpt = str(tmp_path / "first" / "checkpoint_000002.gofa")
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"train": {"max_steps": 50}}')
+        for extra in (["--set", "train.max_steps=50"], ["--config", str(cfg_file)], ["--text-only"]):
+            out = tmp_path / "refused"
+            assert run(["train", "--out", str(out), "--corpus", corpus, "--resume", ckpt] + extra) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("config error: ")
+        out = tmp_path / "resumed"
+        assert run(["train", "--out", str(out), "--corpus", corpus, "--resume", ckpt]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        _, config = load_checkpoint(ckpt)
+        assert meta["seed"] == meta["config"]["seed"] == 5
+        assert meta["config"]["model"] == config["model"] and meta["config"]["train"] == config["train"]
+        assert meta["config"]["model"]["d_model"] == 16 and meta["config"]["train"]["max_steps"] == 4
+        assert [p.name for p in out.glob("checkpoint_*.gofa")] == ["checkpoint_000004.gofa"]
+
+    def test_interrupted_text_only_run_resumes_bit_exact(self, tmp_path, monkeypatch):
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        corpus = str(corpus_dir / "completion_train.jsonl")
+        text_only = ["--text-only", "--set", "train.log_every=1", "--set", "train.lr=1e-2"]
+        assert self._train(corpus, tmp_path / "full", text_only) == 0
+
+        inner, calls = GofaModel.forward_batch, []
+
+        def forward_batch(model, samples, use_gnn=True):
+            calls.append(use_gnn)
+            if len(calls) == 3:  # step 2, after the checkpoint of step 2
+                raise RuntimeError("interrupted")
+            return inner(model, samples, use_gnn=use_gnn)
+
+        monkeypatch.setattr(GofaModel, "forward_batch", forward_batch)
+        assert self._train(corpus, tmp_path / "cut", text_only) == 3
+        monkeypatch.undo()
+        ckpt = tmp_path / "cut" / "checkpoint_000002.gofa"
+        assert load_checkpoint(ckpt)[1]["use_gnn"] is False
+        assert run(["train", "--out", str(tmp_path / "cut"), "--corpus", corpus, "--resume", str(ckpt)]) == 0
+        for name in ("loss_log.csv", "checkpoint_000004.gofa"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
 class TestAutoencodeCommand:
     def test_runs_and_saves(self, tmp_path):
         out = tmp_path / "ae"

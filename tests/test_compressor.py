@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from gofa import compressor, corpus, tokenizer
 from gofa.autodiff import (
-    AttentionPlan, Tensor, _query_tiles, attention, blocked_keys, concat, gather_rows, no_grad, rms_norm, rope, split_heads,
+    AttentionPlan, Tensor, _query_tiles, attention, attention_kernel, blocked_keys, concat, gather_rows, no_grad, rms_norm,
+    rope, split_heads,
 )
 from gofa.compressor import (
     _BUCKET_STEPS,
@@ -28,7 +30,7 @@ from gofa.model import GofaModel
 from gofa.taskgen import make_autoencode_task
 from gofa.training import TrainConfig, train
 
-from conftest import compress
+from conftest import causal_plan, compress
 
 
 def tiny_cfg(**kw):
@@ -144,7 +146,7 @@ class TestEmbedding:
 class TestTransformerLayer:
     def _run_layer(self, cfg, x_data, model):
         # Plain causal attention over x exactly: no padding, positions 0..L-1.
-        return layer_forward(Tensor(x_data), model.compressor_stack.layers[0], cfg, None)
+        return layer_forward(Tensor(x_data), model.compressor_stack.layers[0], cfg, causal_plan(cfg, x_data))
 
     def test_causality_text_positions(self, rng):
         # Perturbing text token j leaves every output before j unchanged.
@@ -591,6 +593,10 @@ class TestAttentionPlans:
     output is the composed ops' to the bit."""
 
     KINDS = ["decode-bucket", "member", "memory"]
+
+    def test_no_taped_call_has_a_default_plan(self):
+        for fn in (attention, attention_kernel, layer_forward):
+            assert inspect.signature(fn).parameters["plan"].default is inspect.Parameter.empty, fn.__name__
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_layer_forward_bit_equal_to_composed_ops(self, monkeypatch, kind):

@@ -3,6 +3,7 @@ import pytest
 
 from gofa.autodiff import ShapeError, Tensor
 from gofa.compressor import ModelConfig, ParamStore
+from gofa import gnn as gnn_module
 from gofa import model as model_module
 from gofa.gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
 from gofa.model import GofaModel
@@ -239,7 +240,7 @@ class TestArcGroups:
     def test_groups(self):
         groups = arc_groups(uneven_arcs()[1], 5)
         assert groups.has_in_arcs.tolist() == [True, True, True, True, False]
-        by_degree = {0 if arcs is None else arcs.shape[1]: (nodes.tolist(), arcs) for nodes, arcs in groups.groups}
+        by_degree = {0 if arcs is None else arcs.shape[1]: (nodes.tolist(), arcs) for nodes, arcs, _ in groups.groups}
         assert by_degree[0][0] == [4] and by_degree[0][1] is None
         assert by_degree[1][0] == [2, 3] and by_degree[1][1].tolist() == [[3], [6]]
         assert by_degree[2][0] == [1] and by_degree[2][1].tolist() == [[1, 4]]
@@ -263,6 +264,31 @@ class TestArcGroups:
         monkeypatch.setattr(model_module, "gnn_layer", reading)
         model.encode_graphs([random_tag(np.random.default_rng(0), 5, edge_prob=0.5)])
         assert len(built) == 1 and len(read) == 3 and all(g is built[0] for g in read)
+
+
+    def test_every_layer_reads_each_group_plan(self, monkeypatch):
+        # the taped attention and the collected probabilities of all three
+        # layers read one AttentionPlan(1, deg) per in-degree group
+        cfg = tiny_cfg(n_layers=5, gnn_layers=(2, 3, 4))
+        model = GofaModel(cfg, seed=3)
+        calls = {"attention": [], "attention_kernel": []}
+        for name, record in calls.items():
+            inner = getattr(gnn_module, name)
+
+            def recording(q, k, v, plan=None, inner=inner, record=record):
+                record.append((k.shape[2], plan))
+                return inner(q, k, v, plan)
+
+            monkeypatch.setattr(gnn_module, name, recording)
+        model.encode_graphs([random_tag(np.random.default_rng(0), 5, edge_prob=0.5)], collect_attention=[])
+        taped = calls["attention"]
+        per_layer = len(taped) // 3
+        assert per_layer > 1 and len(taped) == 3 * per_layer and calls["attention_kernel"] == taped
+        first = taped[:per_layer]
+        assert all(plan is not None and (plan.lq, plan.lk, plan.window) == (1, deg, None) for deg, plan in first)
+        assert len({id(plan) for _, plan in first}) == per_layer
+        for layer in (1, 2):
+            assert all(a is b for (_, a), (_, b) in zip(first, taped[layer * per_layer : (layer + 1) * per_layer]))
 
 
 class TestEquivariance:

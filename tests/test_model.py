@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, compress, decode_loss, finite_difference
+from conftest import assert_grad_close, causal_plan, compress, decode_loss, finite_difference
 from gofa import compressor, tokenizer
 from gofa.autodiff import Tensor, concat, gather_rows, no_grad, rms_norm
 from gofa.checkpoint import load_checkpoint, save_checkpoint
@@ -61,7 +61,7 @@ def unrolled_encode(model: GofaModel, graph: TAG):
     dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
     for t in range(1, cfg.n_layers + 1):
         layer = model.compressor_stack.layers[t - 1]
-        states = [layer_forward(x, layer, cfg, None) for x in states]  # plain causal attention
+        states = [layer_forward(x, layer, cfg, causal_plan(cfg, x)) for x in states]
         if t in cfg.gnn_layers and len(src):
             node_mem = Tensor(np.concatenate([states[i].data[:, -k:, :] for i in range(n_nodes)], axis=0))
             edge_mem = Tensor(np.stack([states[n_nodes + u].data[0, -k:, :] for u in arc_uid], axis=0))
@@ -397,7 +397,7 @@ class TapeDecoder:
                 if prefix:
                     x = concat([x, gather_rows(stack.embed, prefix).reshape(1, len(prefix), d)], axis=1)
             for layer, kv in zip(stack.layers, self.layers):
-                x = layer_forward(x, layer, cfg, None, kv)
+                x = layer_forward(x, layer, cfg, causal_plan(cfg, x, kv.n), kv)
             xn = rms_norm(x[:, -1:, :], stack.final_norm)
             return (xn @ stack.embed.swapaxes(0, 1)).data[0, 0]
 
