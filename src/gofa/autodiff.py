@@ -49,10 +49,6 @@ class ShapeError(ValueError):
     pass
 
 
-class NonFiniteError(FloatingPointError):
-    """Raised by validation passes when NaN/Inf values are detected."""
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:
@@ -103,11 +99,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def validate_finite(self, label: str = "tensor") -> None:
-        if not np.all(np.isfinite(self.data)):
-            bad = int(np.sum(~np.isfinite(self.data)))
-            raise NonFiniteError(f"{label}: {bad} non-finite value(s) detected")
 
     def zero_grad(self) -> None:
         self.grad = None

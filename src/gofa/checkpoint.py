@@ -107,3 +107,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
     if CONFIG_KEY in tensors:
         config = json.loads(tensors.pop(CONFIG_KEY).tobytes().decode("utf-8"))
     return tensors, config
+
+
+def without_retired(section: str, fields: dict, retired: dict) -> dict:
+    """``fields`` of a checkpoint config ``section`` without the keys that
+    earlier versions wrote and this one fixes at the constants ``retired``
+    maps them to; a key at another value is a ``CheckpointError``."""
+    for key, constant in retired.items():
+        if key in fields and fields[key] != json.loads(json.dumps(constant)):  # a tuple compares as a list
+            raise CheckpointError(f"checkpoint {section}.{key} is {fields[key]!r}, but {key} is fixed at {constant!r}")
+    return {key: value for key, value in fields.items() if key not in retired}

@@ -80,7 +80,7 @@ def perplexity_gap(claim: Claim):
     ppl = {}
     for name, arm in claim.arms.items():
         model, diagnostics[name] = train_arm(claim, train_set, arm, start)
-        ppl[name] = perplexity(model, test_set, use_gnn=arm.use_gnn, batch_size=claim.eval["batch_size"])
+        ppl[name] = perplexity(model, test_set, use_gnn=arm.use_gnn)
         diagnostics[name]["perplexity"] = ppl[name]
     return {"gap": 1 - ppl["gofa"] / ppl["text"]}, diagnostics
 
@@ -132,7 +132,7 @@ _GAP_ARMS = {
 }
 _GAP = dict(
     thresholds={"gap": (">=", 0.20)}, corpus=_COMPLETION, split=(0.15, 1), model=_COMPLETION_MODEL, model_seed=7,
-    arms=_GAP_ARMS, eval={"call": "perplexity", "batch_size": 8}, score=perplexity_gap,
+    arms=_GAP_ARMS, eval={"call": "perplexity"}, score=perplexity_gap,
 )
 _LOOKUP_RUN = _run(lr=1.5e-3, batch_size=8, max_steps=600, seed=5, freeze=_FROZEN, log_every=100)
 

@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,13 @@ def cmd_train(args) -> int:
         if args.config or args.set or args.text_only:
             raise ConfigError("--resume continues the checkpoint's run and takes no --config, --set or --text-only")
         _, ckpt = load_checkpoint(args.resume)
-        cfg = {**load_config(None), "seed": ckpt["seed"], "model": ckpt["model"], "train": ckpt["train"]}
+        if not ckpt or not {"model", "train"} <= set(ckpt):
+            raise ConfigError(f"{args.resume}: checkpoint lacks the model or train section of a training run to resume")
+        try:  # the sections as this version reads them, retired keys dropped or refused
+            mcfg, tcfg = ModelConfig.from_checkpoint(ckpt["model"]), TrainConfig.from_checkpoint(ckpt["train"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.resume}: {exc}") from exc
+        cfg = {**load_config(None), "seed": ckpt.get("seed", 0), "model": asdict(mcfg), "train": asdict(tcfg)}
     else:
         cfg = load_config(args.config, args.set)
         model, tcfg = _fresh_model(cfg, cfg["train"])
@@ -199,7 +206,7 @@ def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, kind: str,
         )
     else:
         report = EvalReport()
-    report.metrics["perplexity"] = perplexity(model, samples, use_gnn=use_gnn, batch_size=ecfg["batch_size"])
+    report.metrics["perplexity"] = perplexity(model, samples, use_gnn=use_gnn)
     if model.cfg.gnn_layers and use_gnn:
         profile = layer_delta_profile(model, samples, n=ecfg["delta_profile_n"])
         report.metrics["delta_profile"] = {str(k): v for k, v in profile.items()}

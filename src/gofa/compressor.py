@@ -84,44 +84,37 @@ from .autodiff import (
     _TILE, AttentionPlan, Tensor, _query_tiles, attention, concat, feed_forward, gather_rows, rms_norm, rope,
     split_heads,
 )
+from .checkpoint import without_retired
 
 log = logging.getLogger("gofa")
 
 _BUCKET_STEPS = (0, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 
 
+# Fixed as a pretrained LM fixes them: feed-forward width in multiples of d_model, rotary
+# base, and an embedding init scale small enough that untrained logits stay near-uniform.
+FF_MULT = 4
+ROPE_BASE = 10000.0
+EMBED_STD = 0.02
+
+
 @dataclass
 class ModelConfig:
-    vocab_size: int = tokenizer.VOCAB_SIZE
     d_model: int = 128
     n_heads: int = 4
     n_layers: int = 6
     memory_tokens: int = 4
     gnn_layers: tuple[int, ...] = (3, 4, 5)
     max_seq_len: int = 128
-    ff_mult: int = 4
-    rope_base: float = 10000.0
-    init_std: float | None = None  # interior projections; default 1/sqrt(d_model)
-    embed_std: float = 0.02  # kept small so untrained logits stay near-uniform
     precision: str = "float64"
 
     def __post_init__(self):
         self.gnn_layers = tuple(sorted(self.gnn_layers))
         if len(set(self.gnn_layers)) < len(self.gnn_layers):
             raise ValueError(f"gnn_layers {list(self.gnn_layers)} lists a layer twice")
-        for name in ("d_model", "n_heads", "ff_mult"):
+        for name in ("d_model", "n_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.rope_base > 0:
-            raise ValueError("rope_base must be positive")
-        if self.vocab_size < tokenizer.VOCAB_SIZE:
-            raise ValueError(f"vocab_size {self.vocab_size} is below the tokenizer's {tokenizer.VOCAB_SIZE} ids")
-        if self.init_std is not None and self.init_std <= 0:
-            raise ValueError("init_std must be positive")
-        if self.embed_std <= 0:
-            raise ValueError("embed_std must be positive")
-        if self.init_std is None:
-            self.init_std = float(self.d_model) ** -0.5
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
@@ -138,6 +131,17 @@ class ModelConfig:
             raise ValueError("max_seq_len must exceed memory_tokens")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision {self.precision!r} is neither 'float32' nor 'float64'")
+
+    @classmethod
+    def from_checkpoint(cls, fields: dict) -> "ModelConfig":
+        """The config of a checkpoint's ``model`` section (``without_retired``)."""
+        retired = {"vocab_size": tokenizer.VOCAB_SIZE, "ff_mult": FF_MULT, "rope_base": ROPE_BASE, "embed_std": EMBED_STD}
+        retired["init_std"] = float(fields.get("d_model", cls.d_model)) ** -0.5
+        return cls(**without_retired("model", fields, retired))
+
+    @property
+    def init_std(self) -> float:  # of every interior projection
+        return float(self.d_model) ** -0.5
 
     @property
     def head_dim(self) -> int:
@@ -176,10 +180,10 @@ class TransformerStack:
     """Embedding plus n_layers of pre-norm attention/feed-forward blocks."""
 
     def __init__(self, store: ParamStore, prefix: str, cfg: ModelConfig, rng, with_final_norm: bool):
-        d, ff = cfg.d_model, cfg.d_model * cfg.ff_mult
+        d, ff = cfg.d_model, cfg.d_model * FF_MULT
         self.cfg = cfg
         self.prefix = prefix
-        self.embed = store.add(f"{prefix}.embed", rng.normal(0.0, cfg.embed_std, (cfg.vocab_size, d)))
+        self.embed = store.add(f"{prefix}.embed", rng.normal(0.0, EMBED_STD, (tokenizer.VOCAB_SIZE, d)))
         self.layers = []
         for i in range(cfg.n_layers):
             p = f"{prefix}.layers.{i}"
@@ -199,7 +203,7 @@ class TransformerStack:
 
 
 @lru_cache(maxsize=16)  # a few configurations per process; tables are read-only
-def _rope_tables(n_pos: int, half: int, base: float, dtype, n_heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rope_tables(n_pos: int, half: int, dtype, n_heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only rotations of positions 0..n_pos-1: ``cos`` and ``sin``
     [n_pos, n_heads*2*half] in the form ``autodiff.rope`` takes (for each
     head, cosines in both halves, sines negated in the first half), and the
@@ -207,7 +211,7 @@ def _rope_tables(n_pos: int, half: int, base: float, dtype, n_heads: int) -> tup
     head times entry i being ``autodiff.rope`` of it at position i (column j
     holds the cosine on the diagonal and the sine in the row of j's partner
     in the other half)."""
-    inv = base ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
+    inv = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
     angles = np.arange(n_pos, dtype=np.float64)[:, None] * inv[None, :]
     cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
     cos, sin = np.concatenate([cos, cos], axis=1), np.concatenate([-sin, sin], axis=1)
@@ -229,7 +233,7 @@ def _rotation_tables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for a [S, L, d] projection and the [dh, dh] matrices of the array
     step."""
     n_pos = _bucket_len(cfg.max_text_len) + cfg.memory_tokens
-    return _rope_tables(n_pos, cfg.head_dim // 2, cfg.rope_base, cfg.dtype, cfg.n_heads)
+    return _rope_tables(n_pos, cfg.head_dim // 2, cfg.dtype, cfg.n_heads)
 
 
 def _rotations(cfg: ModelConfig, window: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:

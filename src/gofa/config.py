@@ -36,12 +36,11 @@ class ConfigError(ValueError):
 def default_config() -> dict:
     cfg = {
         "seed": 0,
-        # null init_std means 1/sqrt(d_model) of the d_model the run ends up with
-        "model": {**asdict(ModelConfig()), "init_std": None},
+        "model": asdict(ModelConfig()),
         "corpus": asdict(CorpusConfig()),
         "train": asdict(TrainConfig()),
         "pretrain": {"steps": 200, "batch_size": 16, "text_low": 2, "text_high": 8, "alphabet": "ab"},
-        "eval": {"kind": "auto", "batch_size": 8, "max_new_tokens": 96, "delta_profile_n": 100},
+        "eval": {"kind": "auto", "max_new_tokens": 96, "delta_profile_n": 100},
         "gen": {"test_fraction": 0.2},
     }
     return json.loads(json.dumps(cfg))  # the shape a config file has: tuples become lists
@@ -68,7 +67,7 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"{name}: {exc}") from exc
     if cfg["eval"]["kind"] not in EVAL_KINDS:
         raise ConfigError(f"eval.kind {cfg['eval']['kind']!r} is not one of {', '.join(EVAL_KINDS)}")
-    for key in ("batch_size", "max_new_tokens", "delta_profile_n"):
+    for key in ("max_new_tokens", "delta_profile_n"):
         _require(f"eval.{key}", cfg["eval"][key], int, lambda v: v >= 1, "an integer >= 1")
     _require("gen.test_fraction", cfg["gen"]["test_fraction"], (int, float), lambda v: 0 < v < 1, "in (0, 1)")
     pre = cfg["pretrain"]

@@ -158,8 +158,10 @@ def score_structural(generated: str, oracle, graph: TAG) -> dict:
 
 # -- model metrics ---------------------------------------------------------------
 
+EVAL_BATCH = 8  # samples whose graphs an evaluation encodes at once
 
-def eval_token_nll(model: GofaModel, samples: list[TaskSample], use_gnn: bool = True, batch_size: int = 8) -> tuple[float, int]:
+
+def eval_token_nll(model: GofaModel, samples: list[TaskSample], use_gnn: bool = True, batch_size: int = EVAL_BATCH) -> tuple[float, int]:
     """Total teacher-forcing NLL and token count over all targets."""
     total, tokens = 0.0, 0
     with no_grad():
@@ -172,7 +174,7 @@ def eval_token_nll(model: GofaModel, samples: list[TaskSample], use_gnn: bool = 
     return total, tokens
 
 
-def perplexity(model: GofaModel, samples: list[TaskSample], use_gnn: bool = True, batch_size: int = 8) -> float:
+def perplexity(model: GofaModel, samples: list[TaskSample], use_gnn: bool = True, batch_size: int = EVAL_BATCH) -> float:
     """exp(mean per-token NLL over all target tokens)."""
     total, tokens = eval_token_nll(model, samples, use_gnn=use_gnn, batch_size=batch_size)
     if tokens == 0:
@@ -187,11 +189,11 @@ def generate_answers(
     max_new_tokens: int = 96,
 ) -> list[tuple[TaskSample, int, str]]:
     """Greedy generations for every target, as a list of (sample, target
-    idx, text); the graphs are encoded 8 samples at a time."""
+    idx, text); the graphs are encoded ``EVAL_BATCH`` samples at a time."""
     out = []
     with no_grad():
-        for i in range(0, len(samples), 8):
-            batch = samples[i : i + 8]
+        for i in range(0, len(samples), EVAL_BATCH):
+            batch = samples[i : i + EVAL_BATCH]
             mems, _ = model.encode_targets(batch, use_gnn=use_gnn)
             refs = [(s, ti) for s in batch for ti in range(len(s.targets))]
             for row, (s, ti) in enumerate(refs):

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AttentionPlan, ShapeError, Tensor, attention, attention_kernel, gather_rows, rms_norm, split_heads
-from .compressor import ModelConfig, ParamStore, gather_in_order
+from .compressor import FF_MULT, ModelConfig, ParamStore, gather_in_order
 
 
 def init_gnn_layer(store: ParamStore, prefix: str, cfg: ModelConfig, rng) -> dict:
-    d, ff = cfg.d_model, cfg.d_model * cfg.ff_mult
+    d, ff = cfg.d_model, cfg.d_model * FF_MULT
     w = lambda: rng.normal(0.0, cfg.init_std, (d, d))
     return {
         "norm_nodes": store.add(f"{prefix}.norm_nodes", np.ones(d)),

@@ -17,7 +17,7 @@ import numpy as np
 from . import tokenizer
 from .autodiff import Tensor, concat, gather_rows, head_cross_entropy
 from .checkpoint import load_checkpoint, save_checkpoint
-from .compressor import Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets
+from .compressor import EMBED_STD, Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets
 from .gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
 from .tag import TAG, GraphError, TaskSample
 
@@ -30,7 +30,7 @@ class GofaModel:
         rng = np.random.default_rng(seed)
         self.compressor_stack = TransformerStack(store, "compressor", cfg, rng, with_final_norm=False)
         self.memory_tokens = store.add(
-            "memory_tokens", rng.normal(0.0, cfg.embed_std, (cfg.memory_tokens, cfg.d_model))
+            "memory_tokens", rng.normal(0.0, EMBED_STD, (cfg.memory_tokens, cfg.d_model))
         )
         self.decoder_stack = TransformerStack(store, "decoder", cfg, rng, with_final_norm=True)
         self.gnn_params = {t: init_gnn_layer(store, f"gnn.{t}", cfg, rng) for t in cfg.gnn_layers}
@@ -42,10 +42,6 @@ class GofaModel:
 
     def parameters(self) -> dict[str, Tensor]:
         return self.store.named()
-
-    def check_finite(self) -> None:
-        for name, t in self.store.params.items():
-            t.validate_finite(name)
 
     # -- encoding ---------------------------------------------------------------
 
@@ -195,11 +191,12 @@ class GofaModel:
     @classmethod
     def load(cls, path) -> tuple["GofaModel", dict[str, np.ndarray], dict]:
         """Rebuild a model from a checkpoint; returns (model, extra tensors,
-        config) where extras are entries not matching model parameters."""
+        config) where extras are entries not matching model parameters; a
+        retired key off its constant is a ``CheckpointError`` (``without_retired``)."""
         tensors, config = load_checkpoint(path)
         if config is None or "model" not in config:
             raise ValueError(f"{path}: checkpoint lacks a model config chunk")
-        cfg = ModelConfig(**config["model"])
+        cfg = ModelConfig.from_checkpoint(config["model"])
         model = cls(cfg, seed=config.get("seed", 0))
         missing = sorted(set(model.store.params) - set(tensors))
         if missing:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, global_grad_norm
+from .checkpoint import without_retired
 from .model import GofaModel
 
 log = logging.getLogger("gofa")
@@ -27,64 +28,61 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
 
 
+# AdamW's betas and eps, and the schedule: RESTARTS warm restarts, each
+# cycle annealing from lr down to MIN_LR_FRACTION * lr.
+BETAS = (0.9, 0.95)
+EPS = 1e-8
+RESTARTS = 2
+MIN_LR_FRACTION = 0.1
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
     weight_decay: float = 0.1
-    betas: tuple[float, float] = (0.9, 0.95)
-    eps: float = 1e-8
     grad_clip: float = 0.5
     batch_size: int = 8
-    grad_accum: int = 1
     gate_lr_mult: float = 1.0  # escape hatch for tanh gates pinned at zero
-    restarts: int = 2
-    min_lr_fraction: float = 0.1
     freeze: tuple[str, ...] = ()
     seed: int = 0
     max_steps: int = 100
     checkpoint_every: int = 500
     log_every: int = 10
-    debug_nan_checks: bool = False
 
     def __post_init__(self):
         if isinstance(self.freeze, str):
             raise TypeError("freeze must be a list of parameter name prefixes")
-        self.betas = tuple(self.betas)
         self.freeze = tuple(self.freeze)
-        for name in ("batch_size", "grad_accum", "max_steps", "checkpoint_every", "log_every"):
+        for name in ("batch_size", "max_steps", "checkpoint_every", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0 < self.min_lr_fraction <= 1:
-            raise ValueError("min_lr_fraction must lie in (0, 1]")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
-        # beta = 1 divides the first step's moments by 1 - beta**1 = 0
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ValueError(f"betas must be two values in [0, 1), got {list(self.betas)}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        for name in ("weight_decay", "restarts", "gate_lr_mult"):
+        for name in ("weight_decay", "gate_lr_mult"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
+    @classmethod
+    def from_checkpoint(cls, fields: dict) -> "TrainConfig":
+        """The config of a checkpoint's ``train`` section (``without_retired``)."""
+        retired = {"betas": BETAS, "eps": EPS, "restarts": RESTARTS, "min_lr_fraction": MIN_LR_FRACTION}
+        retired.update(grad_accum=1, debug_nan_checks=False)  # keys gone with their code
+        return cls(**without_retired("train", fields, retired))
+
 
 def cosine_restart_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Cosine annealing from lr to min_lr_fraction*lr within each cycle;
-    with R restarts the run splits into R+1 equal cycles, so the schedule
-    resets at 1/(R+1), 2/(R+1), ... of the run."""
-    n_cycles = cfg.restarts + 1
-    boundaries = [total_steps * i // n_cycles for i in range(n_cycles + 1)]
-    for c in range(n_cycles):
-        if boundaries[c] <= step < boundaries[c + 1] or (c == n_cycles - 1 and step >= boundaries[c + 1]):
-            start, end = boundaries[c], boundaries[c + 1]
-            length = max(end - start, 1)
-            u = (step - start) / (length - 1) if length > 1 else 0.0
-            u = min(u, 1.0)
-            lo = cfg.lr * cfg.min_lr_fraction
-            return lo + (cfg.lr - lo) * 0.5 * (1.0 + np.cos(np.pi * u))
-    return cfg.lr * cfg.min_lr_fraction
+    """Cosine annealing from lr to MIN_LR_FRACTION*lr within each cycle;
+    the RESTARTS restarts split the run into RESTARTS+1 equal cycles, so the
+    schedule resets at 1/3 and 2/3 of the run."""
+    n_cycles = RESTARTS + 1
+    bounds = [total_steps * i // n_cycles for i in range(n_cycles + 1)]
+    c = max(i for i in range(n_cycles) if bounds[i] <= step)  # the last cycle also takes steps past the run
+    length = bounds[c + 1] - bounds[c]
+    u = min((step - bounds[c]) / (length - 1), 1.0) if length > 1 else 0.0
+    lo = cfg.lr * MIN_LR_FRACTION
+    return lo + (cfg.lr - lo) * 0.5 * (1.0 + np.cos(np.pi * u))
 
 
 def clip_gradients(params: list[Tensor], max_norm: float) -> float:
@@ -137,7 +135,7 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.step_count += 1
-        b1, b2 = self.cfg.betas
+        b1, b2 = BETAS
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for name, t in self.trainable.items():
@@ -150,7 +148,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.cfg.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + EPS)
             if self.cfg.weight_decay and t.data.ndim >= 2:
                 update = update + self.cfg.weight_decay * t.data
             t.data -= lr * self.lr_mult[name] * update
@@ -222,11 +220,6 @@ class TrainReport:
     text_cache_bytes: int = 0
 
 
-def _micro_batches(batch: list, k: int) -> list[list]:
-    size = (len(batch) + k - 1) // k
-    return [batch[i : i + size] for i in range(0, len(batch), size)]
-
-
 def train(
     model: GofaModel,
     corpus,
@@ -284,16 +277,11 @@ def train(
     ):
         for step in range(start_step, cfg.max_steps):
             batch = batch_for_step(step)
-            total_targets = sum(len(s.targets) for s in batch)
             opt.zero_grad()
-            loss_value = 0.0
-            for micro in _micro_batches(batch, cfg.grad_accum):
-                loss, n_targets, n_tokens = model.forward_batch(micro, use_gnn=use_gnn)
-                # Weight by target share so accumulation matches the full batch.
-                scaled = loss * (n_targets / total_targets)
-                scaled.backward()
-                loss_value += scaled.item()
-                tokens_seen += n_tokens
+            loss, _, n_tokens = model.forward_batch(batch, use_gnn=use_gnn)
+            loss.backward()
+            loss_value = loss.item()
+            tokens_seen += n_tokens
             if not np.isfinite(loss_value):
                 dump = None
                 if out_dir is not None:
@@ -316,8 +304,6 @@ def train(
             grad_norm = clip_gradients(list(opt.trainable.values()), cfg.grad_clip)
             lr = cosine_restart_lr(step, cfg.max_steps, cfg)
             opt.step(lr)
-            if cfg.debug_nan_checks:
-                model.check_finite()
             report.losses.append(loss_value)
             if step % cfg.log_every == 0 or step == cfg.max_steps - 1:
                 row = {
@@ -355,7 +341,9 @@ def resume(model_path, corpus, out_dir=None, loss_log_path=None) -> tuple[GofaMo
     without the GNN as the run was (with it for a checkpoint that does not
     say)."""
     model, extras, config = GofaModel.load(model_path)
-    cfg = TrainConfig(**config["train"])
+    if "train" not in config:
+        raise ValueError(f"{model_path}: checkpoint has no train section, so it holds no run to resume")
+    cfg = TrainConfig.from_checkpoint(config["train"])
     opt = AdamW(model.parameters(), cfg)
     opt.load_state_tensors(extras)
     start_step = int(config.get("train_step", 0))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gofa.autodiff import (
     AttentionPlan,
-    NonFiniteError,
     ShapeError,
     Tensor,
     attention,
@@ -820,12 +819,6 @@ class TestUtilities:
         with no_grad():
             y = (x * x).sum()
         assert not y.requires_grad
-
-    def test_validate_finite(self):
-        t = Tensor(np.array([1.0, np.nan]))
-        with pytest.raises(NonFiniteError, match="bad_tensor"):
-            t.validate_finite("bad_tensor")
-        Tensor(np.array([1.0])).validate_finite()
 
     def test_global_grad_norm(self, rng):
         a = Tensor(np.array([3.0]), requires_grad=True)

@@ -2,18 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gofa
-from gofa.checkpoint import load_checkpoint
+from gofa.checkpoint import load_checkpoint, save_checkpoint
 from gofa.cli import main
 from gofa.compressor import ModelConfig
 from gofa.config import BLAS_THREAD_VARS, ConfigError, build_id, default_config, load_config
 from gofa.model import GofaModel
 from gofa.taskgen import read_samples
+from gofa.training import TrainConfig
 
 
 def run(argv):
@@ -45,8 +47,29 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg["model"]["d_model"] == 128
         assert cfg["train"]["grad_clip"] == 0.5
-        assert cfg["train"]["betas"] == [0.9, 0.95]
         assert cfg["train"]["lr"] == 1e-4
+
+    def test_settable_keys(self):
+        """Only what a recipe sets is a key; the rest are constants."""
+        assert [f.name for f in fields(ModelConfig)] == [
+            "d_model", "n_heads", "n_layers", "memory_tokens", "gnn_layers", "max_seq_len", "precision",
+        ]
+        assert [f.name for f in fields(TrainConfig)] == [
+            "lr", "weight_decay", "grad_clip", "batch_size", "gate_lr_mult", "freeze", "seed", "max_steps",
+            "checkpoint_every", "log_every",
+        ]
+        sections = {name: list(v) for name, v in default_config().items() if isinstance(v, dict)}
+        assert sections == {
+            "model": [f.name for f in fields(ModelConfig)],
+            "corpus": [
+                "n_graphs", "nodes_low", "nodes_high", "extra_edge_factor", "n_selected", "split_fraction",
+                "question_style", "n_markers", "lookup_facts", "conversation_rounds", "rng_seed",
+            ],
+            "train": [f.name for f in fields(TrainConfig)],
+            "pretrain": ["steps", "batch_size", "text_low", "text_high", "alphabet"],
+            "eval": ["kind", "max_new_tokens", "delta_profile_n"],
+            "gen": ["test_fraction"],
+        }
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "c.json"
@@ -75,7 +98,7 @@ class TestConfig:
             load_config(None, ["nope.x=1"])
 
     def test_cli_config_builds_the_api_model(self):
-        # init_std follows the d_model a config sets, as ModelConfig's default does
+        # the interior init scale follows the d_model a config sets
         cfg = load_config(None, ["model.d_model=32"])
         cli_params = GofaModel(ModelConfig(**cfg["model"]), seed=0).parameters()
         for name, t in GofaModel(ModelConfig(d_model=32), seed=0).parameters().items():
@@ -165,7 +188,7 @@ class TestTrainEval:
         assert all(v == 0.0 for v in report["metrics"]["delta_profile"].values())
 
 
-    def test_debug_nan_checks_override_reaches_checkpoint(self, tmp_path):
+    def test_train_override_reaches_checkpoint(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
         run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
         train_dir = tmp_path / "train"
@@ -173,11 +196,11 @@ class TestTrainEval:
             ["train", "--out", str(train_dir), "--corpus", str(corpus_dir / "qa_train.jsonl")]
             + SMALL_MODEL
             + ["--set", "train.max_steps=1", "--set", "train.batch_size=2", "--set", "train.checkpoint_every=1",
-               "--set", "train.debug_nan_checks=true"]
+               "--set", "train.gate_lr_mult=25"]
         )
         assert code == 0
         _, config = load_checkpoint(next(train_dir.glob("checkpoint_*.gofa")))
-        assert config["train"]["debug_nan_checks"] is True
+        assert config["train"]["gate_lr_mult"] == 25
 
     def test_accuracy_eval_honours_max_new_tokens(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
@@ -368,6 +391,82 @@ class TestResume:
         assert run(["train", "--out", str(tmp_path / "cut"), "--corpus", corpus, "--resume", str(ckpt)]) == 0
         for name in ("loss_log.csv", "checkpoint_000004.gofa"):
             assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+    def test_checkpoint_without_a_run_is_2_before_any_output(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        corpus = str(corpus_dir / "qa_train.jsonl")
+        ae = tmp_path / "ae"
+        pretrain = ["--set", "pretrain.steps=1", "--set", "pretrain.batch_size=2"]
+        assert run(["autoencode-pretrain", "--out", str(ae)] + SMALL_MODEL + pretrain) == 0
+        bare = tmp_path / "bare.gofa"  # no config chunk at all
+        save_checkpoint(bare, load_checkpoint(ae / "autoencoder.gofa")[0])
+        capsys.readouterr()
+        for ckpt in (ae / "autoencoder.gofa", bare):
+            out = tmp_path / "resumed"
+            assert run(["train", "--out", str(out), "--corpus", corpus, "--resume", str(ckpt)]) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "train section" in err
+
+    # what a checkpoint of the previous format holds besides this format's keys, at the values it fixes
+    RETIRED = {
+        "model": {"vocab_size": 260, "ff_mult": 4, "rope_base": 10000.0, "embed_std": 0.02,
+                  "init_std": 16 ** -0.5},  # 1/sqrt(d_model) of SMALL_MODEL
+        "train": {
+            "betas": [0.9, 0.95], "eps": 1e-8, "grad_accum": 1, "restarts": 2, "min_lr_fraction": 0.1,
+            "debug_nan_checks": False,
+        },
+    }
+
+    def test_previous_format_loads_and_resumes_bit_exact_and_other_values_are_refused(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
+        corpus = str(corpus_dir / "completion_train.jsonl")
+        assert self._train(corpus, tmp_path / "full", ["--set", "train.log_every=1", "--set", "train.lr=1e-2"]) == 0
+        new = tmp_path / "full" / "checkpoint_000002.gofa"
+        tensors, config = load_checkpoint(new)
+
+        def previous_format(path, **changed):
+            sections = {name: {**config[name], **keys} for name, keys in self.RETIRED.items()}
+            for key, value in changed.items():
+                sections["model" if key in sections["model"] else "train"][key] = value
+            save_checkpoint(path, tensors, {**config, **sections})
+
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        old = cut / "checkpoint_000002.gofa"
+        previous_format(old)
+        log_rows = (tmp_path / "full" / "loss_log.csv").read_text().splitlines(keepends=True)
+        (cut / "loss_log.csv").write_text("".join(log_rows[:3]))  # the header and steps 0 and 1
+
+        test_corpus = str(corpus_dir / "completion_test.jsonl")
+
+        def evaluate(ckpt, out):
+            return run(["eval", "--out", str(out), "--checkpoint", str(ckpt), "--corpus", test_corpus,
+                        "--set", "eval.delta_profile_n=1"])
+
+        assert evaluate(old, tmp_path / "eval_old") == 0 and evaluate(new, tmp_path / "eval_new") == 0
+        report = "eval_report.json"
+        assert (tmp_path / "eval_old" / report).read_bytes() == (tmp_path / "eval_new" / report).read_bytes()
+        assert run(["train", "--out", str(cut), "--corpus", corpus, "--resume", str(old)]) == 0
+        for name in ("loss_log.csv", "checkpoint_000004.gofa"):
+            assert (cut / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+        for key, value, fixed in (("rope_base", 500, "10000.0"), ("betas", [0.8, 0.9], "(0.9, 0.95)")):
+            refused = tmp_path / f"{key}.gofa"
+            previous_format(refused, **{key: value})
+            section = "model" if key in self.RETIRED["model"] else "train"
+            capsys.readouterr()
+            if section == "model":  # only the model section is read to evaluate
+                assert evaluate(refused, tmp_path / "refused") == 3
+                assert not (tmp_path / "refused").exists()
+                assert f"{section}.{key} is {value!r}" in capsys.readouterr().err
+            assert run(["train", "--out", str(tmp_path / "refused"), "--corpus", corpus, "--resume", str(refused)]) == 2
+            assert not (tmp_path / "refused").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and f"{section}.{key} is {value!r}" in err and fixed in err
 
 
 class TestAutoencodeCommand:

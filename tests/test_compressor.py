@@ -965,7 +965,7 @@ class TestAutoencoder:
         cfg = tiny_cfg()
         model = GofaModel(cfg, seed=0)
         loss, _, _ = model.forward_batch([make_autoencode_task(t) for t in ["abab", "bbaa"]])
-        assert abs(loss.item() - np.log(cfg.vocab_size)) < 0.5
+        assert abs(loss.item() - np.log(tokenizer.VOCAB_SIZE)) < 0.5
 
     def test_identical_texts_identical_memories(self):
         cfg = tiny_cfg()
