@@ -559,8 +559,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan) -> Tensor:
     head's dh output features instead of its row of scores, and applies the
     score scale to the query and key gradients rather than to the score
     block."""
+    return _attention_op(q, k, v, plan, attention_kernel(q.data, k.data, v.data, plan))
+
+
+def _attention_op(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan, kernel: AttentionOutput) -> Tensor:
+    """``attention`` of the ``kernel`` run that the caller made on the data
+    of ``q``, ``k`` and ``v``: a caller that reads the probabilities as well
+    runs the kernel once."""
     s, h, lq, dh = q.shape
-    out_data, kept, scale = attention_kernel(q.data, k.data, v.data, plan)
+    out_data, kept, scale = kernel
 
     def bw(g):
         if plan.dead is not None:

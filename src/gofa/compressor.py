@@ -38,12 +38,16 @@ pass through the hooks, and causal attention keeps text rows from reading
 memory rows, so a text's rows at every layer are a function of the text
 alone. Each bucket has one text side, an iterator over layers that yields
 the text keys and values its memory rows read, and one memory-row step
-consumes it layer by layer. Each distinct token sequence of a call runs
-once: a text pass runs its text rows through every layer, phase 1 runs
-one set of memory rows per distinct text through layers 1..t0 against
-that pass, and phase 2 the hooks and the layers after t0, with memory
-rows per sequence that read their text's keys and values from the rest
-of it.
+consumes it layer by layer. A caller may name each layer's field, the
+sequences whose memory rows run it (``Compressor.run``); fields shrink
+toward the last layer, and the sequences outside a field are never
+computed at that layer. Each distinct token sequence of the first field
+runs once: a text pass runs its text rows through every layer that a
+memory row of its bucket reads, phase 1 runs one set of memory rows per
+distinct text through layers 1..t0 against that pass, and phase 2 the
+hooks and the layers after t0, with memory rows per sequence of each
+layer's field that read their text's keys and values from the rest of
+it.
 
 Texts of equal length in a bucket also run the rows of their shared
 leading tokens once (``_share_prefixes``): a representative runs all its
@@ -65,8 +69,9 @@ t0. A call buckets its distinct texts once. The texts of a bucket that
 the cache lacks run phase 1 as a row subset of that bucket that shares
 prefixes within itself, and their text pass goes on through the layers
 before the last, storing their rows as it passes them. The bucket's text
-side then rebuilds each layer's keys and values from the cached rows, and
-only memory rows run through layers.
+side then rebuilds a layer's keys and values from the cached rows of the
+texts that the layer's field reads, and only memory rows run through
+layers.
 """
 
 from __future__ import annotations
@@ -146,6 +151,13 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def cache_point(self) -> int:
+        """t0 = min(gnn_layers), the layer after which the first GNN layer
+        runs (n_layers without GNN layers): layers 1..t0 run before any
+        hook, once per distinct text."""
+        return min(self.gnn_layers, default=self.n_layers)
 
     @property
     def max_text_len(self) -> int:
@@ -539,13 +551,38 @@ def _share_prefixes(ids: np.ndarray, window: np.ndarray) -> list[_Part]:
     return parts
 
 
-def gather_in_order(per_bucket: list[Tensor], indices: list[list[int]]) -> Tensor:
+def gather_in_order(per_bucket: list[Tensor], indices: list) -> Tensor:
     """Stack per-bucket rows back into original sequence order; bucket i
     holds the rows of sequences ``indices[i]``."""
     stacked = concat(per_bucket, axis=0)
-    order = [i for idx in indices for i in idx]
-    inverse = np.argsort(np.asarray(order, dtype=np.int64))
-    return gather_rows(stacked, inverse)
+    order = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in indices])
+    return gather_rows(stacked, np.argsort(order))
+
+
+def select_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """The rows ``rows`` of ``x`` along axis 0, or ``x`` itself when they
+    are all of its rows in order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == x.shape[0] and np.array_equal(rows, np.arange(len(rows))):
+        return x
+    return gather_rows(x, rows)
+
+
+def _joined(pairs: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor] | None:
+    """The keys and values of a text side's parts joined in part order;
+    None for a bucket without text columns."""
+    if len(pairs) < 2:
+        return pairs[0] if pairs else None
+    return concat([k for k, _ in pairs], axis=0), concat([v for _, v in pairs], axis=0)
+
+
+def _reading(text, key_row: np.ndarray, reads: list[np.ndarray]):
+    """Per layer of the text pass ``text``, the keys and values of the
+    bucket rows ``reads[j]`` (rows of the joined parts ``key_row[rows]``);
+    the pass stops after the last layer that ``reads`` lists."""
+    for rows, pairs in zip(reads, text):
+        kv = _joined(pairs)
+        yield None if kv is None else tuple(select_rows(x, key_row[rows]) for x in kv)
 
 
 @dataclass
@@ -599,8 +636,9 @@ class Compressor:
             self._cache = outer
             cache.entries.clear()
 
-    def run(self, sequences: list[list[int]], memory_hook=None) -> Tensor:
-        """Compress token sequences to a [S, K, d] memory tensor.
+    def run(self, sequences: list[list[int]], memory_hook=None, fields: dict[int, np.ndarray] | None = None) -> Tensor:
+        """Compress token sequences to a [S, K, d] memory tensor, or to the
+        memory rows of the sequences that the last layer's field holds.
 
         Each bucket runs as text rows attending causally within their
         windows, and the memory rows [S, K, d] as a K-position extension
@@ -611,58 +649,91 @@ class Compressor:
         carry a tape only when the compressor itself is trained, and the
         last layer computes only their keys and values.
 
-        Phase 1 runs layers 1..t0, ``t0 = min(cfg.gnn_layers)`` (all layers
-        without GNN layers), once per distinct sequence. Phase 2 gives every
-        sequence its own memory rows and runs the hook at t0 and layers
-        t0+1..n. In both, one step runs a layer's memory rows against the
-        text keys and values that the bucket's text side yields for that
-        layer. The distinct texts are bucketed once per call. Without a
-        cache, the text side is one text pass over the bucket's texts,
-        which runs each text's rows through every layer once, a text that
-        shares leading tokens with an equally long one only the rows after
-        them (``_share_prefixes``). With a ``text_cache()`` open, the texts
-        of each bucket that it does not hold yet run phase 1 in the same
-        way, as the subset of the bucket's rows and windows that holds
-        them, and their text pass goes on through layer n-1 to store their
-        rows; the text side then rebuilds each layer's keys and values from
-        the cached rows, so phase 1 computes nothing for a text the cache
-        holds and only memory rows run after t0. A text's rows do not
-        depend on the other texts of its bucket, so every path gives each
-        sequence the bits it would get alone.
+        ``fields`` maps each layer t of t0..n, ``t0 = cfg.cache_point``
+        (all layers without GNN layers), to its field: the sequences, as
+        ascending indices, whose memory rows run layer t (the output of
+        phase 1 at t0). Fields are nested, each holding the next, and
+        change only across a hook. Without them every field holds every
+        sequence.
 
-        ``memory_hook(mems, layer_idx)`` may return a replacement [S, K, d]
-        tensor after each layer listed in ``cfg.gnn_layers``.
+        Phase 1 runs layers 1..t0 once per distinct text of the field of
+        t0. Phase 2 gives each sequence of a field its own memory rows and
+        runs the hook at t0 and layers t0+1..n, each on the memory rows of
+        its field. In both, one step runs a layer's memory rows against the
+        text keys and values that the bucket's text side yields for the
+        rows it runs. The distinct texts are bucketed once per call.
+        Without a cache, the text side is one text pass over the bucket's
+        texts, which runs each text's rows through every layer that a row
+        of the bucket reads, a text that shares leading tokens with an
+        equally long one only the rows after them (``_share_prefixes``).
+        With a ``text_cache()`` open, the texts of each bucket that it does
+        not hold yet run phase 1 in the same way, as the subset of the
+        bucket's rows and windows that holds them, and their text pass goes
+        on through layer n-1 to store their rows; the text side then
+        rebuilds a layer's keys and values from the cached rows of the
+        texts that its field reads, so phase 1 computes nothing for a text
+        the cache holds and only memory rows run after t0. A text's rows do
+        not depend on the other texts of its bucket, so every path gives
+        each sequence the bits it would get alone.
+
+        ``memory_hook(mems, t)``, after each layer t listed in
+        ``cfg.gnn_layers``, gets the memory rows of the field of t in
+        sequence order and returns those of the field of t+1.
         """
         cfg = self.stack.cfg
-        t0 = min(cfg.gnn_layers, default=cfg.n_layers)
-        keys = [tuple(s) for s in sequences]
+        k, n = cfg.memory_tokens, cfg.n_layers
+        t0 = cfg.cache_point
+        if fields is None:
+            fields = dict.fromkeys(range(t0, n + 1), np.arange(len(sequences)))
+        if not len(fields[n]):
+            return Tensor(np.zeros((0, k, cfg.d_model)), dtype=cfg.dtype)
+        keys = [tuple(sequences[s]) for s in fields[t0].tolist()]
         distinct = list(dict.fromkeys(keys))
         buckets = make_compress_buckets(distinct, cfg, cfg.dtype)
         slot = {distinct[u]: (i, row) for i, b in enumerate(buckets) for row, u in enumerate(b.indices)}
-        members: list[list[int]] = [[] for _ in buckets]  # the sequences of each bucket
-        owners: list[list[int]] = [[] for _ in buckets]  # the bucket row of each one's text
-        for s, key in enumerate(keys):
-            i, row = slot[key]
-            members[i].append(s)
-            owners[i].append(row)
-        texts, mems, steps = [], [], []
-        for b, owner in zip(buckets, owners):
-            owner = np.asarray(owner, dtype=np.int64)
+        text_of = np.array([slot[key] for key in keys], dtype=np.int64)  # bucket and bucket row per sequence of field t0
+        # per layer and bucket: the field's sequences in it (places in the field),
+        # their bucket rows and the plan of their memory rows; a field as large
+        # as the one below it is the same field and shares its layout
+        layouts = {}
+        for t in range(t0, n + 1):
+            if t > t0 and len(fields[t]) == len(fields[t - 1]):
+                layouts[t] = layouts[t - 1]
+                continue
+            where = text_of[np.searchsorted(fields[t0], fields[t])]
+            by_bucket = np.argsort(where[:, 0], kind="stable")
+            cuts = np.searchsorted(where[by_bucket, 0], np.arange(1, len(buckets)))
+            layouts[t] = [
+                (places, where[places, 1], attention_plan(cfg, b.window[where[places, 1]], b.ids.shape[1], k))
+                for b, places in zip(buckets, np.split(by_bucket, cuts))
+            ]
+        texts, mems = [], []
+        for i, b in enumerate(buckets):
+            reads = [layouts[t][i][1] for t in range(t0 + 1, n + 1)]
+            reads = reads[: sum(len(r) > 0 for r in reads)]  # nested fields: empty from some layer on
             if self._cache is None:
                 order, mem, text = self._computed(t0, b.ids, b.window)
+                text = _reading(text, np.argsort(order), reads)
             else:
-                order, mem, text = self._cached(t0, b, [distinct[u] for u in b.indices])
-            rows = np.argsort(order)[owner]  # each sequence's text in the order its keys come
+                order, mem, text = self._cached(t0, b, [distinct[u] for u in b.indices], reads)
             texts.append(text)
-            mems.append(gather_rows(mem, rows))
-            steps.append((attention_plan(cfg, b.window[owner], b.ids.shape[1], cfg.memory_tokens), rows))
-        for t in range(t0, cfg.n_layers + 1):
+            mems.append(gather_rows(mem, np.argsort(order)[layouts[t0][i][1]]))
+
+        def in_order(layout) -> Tensor:  # the memory rows of a layout's field, in sequence order
+            held = [i for i, (places, _, _) in enumerate(layout) if len(places)]
+            return gather_in_order([mems[i] for i in held], [layout[i][0] for i in held])
+
+        for t in range(t0, n + 1):
+            layout = layouts[t]
             if t > t0:
-                mems = [self._memory_layer(t, mem, next(text), *step) for mem, text, step in zip(mems, texts, steps)]
+                mems = [
+                    self._memory_layer(t, mem, next(text), plan) if len(places) else None
+                    for mem, text, (places, _, plan) in zip(mems, texts, layout)
+                ]
             if memory_hook is not None and t in cfg.gnn_layers:
-                new_mems = memory_hook(gather_in_order(mems, members), t)
-                mems = [gather_rows(new_mems, m) for m in members]
-        return gather_in_order(mems, members)
+                joined = memory_hook(in_order(layout), t)
+                mems = [gather_rows(joined, places) if len(places) else None for places, _, _ in layouts[t + 1]]
+        return in_order(layouts[n])
 
     def _computed(self, t0: int, ids: np.ndarray, window: np.ndarray, stored: list[np.ndarray] | None = None):
         """Phase 1 for the bucket rows of distinct texts ``ids`` [m, Lb] with
@@ -716,14 +787,15 @@ class Compressor:
         mem = self.memory.reshape(1, k, d).broadcast_to((m, k, d))
         plan = attention_plan(cfg, window[order], lb, k)
         for t in range(1, t0 + 1):
-            mem = self._memory_layer(t, mem, next(text), plan)
+            mem = self._memory_layer(t, mem, _joined(next(text)), plan)
         return order, mem, text
 
-    def _cached(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]]):
+    def _cached(self, t0: int, bucket: _Bucket, keys: list[tuple[int, ...]], reads: list[np.ndarray]):
         """Phase 1 for a bucket of texts (``keys``, one per row) from the open
         cache: the rows in bucket order, their memory rows at the output of
-        layer ``t0``, and the text side of layers t0+1..n, one pair of keys
-        and values [m, H, Lb, dh] per layer, rebuilt from the cached rows as
+        layer ``t0``, and the text side of layers t0+1.., which yields per
+        layer the keys and values [len(rows), H, Lb, dh] of the bucket rows
+        ``reads[j]``, rebuilt from the cached rows of those texts alone as
         it is asked for (pad rows are zeros, which masked attention never
         reads). The texts the cache lacks first run as the subset of the
         bucket's rows and windows that holds them (``_computed``), through
@@ -744,30 +816,33 @@ class Compressor:
             for row, mem_rows in zip(order, mem.data):
                 cache.entries[keys[missing[row]]] = stored[row], mem_rows.copy()
                 cache.bytes += stored[row].nbytes + mem_rows.nbytes
-        text = np.zeros((later, m, lb, d), dtype=cfg.dtype)
-        mem = np.empty((m, cfg.memory_tokens, d), dtype=cfg.dtype)
-        for row, key in enumerate(keys):
-            real, mem[row] = cache.entries[key]
-            text[:, row, lb - real.shape[1] :] = real
-        plan = attention_plan(cfg, bucket.window, 0, lb)
-        kvs = (
-            [_keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, plan)] if lb else []
-            for x, layer in zip(text, self.stack.layers[t0:])
-        )
-        return np.arange(m), Tensor(mem, dtype=cfg.dtype), kvs
+        mem = np.stack([cache.entries[key][1] for key in keys])
 
-    def _memory_layer(self, t: int, mem: Tensor, pairs: list[tuple[Tensor, Tensor]], plan: AttentionPlan, rows=None) -> Tensor:
+        def kvs():
+            for j, rows in enumerate(reads):
+                if not lb:
+                    yield None
+                    continue
+                needed, inverse = np.unique(rows, return_inverse=True)
+                x = np.zeros((len(needed), lb, d), dtype=cfg.dtype)
+                for i, row in enumerate(needed.tolist()):
+                    real = cache.entries[keys[row]][0][j]
+                    x[i, lb - real.shape[0] :] = real
+                layer = self.stack.layers[t0 + j]
+                plan = attention_plan(cfg, bucket.window[needed], 0, lb)
+                kv = _keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, plan)
+                yield tuple(select_rows(t, inverse) for t in kv)
+
+        return np.arange(m), Tensor(mem, dtype=cfg.dtype), kvs()
+
+    def _memory_layer(self, t: int, mem: Tensor, kv: tuple[Tensor, Tensor] | None, plan: AttentionPlan) -> Tensor:
         """Layer ``t`` over one bucket's memory rows [S, K, d] under their
-        ``plan``: memory row j reads the text keys and values of row
-        ``rows[j]`` (row j without ``rows``) of ``pairs``, the keys and
-        values of each part joined in order; none without pairs."""
-        kv = LayerKV()
-        if pairs:
-            k, v = concat([k for k, _ in pairs], axis=0), concat([v for _, v in pairs], axis=0)
-            if rows is not None:
-                k, v = gather_rows(k, rows), gather_rows(v, rows)
-            kv.extend(k, v)
-        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, plan, kv)
+        ``plan``: memory row j reads row j of the text keys and values
+        ``kv``; none without them."""
+        layer_kv = LayerKV()
+        if kv is not None:
+            layer_kv.extend(*kv)
+        return layer_forward(mem, self.stack.layers[t - 1], self.stack.cfg, plan, layer_kv)
 
 
 class _DecodeState:

@@ -10,7 +10,9 @@ so a freshly initialized layer (gates at 0) is an exact identity. Edge
 memories are read but never updated here. Nodes with no in-neighbors pass
 through untouched. Which arcs reach which node, and the attention plan of
 each in-degree group (``ArcGroups``), depend on the graph alone, so a
-caller builds them once and passes them to every layer.
+caller builds them once and passes them to every layer, restricted to the
+nodes that layer updates (``ArcGroups.within``): a layer computes queries,
+messages and its feed-forward for those nodes alone.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AttentionPlan, ShapeError, Tensor, attention, attention_kernel, gather_rows, rms_norm, split_heads
-from .compressor import FF_MULT, ModelConfig, ParamStore, gather_in_order
+from .autodiff import AttentionPlan, ShapeError, Tensor, _attention_op, attention_kernel, gather_rows, rms_norm, split_heads
+from .compressor import FF_MULT, ModelConfig, ParamStore, gather_in_order, select_rows
 
 
 def init_gnn_layer(store: ParamStore, prefix: str, cfg: ModelConfig, rng) -> dict:
@@ -45,19 +47,42 @@ def init_gnn_layer(store: ParamStore, prefix: str, cfg: ModelConfig, rng) -> dic
 
 @dataclass
 class ArcGroups:
-    """The nodes of a graph grouped by in-degree, with their in-arcs and
-    the plan of their attention call.
+    """The nodes a GNN layer updates, grouped by in-degree, with their
+    in-arcs and the plan of their attention call.
 
-    A node's query attends over its in-arcs, in arc order; nodes of equal
-    in-degree share one attention call, so a node's result does not depend
-    on the other graphs of a batch."""
+    ``nodes`` are the rows of the layer's node memories that it updates
+    and returns, ascending: every node of a graph (``arc_groups``), or the
+    nodes of one layer's field (``within``). A node's query attends over
+    its in-arcs, in arc order; nodes of equal in-degree share one attention
+    call, so a node's result does not depend on the other nodes of the
+    call or of a batch."""
 
-    has_in_arcs: np.ndarray  # [N] bool
-    groups: list[tuple]  # (nodes [m], their in-arcs [m, deg], AttentionPlan(1, deg)); (nodes, None, None) at degree 0
+    nodes: np.ndarray  # [M] ascending node-memory rows
+    has_in_arcs: np.ndarray  # [M] bool
+    groups: list[tuple]  # (places in nodes [m], their in-arcs [m, deg], AttentionPlan(1, deg)); (places, None, None) at degree 0
+
+    def within(self, held: np.ndarray, updated: np.ndarray, arcs: np.ndarray) -> "ArcGroups":
+        """These groups of every node of a graph (``arc_groups``) for a
+        layer that holds the memories of the nodes ``held`` and updates the
+        nodes ``updated``, given every arc into them, ``arcs``: all three
+        ascending, in the graph's numbering. Nodes and arcs are renumbered
+        as the layer holds them, and each group keeps its plan; the groups
+        themselves when every node is updated."""
+        if len(updated) == len(self.nodes):
+            return self
+        place = np.full(len(self.nodes), -1)  # each node's place in ``updated``
+        place[updated] = np.arange(len(updated))
+        groups = []
+        for nodes, in_arcs, plan in self.groups:
+            kept = place[nodes] >= 0
+            if kept.any():
+                groups.append((place[nodes[kept]], None if in_arcs is None else np.searchsorted(arcs, in_arcs[kept]), plan))
+        return ArcGroups(np.searchsorted(held, updated), self.has_in_arcs[updated], groups)
 
 
 def arc_groups(dst: np.ndarray, n_nodes: int) -> ArcGroups:
-    """``ArcGroups`` of the arcs ending at ``dst`` among ``n_nodes`` nodes."""
+    """``ArcGroups`` of the arcs ending at ``dst`` among ``n_nodes`` nodes,
+    every node updated."""
     dst = np.asarray(dst, dtype=np.int64)
     in_deg = np.bincount(dst, minlength=n_nodes)
     by_dst = np.argsort(dst, kind="stable")
@@ -67,7 +92,7 @@ def arc_groups(dst: np.ndarray, n_nodes: int) -> ArcGroups:
         nodes = np.flatnonzero(in_deg == deg)
         arcs = by_dst[first[nodes, None] + np.arange(deg)] if deg else None
         groups.append((nodes, arcs, AttentionPlan(1, int(deg)) if deg else None))
-    return ArcGroups(in_deg > 0, groups)
+    return ArcGroups(np.arange(n_nodes), in_deg > 0, groups)
 
 
 def gnn_layer(
@@ -82,54 +107,63 @@ def gnn_layer(
 ) -> Tensor:
     """One message-passing layer.
 
-    ``src``/``dst`` are arc endpoint arrays; ``node_mem`` is [N, K, d] and
-    ``edge_mem`` [E, K, d] (one row block per arc, already expanded from any
-    shared text). ``groups`` is ``arc_groups(dst, N)``, plans included,
-    built here when not given. Returns the updated [N, K, d] node memories.
+    ``src``/``dst`` are arc endpoint arrays, rows of ``node_mem`` [N, K, d];
+    ``edge_mem`` [E, K, d] holds one row block per arc (already expanded
+    from any shared text). ``groups`` (``ArcGroups``, plans included) names
+    the nodes to update and groups them with their in-arcs; it is
+    ``arc_groups(dst, N)``, every node, when not given. Returns the updated
+    memories [M, K, d] of the nodes ``groups.nodes``, in that order.
+    Queries, messages and the feed-forward run for those nodes alone, so
+    the arcs must be every arc into them and may be no others; node rows
+    only read as sources are not updated.
     """
     n_nodes, k, d = node_mem.shape
     n_edges = len(src)
+    if groups is None:
+        groups = arc_groups(dst, n_nodes)
     if n_edges == 0:
-        return node_mem
+        return select_rows(node_mem, groups.nodes)
     if edge_mem.shape != (n_edges, k, d):
         raise ShapeError(f"edge memories {edge_mem.shape} do not match {n_edges} arcs of [{k}, {d}]")
     heads = cfg.n_heads
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
+    n_out = len(groups.nodes)
 
     hn = rms_norm(node_mem, params["norm_nodes"])
     he = rms_norm(edge_mem, params["norm_edges"])
-    q = hn @ params["wq"]
+    q = select_rows(hn, groups.nodes) @ params["wq"]
     h_src = gather_rows(hn, src)
     key = h_src @ params["wk_node"] + he @ params["wk_edge"]  # [E, K, d]
     val = h_src @ params["wv_node"] + he @ params["wv_edge"]
 
     # A node's query at memory index t attends over its in-arcs as
-    # attention head (t, head); nodes without in-arcs get zero rows.
-    if groups is None:
-        groups = arc_groups(dst, n_nodes)
+    # attention head (t, head); nodes without in-arcs get zero rows. One
+    # kernel run per group yields both the taped output and the collected
+    # probabilities.
     alpha = None if collect_attention is None else np.empty((n_edges, k, heads), dtype=key.dtype)
     blocks = []
-    for nodes, arcs, plan in groups.groups:
+    for places, arcs, plan in groups.groups:
         if arcs is None:
-            blocks.append(Tensor(np.zeros((len(nodes), 1, k * d)), dtype=node_mem.dtype))
+            blocks.append(Tensor(np.zeros((len(places), 1, k * d)), dtype=node_mem.dtype))
             continue
-        qg = split_heads(gather_rows(q, nodes[:, None]), k * heads)
+        qg = split_heads(gather_rows(q, places[:, None]), k * heads)
         kg, vg = (split_heads(gather_rows(t, arcs), k * heads) for t in (key, val))
-        blocks.append(attention(qg, kg, vg, plan))  # [m, 1, K * d]
+        kernel = attention_kernel(qg.data, kg.data, vg.data, plan)
+        blocks.append(_attention_op(qg, kg, vg, plan, kernel))  # [m, 1, K * d]
         if alpha is not None:
-            p = attention_kernel(qg.data, kg.data, vg.data, plan).probabilities[0]  # [m, K * heads, 1, deg]
+            p = kernel.probabilities[0]  # [m, K * heads, 1, deg]
             deg = arcs.shape[1]
-            alpha[arcs.reshape(-1)] = p.reshape(len(nodes), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
+            alpha[arcs.reshape(-1)] = p.reshape(len(places), k, heads, deg).transpose(0, 3, 1, 2).reshape(-1, k, heads)
     if alpha is not None:
         collect_attention.append((alpha, dst.copy()))
     # the zero blocks leave exact zero rows in ``out`` for nodes without in-arcs
-    out = gather_in_order(blocks, [nodes for nodes, *_ in groups.groups]).reshape(n_nodes, k, d) @ params["wo"]
+    out = gather_in_order(blocks, [places for places, *_ in groups.groups]).reshape(n_out, k, d) @ params["wo"]
 
-    h1 = node_mem + params["gate_gnn"].tanh() * out
+    h1 = select_rows(node_mem, groups.nodes) + params["gate_gnn"].tanh() * out
     hf = rms_norm(h1, params["ff_norm"])
     ff_out = (hf @ params["ff1"]).silu() @ params["ff2"]
-    mask = Tensor(groups.has_in_arcs.reshape(n_nodes, 1, 1), dtype=node_mem.dtype)
+    mask = Tensor(groups.has_in_arcs.reshape(n_out, 1, 1), dtype=node_mem.dtype)
     return h1 + (params["gate_ff"].tanh() * ff_out) * mask
 
 

@@ -1,11 +1,13 @@
 """Full graph language model: interleaved compressor/GNN encoder plus a
 separate decoder that generates target text from a node's memory block.
 
-Encoding runs every node and edge text through the transformer stack; after
+Encoding runs node and edge texts through the transformer stack; after
 each configured interleave layer, the GNN rewrites node memories using the
 graph structure while edge memories continue through the stack unchanged.
-Batches of graphs are encoded as one disjoint union, which is exactly
-equivalent to per-graph encoding because no arcs cross samples.
+A caller that reads only some node rows, as the loss reads the nodes of
+generation, has each layer run only their receptive field. Batches of
+graphs are encoded as one disjoint union, which is exactly equivalent to
+per-graph encoding because no arcs cross samples.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 from . import tokenizer
 from .autodiff import Tensor, concat, gather_rows, head_cross_entropy
 from .checkpoint import load_checkpoint, save_checkpoint
-from .compressor import EMBED_STD, Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets
+from .compressor import (
+    EMBED_STD, Compressor, Decoder, ModelConfig, ParamStore, TransformerStack, gather_in_order, make_decode_buckets,
+    select_rows,
+)
 from .gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
 from .tag import TAG, GraphError, TaskSample
 
@@ -51,11 +56,23 @@ class GofaModel:
         use_gnn: bool = True,
         capture_deltas: dict[int, list[float]] | None = None,
         collect_attention: list | None = None,
+        rows: np.ndarray | None = None,
     ) -> tuple[Tensor, list[int]]:
         """Encode a batch of graphs as one disjoint union.
 
         Returns the [total_nodes, K, d] node-memory tensor and per-graph
-        node offsets into it.
+        node offsets into it; with ``rows``, node rows of the union in any
+        order, repeats allowed, the memories [len(rows), K, d] of those
+        rows alone, bit-equal to the full encode's rows there.
+
+        Only what the rows read is computed. From the arcs, the call works
+        out the field of each layer t0..n, t0 = ``cfg.cache_point``: the
+        sequences (node texts, then distinct edge texts) whose memory rows
+        run it. The field of layer n is ``rows``, every sequence without
+        them; below each GNN layer t it is the field of t+1 plus the source
+        nodes and edge texts of every arc into it. The compressor runs each
+        layer on its field (``Compressor.run``), and GNN layer t updates the
+        nodes of the field of t+1 from the rows of the field of t.
         """
         node_seqs: list[list[int]] = []
         offsets: list[int] = []
@@ -76,30 +93,47 @@ class GofaModel:
                 arc_text_uid.append(edge_text_uids[e.text])
         n_nodes = len(node_seqs)
         edge_seqs = [tokenizer.encode(t) for t in sorted(edge_text_uids, key=edge_text_uids.get)]
+        cfg = self.cfg
+        src_arr = np.asarray(src, dtype=np.int64)
+        dst_arr = np.asarray(dst, dtype=np.int64)
+        uid_arr = n_nodes + np.asarray(arc_text_uid, dtype=np.int64)
+        gnn = use_gnn and bool(src) and bool(self.gnn_params)
+
+        field = np.arange(n_nodes + len(edge_seqs)) if rows is None else np.unique(np.asarray(rows, dtype=np.int64))
+        fields = {cfg.n_layers: field}
+        for t in range(cfg.n_layers - 1, cfg.cache_point - 1, -1):
+            if gnn and t in self.gnn_params:
+                into = np.isin(dst_arr, field)
+                field = np.union1d(field, np.concatenate([src_arr[into], uid_arr[into]]))
+            fields[t] = field
 
         hook = None
-        if use_gnn and src and self.gnn_params:
-            src_arr = np.asarray(src, dtype=np.int64)
-            dst_arr = np.asarray(dst, dtype=np.int64)
-            uid_arr = n_nodes + np.asarray(arc_text_uid, dtype=np.int64)
+        if gnn:
             groups = arc_groups(dst_arr, n_nodes)  # shared by every GNN layer
 
             def hook(mems: Tensor, layer_t: int) -> Tensor:
-                node_mem = mems[:n_nodes]
-                edge_mem = gather_rows(mems, uid_arr)
-                updated = gnn_layer(
-                    src_arr, dst_arr, node_mem, edge_mem,
-                    self.gnn_params[layer_t], self.cfg,
-                    collect_attention=collect_attention, groups=groups,
+                held, updated = fields[layer_t], fields[layer_t + 1]
+                # each field holds node rows first, then edge texts
+                held_nodes = held[: np.searchsorted(held, n_nodes)]
+                updated_nodes = updated[: np.searchsorted(updated, n_nodes)]
+                arcs = np.flatnonzero(np.isin(dst_arr, updated_nodes))
+                node_mem = mems[: len(held_nodes)]
+                out = gnn_layer(
+                    np.searchsorted(held_nodes, src_arr[arcs]), np.searchsorted(held_nodes, dst_arr[arcs]), node_mem,
+                    gather_rows(mems, np.searchsorted(held, uid_arr[arcs])), self.gnn_params[layer_t], cfg,
+                    collect_attention=collect_attention, groups=groups.within(held_nodes, updated_nodes, arcs),
                 )
                 if capture_deltas is not None:
-                    capture_deltas.setdefault(layer_t, []).append(
-                        representation_change_ratio(updated, node_mem)
-                    )
-                return concat([updated, mems[n_nodes:]], axis=0)
+                    before = select_rows(node_mem, np.searchsorted(held_nodes, updated_nodes))
+                    capture_deltas.setdefault(layer_t, []).append(representation_change_ratio(out, before))
+                if len(updated_nodes) == len(updated):
+                    return out
+                return concat([out, gather_rows(mems, np.searchsorted(held, updated[len(updated_nodes) :]))], axis=0)
 
-        mems = self.compressor.run(node_seqs + edge_seqs, memory_hook=hook)
-        return mems[:n_nodes], offsets
+        mems = self.compressor.run(node_seqs + edge_seqs, memory_hook=hook, fields=fields)
+        if rows is None:
+            return mems[:n_nodes], offsets
+        return select_rows(mems, np.searchsorted(fields[cfg.n_layers], rows)), offsets
 
     # -- decoding ---------------------------------------------------------------
 
@@ -130,13 +164,14 @@ class GofaModel:
         return gather_in_order(totals, [b.indices for b in buckets]), counts
 
     def encode_targets(self, samples: list[TaskSample], use_gnn: bool = True) -> tuple[Tensor, list[list[int]]]:
-        """Encode the samples' graphs as one batch; return the NOG memory
+        """Encode the samples' graphs as one batch, computing only what the
+        NOG rows read (``encode_graphs(rows=...)``); return the NOG memory
         block of every generation target ([T, K, d], samples in order, then
         their targets in order) and each target's token ids."""
-        node_mems, offsets = self.encode_graphs([s.graph for s in samples], use_gnn=use_gnn)
-        rows = [base + t.nog for s, base in zip(samples, offsets) for t in s.targets]
+        offsets = np.cumsum([0] + [s.graph.n_nodes() for s in samples[:-1]])
+        rows = np.asarray([base + t.nog for s, base in zip(samples, offsets.tolist()) for t in s.targets], dtype=np.int64)
         target_ids = [self.target_ids(t.target_text) for s in samples for t in s.targets]
-        return gather_rows(node_mems, np.asarray(rows, dtype=np.int64)), target_ids
+        return self.encode_graphs([s.graph for s in samples], use_gnn=use_gnn, rows=rows)[0], target_ids
 
     def forward_batch(self, samples: list[TaskSample], use_gnn: bool = True):
         """Mean loss over every generation target of every sample.

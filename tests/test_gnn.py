@@ -3,6 +3,7 @@ import pytest
 
 from gofa.autodiff import ShapeError, Tensor
 from gofa.compressor import ModelConfig, ParamStore
+from gofa import autodiff as autodiff_module
 from gofa import gnn as gnn_module
 from gofa import model as model_module
 from gofa.gnn import arc_groups, gnn_layer, init_gnn_layer, representation_change_ratio
@@ -267,28 +268,48 @@ class TestArcGroups:
 
 
     def test_every_layer_reads_each_group_plan(self, monkeypatch):
-        # the taped attention and the collected probabilities of all three
-        # layers read one AttentionPlan(1, deg) per in-degree group
+        # the attention of all three layers, taped output and collected
+        # probabilities alike, reads one AttentionPlan(1, deg) per in-degree group
         cfg = tiny_cfg(n_layers=5, gnn_layers=(2, 3, 4))
         model = GofaModel(cfg, seed=3)
-        calls = {"attention": [], "attention_kernel": []}
-        for name, record in calls.items():
-            inner = getattr(gnn_module, name)
+        taped = []
+        inner = gnn_module.attention_kernel
 
-            def recording(q, k, v, plan=None, inner=inner, record=record):
-                record.append((k.shape[2], plan))
-                return inner(q, k, v, plan)
+        def recording(q, k, v, plan):
+            taped.append((k.shape[2], plan))
+            return inner(q, k, v, plan)
 
-            monkeypatch.setattr(gnn_module, name, recording)
+        monkeypatch.setattr(gnn_module, "attention_kernel", recording)
         model.encode_graphs([random_tag(np.random.default_rng(0), 5, edge_prob=0.5)], collect_attention=[])
-        taped = calls["attention"]
         per_layer = len(taped) // 3
-        assert per_layer > 1 and len(taped) == 3 * per_layer and calls["attention_kernel"] == taped
+        assert per_layer > 1 and len(taped) == 3 * per_layer
         first = taped[:per_layer]
         assert all(plan is not None and (plan.lq, plan.lk, plan.window) == (1, deg, None) for deg, plan in first)
         assert len({id(plan) for _, plan in first}) == per_layer
         for layer in (1, 2):
             assert all(a is b for (_, a), (_, b) in zip(first, taped[layer * per_layer : (layer + 1) * per_layer]))
+
+    def test_collecting_attention_runs_each_group_once(self, monkeypatch):
+        # the collected probabilities come from the kernel run that the taped
+        # output reads: one run per in-degree group with arcs, per layer
+        cfg = tiny_cfg(n_layers=5, gnn_layers=(2, 3, 4))
+        model = GofaModel(cfg, seed=3)
+        graph = random_tag(np.random.default_rng(0), 5, edge_prob=0.5)
+        runs = []
+        inner = autodiff_module.attention_kernel
+
+        def counting(q, k, v, plan):
+            if plan.window is None:  # a GNN group's plan; compressor and decoder plans have windows
+                runs.append(plan)
+            return inner(q, k, v, plan)
+
+        for module in (autodiff_module, gnn_module):
+            monkeypatch.setattr(module, "attention_kernel", counting)
+        collected = []
+        model.encode_graphs([graph], collect_attention=collected)
+        dst = np.array([e.dst for e in graph.edges])
+        n_groups = len(np.unique(np.bincount(dst, minlength=5)[np.unique(dst)]))
+        assert len(collected) == 3 and n_groups > 1 and len(runs) == 3 * n_groups
 
 
 class TestEquivariance:

@@ -1,11 +1,13 @@
+import contextlib
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, causal_plan, compress, decode_loss, finite_difference
+from conftest import assert_grad_close, assert_grads_match, causal_plan, compress, decode_loss, finite_difference
 from gofa import compressor, tokenizer
+from gofa import model as model_module
 from gofa.autodiff import Tensor, concat, gather_rows, no_grad, rms_norm
 from gofa.checkpoint import load_checkpoint, save_checkpoint
 from gofa.compressor import LayerKV, ModelConfig, layer_forward, make_decode_buckets
@@ -170,6 +172,119 @@ class TestFrozenCompressor:
         grads = [t.grad.copy() for t in checked]
         for ti, c, fd in finite_difference(lambda: build().item(), checked, max_coords=4, rng=rng):
             assert_grad_close(grads[ti].reshape(-1)[c], fd, rel_tol=1e-4)
+
+
+def field_graphs(rng) -> list[TAG]:
+    """Random TAGs with edge texts, isolated nodes, an edge-less graph and
+    nodes without in-arcs."""
+    graphs = []
+    for n_nodes, edge_prob in ((6, 0.35), (1, 0.0), (4, 0.0), (7, 0.2)):
+        g = TAG()
+        for i in range(n_nodes):
+            g.add_node(f"node {i} of {n_nodes} says {rng.integers(100)}")
+        for u in range(n_nodes):
+            for v in range(n_nodes):
+                if u != v and rng.random() < edge_prob:
+                    g.add_edge(u, v, ["", "cites", "links to"][rng.integers(3)])
+        graphs.append(g)
+    return graphs
+
+
+def open_gates(model: GofaModel) -> None:
+    for params in model.gnn_params.values():
+        params["gate_gnn"].data = np.asarray(0.6, dtype=model.cfg.dtype)
+        params["gate_ff"].data = np.asarray(-0.4, dtype=model.cfg.dtype)
+
+
+class TestFields:
+    """``encode_graphs(rows=...)`` runs each layer only on its field, the
+    receptive field of the rows; every row it returns has the full
+    encode's bits."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("use_gnn", [True, False])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_rows_equal_the_full_encode_byte_for_byte(self, precision, use_gnn, cached):
+        model = GofaModel(tiny_cfg(n_layers=6, gnn_layers=(2, 4, 5), precision=precision), seed=31)
+        open_gates(model)
+        graphs = field_graphs(np.random.default_rng(3))
+        full = model.encode_graphs(graphs, use_gnn=use_gnn)[0].data
+        in_degree = np.bincount([e.dst for e in graphs[0].edges], minlength=6)
+        sources = [int(np.flatnonzero(in_degree == 0)[0])] if (in_degree == 0).any() else []
+        # repeated and unsorted rows; the edge-less graph's nodes and a node without in-arcs
+        picks = [[17, 3, 3, 0], [6, 7, 8], sources + [len(full) - 1], list(range(len(full)))[::-1], [5]]
+        if cached:
+            for name, t in model.parameters().items():
+                t.requires_grad = not name.startswith(("compressor.", "memory_tokens"))
+        with model.compressor.text_cache() if cached else contextlib.nullcontext():
+            for _ in range(2 if cached else 1):  # a cold cache, then a warm one
+                for rows in picks:
+                    part = model.encode_graphs(graphs, use_gnn=use_gnn, rows=np.asarray(rows))[0].data
+                    assert part.dtype == full.dtype and part.tobytes() == full[rows].tobytes()
+
+    def test_forward_batch_matches_a_loss_from_the_full_encode(self):
+        model = GofaModel(tiny_cfg(n_layers=4, gnn_layers=(1, 2, 3)), seed=32)
+        open_gates(model)
+        graphs = field_graphs(np.random.default_rng(4))
+        samples = [
+            TaskSample(graph=g, targets=[GenerationTarget(nog=nog, target_text=f"answer {nog}") for nog in nogs],
+                       task_kind="downstream")
+            for g, nogs in zip(graphs, ([4, 1], [0], [2], [6]))
+        ]
+        params = model.parameters()
+
+        def full_loss():
+            mems, offsets = model.encode_graphs([s.graph for s in samples])
+            rows = [base + t.nog for s, base in zip(samples, offsets) for t in s.targets]
+            targets = [model.target_ids(t.target_text) for s in samples for t in s.targets]
+            nll, counts = model.decoder_nll_per_target(gather_rows(mems, np.asarray(rows)), targets)
+            return (nll * (1.0 / (counts * len(targets)))).sum()
+
+        results = []
+        for build in (lambda: model.forward_batch(samples)[0], full_loss):
+            for t in params.values():
+                t.zero_grad()
+            loss = build()
+            loss.backward()
+            results.append((loss.data.tobytes(), {n: t.grad for n, t in params.items()}))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert loss == ref_loss
+        assert {n for n, g in grads.items() if g is not None} == {n for n, g in ref_grads.items() if g is not None}
+        for name, g in ref_grads.items():
+            if g is not None:
+                assert_grads_match(grads[name], g)
+
+    def test_each_layer_runs_its_field(self, monkeypatch):
+        # a -> b -> c -> NOG; layers 1-3 run every text, and each GNN layer
+        # at 3, 4 and 5 narrows the next layer's field by one hop
+        model = GofaModel(ModelConfig(d_model=16, n_heads=2, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5),
+                                      max_seq_len=48), seed=33)
+        g = TAG()
+        for text in ("alpha node", "bravo node", "charlie node", "delta node"):
+            g.add_node(text)
+        for src, text in enumerate(("one link", "two link", "six link")):
+            g.add_edge(src, src + 1, text)
+        sample = TaskSample(graph=g, targets=[GenerationTarget(nog=3, target_text="done")], task_kind="downstream")
+        layer_names = {id(p): t for t, p in enumerate(model.compressor_stack.layers, start=1)}
+        memory_rows, updated = {}, {}
+        inner_layer, inner_gnn = compressor.layer_forward, model_module.gnn_layer
+
+        def recording_layer(x, p, cfg, *rest):
+            if id(p) in layer_names and x.shape[1] == cfg.memory_tokens:  # memory rows; every text is longer
+                memory_rows[layer_names[id(p)]] = memory_rows.get(layer_names[id(p)], 0) + x.shape[0]
+            return inner_layer(x, p, cfg, *rest)
+
+        def recording_gnn(src, dst, node_mem, edge_mem, params, cfg, **kwargs):
+            out = inner_gnn(src, dst, node_mem, edge_mem, params, cfg, **kwargs)
+            updated[next(t for t, p in model.gnn_params.items() if p is params)] = out.shape[0]
+            return out
+
+        monkeypatch.setattr(compressor, "layer_forward", recording_layer)
+        monkeypatch.setattr(model_module, "gnn_layer", recording_gnn)
+        model.forward_batch([sample])
+        # NOG; + c and c->NOG's text; + b and b->c's; + a and a->b's (every sequence)
+        assert memory_rows == {1: 7, 2: 7, 3: 7, 4: 5, 5: 3, 6: 1}
+        assert updated == {3: 3, 4: 2, 5: 1}
 
 
 class TestPrecision:

@@ -318,9 +318,9 @@ class TestTextCache:
         seen = []
         inner = Compressor.run
 
-        def run(comp, sequences, memory_hook=None):
+        def run(comp, sequences, memory_hook=None, fields=None):
             seen.append(comp._cache is not None)
-            return inner(comp, sequences, memory_hook=memory_hook)
+            return inner(comp, sequences, memory_hook=memory_hook, fields=fields)
 
         monkeypatch.setattr(Compressor, "run", run)
         return seen
