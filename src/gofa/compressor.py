@@ -266,6 +266,15 @@ def attention_plan(cfg: ModelConfig, window: np.ndarray, first: int, n: int) -> 
     return AttentionPlan(n, first + n, window, *_rotations(cfg, window, first, n))
 
 
+def _row_plans(cfg: ModelConfig, window: np.ndarray, first: int, n: int):
+    """``rows -> attention_plan(cfg, window[rows], first, n)`` for any
+    subset ``rows`` of the rows of ``window`` [S, 2], each plan's rotations
+    selected from one ``_rotations`` call over every row: the layer calls
+    that each run other rows of one bucket share that call."""
+    cos, sin = _rotations(cfg, window, first, n)
+    return lambda rows: AttentionPlan(n, first + n, window[rows], cos[rows], sin[rows])
+
+
 class LayerKV:
     """The taped keys and values that one layer computed in earlier calls:
     ``extend`` appends one call's key and value tensors [S, H, n, dh] and
@@ -695,6 +704,7 @@ class Compressor:
         # per layer and bucket: the field's sequences in it (places in the field),
         # their bucket rows and the plan of their memory rows; a field as large
         # as the one below it is the same field and shares its layout
+        plans = [_row_plans(cfg, b.window, b.ids.shape[1], k) for b in buckets]  # of each bucket's memory rows
         layouts = {}
         for t in range(t0, n + 1):
             if t > t0 and len(fields[t]) == len(fields[t - 1]):
@@ -704,8 +714,8 @@ class Compressor:
             by_bucket = np.argsort(where[:, 0], kind="stable")
             cuts = np.searchsorted(where[by_bucket, 0], np.arange(1, len(buckets)))
             layouts[t] = [
-                (places, where[places, 1], attention_plan(cfg, b.window[where[places, 1]], b.ids.shape[1], k))
-                for b, places in zip(buckets, np.split(by_bucket, cuts))
+                (places, where[places, 1], plan(where[places, 1]))
+                for plan, places in zip(plans, np.split(by_bucket, cuts))
             ]
         texts, mems = [], []
         for i, b in enumerate(buckets):
@@ -819,18 +829,18 @@ class Compressor:
         mem = np.stack([cache.entries[key][1] for key in keys])
 
         def kvs():
+            if not lb:  # texts without tokens have no keys
+                yield from (None for _ in reads)
+                return
+            plan = _row_plans(cfg, bucket.window, 0, lb)
             for j, rows in enumerate(reads):
-                if not lb:
-                    yield None
-                    continue
                 needed, inverse = np.unique(rows, return_inverse=True)
                 x = np.zeros((len(needed), lb, d), dtype=cfg.dtype)
                 for i, row in enumerate(needed.tolist()):
                     real = cache.entries[keys[row]][0][j]
                     x[i, lb - real.shape[0] :] = real
                 layer = self.stack.layers[t0 + j]
-                plan = attention_plan(cfg, bucket.window[needed], 0, lb)
-                kv = _keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, plan)
+                kv = _keys_values(rms_norm(Tensor(x, dtype=cfg.dtype), layer["attn_norm"]), layer, cfg, plan(needed))
                 yield tuple(select_rows(t, inverse) for t in kv)
 
         return np.arange(m), Tensor(mem, dtype=cfg.dtype), kvs()

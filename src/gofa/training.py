@@ -5,8 +5,10 @@ by name prefix, and bit-exact checkpoint resume.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
+import platform
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -70,6 +72,34 @@ class TrainConfig:
         retired = {"betas": BETAS, "eps": EPS, "restarts": RESTARTS, "min_lr_fraction": MIN_LR_FRACTION}
         retired.update(grad_accum=1, debug_nan_checks=False)  # keys gone with their code
         return cls(**without_retired("train", fields, retired))
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's <malloc.h>
+
+
+@contextmanager
+def _freed_pages_kept():
+    """Within the block, the pages that one train step frees stay mapped for
+    the next; yields True when glibc's malloc thresholds were set.
+
+    Backward frees the whole tape at the end of each step. By default glibc
+    then gives the top of the heap back to the kernel, and the next forward
+    pass faults those pages in again. Here a block of up to 32 MiB (glibc's
+    64-bit maximum) comes from the heap rather than its own mapping, and the
+    heap's top is given back only past 1 GiB free. Setting either threshold
+    stops glibc from moving both with each freed block, so they stay fixed
+    for the rest of the process. Leaving the block hands the free heap back
+    at once (``malloc_trim``), so the process does not keep its training
+    peak. Does nothing unless the process runs on glibc."""
+    if platform.libc_ver()[0] != "glibc":
+        yield False
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    try:
+        yield libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and libc.mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
+    finally:
+        libc.malloc_trim(0)
 
 
 def cosine_restart_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -243,6 +273,13 @@ def train(
     once per run, and after the first GNN layer each step runs only memory
     rows. The cached rows are the bits a fresh computation gives, so
     losses, checkpoints and resume do not change.
+
+    On glibc the steps run with the process's malloc thresholds fixed
+    (``_freed_pages_kept``), so the pages that one step's tape frees stay
+    mapped for the next step instead of being faulted in again: the
+    resident size stays at its training peak between steps. On return the
+    free heap goes back to the kernel; the thresholds stay fixed for the
+    rest of the process. Where the memory lands changes no arithmetic.
     """
     samples = list(corpus)
     if not samples:
@@ -271,6 +308,7 @@ def train(
 
     # _frozen switches off every parameter the optimizer skips before the cache condition is read
     with (
+        _freed_pages_kept(),
         _frozen(opt),
         model.compressor.text_cache() if model.compressor.frozen else nullcontext() as cache,
         _loss_log(loss_log_path, start_step) as log_file,

@@ -19,6 +19,7 @@ from gofa.compressor import (
     _bucket_len,
     _rotation_tables,
     _rotations,
+    _row_plans,
     _share_prefixes,
     attention_plan,
     gather_in_order,
@@ -559,6 +560,17 @@ class TestRotaryPositions:
                 model.decoder.next_logits(mem, prefix[:i])  # the first call steps the K memory rows
         k = cfg.memory_tokens
         assert read == [column for column in range(k + len(prefix)) for _ in range(cfg.n_layers)]
+
+    def test_row_plans_select_the_plans_of_their_rows(self):
+        # one _rotations call over a bucket's rows serves each layer's subset
+        cfg = tiny_cfg()
+        window = np.array([[0, 9], [3, 9], [5, 9], [1, 9]])
+        plans = _row_plans(cfg, window, 2, 5)
+        for rows in ([0, 1, 2, 3], [2], [3, 0], [1, 1]):
+            have, want = plans(np.array(rows)), attention_plan(cfg, window[rows], 2, 5)
+            assert (have.lq, have.lk) == (want.lq, want.lk)
+            for a, b in ((have.window, want.window), (have.cos, want.cos), (have.sin, want.sin)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def composed_layer(x, p, cfg, window, kv_keys, kv_values):

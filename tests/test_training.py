@@ -1,7 +1,12 @@
 import contextlib
 import json
 import logging
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,3 +478,84 @@ class TestAutoencodePretrain:
         tcfg = TrainConfig(lr=2e-3, weight_decay=0.0, grad_clip=1.0, batch_size=4, max_steps=60, seed=1)
         report = train(model, [make_autoencode_task(t) for t in texts], tcfg)
         assert report.losses[-1] < report.losses[0]
+
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+
+# 14 steps of the benchmark's desk-scale model under the README recipe: the
+# process's minor page faults as each step's forward pass starts, and its
+# resident MiB before train(), after it returns and at its peak
+STEADY_STEPS = """
+import json, os, resource
+from gofa.compressor import ModelConfig
+from gofa.corpus import CorpusConfig, gen_completion_corpus
+from gofa.model import GofaModel
+from gofa.training import TrainConfig, train
+
+def resident_mib():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+model = GofaModel(
+    ModelConfig(d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=128), seed=0
+)
+faults = []
+inner = GofaModel.forward_batch
+
+def forward_batch(m, samples, use_gnn=True):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return inner(m, samples, use_gnn=use_gnn)
+
+GofaModel.forward_batch = forward_batch
+tcfg = TrainConfig(batch_size=8, max_steps=14, freeze=("compressor.", "memory_tokens"), gate_lr_mult=25.0)
+before = resident_mib()
+train(model, gen_completion_corpus(CorpusConfig(n_graphs=40, rng_seed=0)), tcfg)
+after = resident_mib()
+print(json.dumps({"faults": faults, "mib": [before, after, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]}))
+"""
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="the thresholds are set on glibc only")
+class TestFreedPages:
+    """``train`` runs its steps with glibc's malloc thresholds fixed, so a
+    step reuses the pages that the step before it freed instead of faulting
+    them in again, and hands the free heap back when it returns."""
+
+    @pytest.fixture(scope="class")
+    def steady_steps(self):
+        # a fresh interpreter: once any train() call has run, this process
+        # keeps the thresholds
+        src = str(Path(training.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", STEADY_STEPS], env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    def test_steady_steps_fault_in_no_pages(self, steady_steps):
+        # at glibc's default thresholds, which move with every large block
+        # freed, each of these steps faults in about 5,000 pages
+        per_step = np.diff(steady_steps["faults"])[6:]
+        assert len(per_step) == 7
+        assert np.median(per_step) < 1000, per_step
+
+    def test_free_heap_goes_back_on_return(self, steady_steps):
+        # kept through the steps, the training peak would still be resident
+        before, after, peak = steady_steps["mib"]
+        assert after < before + (peak - before) / 2, steady_steps["mib"]
+
+    def test_blocks_in_turn_and_nested_are_harmless(self):
+        with training._freed_pages_kept() as kept:
+            assert kept
+            with training._freed_pages_kept() as again:
+                assert again
+        with training._freed_pages_kept() as kept:
+            assert kept
+
+
+def test_nothing_is_set_off_glibc(monkeypatch):
+    def no_library(*args, **kwargs):
+        raise AssertionError("the C library reached off glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2.4"))
+    monkeypatch.setattr(training.ctypes, "CDLL", no_library)
+    with training._freed_pages_kept() as kept:
+        assert kept is False
