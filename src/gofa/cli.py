@@ -5,7 +5,6 @@ Commands:
   autoencode-pretrain  train the text reconstruction objective
   train                train on task sample corpora (or resume a run)
   eval                 evaluate a checkpoint on a corpus
-  ablate-edges         compare single- vs double-edge prompt wiring
   reproduce            run the paper's trained claims and write claims.json
   inspect-checkpoint   list a checkpoint's tensors and config
 
@@ -56,6 +55,12 @@ from .training import TrainConfig, check_freeze, resume, train
 
 log = logging.getLogger("gofa")
 
+# gen-corpus's held-out share of each corpus
+TEST_FRACTION = 0.2
+# autoencode-pretrain's texts: lengths drawn from [low, high] over this alphabet
+PRETRAIN_TEXT_LEN = (2, 8)
+PRETRAIN_ALPHABET = "ab"
+
 
 def _setup_logging() -> None:
     level = os.environ.get("GOFA_LOG", "warning").upper()
@@ -83,7 +88,6 @@ def cmd_gen_corpus(args) -> int:
     out = Path(args.out)
     write_run_meta(out, cfg)
     ccfg = CorpusConfig(**cfg["corpus"])
-    frac = cfg["gen"]["test_fraction"]
     seed = cfg["seed"]
 
     completion = gen_completion_corpus(ccfg)
@@ -101,7 +105,7 @@ def cmd_gen_corpus(args) -> int:
         ("lookup_single", lookup_single),
         ("lookup_double", lookup_double),
     ]:
-        train_part, test_part = split_corpus(samples, frac, seed)
+        train_part, test_part = split_corpus(samples, TEST_FRACTION, seed)
         write_samples(out / f"{name}_train.jsonl", train_part)
         write_samples(out / f"{name}_test.jsonl", test_part)
         log.info("%s: %d train / %d test samples", name, len(train_part), len(test_part))
@@ -128,13 +132,9 @@ def cmd_autoencode_pretrain(args) -> int:
     out = Path(args.out)
     model, tcfg = _fresh_model(cfg, pretrain_train_section(cfg))
     write_run_meta(out, cfg)
-    pre = cfg["pretrain"]
     rng = np.random.default_rng(cfg["seed"])
-    alphabet = pre["alphabet"]
-    texts = [
-        "".join(rng.choice(list(alphabet), size=rng.integers(pre["text_low"], pre["text_high"] + 1)))
-        for _ in range(256)
-    ]
+    low, high = PRETRAIN_TEXT_LEN
+    texts = ["".join(rng.choice(list(PRETRAIN_ALPHABET), size=rng.integers(low, high + 1))) for _ in range(256)]
     samples = [make_autoencode_task(t) for t in texts]
     report = train(model, samples, tcfg, out_dir=out, loss_log_path=out / "loss_log.csv")
     model.save(out / "autoencoder.gofa")
@@ -185,9 +185,8 @@ def _load_model(path, budget: int | None) -> GofaModel:
     return model
 
 
-def _eval_kind(samples: list[TaskSample], requested: str) -> str:
-    if requested != "auto":
-        return requested
+def _eval_kind(samples: list[TaskSample]) -> str:
+    """The eval the corpus's task kinds select."""
     kinds = {s.task_kind for s in samples}
     if kinds <= {"spd", "cn"}:
         return "structural"
@@ -196,67 +195,30 @@ def _eval_kind(samples: list[TaskSample], requested: str) -> str:
     return "perplexity"
 
 
-def _run_eval(model: GofaModel, samples: list[TaskSample], cfg: dict, kind: str, use_gnn: bool = True) -> EvalReport:
-    ecfg = cfg["eval"]
+def cmd_eval(args) -> int:
+    cfg = load_config(args.config, args.set)
+    samples = read_samples(args.corpus)
+    kind = _eval_kind(samples)
+    budget = cfg["eval"]["max_new_tokens"]
+    # only structural and accuracy evals generate, so only they need the budget to fit
+    model = _load_model(args.checkpoint, budget if kind != "perplexity" else None)
+    out = Path(args.out)
+    write_run_meta(out, cfg)
+    use_gnn = not args.text_only
     if kind == "structural":
-        report = evaluate_structural(model, samples, use_gnn=use_gnn, max_new_tokens=ecfg["max_new_tokens"])
+        report = evaluate_structural(model, samples, use_gnn=use_gnn, max_new_tokens=budget)
     elif kind == "accuracy":
-        report = evaluate_accuracy(
-            model, samples, candidates=LOOKUP_VALUES, use_gnn=use_gnn, max_new_tokens=ecfg["max_new_tokens"]
-        )
+        report = evaluate_accuracy(model, samples, candidates=LOOKUP_VALUES, use_gnn=use_gnn, max_new_tokens=budget)
     else:
         report = EvalReport()
     report.metrics["perplexity"] = perplexity(model, samples, use_gnn=use_gnn)
     if model.cfg.gnn_layers and use_gnn:
-        profile = layer_delta_profile(model, samples, n=ecfg["delta_profile_n"])
+        profile = layer_delta_profile(model, samples)
         report.metrics["delta_profile"] = {str(k): v for k, v in profile.items()}
-    return report
-
-
-def _emit_report(out: Path, name: str, report: EvalReport) -> None:
-    (out / f"{name}.json").write_text(report.to_json(), encoding="utf-8")
-    (out / f"{name}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
-    write_transcripts(out / f"{name}_transcripts.jsonl", report)
+    (out / "eval_report.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "eval_report.txt").write_text(report.render_table() + "\n", encoding="utf-8")
+    write_transcripts(out / "eval_report_transcripts.jsonl", report)
     print(report.render_table())
-
-
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config, args.set)
-    samples = read_samples(args.corpus)
-    kind = _eval_kind(samples, cfg["eval"]["kind"])
-    # only structural and accuracy evals generate, so only they need the budget to fit
-    model = _load_model(args.checkpoint, cfg["eval"]["max_new_tokens"] if kind != "perplexity" else None)
-    out = Path(args.out)
-    write_run_meta(out, cfg)
-    report = _run_eval(model, samples, cfg, kind, use_gnn=not args.text_only)
-    _emit_report(out, "eval_report", report)
-    return 0
-
-
-def cmd_ablate_edges(args) -> int:
-    cfg = load_config(args.config, args.set)
-    budget = cfg["eval"]["max_new_tokens"]
-    arms = [
-        (mode, _load_model(ckpt_path, budget), corpus_path)
-        for mode, ckpt_path, corpus_path in [
-            ("single", args.checkpoint_single, args.corpus_single),
-            ("double", args.checkpoint_double, args.corpus_double),
-        ]
-    ]
-    out = Path(args.out)
-    write_run_meta(out, cfg)
-    rows = []
-    for mode, model, corpus_path in arms:
-        samples = read_samples(corpus_path)
-        report = evaluate_accuracy(model, samples, candidates=LOOKUP_VALUES, max_new_tokens=budget)
-        _emit_report(out, f"ablation_{mode}", report)
-        rows.append((mode, report.metrics["accuracy"], report.metrics["n"]))
-    table = ["edge_mode  accuracy  n", "-" * 26]
-    for mode, acc, n in rows:
-        table.append(f"{mode:<10} {acc:<9.4f} {n}")
-    comparison = "\n".join(table)
-    (out / "ablation_comparison.txt").write_text(comparison + "\n", encoding="utf-8")
-    print(comparison)
     return 0
 
 
@@ -321,14 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--text-only", action="store_true")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate-edges", help="compare single- vs double-edge prompt wiring")
-    common(p)
-    p.add_argument("--checkpoint-single", required=True)
-    p.add_argument("--checkpoint-double", required=True)
-    p.add_argument("--corpus-single", required=True)
-    p.add_argument("--corpus-double", required=True)
-    p.set_defaults(func=cmd_ablate_edges)
 
     p = sub.add_parser("reproduce", help="run the paper's trained claims and write claims.json")
     p.add_argument("--out", required=True, help="output directory")

@@ -44,31 +44,29 @@ LOOKUP_KEYS = [
 LOOKUP_VALUES = ["red", "blue", "green", "amber", "violet", "teal"]
 
 
+# Fixed corpus shape, which no recipe has varied: extra random edges per node
+# on top of each graph's spanning tree, and the inclusive range of rounds in
+# a synthetic conversation.
+EXTRA_EDGE_FACTOR = 0.5
+CONVERSATION_ROUNDS = (2, 4)
+
+
 @dataclass
 class CorpusConfig:
     n_graphs: int = 200
     nodes_low: int = 8
     nodes_high: int = 12
-    extra_edge_factor: float = 0.5
     n_selected: int = 3
-    split_fraction: float = 0.5
     question_style: str = "compact"
     n_markers: int = 2
     lookup_facts: int = 6
-    conversation_rounds: tuple[int, int] = (2, 4)
     rng_seed: int = 0
 
     def __post_init__(self):
-        self.conversation_rounds = tuple(self.conversation_rounds)
-        rounds = self.conversation_rounds
-        integers = all(isinstance(r, int) and not isinstance(r, bool) for r in rounds)
-        if not (len(rounds) == 2 and integers and 1 <= rounds[0] <= rounds[1]):
-            raise ValueError(f"conversation_rounds must be two integers low, high with 1 <= low <= high, got {list(rounds)}")
         if self.n_graphs < 1:
             raise ValueError("n_graphs must be >= 1")
-        for name in ("n_markers", "extra_edge_factor"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.n_markers < 0:
+            raise ValueError("n_markers must be >= 0")
         if self.nodes_low < 2:
             raise ValueError("nodes_low must be >= 2")
         if self.nodes_high < self.nodes_low:
@@ -77,8 +75,6 @@ class CorpusConfig:
             raise ValueError(f"lookup_facts must lie in [1, {len(LOOKUP_KEYS)}], one fact per lookup key")
         if self.n_selected < 1:
             raise ValueError("n_selected must be >= 1")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie in (0, 1)")
         if self.question_style not in ("full", "compact"):
             raise ValueError(f"unknown question_style {self.question_style!r}")
 
@@ -122,7 +118,7 @@ def gen_completion_graph(rng, cfg: CorpusConfig) -> TAG:
     visible half reveals nothing about it.
     """
     n = int(rng.integers(cfg.nodes_low, cfg.nodes_high + 1))
-    pairs = random_connected_graph(rng, n, int(n * cfg.extra_edge_factor), min_degree=max(cfg.n_markers, 1))
+    pairs = random_connected_graph(rng, n, int(n * EXTRA_EDGE_FACTOR), min_degree=max(cfg.n_markers, 1))
     neighbors: dict[int, list[int]] = {v: [] for v in range(n)}
     for u, v in pairs:
         neighbors[u].append(v)
@@ -151,7 +147,7 @@ def gen_completion_corpus(cfg: CorpusConfig) -> list[TaskSample]:
     samples = []
     for i in range(cfg.n_graphs):
         graph = gen_completion_graph(rng, cfg)
-        samples.append(make_completion_tasks(graph, cfg.n_selected, cfg.split_fraction, cfg.rng_seed * 1_000_003 + i))
+        samples.append(make_completion_tasks(graph, cfg.n_selected, cfg.rng_seed * 1_000_003 + i))
     return samples
 
 
@@ -160,7 +156,7 @@ def gen_completion_corpus(cfg: CorpusConfig) -> list[TaskSample]:
 
 def gen_structural_graph(rng, cfg: CorpusConfig) -> TAG:
     n = int(rng.integers(cfg.nodes_low, cfg.nodes_high + 1))
-    pairs = random_connected_graph(rng, n, int(n * cfg.extra_edge_factor))
+    pairs = random_connected_graph(rng, n, int(n * EXTRA_EDGE_FACTOR))
     graph = TAG()
     for v in range(n):
         word = KEYWORDS[int(rng.integers(0, len(KEYWORDS)))]
@@ -187,7 +183,7 @@ def gen_structural_corpus(cfg: CorpusConfig) -> tuple[list[TaskSample], list[Tas
 
 def gen_conversations(cfg: CorpusConfig) -> list[Conversation]:
     rng = np.random.default_rng((cfg.rng_seed, 12))
-    lo, hi = cfg.conversation_rounds
+    lo, hi = CONVERSATION_ROUNDS
     convs = []
     for _ in range(cfg.n_graphs):
         k = int(rng.integers(lo, hi + 1))

@@ -201,8 +201,12 @@ def generate_answers(
     return out
 
 
+# Samples whose encodes the change-ratio profile averages; no recipe has varied it.
+DELTA_PROFILE_N = 100
+
+
 def layer_delta_profile(
-    model: GofaModel, samples: list[TaskSample], n: int = 100
+    model: GofaModel, samples: list[TaskSample], n: int = DELTA_PROFILE_N
 ) -> dict[int, float]:
     """Mean representation-change ratio per GNN layer over up to n samples."""
     if not model.cfg.gnn_layers:

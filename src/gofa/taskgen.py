@@ -28,6 +28,9 @@ from .tag import (
 
 ROOT = 0  # by convention the rooted graph's target node
 
+# Share of a completion node's words its text keeps; the cut rest is the target.
+SPLIT_FRACTION = 0.5
+
 
 @dataclass
 class Conversation:
@@ -105,7 +108,7 @@ def _select_nodes(graph: TAG, n_selected: int, seed: int, exclude: set[int]) -> 
 # -- task makers ---------------------------------------------------------------
 
 
-def make_completion_tasks(graph: TAG, n_selected: int, split_fraction: float, seed: int) -> TaskSample:
+def make_completion_tasks(graph: TAG, n_selected: int, seed: int) -> TaskSample:
     """Sentence-completion sample: root plus n selected nodes keep only the
     first half of their text; each gets a prompt node wired with a single
     directed arc, and the cut half becomes the generation target."""
@@ -119,13 +122,13 @@ def make_completion_tasks(graph: TAG, n_selected: int, split_fraction: float, se
     rng.shuffle(candidates)
 
     chosen: list[tuple[int, str, str]] = []  # (node, kept, cut)
-    root_split = split_text(work.nodes[ROOT].text, split_fraction)
+    root_split = split_text(work.nodes[ROOT].text, SPLIT_FRACTION)
     if root_split is not None:
         chosen.append((ROOT, *root_split))
     for i in candidates:
         if len(chosen) >= n_selected + (1 if root_split is not None else 0):
             break
-        split = split_text(work.nodes[i].text, split_fraction)
+        split = split_text(work.nodes[i].text, SPLIT_FRACTION)
         if split is not None:
             chosen.append((i, *split))
     if not chosen:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -62,14 +63,18 @@ class TestConfig:
         assert sections == {
             "model": [f.name for f in fields(ModelConfig)],
             "corpus": [
-                "n_graphs", "nodes_low", "nodes_high", "extra_edge_factor", "n_selected", "split_fraction",
-                "question_style", "n_markers", "lookup_facts", "conversation_rounds", "rng_seed",
+                "n_graphs", "nodes_low", "nodes_high", "n_selected", "question_style", "n_markers", "lookup_facts",
+                "rng_seed",
             ],
             "train": [f.name for f in fields(TrainConfig)],
-            "pretrain": ["steps", "batch_size", "text_low", "text_high", "alphabet"],
-            "eval": ["kind", "max_new_tokens", "delta_profile_n"],
-            "gen": ["test_fraction"],
+            "pretrain": ["steps"],
+            "eval": ["max_new_tokens"],
         }
+
+        def settable(value):
+            return sum(settable(v) for v in value.values()) if isinstance(value, dict) else 1
+
+        assert settable(default_config()) == 28
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "c.json"
@@ -132,6 +137,27 @@ class TestGenCorpus:
         assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
         assert set(meta["blas_threads"]) == set(BLAS_THREAD_VARS)
 
+    # sha256 of each file a 4-graph corpus writes: the corpus and split constants fix these bytes
+    PINNED = {
+        "cn_test.jsonl": "650acee33679da64158f50070d0e2c3a4e0738977443eeb1b8e6b83831e07f10",
+        "cn_train.jsonl": "d232ff328bb0c94e5ef4fb639757b158fb30d04e31599725ab7d4bd20db05c07",
+        "completion_test.jsonl": "0f832a175e2df02ec0ef6205b41afd6d2668ab67502abe87c77723e704bededa",
+        "completion_train.jsonl": "00af5d706e4d523fb32d37475cf82aa7d66f9f0a6bfba98550fc52088979abf0",
+        "lookup_double_test.jsonl": "5db2d2664d5fe319de80865c06408297ed1bfbfc15b9ae75da04ae683e3a885b",
+        "lookup_double_train.jsonl": "1187e66aaba7857f93116a8019630c402436c32e8ed5b878fcc0d08c1f489258",
+        "lookup_single_test.jsonl": "97d087614f1887a750bdf12ce571e51d850f6ad7aef776eb4755fd0f147323c1",
+        "lookup_single_train.jsonl": "9638ac76ca478152fac96b60c0bdfe5672cd50da0f97ca4a5870de791bc3bb96",
+        "qa_test.jsonl": "a323a403090a1e20a6a8901df1ca8bd526eb0b2c6cea555cc07106d3f18de673",
+        "qa_train.jsonl": "e8d0752c87898fe34544d16c2a571186ecf842b7bf9a5facc382869c6351260e",
+        "spd_test.jsonl": "5e0ae2ca03b0f8cebdcf798181b0fa9812fb574870064ade271e36a43ce4ca1b",
+        "spd_train.jsonl": "dcb7739f85d9d9d925025cd42e7b940c85075e9830853223505a0fb823cd3423",
+    }
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        assert run(["gen-corpus", "--out", str(tmp_path), "--set", "corpus.n_graphs=4"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.jsonl")}
+        assert digests == self.PINNED
+
     def test_idempotent(self, tmp_path):
         args = ["gen-corpus", "--set", "corpus.n_graphs=4"]
         run(args + ["--out", str(tmp_path / "a")])
@@ -158,8 +184,7 @@ class TestTrainEval:
         eval_dir = tmp_path / "eval"
         code = run(
             ["eval", "--out", str(eval_dir), "--checkpoint", str(ckpts[-1]),
-             "--corpus", str(corpus_dir / "qa_test.jsonl"),
-             "--set", "eval.delta_profile_n=2", "--set", "eval.max_new_tokens=4"]
+             "--corpus", str(corpus_dir / "qa_test.jsonl"), "--set", "eval.max_new_tokens=4"]
         )
         assert code == 0
         report = json.loads((eval_dir / "eval_report.json").read_text())
@@ -181,8 +206,7 @@ class TestTrainEval:
         eval_dir = tmp_path / "eval"
         run(
             ["eval", "--out", str(eval_dir), "--checkpoint", str(next(train_dir.glob("checkpoint_*.gofa"))),
-             "--corpus", str(corpus_dir / "qa_test.jsonl"),
-             "--set", "eval.delta_profile_n=2", "--set", "eval.max_new_tokens=2"]
+             "--corpus", str(corpus_dir / "qa_test.jsonl"), "--set", "eval.max_new_tokens=2"]
         )
         report = json.loads((eval_dir / "eval_report.json").read_text())
         assert all(v == 0.0 for v in report["metrics"]["delta_profile"].values())
@@ -212,8 +236,7 @@ class TestTrainEval:
             eval_dir = tmp_path / f"eval{budget}"
             code = run(
                 ["eval", "--out", str(eval_dir), "--checkpoint", str(ckpt),
-                 "--corpus", str(corpus_dir / "lookup_single_test.jsonl"),
-                 "--set", "eval.delta_profile_n=1", "--set", f"eval.max_new_tokens={budget}"]
+                 "--corpus", str(corpus_dir / "lookup_single_test.jsonl"), "--set", f"eval.max_new_tokens={budget}"]
             )
             assert code == 0
             lines = (eval_dir / "eval_report_transcripts.jsonl").read_text().splitlines()
@@ -222,15 +245,6 @@ class TestTrainEval:
             # one byte token decodes to at most one character
             longest[budget] = max(len(r["generated"]) for r in rows)
         assert longest[3] <= 3 < longest[8]
-        out = tmp_path / "ablation"
-        test_corpus = str(corpus_dir / "lookup_single_test.jsonl")
-        code = run(
-            ["ablate-edges", "--out", str(out), "--checkpoint-single", str(ckpt), "--checkpoint-double", str(ckpt),
-             "--corpus-single", test_corpus, "--corpus-double", test_corpus, "--set", "eval.max_new_tokens=3"]
-        )
-        assert code == 0
-        rows = [json.loads(line) for line in (out / "ablation_single_transcripts.jsonl").read_text().splitlines()]
-        assert rows and max(len(r["generated"]) for r in rows) <= 3
 
 
 class TestExitCodes:
@@ -294,6 +308,34 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("gen-corpus", "corpus.extra_edge_factor=0.5"),
+            ("gen-corpus", "corpus.split_fraction=0.5"),
+            ("gen-corpus", "corpus.conversation_rounds=[2,4]"),
+            ("gen-corpus", "gen.test_fraction=0.2"),
+            ("autoencode-pretrain", "pretrain.batch_size=16"),
+            ("autoencode-pretrain", "pretrain.text_low=2"),
+            ("autoencode-pretrain", "pretrain.text_high=8"),
+            ("autoencode-pretrain", 'pretrain.alphabet="ab"'),
+            ("eval", "eval.delta_profile_n=100"),
+            ("eval", 'eval.kind="auto"'),
+        ],
+    )
+    def test_retired_key_at_its_constant_is_2_before_any_output(self, tmp_path, capsys, command, override):
+        key, value = override.split("=", 1)
+        section, name = key.split(".")
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({section: {name: json.loads(value)}}))
+        missing = str(tmp_path / "missing")
+        inputs = {"eval": ["--checkpoint", missing, "--corpus", missing]}.get(command, [])
+        for extra in (["--set", override], ["--config", str(cfg_file)]):
+            out = tmp_path / "out"
+            assert run([command, "--out", str(out)] + extra + inputs) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("config error: unknown config key: ")
+
     def test_budget_past_the_checkpoint_decoder_is_2_before_any_output(self, tmp_path, capsys):
         # the default budget of 96 is past the checkpoint decoder's 46
         corpus_dir = tmp_path / "corpus"
@@ -301,21 +343,14 @@ class TestExitCodes:
         ckpt = str(tmp_path / "m.gofa")
         small = ModelConfig(d_model=16, n_heads=2, n_layers=2, memory_tokens=2, gnn_layers=(1,), max_seq_len=48)
         GofaModel(small).save(ckpt)
-        lookup = str(corpus_dir / "lookup_single_test.jsonl")
-        commands = [
-            ["eval", "--checkpoint", ckpt, "--corpus", str(corpus_dir / "spd_test.jsonl")],
-            ["ablate-edges", "--checkpoint-single", ckpt, "--checkpoint-double", ckpt,
-             "--corpus-single", lookup, "--corpus-double", lookup],
-        ]
-        for i, argv in enumerate(commands):
-            out = tmp_path / f"out{i}"
-            assert run(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
-            assert not out.exists()
-            assert "exceeds max_seq_len - memory_tokens = 46 of checkpoint" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run(["eval", "--out", str(out), "--checkpoint", ckpt, "--corpus", str(corpus_dir / "spd_test.jsonl")]) == 2
+        assert not out.exists()
+        assert "exceeds max_seq_len - memory_tokens = 46 of checkpoint" in capsys.readouterr().err
         # a perplexity eval generates nothing, so the budget does not bind it
         out = tmp_path / "ppl"
         completion = str(corpus_dir / "completion_test.jsonl")
-        code = run(["eval", "--out", str(out), "--checkpoint", ckpt, "--corpus", completion, "--set", "eval.delta_profile_n=1"])
+        code = run(["eval", "--out", str(out), "--checkpoint", ckpt, "--corpus", completion])
         assert code == 0 and (out / "eval_report.json").exists()
 
     def test_runtime_error_is_3(self, tmp_path):
@@ -398,7 +433,7 @@ class TestResume:
         run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
         corpus = str(corpus_dir / "qa_train.jsonl")
         ae = tmp_path / "ae"
-        pretrain = ["--set", "pretrain.steps=1", "--set", "pretrain.batch_size=2"]
+        pretrain = ["--set", "pretrain.steps=1"]
         assert run(["autoencode-pretrain", "--out", str(ae)] + SMALL_MODEL + pretrain) == 0
         bare = tmp_path / "bare.gofa"  # no config chunk at all
         save_checkpoint(bare, load_checkpoint(ae / "autoencoder.gofa")[0])
@@ -444,8 +479,7 @@ class TestResume:
         test_corpus = str(corpus_dir / "completion_test.jsonl")
 
         def evaluate(ckpt, out):
-            return run(["eval", "--out", str(out), "--checkpoint", str(ckpt), "--corpus", test_corpus,
-                        "--set", "eval.delta_profile_n=1"])
+            return run(["eval", "--out", str(out), "--checkpoint", str(ckpt), "--corpus", test_corpus])
 
         assert evaluate(old, tmp_path / "eval_old") == 0 and evaluate(new, tmp_path / "eval_new") == 0
         report = "eval_report.json"
@@ -475,7 +509,7 @@ class TestAutoencodeCommand:
         code = run(
             ["autoencode-pretrain", "--out", str(out)]
             + SMALL_MODEL
-            + ["--set", "pretrain.steps=3", "--set", "pretrain.batch_size=4"]
+            + ["--set", "pretrain.steps=3"]
         )
         assert code == 0
         assert (out / "autoencoder.gofa").exists()
@@ -494,59 +528,9 @@ class TestAutoencodeCommand:
         code = run(
             ["autoencode-pretrain", "--out", str(out)]
             + SMALL_MODEL
-            + ["--set", "pretrain.steps=3", "--set", "pretrain.batch_size=4"]
+            + ["--set", "pretrain.steps=3"]
         )
         assert code == 3
         assert "non-finite loss" in capsys.readouterr().err
         assert not (out / "autoencoder.gofa").exists()
         assert not list(out.glob("checkpoint_*.gofa"))
-
-
-class TestAblateCommand:
-    def test_comparison_table(self, tmp_path):
-        corpus_dir = tmp_path / "corpus"
-        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
-        ckpts = {}
-        for mode in ("single", "double"):
-            d = tmp_path / f"train_{mode}"
-            run(
-                ["train", "--out", str(d), "--corpus", str(corpus_dir / f"lookup_{mode}_train.jsonl")]
-                + SMALL_MODEL
-                + ["--set", "train.max_steps=2", "--set", "train.batch_size=2", "--set", "train.checkpoint_every=2"]
-            )
-            ckpts[mode] = next(d.glob("checkpoint_*.gofa"))
-        out = tmp_path / "ablation"
-        code = run(
-            ["ablate-edges", "--out", str(out),
-             "--checkpoint-single", str(ckpts["single"]), "--checkpoint-double", str(ckpts["double"]),
-             "--corpus-single", str(corpus_dir / "lookup_single_test.jsonl"),
-             "--corpus-double", str(corpus_dir / "lookup_double_test.jsonl"),
-             "--set", "eval.max_new_tokens=4"]
-        )
-        assert code == 0
-        table = (out / "ablation_comparison.txt").read_text()
-        assert "single" in table and "double" in table
-        assert (out / "ablation_single.json").exists()
-        assert (out / "ablation_double.json").exists()
-
-    def test_identical_checkpoints_identical_reports(self, tmp_path):
-        corpus_dir = tmp_path / "corpus"
-        run(["gen-corpus", "--out", str(corpus_dir), "--set", "corpus.n_graphs=4"])
-        d = tmp_path / "train"
-        run(
-            ["train", "--out", str(d), "--corpus", str(corpus_dir / "lookup_single_train.jsonl")]
-            + SMALL_MODEL
-            + ["--set", "train.max_steps=2", "--set", "train.batch_size=2", "--set", "train.checkpoint_every=2"]
-        )
-        ckpt = str(next(d.glob("checkpoint_*.gofa")))
-        out = tmp_path / "ablation"
-        run(
-            ["ablate-edges", "--out", str(out),
-             "--checkpoint-single", ckpt, "--checkpoint-double", ckpt,
-             "--corpus-single", str(corpus_dir / "lookup_single_test.jsonl"),
-             "--corpus-double", str(corpus_dir / "lookup_single_test.jsonl"),
-             "--set", "eval.max_new_tokens=4"]
-        )
-        a = json.loads((out / "ablation_single.json").read_text())
-        b = json.loads((out / "ablation_double.json").read_text())
-        assert a == b

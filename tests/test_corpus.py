@@ -103,7 +103,7 @@ class TestStructuralCorpus:
 
 class TestQaCorpus:
     def test_round_counts(self):
-        cfg = CorpusConfig(n_graphs=20, conversation_rounds=(2, 4), rng_seed=2)
+        cfg = CorpusConfig(n_graphs=20, rng_seed=2)
         convs = gen_conversations(cfg)
         assert all(2 <= len(c.rounds) <= 4 for c in convs)
         samples = gen_qa_corpus(cfg)

@@ -53,18 +53,18 @@ class TestSplitText:
 
 class TestCompletionTasks:
     def test_target_count_root_plus_selected(self):
-        sample = make_completion_tasks(rooted_graph(10), 3, 0.5, 0)
+        sample = make_completion_tasks(rooted_graph(10), 3, 0)
         assert sample.task_kind == "completion"
         assert len(sample.targets) == 4
 
     def test_deterministic_under_seed(self):
-        a = make_completion_tasks(rooted_graph(10), 3, 0.5, 5)
-        b = make_completion_tasks(rooted_graph(10), 3, 0.5, 5)
+        a = make_completion_tasks(rooted_graph(10), 3, 5)
+        b = make_completion_tasks(rooted_graph(10), 3, 5)
         assert tags_equal(a.graph, b.graph)
         assert [t.target_text for t in a.targets] == [t.target_text for t in b.targets]
 
     def test_truncated_text_keeps_tag_and_target_excludes_it(self):
-        sample = make_completion_tasks(rooted_graph(6), 2, 0.5, 1)
+        sample = make_completion_tasks(rooted_graph(6), 2, 1)
         for t in sample.targets:
             prompt_node = sample.graph.nodes[t.nog]
             assert prompt_node.kind == "prompt"
@@ -79,7 +79,7 @@ class TestCompletionTasks:
             assert f"{kept} {t.target_text}".startswith("paper number")
 
     def test_prompt_template(self):
-        sample = make_completion_tasks(rooted_graph(5), 1, 0.5, 2)
+        sample = make_completion_tasks(rooted_graph(5), 1, 2)
         t = sample.targets[0]
         sources = [e.src for e in sample.graph.edges if e.dst == t.nog]
         tag = sample.graph.nodes[sources[0]].node_id_tag
@@ -87,7 +87,7 @@ class TestCompletionTasks:
         assert sample.graph.nodes[t.nog].text == f"Complete the sentence of the node{tag}."
 
     def test_single_directed_arc_per_prompt(self):
-        sample = make_completion_tasks(rooted_graph(8), 3, 0.5, 3)
+        sample = make_completion_tasks(rooted_graph(8), 3, 3)
         for t in sample.targets:
             incoming = [e for e in sample.graph.edges if e.dst == t.nog]
             outgoing = [e for e in sample.graph.edges if e.src == t.nog]
@@ -100,7 +100,7 @@ class TestCompletionTasks:
         g.add_node("another node with many words")
         g.add_undirected_edge(0, 1)
         g.add_undirected_edge(0, 2)
-        sample = make_completion_tasks(g, 1, 0.5, 0)
+        sample = make_completion_tasks(g, 1, 0)
         selected = {e.src for t in sample.targets for e in sample.graph.edges if e.dst == t.nog}
         assert 1 not in selected
         assert len(sample.targets) == 2
@@ -111,7 +111,7 @@ class TestCompletionTasks:
         g.add_node("two")
         g.add_undirected_edge(0, 1)
         with pytest.raises(GraphError):
-            make_completion_tasks(g, 1, 0.5, 0)
+            make_completion_tasks(g, 1, 0)
 
 
 class TestStructuralTasks:
@@ -280,7 +280,7 @@ class TestDownstream:
 class TestSampleSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         samples = [
-            make_completion_tasks(rooted_graph(8, seed=s), 2, 0.5, s)
+            make_completion_tasks(rooted_graph(8, seed=s), 2, s)
             for s in range(3)
         ]
         path = tmp_path / "corpus.jsonl"
@@ -293,7 +293,7 @@ class TestSampleSerialization:
             assert a.task_kind == b.task_kind
 
     def test_obj_contains_prompt_text(self):
-        s = make_completion_tasks(rooted_graph(6), 1, 0.5, 0)
+        s = make_completion_tasks(rooted_graph(6), 1, 0)
         obj = sample_to_obj(s)
         assert obj["kind"] == "completion"
         for t in obj["targets"]:

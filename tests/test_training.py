@@ -462,7 +462,7 @@ class TestTrainConfigRoundTrip:
         "cfg",
         [
             ModelConfig(d_model=32, gnn_layers=(2, 1), precision="float32"),
-            CorpusConfig(n_graphs=7, conversation_rounds=(1, 3), question_style="full"),
+            CorpusConfig(n_graphs=7, question_style="full"),
             TrainConfig(lr=3e-4, gate_lr_mult=25.0, freeze=("compressor.", "memory_tokens"), log_every=5),
         ],
         ids=lambda cfg: type(cfg).__name__,
