@@ -1,10 +1,17 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-Every operation records its inputs and an adjoint rule on the value it
-produces; ``backward`` on a scalar walks the tape in reverse topological
-order and accumulates gradients into ``.grad`` buffers. 64-bit floats are
-the default so finite-difference checks are meaningful; 32-bit is an
-opt-in via the ``dtype`` argument on leaf tensors.
+Every operation links the graph node of the tensor it produces to its
+inputs' nodes and records an adjoint rule there; ``backward`` on a scalar
+walks the nodes in reverse topological order and accumulates gradients
+into ``.grad`` buffers. A node never holds a value: each adjoint rule
+keeps, at record time, only the arrays it reads (the other operand of a
+product, the input of ``silu``, ``rms_norm`` and ``feed_forward``,
+attention's operands and probabilities), so an intermediate's value is
+freed once the forward code drops it, unless some backward reads it.
+
+64-bit floats are the default so finite-difference checks are
+meaningful; 32-bit is an opt-in via the ``dtype`` argument on leaf
+tensors.
 
 The tape is confined to a single thread. ``no_grad()`` suspends recording
 for inference paths.
@@ -62,96 +69,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    # __weakref__ lets tests see when the tape lets go of a tensor
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned", "__weakref__")
+class _Node:
+    """A tensor's place on the tape: its gradient buffer, the nodes of the
+    parents that take a gradient, its backward rule, and the shape and dtype
+    of its value. A node never holds the value, so the tape keeps an array
+    alive only where a backward rule captured it."""
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    __slots__ = ("grad", "requires_grad", "parents", "backward", "grad_owned", "shape", "dtype")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-        self._grad_owned = True
+        self.requires_grad = requires_grad
+        self.parents: tuple[_Node, ...] = ()
+        self.backward = None
+        self.grad_owned = True
+        self.shape = shape
+        self.dtype = dtype
 
-    # -- basics -----------------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # -- tape -------------------------------------------------------------
-
-    def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out._grad_owned = True
-        out._parents = ()
-        out._backward = None
-        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            # backward walks only parents that take a gradient; keeping the
-            # others would hold frozen inputs alive until backward runs
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
-        return out
-
-    def backward(self) -> None:
-        """Populate ``.grad`` of every reachable tensor, then release the tape."""
-        if self.data.size != 1:
-            raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
-        topo: list[Tensor] = []
-        visited = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
-        if self.grad is None:
-            self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self:
-                    node.grad = None
-            if node is not self:
-                node._parents = ()
-                node._backward = None
-
-    def _accum(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Add ``grad`` into this tensor's gradient buffer.
+    def accum(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this node's gradient buffer.
 
         ``owned=True`` promises the buffer is freshly allocated and
         unaliased, so it can be adopted without a copy. Unowned buffers
@@ -162,165 +98,288 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            if owned or self._backward is not None:
+            if owned or self.backward is not None:
                 self.grad = grad
-                self._grad_owned = owned
+                self.grad_owned = owned
             else:
-                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-                self._grad_owned = True
+                self.grad = np.array(grad, dtype=self.dtype, copy=True)
+                self.grad_owned = True
         else:
-            if not self._grad_owned:
+            if not self.grad_owned:
                 self.grad = np.array(self.grad, copy=True)
-                self._grad_owned = True
+                self.grad_owned = True
             self.grad += grad
+
+
+class Tensor:
+    """A value ``data`` and its ``_Node`` on the tape. ``grad`` and
+    ``requires_grad`` read and write the node's. An op's backward rule
+    captures its parents' nodes and, at record time, only the arrays it
+    reads, so the value of an intermediate is freed once the forward code
+    drops the tensor, unless some backward reads it."""
+
+    # __weakref__ lets tests see when the tape lets go of a tensor
+    __slots__ = ("_data", "_node", "__weakref__")
+
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
+        if isinstance(data, Tensor):
+            data = data.data
+        data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+        self._data = data
+        self._node = _Node(data.shape, data.dtype, bool(requires_grad) and _GRAD_ENABLED)
+
+    # -- basics -----------------------------------------------------------
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self._node.shape, self._node.dtype = value.shape, value.dtype
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self._node.requires_grad = value
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self._data.ndim
+
+    @property
+    def size(self) -> int:
+        return self._data.size
+
+    @property
+    def dtype(self):
+        return self._data.dtype
+
+    def item(self) -> float:
+        return float(self._data)
+
+    def __repr__(self):
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+    def zero_grad(self) -> None:
+        self._node.grad = None
+
+    # -- tape -------------------------------------------------------------
+
+    def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        out = Tensor.__new__(Tensor)
+        out._data = data
+        # backward walks only the parents that take a gradient
+        kept = tuple(p._node for p in parents if p._node.requires_grad) if _GRAD_ENABLED else ()
+        node = out._node = _Node(data.shape, data.dtype, bool(kept))
+        if kept:
+            node.parents = kept
+            node.backward = backward
+        return out
+
+    def backward(self) -> None:
+        """Populate ``.grad`` of every reachable tensor, then release the tape."""
+        if self._data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
+        root = self._node
+        topo: list[_Node] = []
+        visited = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for p in node.parents:
+                if p.requires_grad and id(p) not in visited:
+                    stack.append((p, False))
+        if root.grad is None:
+            root.grad = np.ones_like(self._data)
+        for node in reversed(topo):
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
+                if node is not root:
+                    node.grad = None
+            if node is not root:
+                node.parents = ()
+                node.backward = None
+
+    def _accum(self, grad: np.ndarray, owned: bool = False) -> None:
+        """``_Node.accum`` on this tensor's node."""
+        self._node.accum(grad, owned)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return Tensor(other, dtype=self.data.dtype)
+        return Tensor(other, dtype=self._data.dtype)
 
     def __add__(self, other):
         other = self._coerce(other)
-        out_data = self.data + other.data
+        a, b = self._node, other._node
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.shape))
+            if a.requires_grad:
+                a.accum(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b.accum(_unbroadcast(g, b.shape))
 
-        return self._make(out_data, (self, other), bw)
+        return self._make(self._data + other._data, (self, other), bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def bw(g):
-            self._accum(-g, owned=True)
+        a = self._node
 
-        return self._make(-self.data, (self,), bw)
+        def bw(g):
+            a.accum(-g, owned=True)
+
+        return self._make(-self._data, (self,), bw)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out_data = self.data * other.data
+        a, b = self._node, other._node
+        # each side's gradient reads the other side's value
+        a_data = self._data if b.requires_grad else None
+        b_data = other._data if a.requires_grad else None
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.shape), owned=True)
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.shape), owned=True)
+            if b_data is not None:
+                a.accum(_unbroadcast(g * b_data, a.shape), owned=True)
+            if a_data is not None:
+                b.accum(_unbroadcast(g * a_data, b.shape), owned=True)
 
-        return self._make(out_data, (self, other), bw)
+        return self._make(self._data * other._data, (self, other), bw)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        if self.data.shape[-1] != other.data.shape[-2]:
+        if self._data.shape[-1] != other._data.shape[-2]:
             raise ShapeError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
-        a, b = self.data, other.data
-        out_data = a @ b
-        # a frozen operand is kept by its data only
-        x = self if self.requires_grad else None
-        w = other if other.requires_grad else None
+        x, w = self._node, other._node
+        a_shape, b_shape = self._data.shape, other._data.shape
+        # each side's gradient reads the other side's value
+        a = self._data if w.requires_grad else None
+        b = other._data if x.requires_grad else None
 
         def bw(g):
-            if x is not None:
-                x._accum(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape), owned=True)
-            if w is not None:
-                if b.ndim == 2 and g.ndim > 2:
+            if b is not None:
+                x.accum(_unbroadcast(g @ b.swapaxes(-1, -2), a_shape), owned=True)
+            if a is not None:
+                if len(b_shape) == 2 and g.ndim > 2:
                     # stacked activations against a flat weight: fold the
                     # batch into one GEMM instead of summing a stack
-                    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                    w._accum(gb, owned=True)
+                    gb = a.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                    w.accum(gb, owned=True)
                 else:
-                    w._accum(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape), owned=True)
+                    w.accum(_unbroadcast(a.swapaxes(-1, -2) @ g, b_shape), owned=True)
 
-        return self._make(out_data, (self, other), bw)
+        return self._make(self._data @ other._data, (self, other), bw)
 
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        src_shape = self.shape
+        a, src_shape = self._node, self.shape
 
         def bw(g):
-            self._accum(g.reshape(src_shape))
+            a.accum(g.reshape(src_shape))
 
-        return self._make(out_data, (self,), bw)
+        return self._make(self._data.reshape(shape), (self,), bw)
 
     def swapaxes(self, a: int, b: int):
-        def bw(g):
-            self._accum(g.swapaxes(a, b))
+        node = self._node
 
-        return self._make(self.data.swapaxes(a, b), (self,), bw)
+        def bw(g):
+            node.accum(g.swapaxes(a, b))
+
+        return self._make(self._data.swapaxes(a, b), (self,), bw)
 
     def __getitem__(self, key):
-        out_data = self.data[key]
-        src_shape = self.shape
+        a, src_shape = self._node, self.shape
 
         def bw(g):
-            if not self.requires_grad:
+            if not a.requires_grad:
                 return
             full = np.zeros(src_shape, dtype=g.dtype)
             full[key] = g
-            self._accum(full, owned=True)
+            a.accum(full, owned=True)
 
-        return self._make(out_data, (self,), bw)
+        return self._make(self._data[key], (self,), bw)
 
     def broadcast_to(self, shape):
-        shape = tuple(shape)
-        out_data = np.broadcast_to(self.data, shape).copy()
+        a = self._node
 
         def bw(g):
-            self._accum(_unbroadcast(g, self.shape), owned=True)
+            a.accum(_unbroadcast(g, a.shape), owned=True)
 
-        return self._make(out_data, (self,), bw)
+        return self._make(np.broadcast_to(self._data, tuple(shape)).copy(), (self,), bw)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        src_shape = self.shape
+        a, src_shape = self._node, self.shape
 
         def bw(g):
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            self._accum(np.broadcast_to(gg, src_shape).copy(), owned=True)
+            a.accum(np.broadcast_to(gg, src_shape).copy(), owned=True)
 
-        return self._make(np.asarray(out_data), (self,), bw)
+        return self._make(np.asarray(self._data.sum(axis=axis, keepdims=keepdims)), (self,), bw)
 
     # -- elementwise nonlinearities --------------------------------------------
 
     def tanh(self):
-        out_data = np.tanh(self.data)
+        a = self._node
+        out_data = np.tanh(self._data)
 
         def bw(g):
-            self._accum(g * (1.0 - out_data * out_data), owned=True)
+            a.accum(g * (1.0 - out_data * out_data), owned=True)
 
         return self._make(out_data, (self,), bw)
 
     def silu(self):
-        out_data = _sigmoid(self.data)
-        out_data *= self.data
+        a, x = self._node, self._data
+        out_data = _sigmoid(x)
+        out_data *= x
 
         def bw(g):
             # recomputed rather than kept: one array less per call until backward;
             # g * sig * (1 + x * (1 - sig)) in place, in that order
-            sig = _sigmoid(self.data)
+            sig = _sigmoid(x)
             grad = np.subtract(1.0, sig)
-            grad *= self.data
+            grad *= x
             grad += 1.0
             sig *= g
             sig *= grad
-            self._accum(sig, owned=True)
+            a.accum(sig, owned=True)
 
         return self._make(out_data, (self,), bw)
 
@@ -340,13 +399,13 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
     # only the parts that take a gradient are kept for backward
-    parts = [(t, start, stop) for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]) if t.requires_grad]
+    parts = [(t._node, start, stop) for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]) if t.requires_grad]
 
     def bw(g):
-        for t, start, stop in parts:
+        for node, start, stop in parts:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, stop)
-            t._accum(g[tuple(idx)])
+            node.accum(g[tuple(idx)])
 
     return tensors[0]._make(out_data, tuple(tensors), bw)
 
@@ -354,19 +413,19 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Rows of ``x`` selected along axis 0; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-    out_data = x.data[idx]
+    a, shape, size = x._node, x.shape, x.size
 
     def bw(g):
-        if not x.requires_grad:
+        if not a.requires_grad:
             return
         # one bin per element of x; each bin adds its rows in index order from
         # 0.0, as np.add.at would, but in one pass
-        width = math.prod(x.shape[1:])
+        width = math.prod(shape[1:])
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        full = np.bincount(flat, weights=g.reshape(-1), minlength=x.size)
-        x._accum(full.astype(g.dtype, copy=False).reshape(x.shape), owned=True)
+        full = np.bincount(flat, weights=g.reshape(-1), minlength=size)
+        a.accum(full.astype(g.dtype, copy=False).reshape(shape), owned=True)
 
-    return x._make(out_data, (x,), bw)
+    return x._make(x.data[idx], (x,), bw)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -374,9 +433,10 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     row, flattened, are the H*dh features."""
     s, seq_len = x.shape[:2]
     out_data = x.data.reshape(s, seq_len, n_heads, math.prod(x.shape[2:]) // n_heads).transpose(0, 2, 1, 3)
+    a, shape = x._node, x.shape
 
     def bw(g):
-        x._accum(g.transpose(0, 2, 1, 3).reshape(x.shape))
+        a.accum(g.transpose(0, 2, 1, 3).reshape(shape))
 
     return x._make(out_data, (x,), bw)
 
@@ -402,11 +462,12 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, head_dim: int) -> Tensor:
     swapped = x.data.take(swap, axis=-1)
     swapped *= sin
     out_data += swapped
+    a = x._node
 
     def bw(g):
         grad = g * cos
         grad += (g * sin).take(swap, axis=-1)
-        x._accum(grad, owned=True)
+        a.accum(grad, owned=True)
 
     return x._make(out_data, (x,), bw)
 
@@ -568,38 +629,46 @@ def _attention_op(q: Tensor, k: Tensor, v: Tensor, plan: AttentionPlan, kernel: 
     runs the kernel once."""
     s, h, lq, dh = q.shape
     out_data, kept, scale = kernel
+    q_node, k_node, v_node = q._node, k._node, v._node
+    want_q, want_k, want_v = q_node.requires_grad, k_node.requires_grad, v_node.requires_grad
+    want_qk = want_q or want_k
+    # each gradient keeps only what it reads: the query gradient the keys,
+    # the key gradient the queries, and both the values and the output
+    q_data = q.data if want_k else None
+    k_data = k.data if want_q else None
+    v_data, o_data = (v.data, out_data) if want_qk else (None, None)
 
     def bw(g):
         if plan.dead is not None:
             g = np.where(plan.dead[:, :, None], 0, g)
         g = g.reshape(s, lq, h, dh)
-        if q.requires_grad or k.requires_grad:
+        if want_qk:
             # [S, Lq, H]: each query's sum over its head of dO * O
-            corr = np.add.reduce(g * out_data.reshape(s, lq, h, dh), axis=-1)
+            corr = np.add.reduce(g * o_data.reshape(s, lq, h, dh), axis=-1)
         # the last tile reads every key: its key and value gradients are full
         # size and take the earlier tiles' prefixes
         dqs, dk, dv = [], None, None
         for (r0, r1, c1), p in zip(reversed(plan.tiles), reversed(kept)):
             gc = g[:, r0:r1].transpose(0, 2, 1, 3)
-            if q.requires_grad or k.requires_grad:
-                ds = gc @ v.data[:, :, :c1].swapaxes(-1, -2)
+            if want_qk:
+                ds = gc @ v_data[:, :, :c1].swapaxes(-1, -2)
                 ds -= corr[:, r0:r1].transpose(0, 2, 1)[..., None]
                 ds *= p
-                if q.requires_grad:
-                    dqs.append(ds @ k.data[:, :, :c1])
-                if k.requires_grad:
-                    dk = _add_prefix(dk, (q.data[:, :, r0:r1].swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
-            if v.requires_grad:
+                if want_q:
+                    dqs.append(ds @ k_data[:, :, :c1])
+                if want_k:
+                    dk = _add_prefix(dk, (q_data[:, :, r0:r1].swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+            if want_v:
                 dv = _add_prefix(dv, p.swapaxes(-1, -2) @ gc)
-        if q.requires_grad:
+        if want_q:
             dq = np.concatenate(dqs[::-1], axis=2)
             dq *= scale
-            q._accum(dq, owned=True)
-        if k.requires_grad:
+            q_node.accum(dq, owned=True)
+        if want_k:
             dk *= scale
-            k._accum(dk)
-        if v.requires_grad:
-            v._accum(dv, owned=True)
+            k_node.accum(dk)
+        if want_v:
+            v_node.accum(dv, owned=True)
 
     return q._make(out_data, (q, k, v), bw)
 
@@ -610,17 +679,18 @@ def _rms_reciprocal(x: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 / np.sqrt(ms + eps)
 
 
-def _rms_norm_backward(g: np.ndarray, x: np.ndarray, r: np.ndarray, gain: Tensor, want_dx: bool) -> np.ndarray | None:
-    """Adds ``gain``'s gradient and returns ``x``'s (None unless
-    ``want_dx``) for the gradient ``g`` of ``x * r * gain``. With ``xr = x *
-    r``, ``dx = r * (g gain - xr mean(g gain xr))``."""
+def _rms_norm_backward(g: np.ndarray, x: np.ndarray, r: np.ndarray, gain: _Node, gain_data: np.ndarray | None) -> np.ndarray | None:
+    """Adds ``gain``'s gradient and returns ``x``'s for the gradient ``g``
+    of ``x * r * gain_data``; None without ``gain_data``, which a caller
+    keeps only when ``x`` takes a gradient. With ``xr = x * r``, ``dx = r *
+    (g gain - xr mean(g gain xr))``."""
     n = x.shape[-1]
     xr = x * r  # the forward's bits, recomputed rather than kept
     if gain.requires_grad:
-        gain._accum(np.add.reduce((g * xr).reshape(-1, n), axis=0), owned=True)
-    if not want_dx:
+        gain.accum(np.add.reduce((g * xr).reshape(-1, n), axis=0), owned=True)
+    if gain_data is None:
         return None
-    dx = g * gain.data
+    dx = g * gain_data
     corr = np.add.reduce(dx * xr, axis=-1, keepdims=True)
     corr /= n
     xr *= corr
@@ -631,16 +701,18 @@ def _rms_norm_backward(g: np.ndarray, x: np.ndarray, r: np.ndarray, gain: Tensor
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """``x`` scaled by the reciprocal root-mean-square ``r`` over its last
-    axis and by ``gain``."""
+    axis and by ``gain``. Backward keeps ``x``'s value and ``r``."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
-    r = _rms_reciprocal(x.data, eps)
-    out_data = x.data * r * gain.data
+    x_data, x_node, gain_node = x.data, x._node, gain._node
+    r = _rms_reciprocal(x_data, eps)
+    out_data = x_data * r * gain.data
+    gain_data = gain.data if x_node.requires_grad else None
 
     def bw(g):
-        dx = _rms_norm_backward(g, x.data, r, gain, x.requires_grad)
+        dx = _rms_norm_backward(g, x_data, r, gain_node, gain_data)
         if dx is not None:
-            x._accum(dx, owned=True)
+            x_node.accum(dx, owned=True)
 
     return x._make(out_data, (x, gain), bw)
 
@@ -651,39 +723,51 @@ def feed_forward(x: Tensor, gain: Tensor, w1: Tensor, w2: Tensor, eps: float = 1
 
     The forward runs the numpy sequence of ``rms_norm``, the two matrix
     products, ``Tensor.silu`` and the residual add, so its bits are theirs.
-    It keeps the normalised rows and the hidden pre-activation for backward,
-    not the activation or the ``w2`` product, and recomputes the sigmoid."""
+    Backward keeps the hidden pre-activation, and of the rest only what the
+    wanted gradients read: the normalised rows for ``w1``'s, and ``x``'s
+    value and ``r`` for ``x``'s and ``gain``'s. It keeps neither the
+    activation nor the ``w2`` product, and recomputes the sigmoid."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"feed_forward gain shape {gain.shape} does not match feature dim {x.shape[-1]}")
     d, ff = w1.shape
-    r = _rms_reciprocal(x.data, eps)
-    xn = x.data * r * gain.data
+    x_data = x.data
+    r = _rms_reciprocal(x_data, eps)
+    xn = x_data * r * gain.data
     hidden = xn @ w1.data
     act = _sigmoid(hidden)
     act *= hidden
-    out_data = x.data + act @ w2.data
+    out_data = x_data + act @ w2.data
+    x_node, gain_node, w1_node, w2_node = x._node, gain._node, w1._node, w2._node
+    want_x, want_w1, want_w2 = x_node.requires_grad, w1_node.requires_grad, w2_node.requires_grad
+    want_norm = want_x or gain_node.requires_grad
+    want_dh = want_norm or want_w1
+    # each gradient keeps only the arrays it reads
+    w2_data = w2.data if want_dh else None
+    xn_kept = xn if want_w1 else None
+    x_kept, r_kept, w1_data = (x_data, r, w1.data) if want_norm else (None, None, None)
+    gain_data = gain.data if want_x else None
 
     def bw(g):
         sig = _sigmoid(hidden)
-        if w2.requires_grad:
+        if want_w2:
             act = sig * hidden
-            w2._accum(act.reshape(-1, ff).T @ g.reshape(-1, d), owned=True)
-        if not (x.requires_grad or gain.requires_grad or w1.requires_grad):
+            w2_node.accum(act.reshape(-1, ff).T @ g.reshape(-1, d), owned=True)
+        if not want_dh:
             return
         # silu backward as ``Tensor.silu``: g * sig * (1 + h * (1 - sig))
         dh = np.subtract(1.0, sig)
         dh *= hidden
         dh += 1.0
-        sig *= g @ w2.data.T
+        sig *= g @ w2_data.T
         dh *= sig
         del sig
-        if w1.requires_grad:
-            w1._accum(xn.reshape(-1, d).T @ dh.reshape(-1, ff), owned=True)
-        if x.requires_grad or gain.requires_grad:
-            dx = _rms_norm_backward(dh @ w1.data.T, x.data, r, gain, x.requires_grad)
+        if want_w1:
+            w1_node.accum(xn_kept.reshape(-1, d).T @ dh.reshape(-1, ff), owned=True)
+        if want_norm:
+            dx = _rms_norm_backward(dh @ w1_data.T, x_kept, r_kept, gain_node, gain_data)
             if dx is not None:
                 dx += g
-                x._accum(dx, owned=True)
+                x_node.accum(dx, owned=True)
 
     return x._make(out_data, (x, gain, w1, w2), bw)
 
@@ -703,7 +787,8 @@ def head_cross_entropy(
     and, per row, the sum of its positions' NLL in column order, as a lone
     row would; no [S, L, V] logits are made. The backward forms softmax
     minus one-hot on the [N, V] scored logits alone and scatters their
-    ``x`` gradient into a zero [S, L, d].
+    ``x`` gradient into a zero [S, L, d]; it keeps ``x``'s shape and dtype,
+    not its value.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if x.ndim != 3 or targets.shape != x.shape[:2]:
@@ -726,6 +811,13 @@ def head_cross_entropy(
     ends = np.cumsum(counts)
     # each row sums its own slice, as a lone [L, V] row would
     totals = np.array([-picked[e - c : e].sum() if c else 0.0 for c, e in zip(counts, ends)], dtype=x.dtype)
+    x_node, gain_node, head_node = x._node, gain._node, head._node
+    x_shape, x_dtype = x.shape, x.dtype
+    want_head, want_norm = head_node.requires_grad, x_node.requires_grad or gain_node.requires_grad
+    # each gradient keeps only the arrays it reads
+    xn_kept = xn if want_head else None
+    xs_kept, r_kept, head_data = (xs, r, head.data) if want_norm else (None, None, None)
+    gain_data = gain.data if x_node.requires_grad else None
 
     def bw(g):
         if not len(tgt):
@@ -733,14 +825,14 @@ def head_cross_entropy(
         dz = np.exp(z - lse)
         dz[np.arange(len(tgt)), tgt] -= 1.0
         dz *= g[row][:, None]
-        if head.requires_grad:
-            head._accum(dz.T @ xn, owned=True)
-        if x.requires_grad or gain.requires_grad:
-            dxs = _rms_norm_backward(dz @ head.data, xs, r, gain, x.requires_grad)
+        if want_head:
+            head_node.accum(dz.T @ xn_kept, owned=True)
+        if want_norm:
+            dxs = _rms_norm_backward(dz @ head_data, xs_kept, r_kept, gain_node, gain_data)
             if dxs is not None:
-                dx = np.zeros_like(x.data)
+                dx = np.zeros(x_shape, dtype=x_dtype)
                 dx[row, col] = dxs
-                x._accum(dx, owned=True)
+                x_node.accum(dx, owned=True)
 
     return x._make(totals, (x, gain, head), bw), counts
 

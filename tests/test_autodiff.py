@@ -795,7 +795,7 @@ class TestTapeHoldsOnlyGradientInputs:
         out = concat([frozen, trained], axis=0)
         del frozen
         gc.collect()
-        assert ref() is None and out._parents == (trained,)
+        assert ref() is None and out._node.parents == (trained._node,)
         (out * out).sum().backward()
         assert np.array_equal(trained.grad, 2 * trained.data)
 
@@ -808,9 +808,82 @@ class TestTapeHoldsOnlyGradientInputs:
             out = a @ b
             del frozen, a, b
             gc.collect()
-            assert ref() is None and out._parents == (trained,)
+            assert ref() is None and out._node.parents == (trained._node,)
             out.sum().backward()
             assert np.array_equal(trained.grad, want)
+
+
+def tape_input(rng, kind: str, shape) -> Tensor:
+    """A ``frozen`` tensor, a ``leaf`` that takes a gradient, or an
+    intermediate (``mid``) of such a leaf whose value is an array of its own."""
+    t = Tensor(rng.normal(size=shape), requires_grad=kind != "frozen")
+    return t * 2.0 if kind == "mid" else t
+
+
+ROPE_COS, ROPE_SIN = np.random.default_rng(0).normal(size=(2, 3, 4))
+CE_TARGETS = [[0, 1, -100], [2, 3, 4]]
+
+# op -> (its inputs as name: (kind, shape), the op, the inputs whose values the tape keeps)
+TAPE_CASES = {
+    "add": (dict(h=("mid", (2, 3, 4)), g=("mid", (2, 3, 4))), lambda h, g: h + g, set()),
+    "neg": (dict(h=("mid", (2, 3, 4))), lambda h: -h, set()),
+    "reshape": (dict(h=("mid", (2, 3, 4))), lambda h: h.reshape(6, 4), set()),
+    "swapaxes": (dict(h=("mid", (2, 3, 4))), lambda h: h.swapaxes(0, 2), set()),
+    "getitem": (dict(h=("mid", (2, 3, 4))), lambda h: h[1:, ::2], set()),
+    "broadcast_to": (dict(h=("mid", (2, 3, 4))), lambda h: h.broadcast_to((3, 2, 3, 4)), set()),
+    "sum": (dict(h=("mid", (2, 3, 4))), lambda h: h.sum(axis=1), set()),
+    "concat": (dict(h=("mid", (2, 3, 4)), g=("leaf", (2, 3, 4))), lambda h, g: concat([h, g], axis=1), set()),
+    "gather_rows": (dict(h=("mid", (2, 3, 4))), lambda h: gather_rows(h, [1, 0, 1]), set()),
+    "split_heads": (dict(h=("mid", (2, 3, 4))), lambda h: split_heads(h, 2), set()),
+    "rope": (dict(h=("mid", (2, 3, 4))), lambda h: rope(h, ROPE_COS, ROPE_SIN, 2), set()),
+    "head_cross_entropy": (
+        dict(h=("mid", (2, 3, 4)), gain=("leaf", (4,)), head=("leaf", (5, 4))),
+        lambda h, gain, head: head_cross_entropy(h, gain, head, CE_TARGETS)[0],
+        {"gain", "head"},
+    ),
+    "mul by a frozen factor": (dict(h=("mid", (3, 4)), c=("frozen", (3, 4))), lambda h, c: h * c, {"c"}),
+    "mul of two intermediates": (dict(h=("mid", (3, 4)), g=("mid", (3, 4))), lambda h, g: h * g, {"h", "g"}),
+    "matmul by a frozen matrix": (dict(h=("mid", (3, 4)), c=("frozen", (4, 2))), lambda h, c: h @ c, {"c"}),
+    "frozen matrix matmul": (dict(c=("frozen", (2, 3)), h=("mid", (3, 4))), lambda c, h: c @ h, {"c"}),
+    "matmul by a weight": (dict(h=("mid", (3, 4)), w=("leaf", (4, 2))), lambda h, w: h @ w, {"h", "w"}),
+    "silu": (dict(h=("mid", (3, 4))), lambda h: h.silu(), {"h"}),
+    "rms_norm": (dict(h=("mid", (3, 4)), gain=("leaf", (4,))), rms_norm, {"h", "gain"}),
+    "rms_norm with a frozen gain": (dict(h=("mid", (3, 4)), gain=("frozen", (4,))), rms_norm, {"h", "gain"}),
+    "feed_forward": (
+        dict(h=("mid", (2, 3, 4)), gain=("leaf", (4,)), w1=("leaf", (4, 6)), w2=("leaf", (6, 4))),
+        feed_forward,
+        {"h", "gain", "w1", "w2"},
+    ),
+    "attention": (
+        dict(q=("mid", (1, 2, 3, 2)), k=("mid", (1, 2, 3, 2)), v=("mid", (1, 2, 3, 2))),
+        lambda q, k, v: attention(q, k, v, plan_of(q, k)),
+        {"q", "k", "v"},
+    ),
+    "attention to frozen keys and values": (
+        dict(q=("mid", (1, 2, 3, 2)), k=("frozen", (1, 2, 3, 2)), v=("frozen", (1, 2, 3, 2))),
+        lambda q, k, v: attention(q, k, v, plan_of(q, k)),
+        {"k", "v"},
+    ),
+}
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """Once the caller drops an op's inputs, the tape keeps the value of
+    each input that the op's backward reads and frees every other, and
+    backward frees the rest."""
+
+    @pytest.mark.parametrize("name", list(TAPE_CASES))
+    def test_an_op_keeps_exactly_the_input_values_its_backward_reads(self, rng, name):
+        inputs, op, kept = TAPE_CASES[name]
+        tensors = {n: tape_input(rng, kind, shape) for n, (kind, shape) in inputs.items()}
+        refs = {n: weakref.ref(t.data) for n, t in tensors.items()}
+        loss = op(*tensors.values()).sum()
+        del tensors
+        gc.collect()
+        assert {n for n, ref in refs.items() if ref() is not None} == kept
+        loss.backward()
+        gc.collect()
+        assert all(ref() is None for ref in refs.values())
 
 
 class TestUtilities:

@@ -1,12 +1,14 @@
 import contextlib
+import gc
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, assert_grads_match, causal_plan, compress, decode_loss, finite_difference
-from gofa import compressor, tokenizer
+from gofa import compressor, corpus, tokenizer
 from gofa import model as model_module
 from gofa.autodiff import Tensor, concat, gather_rows, no_grad, rms_norm
 from gofa.checkpoint import load_checkpoint, save_checkpoint
@@ -173,6 +175,26 @@ class TestFrozenCompressor:
         for ti, c, fd in finite_difference(lambda: build().item(), checked, max_coords=4, rng=rng):
             assert_grad_close(grads[ti].reshape(-1)[c], fd, rel_tol=1e-4)
 
+
+
+def test_an_spd_batch_tape_keeps_only_what_backward_reads():
+    # two seeded SPD samples at desk scale (6 targets, 555 scored tokens):
+    # the tape held 52.7 MB while every op kept its input tensors, and holds
+    # 40.6 MB with each op keeping only the arrays its backward reads
+    spd, _ = corpus.gen_structural_corpus(corpus.CorpusConfig(n_graphs=4, rng_seed=0))
+    cfg = ModelConfig(d_model=32, n_heads=4, n_layers=6, memory_tokens=4, gnn_layers=(3, 4, 5), max_seq_len=128)
+    model = GofaModel(cfg, seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = model.forward_batch(spd[:2])[0]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 46e6, held
+    loss.backward()
 
 def field_graphs(rng) -> list[TAG]:
     """Random TAGs with edge texts, isolated nodes, an edge-less graph and
